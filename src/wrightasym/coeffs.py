@@ -1,34 +1,37 @@
 """Watson-lemma coefficients at simple and double saddles.
 
-At a simple saddle the substitution h(u) = h(u0) - w^2/2 maps the descent
-integral onto a Gaussian; expanding u(w) about the saddle and integrating
-termwise produces the coefficient sequence A_k.  The A_k come out of a
-power-series reversion of w(u), done here with the J.C.P. Miller power
-recurrence plus Lagrange inversion, which works to any order; the first
-four also have closed forms in the normalized derivatives and the two
-routes cross-check each other.
+At a simple saddle the substitution h(u0) - h(u0 + t) = w^2/2 maps the
+descent integral onto a Gaussian; at a double saddle (h'' = 0,
+h''' != 0) the cubic substitution h(u0) - h(u0 + t) = w^3/3 plays the
+same role.  Integrating termwise over the inverted series t(w) gives the
+coefficient sequence A_k at a simple saddle and B_k, scaled by
+H = 2 h'''(u0), at the double saddle.
 
-At a double saddle (h'' = 0, h''' != 0) the cubic substitution
-h(u) = h(u0) - (H/12) v^3 ... plays the same role and yields the sequence
-B_k, scaled by H = 2 h'''(u0).  On the coalescence curve the derivative
-ratios collapse to rationals in lam, so B_0..B_6 reduce to polynomial
-expressions; beyond that the reversion route (run in extended precision,
-since the cubic branch constants are irrational) takes over.
+Both come from one engine.  Differentiating the substitution gives
+t'(w) h'(u0 + t(w)) = -w^(m-1) with m = 2 or 3.  The phase is a sum of
+two exponentials, so the series of e^t and e^(-lam t) update in O(n) per
+order and each new coefficient of t(w) solves one linear equation: the
+whole series to order n costs O(n^2), at any mpmath precision.
+
+Two independent references stay beside it: closed forms of A_0..A_3 in
+the normalized derivatives and, since on the coalescence curve the
+derivative ratios collapse to rationals in lam, polynomial forms of
+B_0..B_6.  The engine supplies B_k beyond k = 6.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
-import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
 from .core import DomainError, Sign
-from .saddles import Phase, Saddle, SaddleKind, double_saddle_curve
+from .saddles import Phase, Saddle, double_saddle_curve
 
 _TWO_CBRT = 2.0 ** (1.0 / 3.0)
+# working precision of reverse_series_simple, whose output is rounded to double
+_ROUNDED_DPS = 30
 
 
 class DegenerateSaddle(ValueError):
@@ -44,11 +47,12 @@ class CoefficientKind(enum.Enum):
 @dataclass(frozen=True)
 class DerivativeTable:
     """Phase derivatives at a saddle: values[n] = h^(n)(u), with values[0]
-    the phase value itself and values[1] the (vanishing) gradient."""
+    the phase value itself and values[1] the (vanishing) gradient, taken
+    from phase."""
 
     saddle: Saddle
     values: tuple[complex, ...]
-    sign: Sign
+    phase: Phase
 
 
 @dataclass(frozen=True)
@@ -80,99 +84,71 @@ def derivative_table(saddle: Saddle, phase: Phase, n_max: int) -> DerivativeTabl
             f"(|h'| = {abs(grad):.2e})")
     values = [complex(phase.h(u)), complex(grad)]
     values.extend(complex(phase.dnh(u, n)) for n in range(2, n_max + 1))
-    return DerivativeTable(saddle=saddle, values=tuple(values), sign=phase.sign)
+    return DerivativeTable(saddle=saddle, values=tuple(values), phase=phase)
 
 
-def _ps_pow_unit(f: list[complex], alpha: float, n: int) -> list[complex]:
-    # q = f**alpha for a unit series (f[0] == 1), Miller recurrence
-    q = [1.0 + 0j] * n
-    for k in range(1, n):
-        s = 0j
-        for j in range(1, k + 1):
-            fj = f[j] if j < len(f) else 0j
-            s += ((alpha + 1) * j - k) * fj * q[k - j]
-        q[k] = s / k
-    return q
+def _saddle_reversion(phase: Phase, u0, m: int, n: int) -> list:
+    """b_1..b_n of t(w) = sum_j b_j w^j with h(u0) - h(u0 + t) = w^m/m, at
+    working precision; m = 2 at a simple saddle, 3 at the double saddle.
 
-
-def _reverse_series(w: list[complex], n: int) -> list[complex]:
-    # w(t) = sum_{j>=1} w[j-1] t^j with w[0] != 0; returns b with
-    # t(w) = sum b[j-1] w^j (Lagrange inversion through unit-series powers)
-    w1 = w[0]
-    f = [w[j] / w1 if j < len(w) else 0j for j in range(n)]
-    b = []
-    for m in range(1, n + 1):
-        g = _ps_pow_unit(f, -m, n)
-        b.append(g[m - 1] / (m * w1 ** m))
-    return b
-
-
-def _ps_pow_unit_mp(f, alpha, n):
-    q = [mp.mpc(1)] + [mp.mpc(0)] * (n - 1)
-    for k in range(1, n):
-        s = mp.mpc(0)
-        for j in range(1, k + 1):
-            fj = f[j] if j < len(f) else mp.mpc(0)
-            s += ((alpha + 1) * j - k) * fj * q[k - j]
-        q[k] = s / k
-    return q
-
-
-def _reverse_series_mp(w, n):
-    w1 = w[0]
-    f = [w[j] / w1 if j < len(w) else mp.mpc(0) for j in range(n)]
-    b = []
-    for m in range(1, n + 1):
-        g = _ps_pow_unit_mp(f, -m, n)
-        b.append(g[m - 1] / (m * w1 ** m))
-    return b
-
-
-def _simple_a_from_derivs(derivs, order: int) -> list[complex]:
-    """A_0..A_order from {n: h^(n)(u0)}, n = 2..2*order+2 at least.
-
-    Writes w(t) = S t (1 + ...)^(1/2) with S = sqrt(-h''), t = u - u0,
-    reverts to t(w), and reads A_k = (-1)^k (2k+1) b_{2k+1} S.  The sqrt
-    branch cancels between S and the odd reversion coefficient, so either
-    choice gives the same A_k.
+    Solves t'(w) h'(u0 + t) = -w^(m-1) order by order, writing
+    h'(u0 + t) = P (e^t - 1) - lam Q (e^(-lam t) - 1) with P = e^(u0)/2,
+    Q = sign e^(-lam u0)/2.  The order-n equation is linear in b_n, with
+    weight h^(m)(u0) b_1^(m-1) (n+m-1)/(m-1)!; b_1 is the principal root
+    of b_1^m = -(m-1)!/h^(m)(u0).
     """
-    m = 2 * order + 2
-    c2 = derivs[2] / 2.0
-    s_root = cmath.sqrt(-derivs[2])
-    f = [1.0 + 0j]
+    lam = mp.mpf(phase.lam)
+    p = mp.exp(u0) / 2
+    q = (-1 if phase.sign is Sign.MINUS else 1) * mp.exp(-lam * u0) / 2
+    hm = p + (-lam) ** m * q
+    fact = mp.factorial(m - 1)
+    b = [0] * (n + m)
+    b[1] = mp.root(-fact / hm, m)
+    e = [mp.mpf(1)] + [0] * (n + m)
+    f = [mp.mpf(1)] + [0] * (n + m)
+
+    def update(j):
+        # order j of E and F from the current b (unsolved ones still 0)
+        se = sf = 0
+        for i in range(1, j + 1):
+            se += i * b[i] * e[j - i]
+            sf += i * b[i] * f[j - i]
+        e[j] = se / j
+        f[j] = -lam * sf / j
+
     for j in range(1, m):
-        cj = derivs.get(j + 2, 0j) / math.factorial(j + 2)
-        f.append(cj / c2)
-    q = _ps_pow_unit(f, 0.5, m)
-    w = [s_root * q[j] for j in range(m)]
-    b = _reverse_series(w, m)
-    return [(-1) ** k * (2 * k + 1) * b[2 * k] * s_root for k in range(order + 1)]
+        update(j)
+    lead = hm * b[1] ** (m - 1) / fact
+    for k in range(2, n + 1):
+        top = k + m - 2
+        update(top)
+        resid = 0
+        for i in range(1, k):
+            resid += i * b[i] * (p * e[top + 1 - i] - lam * q * f[top + 1 - i])
+        b[k] = -resid / (lead * (k + m - 1))
+        for j in range(k, top + 1):
+            update(j)
+    return b[1:n + 1]
 
 
 def reverse_series_simple(table: DerivativeTable, order: int) -> CoefficientSeries:
-    """A_0..A_order at a simple saddle by series reversion.
-
-    Needs derivatives up to 2*order + 2; the table must reach that far.
-    """
+    """A_0..A_order at a simple saddle, from the saddle-series engine run
+    at the table's location and rounded to double."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     h2 = table.values[2]
     if abs(h2) < 1e-10:
         raise DegenerateSaddle(
             f"|h''| = {abs(h2):.2e}: saddle is (numerically) double")
-    need = 2 * order + 2
-    if len(table.values) <= need:
-        raise ValueError(
-            f"order {order} needs derivatives through n = {need}; "
-            f"table stops at {len(table.values) - 1}")
-    derivs = {n: table.values[n] for n in range(2, len(table.values))}
-    coeffs = _simple_a_from_derivs(derivs, order)
-    return CoefficientSeries(
-        kind=CoefficientKind.SIMPLE_SADDLE_A,
-        coefficients=tuple(coeffs),
-        scale=h2,
-        order=order,
-    )
+    with mp.workdps(_ROUNDED_DPS):
+        coeffs = simple_coeffs_mp(table.phase, mp.mpc(table.saddle.location),
+                                  order)
+        return CoefficientSeries(
+            kind=CoefficientKind.SIMPLE_SADDLE_A,
+            coefficients=tuple(complex(c) for c in coeffs),
+            scale=h2,
+            order=order,
+        )
 
 
 def closed_form_A(table: DerivativeTable) -> list[complex]:
@@ -220,29 +196,22 @@ def _double_h_big(lam: float) -> float:
 
 def double_coeffs_by_reversion(lam: float, order: int,
                                dps: int = 40) -> list[float]:
-    """B_0..B_order by cubic-substitution reversion in extended precision.
+    """B_0..B_order from the cubic (m = 3) reversion in extended precision.
 
-    At the double point e^(-lam*u0) = e^(u0)/lam^2, so the scaled cubic
-    series has rational coefficients in lam; the branch constant
-    (H/4)^(1/3) e^(-i pi/3) carries the contour orientation and drops back
-    out of the final B_k, which are real.
+    The principal cube root b_1 = (2/h''')^(1/3) e^(i pi/3) carries the
+    contour orientation; the per-order factor (H^(1/3) e^(-i pi/3))^(k+1)
+    takes it back out, leaving the real B_k.
     """
     if lam <= 0.0:
         raise DomainError("double-saddle coefficients require lam > 0")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    m = order + 2
     with mp.workdps(dps):
         lm = mp.mpf(lam)
         u0 = 2 * mp.log(lm) / (1 + lm)
-        c = {n: (mp.e ** u0 - (-lm) ** n * mp.e ** (-lm * u0)) / 2 / mp.factorial(n)
-             for n in range(3, m + 4)}
+        phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
+        b = _saddle_reversion(phase, u0, 3, order + 1)
         big_h = (1 + lm) * lm ** (2 / (1 + lm))
-        f = [mp.mpc(1)] + [c[j + 3] / c[3] for j in range(1, m + 1)]
-        q = _ps_pow_unit_mp(f, mp.mpf(1) / 3, m)
-        root = (3 * abs(c[3])) ** (mp.mpf(1) / 3) * mp.e ** (-1j * mp.pi / 3)
-        w = [root * q[j] for j in range(m)]
-        b = _reverse_series_mp(w, m)
         out = []
         for k in range(order + 1):
             bk = ((k + 1) * b[k] * big_h ** (mp.mpf(k + 1) / 3)
@@ -255,7 +224,7 @@ def double_saddle_coeffs(lam: float, order: int) -> CoefficientSeries:
     """B_0..B_order for the double-saddle series on the coalescence curve.
 
     The polynomial closed forms cover k <= 6; higher orders come from the
-    reversion route.
+    cubic reversion.
     """
     if lam <= 0.0:
         raise DomainError("double-saddle coefficients require lam > 0")
@@ -275,27 +244,16 @@ def double_saddle_coeffs(lam: float, order: int) -> CoefficientSeries:
     )
 
 
-def _mp_dnh(u, lam, n, s):
-    return (mp.e ** u + s * (-lam) ** n * mp.e ** (-lam * u)) / 2
-
-
 def simple_coeffs_mp(phase: Phase, u0, order: int) -> list:
     """A_0..A_order at working mpmath precision; u0 is an mp location
     (polish it first).  Used where the expansion value itself must carry
-    far more than double precision."""
-    s = -1 if phase.sign is Sign.MINUS else 1
-    lm = mp.mpf(phase.lam)
-    m = 2 * order + 2
-    c2 = _mp_dnh(u0, lm, 2, s) / 2
-    s_root = mp.sqrt(-2 * c2)
-    f = [mp.mpc(1)]
-    for j in range(1, m):
-        cj = _mp_dnh(u0, lm, j + 2, s) / mp.factorial(j + 2)
-        f.append(cj / c2)
-    q = _ps_pow_unit_mp(f, mp.mpf(1) / 2, m)
-    w = [s_root * q[j] for j in range(m)]
-    b = _reverse_series_mp(w, m)
-    return [(-1) ** k * (2 * k + 1) * b[2 * k] * s_root for k in range(order + 1)]
+    far more than double precision.
+
+    A_k = (-1)^k (2k+1) b_(2k+1) / b_1 from the m = 2 reversion; b_(2k+1)
+    carries b_1^(2k+1), so the square-root branch of b_1 drops out.
+    """
+    b = _saddle_reversion(phase, u0, 2, 2 * order + 1)
+    return [(-1) ** k * (2 * k + 1) * b[2 * k] / b[0] for k in range(order + 1)]
 
 
 def is_near_curve(lam: float, a: float, rel_tol: float = 1e-6) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class DomainError(ValueError):
@@ -85,8 +85,7 @@ class ScaledArgs:
 class EvalResult:
     """Outcome of a direct series summation.
 
-    value is the rounded double result; partial_sums records the running
-    sums (rounded to double) for diagnostics; truncation_index is the last
+    value is the rounded double result; truncation_index is the last
     summed term index; last_term_magnitude the magnitude of that term.
     significant_digits estimates how many decimal digits survived the
     summation (cancellation subtracts from the working precision); when it
@@ -94,19 +93,8 @@ class EvalResult:
     """
 
     value: float
-    partial_sums: list[float] = field(default_factory=list)
     truncation_index: int = 0
     last_term_magnitude: float = 0.0
     significant_digits: int | None = None
     low_precision: bool = False
 
-
-def validate(params: WrightParams) -> WrightParams:
-    """Return params unchanged; construction already enforces lam > -1.
-
-    Kept as an explicit entry point so callers holding raw tuples can
-    funnel them through one place.
-    """
-    if not isinstance(params, WrightParams):
-        raise DomainError("expected WrightParams")
-    return params

@@ -31,8 +31,7 @@ import mpmath as mp
 from .core import DomainError, ScaledArgs, Sign
 from .coeffs import is_near_curve, simple_coeffs_mp, double_saddle_coeffs
 from .saddles import Phase, Regime, RegionCount, classify_minus, \
-    complex_saddle_chain, count_contributory_pairs, double_saddle_curve, \
-    solve_real_saddle
+    complex_saddle_chain, count_contributory_pairs, solve_real_saddle
 
 _PREC_DPS = 50
 _PLUS_DPS = 60
@@ -109,28 +108,12 @@ class ExpansionResult:
     route: str
 
 
-def _mp_h(u, lam, a, s):
-    return (mp.e ** u + s * mp.e ** (-lam * u)) / 2 - a * u
-
-
-def _mp_dh(u, lam, a, s):
-    return (mp.e ** u - s * lam * mp.e ** (-lam * u)) / 2 - a
-
-
-def _mp_d2h(u, lam, s):
-    return (mp.e ** u + s * lam ** 2 * mp.e ** (-lam * u)) / 2
-
-
-def _mp_polish(u, lam, a, s, steps: int = 6):
-    """Newton-polish a double-precision saddle location at working
-    precision."""
-    for _ in range(steps):
-        u = u - _mp_dh(u, lam, a, s) / _mp_d2h(u, lam, s)
-    return u
-
-
-def _signed(sign: Sign) -> int:
-    return -1 if sign is Sign.MINUS else 1
+def _mp_phase(phase: Phase, u):
+    """h, h' and h'' at u, at working precision."""
+    s = -1 if phase.sign is Sign.MINUS else 1
+    lam, a = mp.mpf(phase.lam), mp.mpf(phase.a)
+    p, q = mp.exp(u) / 2, s * mp.exp(-lam * u) / 2
+    return p + q - a * u, p - lam * q - a, p + lam ** 2 * q
 
 
 def _pick_k(policy: TruncationPolicy, mags) -> int:
@@ -145,6 +128,82 @@ def _series_span(policy: TruncationPolicy, max_order: int) -> int:
     return max_order
 
 
+def _result(val, terms, k_cut: int, h0, x: float, trunc: TruncationPolicy,
+            route: str) -> ExpansionResult:
+    """A one-component result from its mp value, terms and cut."""
+    value = float(val)
+    return ExpansionResult(
+        value=value,
+        terms=tuple(complex(t) for t in terms),
+        truncation_index=k_cut,
+        truncation_mode=trunc.mode,
+        exponent=float(x * mp.re(h0)),
+        components=(value,),
+        component_truncations=(k_cut,),
+        mp_value=val,
+        mp_components=(val,),
+        route=route,
+    )
+
+
+def _saddle_series(phase: Phase, location: complex, x: float,
+                   trunc: TruncationPolicy, max_order: int,
+                   conjugate_pair: bool, route: str) -> ExpansionResult:
+    """One simple-saddle series at working precision:
+
+        e^(x h0) / sqrt(2 pi x h0'') * sum_k (-1)^k (1/2)_k A_k / (x/2)^k
+
+    with the location Newton-polished first.  A real saddle gives real
+    terms and this value as it stands; for a conjugate pair (location the
+    upper member, principal square root) the mirror saddle adds the
+    complex conjugate, so the value is twice the real part.
+    """
+    xm = mp.mpf(x)
+    um = mp.mpc(location) if conjugate_pair else mp.mpf(location.real)
+    for _ in range(6):  # Newton polish of the double-precision location
+        _, h1, h2 = _mp_phase(phase, um)
+        um -= h1 / h2
+    kmax = _series_span(trunc, max_order)
+    coeff = simple_coeffs_mp(phase, um, kmax)
+    if not conjugate_pair:
+        coeff = [mp.re(c) for c in coeff]
+    terms = [(-1) ** k * mp.rf(mp.mpf(1) / 2, k) * coeff[k] / (xm / 2) ** k
+             for k in range(kmax + 1)]
+    k_cut = _pick_k(trunc, [abs(t) for t in terms])
+    h0, _, h2 = _mp_phase(phase, um)
+    val = (mp.e ** (xm * h0) / mp.sqrt(2 * mp.pi * xm * h2)
+           * mp.fsum(terms[:k_cut + 1]))
+    if conjugate_pair:
+        val = 2 * mp.re(val)
+    return _result(val, terms, k_cut, h0, x, trunc, route)
+
+
+def _minus_route(args: ScaledArgs, trunc: TruncationPolicy, max_order: int,
+                 conjugate_pair: bool) -> ExpansionResult:
+    """Regime checks of the real-saddle or conjugate-pair route, then the
+    series over its contributory saddle."""
+    if args.sign is not Sign.MINUS:
+        raise WrongRegime("minus-phase route called with plus-sign arguments")
+    lam, a = args.lam, args.a
+    if is_near_curve(lam, a):
+        raise WrongRegime(
+            "parameters lie on the saddle-coalescence curve; "
+            "use the double-saddle expansion")
+    cls = classify_minus(lam, a)
+    route = "conjugate-pair" if conjugate_pair else "real-saddle"
+    if (cls.regime is Regime.CONJUGATE_PAIR) is not conjugate_pair:
+        need = "complex saddles" if conjugate_pair else "a real saddle"
+        raise WrongRegime(f"{route} route needs {need}; regime is "
+                          f"{cls.regime.value} at lam={lam}, a={a}")
+    # Coefficients in extended precision: the deep tail of this series
+    # reaches relative errors near 1e-13, where double-precision
+    # reversion noise in A_4, A_5 already distorts the measurement.
+    with mp.workdps(_PREC_DPS):
+        return _saddle_series(Phase(lam, a, Sign.MINUS),
+                              cls.contributory[0].location, args.x, trunc,
+                              max_order, conjugate_pair, route)
+
+
 def expand_minus_real(args: ScaledArgs, trunc: TruncationPolicy,
                       max_order: int = _DEFAULT_MAX_ORDER) -> ExpansionResult:
     """Expansion over the larger of the two real minus-phase saddles:
@@ -155,49 +214,7 @@ def expand_minus_real(args: ScaledArgs, trunc: TruncationPolicy,
     single real saddle plays the same role).  Within 1e-6 of the curve the
     reversion is ill conditioned; use the double-saddle route there.
     """
-    if args.sign is not Sign.MINUS:
-        raise WrongRegime("minus-phase route called with plus-sign arguments")
-    lam, a, x = args.lam, args.a, args.x
-    if is_near_curve(lam, a):
-        raise WrongRegime(
-            "parameters lie on the saddle-coalescence curve; "
-            "use the double-saddle expansion")
-    cls = classify_minus(lam, a)
-    if cls.regime not in (Regime.TWO_REAL, Regime.SINGLE_REAL):
-        raise WrongRegime(
-            f"real-saddle route needs a real saddle; regime is "
-            f"{cls.regime.value} at lam={lam}, a={a}")
-    saddle = cls.contributory[0]
-    phase = Phase(lam, a, Sign.MINUS)
-    kmax = _series_span(trunc, max_order)
-    # Coefficients in extended precision: the deep tail of this series
-    # reaches relative errors near 1e-13, where double-precision
-    # reversion noise in A_4, A_5 already distorts the measurement.
-    with mp.workdps(_PREC_DPS):
-        lm, am, xm = mp.mpf(lam), mp.mpf(a), mp.mpf(x)
-        um = _mp_polish(mp.mpf(saddle.location.real), lm, am, -1)
-        coeff = simple_coeffs_mp(phase, um, kmax)
-        terms_mp = [(-1) ** k * mp.rf(mp.mpf(1) / 2, k) * mp.re(coeff[k])
-                    / (xm / 2) ** k for k in range(kmax + 1)]
-        k_cut = _pick_k(trunc, [abs(t) for t in terms_mp])
-        h0 = _mp_h(um, lm, am, -1)
-        pref = mp.e ** (xm * h0) / mp.sqrt(2 * mp.pi * xm * _mp_d2h(um, lm, -1))
-        val = pref * mp.fsum(terms_mp[:k_cut + 1])
-        exponent = float(xm * h0)
-        value = float(val)
-        terms = tuple(complex(float(t)) for t in terms_mp)
-    return ExpansionResult(
-        value=value,
-        terms=terms,
-        truncation_index=k_cut,
-        truncation_mode=trunc.mode,
-        exponent=exponent,
-        components=(value,),
-        component_truncations=(k_cut,),
-        mp_value=val,
-        mp_components=(val,),
-        route="real-saddle",
-    )
+    return _minus_route(args, trunc, max_order, conjugate_pair=False)
 
 
 def expand_minus_complex(args: ScaledArgs, trunc: TruncationPolicy,
@@ -211,47 +228,7 @@ def expand_minus_complex(args: ScaledArgs, trunc: TruncationPolicy,
     evaluated at the upper saddle with the principal square root; the
     conjugate saddle contributes the mirror term, hence the real part.
     """
-    if args.sign is not Sign.MINUS:
-        raise WrongRegime("minus-phase route called with plus-sign arguments")
-    lam, a, x = args.lam, args.a, args.x
-    if is_near_curve(lam, a):
-        raise WrongRegime(
-            "parameters lie on the saddle-coalescence curve; "
-            "use the double-saddle expansion")
-    cls = classify_minus(lam, a)
-    if cls.regime is not Regime.CONJUGATE_PAIR:
-        raise WrongRegime(
-            f"conjugate-pair route needs complex saddles; regime is "
-            f"{cls.regime.value} at lam={lam}, a={a}")
-    saddle = cls.contributory[0]
-    phase = Phase(lam, a, Sign.MINUS)
-    kmax = _series_span(trunc, max_order)
-    with mp.workdps(_PREC_DPS):
-        lm, am, xm = mp.mpf(lam), mp.mpf(a), mp.mpf(x)
-        um = _mp_polish(mp.mpc(saddle.location), lm, am, -1)
-        coeff = simple_coeffs_mp(phase, um, kmax)
-        terms_mp = [(-1) ** k * mp.rf(mp.mpf(1) / 2, k) * coeff[k]
-                    / (xm / 2) ** k for k in range(kmax + 1)]
-        k_cut = _pick_k(trunc, [abs(t) for t in terms_mp])
-        h0 = _mp_h(um, lm, am, -1)
-        core = mp.e ** (xm * h0) / mp.sqrt(_mp_d2h(um, lm, -1))
-        val = mp.sqrt(2 / (mp.pi * xm)) * mp.re(
-            core * mp.fsum(terms_mp[:k_cut + 1]))
-        exponent = float(xm * mp.re(h0))
-        value = float(val)
-        terms = tuple(complex(t) for t in terms_mp)
-    return ExpansionResult(
-        value=value,
-        terms=terms,
-        truncation_index=k_cut,
-        truncation_mode=trunc.mode,
-        exponent=exponent,
-        components=(value,),
-        component_truncations=(k_cut,),
-        mp_value=val,
-        mp_components=(val,),
-        route="conjugate-pair",
-    )
+    return _minus_route(args, trunc, max_order, conjugate_pair=True)
 
 
 def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
@@ -275,7 +252,7 @@ def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
         gam = (1 - lm) / (1 + lm)
         am = (1 + lm) / 2 * lm ** gam
         u0 = 2 * mp.log(lm) / (1 + lm)
-        h0 = _mp_h(u0, lm, am, -1)
+        h0 = (mp.exp(u0) - mp.exp(-lm * u0)) / 2 - am * u0
         big_h = (1 + lm) * lm ** (2 / (1 + lm))
         hx3 = big_h * xm / 3
         terms = []
@@ -290,35 +267,7 @@ def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
         pref = (mp.mpf(2) ** (mp.mpf(2) / 3) * mp.e ** (xm * h0)
                 / (3 * mp.pi * hx3 ** (mp.mpf(1) / 3)))
         val = pref * mp.fsum(terms[:k_cut + 1])
-        exponent = float(xm * h0)
-        value = float(val)
-        terms_f = tuple(complex(float(t)) for t in terms)
-    return ExpansionResult(
-        value=value,
-        terms=terms_f,
-        truncation_index=k_cut,
-        truncation_mode=trunc.mode,
-        exponent=exponent,
-        components=(value,),
-        component_truncations=(k_cut,),
-        mp_value=val,
-        mp_components=(val,),
-        route="double-saddle",
-    )
-
-
-def _plus_pair_contribution(phase: Phase, u_mp, x, kmax: int):
-    """I_j for one chain pair at working precision: value terms and the
-    real-part assembly sqrt(2/(pi x)) Re{e^(x h)/sqrt(h'') sum ...}."""
-    lm, am, xm = mp.mpf(phase.lam), mp.mpf(phase.a), mp.mpf(x)
-    coeff = simple_coeffs_mp(phase, u_mp, kmax)
-    terms = [(-1) ** k * mp.rf(mp.mpf(1) / 2, k) * coeff[k] / (xm / 2) ** k
-             for k in range(kmax + 1)]
-    k_cut = optimal_truncation([abs(t) for t in terms])
-    h0 = _mp_h(u_mp, lm, am, 1)
-    core = mp.e ** (xm * h0) / mp.sqrt(_mp_d2h(u_mp, lm, 1))
-    val = mp.sqrt(2 / (mp.pi * xm)) * mp.re(core * mp.fsum(terms[:k_cut + 1]))
-    return val, k_cut
+        return _result(val, terms, k_cut, h0, x, trunc, "double-saddle")
 
 
 # The chain geometry and the pair corrections do not depend on where I_0
@@ -334,13 +283,10 @@ def _cached_pair_contributions(lam: float, a: float, x: float,
                                n_pairs: int, max_order: int):
     phase = Phase(lam, a, Sign.PLUS)
     with mp.workdps(_PLUS_DPS):
-        lm, am = mp.mpf(lam), mp.mpf(a)
-        chain = complex_saddle_chain(phase, n_pairs)
-        out = []
-        for sadl in chain:
-            um = _mp_polish(mp.mpc(sadl.location), lm, am, 1)
-            out.append(_plus_pair_contribution(phase, um, x, max_order))
-        return tuple(out)
+        return tuple(_saddle_series(phase, sadl.location, x,
+                                    TruncationPolicy.optimal(), max_order,
+                                    True, "chain pair")
+                     for sadl in complex_saddle_chain(phase, n_pairs))
 
 
 def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
@@ -360,63 +306,41 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
         raise WrongRegime("plus-phase route called with minus-sign arguments")
     lam, a, x = args.lam, args.a, args.x
     region: RegionCount = _cached_region(lam, a)
-    n_pairs = region.n_pairs
     phase = Phase(lam, a, Sign.PLUS)
     real_saddle = solve_real_saddle(phase)
-    kmax0 = _series_span(trunc, max_order)
     with mp.workdps(_PLUS_DPS):
-        lm, am, xm = mp.mpf(lam), mp.mpf(a), mp.mpf(x)
-        um0 = _mp_polish(mp.mpf(real_saddle.location.real), lm, am, 1)
-        coeff0 = simple_coeffs_mp(phase, um0, kmax0)
-        terms0 = [(-1) ** k * mp.rf(mp.mpf(1) / 2, k) * mp.re(coeff0[k])
-                  / (xm / 2) ** k for k in range(kmax0 + 1)]
-        k_cut = _pick_k(trunc, [abs(t) for t in terms0])
-        h00 = _mp_h(um0, lm, am, 1)
-        pref0 = mp.e ** (xm * h00) / mp.sqrt(2 * mp.pi * xm * _mp_d2h(um0, lm, 1))
-        i0 = pref0 * mp.fsum(terms0[:k_cut + 1])
-        components = [i0]
-        cuts = [k_cut]
-        if n_pairs >= 1:
-            for val_j, cut_j in _cached_pair_contributions(
-                    lam, a, x, n_pairs, max_order):
-                components.append(val_j)
-                cuts.append(cut_j)
-        total = mp.mpf(0)
-        for j, cj in enumerate(components):
-            if (j == n_pairs and n_pairs >= 1
-                    and region.last_pair_subdominant
-                    and not include_subdominant):
-                continue
-            total += cj
-        exponent = float(xm * h00)
-        value = float(total)
-        comp_f = tuple(float(c) for c in components)
-        terms_f = tuple(complex(float(t)) for t in terms0)
-    return ExpansionResult(
-        value=value,
-        terms=terms_f,
-        truncation_index=k_cut,
-        truncation_mode=trunc.mode,
-        exponent=exponent,
-        components=comp_f,
-        component_truncations=tuple(cuts),
-        mp_value=total,
-        mp_components=tuple(components),
-        route="chain",
-    )
+        i0 = _saddle_series(phase, real_saddle.location, x, trunc, max_order,
+                            False, "chain")
+        parts = (i0,) + _cached_pair_contributions(lam, a, x, region.n_pairs,
+                                                   max_order)
+        components = tuple(p.mp_value for p in parts)
+        kept = components
+        if region.last_pair_subdominant and not include_subdominant:
+            kept = components[:-1]
+        total = sum(kept, mp.mpf(0))
+        return ExpansionResult(
+            value=float(total),
+            terms=i0.terms,
+            truncation_index=i0.truncation_index,
+            truncation_mode=trunc.mode,
+            exponent=i0.exponent,
+            components=tuple(float(c) for c in components),
+            component_truncations=tuple(p.truncation_index for p in parts),
+            mp_value=total,
+            mp_components=components,
+            route="chain",
+        )
 
 
 def expand_minus_auto(args: ScaledArgs, trunc: TruncationPolicy,
                       max_order: int = _DEFAULT_MAX_ORDER) -> ExpansionResult:
     """Dispatch the minus-phase expansion on the saddle configuration:
-    real route above the curve (or lam <= 0), double route on it,
-    conjugate-pair route below."""
+    real route above the curve (or lam <= 0), double route within 1e-6 of
+    it, conjugate-pair route below."""
     lam, a = args.lam, args.a
     if lam > 0.0 and is_near_curve(lam, a):
         return expand_minus_double(lam, args.x, trunc, max_order)
     cls = classify_minus(lam, a)
     if cls.regime is Regime.CONJUGATE_PAIR:
         return expand_minus_complex(args, trunc, max_order)
-    if cls.regime is Regime.DOUBLE:
-        return expand_minus_double(lam, args.x, trunc, max_order)
     return expand_minus_real(args, trunc, max_order)

@@ -61,36 +61,25 @@ class PrecisionConfig:
             raise DomainError("max_terms must be positive")
 
 
-def recip_gamma(y: float, prec: PrecisionConfig = PrecisionConfig()) -> mp.mpf:
-    """1/Gamma(y) at the configured precision.
-
-    Returns exactly zero at the poles of Gamma (y = 0, -1, -2, ...), which
-    is what lets the series skip terms whose Gamma argument lands there.
-    """
-    with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
-        return +mp.rgamma(y)
-
-
 def _sum_series(lam, mu, z, prec: PrecisionConfig):
     """Core loop shared by all entry points; runs inside a workdps block.
 
-    Returns (sum, partial_sums, n_last, last_term_mag, peak_mag).
-    Incremental updates keep z^n and n! as running products; each term costs
-    one reciprocal-gamma evaluation.
+    Returns (sum, peak_mag, n_last, last_term_mag); perfbench/spans.py
+    reads n_last at index 2.  Incremental updates keep z^n and n! as
+    running products; each term costs one reciprocal-gamma evaluation.
     """
     s = mp.mpf(0)
     pw = mp.mpf(1)
     fact = mp.mpf(1)
-    partials: list[float] = []
     maxmag = mp.mpf(0)
     maxps = mp.mpf(0)
     peak = 0
     n = 0
     tiny = mp.mpf(10) ** (-(prec.decimal_digits + _STOP_MARGIN))
     while True:
-        term = pw / fact * mp.rgamma(lam * n + mu)
+        rg = mp.rgamma(lam * n + mu)
+        term = pw / fact * rg
         s += term
-        partials.append(float(s))
         tm = abs(term)
         if tm > maxmag:
             maxmag, peak = tm, n
@@ -101,11 +90,13 @@ def _sum_series(lam, mu, z, prec: PrecisionConfig):
         ps = abs(s)
         if ps > maxps:
             maxps = ps
-        if n == 0 and tm == 0 and lam == 0:
-            # 1/Gamma(mu) = 0 with lam = 0: every term vanishes
-            return s, partials, n, tm, maxmag
-        if n > peak and tm < tiny * maxps:
-            return s, partials, n, tm, maxmag
+        if rg == 0:
+            if lam == 0:
+                # 1/Gamma(mu) = 0 with lam = 0: every term vanishes
+                return s, maxmag, n, tm
+            # a pole of Gamma(lam*n + mu) says nothing about the tail
+        elif n > peak and tm < tiny * maxps:
+            return s, maxmag, n, tm
         n += 1
         pw *= z
         fact *= n
@@ -115,7 +106,7 @@ def _sum_series(lam, mu, z, prec: PrecisionConfig):
             )
 
 
-def _finish(value_mp, series_sum, partials, n_last, last_mag, peak_mag,
+def _finish(value_mp, series_sum, peak_mag, n_last, last_mag,
             prec: PrecisionConfig) -> EvalResult:
     """Round to double and attach the surviving-digit estimate."""
     if abs(series_sum) > 0:
@@ -127,7 +118,6 @@ def _finish(value_mp, series_sum, partials, n_last, last_mag, peak_mag,
         raise PrecisionLoss(surviving)
     return EvalResult(
         value=float(value_mp),
-        partial_sums=partials,
         truncation_index=n_last,
         last_term_magnitude=float(last_mag),
         significant_digits=min(surviving, prec.decimal_digits),
@@ -139,25 +129,24 @@ def wright_series(params: WrightParams, z: float,
                   prec: PrecisionConfig = PrecisionConfig()) -> EvalResult:
     """Evaluate W_{lam,mu}(z) by direct summation."""
     with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
-        s, partials, n, last, peakm = _sum_series(
+        s, peakm, n, last = _sum_series(
             mp.mpf(params.lam), mp.mpf(params.mu), mp.mpf(z), prec)
-        return _finish(s, s, partials, n, last, peakm, prec)
+        return _finish(s, s, peakm, n, last, prec)
 
 
 def _scaled_mp(args: ScaledArgs, prec: PrecisionConfig):
     """Full-precision scaled value; nu = a*x and z = +-(x/2)^(lam+1) are
     formed in mp arithmetic so no double rounding enters the parameters.
 
-    Returns (value_mp, series_sum, partials, n, last_mag, peak_mag).
+    Returns (value_mp, series_sum, peak_mag, n, last_mag).
     """
     lm, am, xm = mp.mpf(args.lam), mp.mpf(args.a), mp.mpf(args.x)
     nu = am * xm
     z = (xm / 2) ** (lm + 1)
     if args.sign is Sign.MINUS:
         z = -z
-    s, partials, n, last, peakm = _sum_series(lm, nu + 1, z, prec)
-    value = (xm / 2) ** nu * s
-    return value, s, partials, n, last, peakm
+    s, peakm, n, last = _sum_series(lm, nu + 1, z, prec)
+    return (xm / 2) ** nu * s, s, peakm, n, last
 
 
 def mp_scaled_value(args: ScaledArgs,
@@ -171,16 +160,11 @@ def mp_scaled_value(args: ScaledArgs,
 
 def w_minus(args: ScaledArgs,
             prec: PrecisionConfig = PrecisionConfig()) -> EvalResult:
-    """Negative-argument scaled Wright function (alternating series).
-
-    partial_sums holds the bare series partials; the (x/2)^nu prefactor is
-    applied to the final value only.
-    """
+    """Negative-argument scaled Wright function (alternating series)."""
     if args.sign is not Sign.MINUS:
         raise DomainError("w_minus requires sign=Minus")
     with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
-        value, s, partials, n, last, peakm = _scaled_mp(args, prec)
-        return _finish(value, s, partials, n, last, peakm, prec)
+        return _finish(*_scaled_mp(args, prec), prec)
 
 
 def w_plus(args: ScaledArgs,
@@ -190,5 +174,4 @@ def w_plus(args: ScaledArgs,
     if args.sign is not Sign.PLUS:
         raise DomainError("w_plus requires sign=Plus")
     with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
-        value, s, partials, n, last, peakm = _scaled_mp(args, prec)
-        return _finish(value, s, partials, n, last, peakm, prec)
+        return _finish(*_scaled_mp(args, prec), prec)

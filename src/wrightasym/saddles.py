@@ -345,36 +345,33 @@ def complex_saddle_chain(phase: Phase, count: int) -> list[Saddle]:
 
     Member k sits near Im u = (2k-1)*pi/lam: the first inside
     (pi/lam, 3*pi/lam), later ones within half a strip of the estimate.
-    Newton runs from a short ladder of real-part seeds at each level.
     """
+    return [_chain_member(phase, k) for k in range(1, count + 1)]
+
+
+def _chain_member(phase: Phase, k: int) -> Saddle:
+    """Member k of the plus-phase chain, by Newton from a short ladder of
+    real-part seeds at its level; members are solved independently."""
     if phase.sign is not Sign.PLUS:
         raise DomainError("the complex saddle chain belongs to the plus phase")
     lam = phase.lam
     if lam <= 0.0:
         raise DomainError("chain saddles require lam > 0")
-    out: list[Saddle] = []
-    for k in range(1, count + 1):
-        y_est = (2 * k - 1) * math.pi / lam
-        root = None
-        for xr in (0.0, 0.1, 0.2, 0.3, 0.5, -0.1, 0.8, 1.2):
-            cand = _complex_newton(phase, complex(xr, y_est))
-            if cand is None or cand.imag <= 0:
-                continue
-            if k == 1:
-                # closed lower edge: at lam = 1 the first saddle sits
-                # exactly on Im u = pi/lam (u = i pi - arcsinh(a))
-                ok = (math.pi / lam - 1e-9 <= cand.imag
-                      < 3.0 * math.pi / lam)
-            else:
-                ok = abs(cand.imag - y_est) < math.pi / lam
-            if ok:
-                root = cand
-                break
-        if root is None:
-            raise ConvergenceFailure(
-                f"chain saddle {k} not found for lam={lam}, a={phase.a}")
-        out.append(_make_saddle(phase, root, k, SaddleKind.COMPLEX_PAIR))
-    return out
+    y_est = (2 * k - 1) * math.pi / lam
+    for xr in (0.0, 0.1, 0.2, 0.3, 0.5, -0.1, 0.8, 1.2):
+        cand = _complex_newton(phase, complex(xr, y_est))
+        if cand is None or cand.imag <= 0:
+            continue
+        if k == 1:
+            # closed lower edge: at lam = 1 the first saddle sits
+            # exactly on Im u = pi/lam (u = i pi - arcsinh(a))
+            ok = math.pi / lam - 1e-9 <= cand.imag < 3.0 * math.pi / lam
+        else:
+            ok = abs(cand.imag - y_est) < math.pi / lam
+        if ok:
+            return _make_saddle(phase, cand, k, SaddleKind.COMPLEX_PAIR)
+    raise ConvergenceFailure(
+        f"chain saddle {k} not found for lam={lam}, a={phase.a}")
 
 
 class PathBranch(enum.Enum):
@@ -521,12 +518,12 @@ def count_contributory_pairs(lam: float, a: float,
                            last_pair_subdominant=False)
     n = 0
     for k in range(1, max_pairs + 1):
-        sadl = complex_saddle_chain(phase, k)[-1]
+        sadl = _chain_member(phase, k)
         im = sadl.phase_value.imag
         if abs(im) < 1e-3:
             # convert the level margin to parameter distance before guarding
             da = 1e-4 * max(a, 0.1)
-            above = complex_saddle_chain(Phase(lam, a + da, Sign.PLUS), k)[-1]
+            above = _chain_member(Phase(lam, a + da, Sign.PLUS), k)
             slope = abs(above.phase_value.imag - im) / da
             if abs(im) < 1e-6 * max(1.0, slope):
                 raise OnStokesBoundary(
@@ -554,7 +551,7 @@ def stokes_boundary(lam: float, pair_index: int,
 
     def level(a: float) -> float:
         phase = Phase(lam, a, Sign.PLUS)
-        return complex_saddle_chain(phase, pair_index)[-1].phase_value.imag
+        return _chain_member(phase, pair_index).phase_value.imag
 
     n_scan = 80
     grid = [a_min * (a_max / a_min) ** (i / (n_scan - 1.0))

@@ -319,17 +319,16 @@ def compute_fig4(lam_step: float = 0.5) -> TableReport:
                        sweep_columns=("pair", "lam", "a"), sweep_rows=rows)
 
 
+_COMPUTE = {
+    TableSpec.T1: compute_t1,
+    TableSpec.T2: compute_t2,
+    TableSpec.T3: compute_t3,
+    TableSpec.T4: compute_t4,
+    TableSpec.T5: compute_t5,
+    TableSpec.FIG2_CURVE: lambda precision: compute_fig2(),
+    TableSpec.FIG4_CURVES: lambda precision: compute_fig4(),
+}
+
+
 def compute_table(spec: TableSpec, precision: int = 60) -> TableReport:
-    if spec is TableSpec.T1:
-        return compute_t1(precision)
-    if spec is TableSpec.T2:
-        return compute_t2(precision)
-    if spec is TableSpec.T3:
-        return compute_t3(precision)
-    if spec is TableSpec.T4:
-        return compute_t4(precision)
-    if spec is TableSpec.T5:
-        return compute_t5(precision)
-    if spec is TableSpec.FIG2_CURVE:
-        return compute_fig2()
-    return compute_fig4()
+    return _COMPUTE[spec](precision)

@@ -1,4 +1,9 @@
-"""Expansion coefficients: reversion, closed forms, double-saddle scaling."""
+"""Expansion coefficients: reversion, closed forms, double-saddle scaling.
+
+The high-order checks compare the package's O(n^2) recurrence against an
+independent Lagrange inversion kept here: J.C.P. Miller powers of the
+Taylor series of w(t) = (m (h(u0) - h(u0 + t)))^(1/m), O(n^3).
+"""
 
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ import pytest
 from wrightasym.core import Sign
 from wrightasym.coeffs import (
     CoefficientKind,
+    _saddle_reversion,
     DegenerateSaddle,
     closed_form_A,
     derivative_table,
@@ -21,6 +27,7 @@ from wrightasym.coeffs import (
 )
 from wrightasym.saddles import (
     Phase,
+    complex_saddle_chain,
     double_saddle_curve,
     double_saddle_point,
     solve_complex_pair,
@@ -194,3 +201,72 @@ def test_double_h_scale_is_twice_third_derivative():
         u0 = 2.0 * cmath.log(lam).real / (1.0 + lam)
         want = (1.0 + lam) * lam ** (2.0 / (1.0 + lam))
         assert abs(2.0 * ph.dnh(u0, 3).real - want) < 1e-12 * want
+
+
+# -- high orders against Lagrange inversion ------------------------------
+
+def _ps_pow_unit(f, alpha, n):
+    # q = f**alpha for a unit series (f[0] == 1), J.C.P. Miller recurrence
+    q = [mp.mpc(1)] + [mp.mpc(0)] * (n - 1)
+    for k in range(1, n):
+        s = mp.mpc(0)
+        for j in range(1, k + 1):
+            s += ((alpha + 1) * j - k) * f[j] * q[k - j]
+        q[k] = s / k
+    return q
+
+
+def _lagrange_b(phase, u0, m, n):
+    """b_1..b_n of t(w), h(u0) - h(u0 + t) = w^m/m, by Lagrange inversion:
+    b_j = [t^(j-1)] (t/w(t))^j / j."""
+    s = -1 if phase.sign is Sign.MINUS else 1
+    lam = mp.mpf(phase.lam)
+    # Taylor coefficients c_j = h^(j)(u0)/j!, j = m..m+n-1
+    c = [(mp.exp(u0) + s * (-lam) ** j * mp.exp(-lam * u0)) / 2
+         / mp.factorial(j) for j in range(m, m + n)]
+    # w = w1 t (1 + (c_(m+1)/c_m) t + ...)^(1/m); w1 on the package's branch
+    w1 = 1 / mp.root(-1 / (m * c[0]), m)
+    f = _ps_pow_unit([cj / c[0] for cj in c], mp.mpf(1) / m, n)
+    return [_ps_pow_unit(f, -j, n)[j - 1] / (j * w1 ** j)
+            for j in range(1, n + 1)]
+
+
+def _polished(phase, u):
+    s = -1 if phase.sign is Sign.MINUS else 1
+    lam, a = mp.mpf(phase.lam), mp.mpf(phase.a)
+    return mp.findroot(
+        lambda v: (mp.exp(v) - s * lam * mp.exp(-lam * v)) / 2 - a, u)
+
+
+def _high_order_cases():
+    ph = Phase(1.0, 1.2, Sign.MINUS)
+    yield ph, mp.mpf(solve_real_saddle(ph)[1].location.real)
+    ph = Phase(1.5, 0.5, Sign.MINUS)
+    yield ph, mp.mpc(solve_complex_pair(ph).location)
+    ph = Phase(3.0, 0.2, Sign.PLUS)
+    yield ph, mp.mpc(complex_saddle_chain(ph, 1)[0].location)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["real", "conjugate", "chain"])
+def test_simple_coeffs_match_lagrange_inversion_to_order_15(case):
+    ph, u = list(_high_order_cases())[case]
+    with mp.workdps(60):
+        u0 = _polished(ph, u)
+        got = simple_coeffs_mp(ph, u0, 15)
+        b = _lagrange_b(ph, u0, 2, 31)
+        for k in range(16):
+            want = (-1) ** k * (2 * k + 1) * b[2 * k] / b[0]
+            assert abs(got[k] - want) <= mp.mpf(10) ** -40 * abs(want), k
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.7, 4.0])
+def test_cubic_reversion_matches_lagrange_to_order_20(lam):
+    # B_k is a fixed multiple of b_(k+1), so B_0..B_20 need b_1..b_21
+    ph = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
+    with mp.workdps(60):
+        lm = mp.mpf(lam)
+        u0 = 2 * mp.log(lm) / (1 + lm)
+        got = _saddle_reversion(ph, u0, 3, 21)
+        want = _lagrange_b(ph, u0, 3, 21)
+        for j, (g, w) in enumerate(zip(got, want), start=1):
+            assert abs(g - w) <= mp.mpf(10) ** -40 * abs(w), j

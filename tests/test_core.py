@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wrightasym.core import DomainError, ScaledArgs, Sign, WrightParams, validate
+from wrightasym.core import DomainError, ScaledArgs, Sign, WrightParams
 
 
 def test_wright_params_accepts_boundary_interior():
@@ -65,9 +65,3 @@ def test_scaled_args_frozen():
     with pytest.raises(AttributeError):
         args.x = 20.0
 
-
-def test_validate_passthrough_and_type_check():
-    p = WrightParams(1.0, 2.0)
-    assert validate(p) is p
-    with pytest.raises(DomainError):
-        validate((1.0, 2.0))

@@ -1,4 +1,4 @@
-"""Series oracle: reciprocal gamma, summation control, scaled wrappers.
+"""Series oracle: summation control, Gamma poles, scaled wrappers.
 
 The lam = 1 reduction to a modified Bessel function is the main external
 check: W_{1,mu}(z) = z^((1-mu)/2) I_{mu-1}(2 sqrt(z)), with the Bessel
@@ -12,7 +12,6 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from wrightasym.core import ScaledArgs, Sign, WrightParams
 from wrightasym.oracle import (
@@ -20,7 +19,6 @@ from wrightasym.oracle import (
     PrecisionConfig,
     PrecisionLoss,
     mp_scaled_value,
-    recip_gamma,
     w_minus,
     w_plus,
     wright_series,
@@ -36,35 +34,6 @@ def _bessel_i(order, w, dps=40):
         for m in range(200):
             s += half ** (2 * m + order) / (mp.factorial(m) * mp.gamma(m + order + 1))
         return s
-
-
-# -- recip_gamma ---------------------------------------------------------
-
-def test_recip_gamma_poles_exactly_zero():
-    for y in (0.0, -1.0, -2.0, -17.0):
-        assert recip_gamma(y) == 0
-
-
-def test_recip_gamma_known_values():
-    assert abs(float(recip_gamma(1.0)) - 1.0) < 1e-15
-    assert abs(float(recip_gamma(0.5)) - 1.0 / math.sqrt(math.pi)) < 1e-15
-    assert abs(float(recip_gamma(5.0)) - 1.0 / 24.0) < 1e-15
-
-
-@given(y=st.floats(-30.0, 30.0).filter(
-    lambda v: abs(v - round(v)) > 1e-3 or v > 0.5))
-@settings(max_examples=60, deadline=None)
-def test_recip_gamma_recurrence(y):
-    # 1/Gamma(y+1) = (1/Gamma(y)) / y away from poles; arguments formed
-    # in working precision so the shift itself costs nothing
-    if y == 0.0:
-        return
-    with mp.workdps(70):
-        ym = mp.mpf(y)
-        lhs = recip_gamma(ym + 1)
-        rhs = recip_gamma(ym) / ym
-        denom = max(abs(lhs), abs(rhs), mp.mpf(1e-300))
-        assert abs(lhs - rhs) / denom < mp.mpf(10) ** (-55)
 
 
 # -- Bessel reduction at lam = 1 -----------------------------------------
@@ -126,7 +95,6 @@ def test_low_precision_flag_under_heavy_cancellation():
 def test_eval_result_metadata():
     res = w_minus(ScaledArgs(1.5, 0.5, 40.0, Sign.MINUS))
     assert res.truncation_index > 10
-    assert len(res.partial_sums) == res.truncation_index + 1
     assert res.last_term_magnitude < 1e-60
     assert res.significant_digits >= 40
     assert not res.low_precision
@@ -160,3 +128,37 @@ def test_known_value_via_bessel_closed_form():
     with mp.workdps(40):
         ref = mp.besselj(2, 4)
         assert abs(mp.mpf(res.value) - ref) / abs(ref) < 1e-13
+
+
+# -- Gamma poles inside the series ------------------------------------------
+
+@pytest.mark.parametrize("z", [-3.0, -1.0, 0.5, 2.0, 5.0])
+def test_gamma_poles_do_not_end_the_sum(z):
+    # W_{-1/2,1/2}(z) = e^(-z^2/4)/sqrt(pi); every odd term sits on a pole
+    # of Gamma(1/2 - n/2) and is exactly zero
+    res = wright_series(WrightParams(-0.5, 0.5), z)
+    assert res.value == pytest.approx(math.exp(-z * z / 4) / math.sqrt(math.pi),
+                                      rel=1e-14)
+
+
+def _fixed_length_sum(args, n_terms, dps):
+    # independent of the oracle's stop rule: a fixed number of terms
+    with mp.workdps(dps):
+        lam, xm = mp.mpf(args.lam), mp.mpf(args.x)
+        nu = mp.mpf(args.a) * xm
+        z = (xm / 2) ** (lam + 1) * (-1 if args.sign is Sign.MINUS else 1)
+        s = mp.fsum(z ** n / mp.factorial(n) * mp.rgamma(lam * n + nu + 1)
+                    for n in range(n_terms))
+        return (xm / 2) ** nu * s
+
+
+@pytest.mark.parametrize("lam,a,x,sign", [(-0.5, 0.5, 40.0, Sign.MINUS),
+                                          (-0.5, 0.25, 8.0, Sign.PLUS)])
+def test_scaled_sum_runs_past_gamma_poles(lam, a, x, sign):
+    # Gamma(lam*n + nu + 1) has poles at n = 42, 44, ... (first point) and
+    # n = 6, 8, ... (second), long before the terms have decayed
+    args = ScaledArgs(lam, a, x, sign)
+    res = (w_minus if sign is Sign.MINUS else w_plus)(args)
+    ref = _fixed_length_sum(args, 400, 80)
+    assert res.value == pytest.approx(float(ref), rel=1e-14)
+    assert not res.low_precision
