@@ -204,6 +204,7 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
             "truncation_mode": res.truncation_mode.value,
             "components": list(res.components),
             "component_truncations": list(res.component_truncations),
+            "truncation_reasons": list(res.truncation_reasons),
             "terms": [[t.real, t.imag] for t in res.terms],
             "relative_error": rel_err,
         })
@@ -216,11 +217,15 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
                    f"(exponent x*h0 = {res.exponent:.6f})")
         mode = ("optimal" if res.truncation_mode is TruncationMode.OPTIMAL
                 else "fixed")
+        reason = res.truncation_reasons[0]
+        if reason != mode:
+            mode = f"{mode}: {reason}"
         click.echo(f"truncation: k = {res.truncation_index} ({mode})")
         if len(res.components) > 1:
-            for j, (c, kc) in enumerate(zip(res.components,
-                                            res.component_truncations)):
-                click.echo(f"  I_{j} = {_sci(c)}   (k = {kc})")
+            for j, (c, kc, why) in enumerate(zip(res.components,
+                                                 res.component_truncations,
+                                                 res.truncation_reasons)):
+                click.echo(f"  I_{j} = {_sci(c)}   (k = {kc}, {why})")
         if rel_err is not None:
             click.echo(f"relative error vs series: {rel_err:.3e}")
     if out:

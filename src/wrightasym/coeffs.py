@@ -7,11 +7,16 @@ same role.  Integrating termwise over the inverted series t(w) gives the
 coefficient sequence A_k at a simple saddle and B_k, scaled by
 H = 2 h'''(u0), at the double saddle.
 
-Both come from one engine.  Differentiating the substitution gives
-t'(w) h'(u0 + t(w)) = -w^(m-1) with m = 2 or 3.  The phase is a sum of
-two exponentials, so the series of e^t and e^(-lam t) update in O(n) per
-order and each new coefficient of t(w) solves one linear equation: the
-whole series to order n costs O(n^2), at any mpmath precision.
+Both come from one engine.  It solves for the normalized coefficients
+beta_k = b_k / b_1^k of t = sum_k beta_k s^k in s = b_1 w, for which the
+differentiated substitution reads t'(s) h'(u0 + t) = s^(m-1)
+h^(m)(u0)/(m-1)! with m = 2 or 3 and beta_1 = 1: every input is real at a
+real saddle and on the coalescence curve, so those run in real mpf
+arithmetic.  The phase is a sum of two exponentials, so each new beta_k
+solves one linear equation whose known part is two convolutions against
+the series of e^t and e^(-lam t); the same two sums extend those series
+by one order, and each convolution is one exact dot product (mp.fdot).
+The whole series to order n costs O(n^2), at any mpmath precision.
 
 Two independent references stay beside it: closed forms of A_0..A_3 in
 the normalized derivatives and, since on the coalescence curve the
@@ -87,48 +92,73 @@ def derivative_table(saddle: Saddle, phase: Phase, n_max: int) -> DerivativeTabl
     return DerivativeTable(saddle=saddle, values=tuple(values), phase=phase)
 
 
-def _saddle_reversion(phase: Phase, u0, m: int, n: int) -> list:
-    """b_1..b_n of t(w) = sum_j b_j w^j with h(u0) - h(u0 + t) = w^m/m, at
-    working precision; m = 2 at a simple saddle, 3 at the double saddle.
+def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
+    """beta_1..beta_n and h^(m)(u0), at working precision: t = sum_k
+    beta_k s^k solves h(u0) - h(u0 + t) = w^m/m in the normalized variable
+    s = b_1 w, so beta_k = b_k / b_1^k and beta_1 = 1.
 
-    Solves t'(w) h'(u0 + t) = -w^(m-1) order by order, writing
-    h'(u0 + t) = P (e^t - 1) - lam Q (e^(-lam t) - 1) with P = e^(u0)/2,
-    Q = sign e^(-lam u0)/2.  The order-n equation is linear in b_n, with
-    weight h^(m)(u0) b_1^(m-1) (n+m-1)/(m-1)!; b_1 is the principal root
-    of b_1^m = -(m-1)!/h^(m)(u0).
+    In s the differentiated substitution reads
+
+        t'(s) h'(u0 + t) = s^(m-1) h^(m)(u0)/(m-1)!,
+
+    with h'(u0 + t) = P (E - 1) - lam Q (F - 1), E = e^t, F = e^(-lam t),
+    P = e^(u0)/2 and Q = sign e^(-lam u0)/2.  Every input is real wherever
+    u0 is, so a real saddle (and the coalescence curve) runs in mpf.  The
+    order-k equation is linear in beta_k with weight
+    h^(m)(u0) (k+m-1)/(m-1)!; its other part is two convolutions,
+    sum i beta_i e_(k+m-1-i) and sum i beta_i f_(k+m-1-i), each one exact
+    dot product.  The same two sums are (k+m-1) e_(k+m-1) and
+    -(k+m-1) f_(k+m-1)/lam with beta_k still 0, from E' = t' E and
+    F' = -lam t' F; once beta_k is solved its terms are added to
+    e_k..e_(k+m-1) and f_k..f_(k+m-1) in O(m) each.  So each order costs
+    two dot products, and the series to order n O(n^2) in all.
     """
     lam = mp.mpf(phase.lam)
     p = mp.exp(u0) / 2
     q = (-1 if phase.sign is Sign.MINUS else 1) * mp.exp(-lam * u0) / 2
+    lq = lam * q
     hm = p + (-lam) ** m * q
-    fact = mp.factorial(m - 1)
-    b = [0] * (n + m)
-    b[1] = mp.root(-fact / hm, m)
-    e = [mp.mpf(1)] + [0] * (n + m)
-    f = [mp.mpf(1)] + [0] * (n + m)
-
-    def update(j):
-        # order j of E and F from the current b (unsolved ones still 0)
-        se = sf = 0
-        for i in range(1, j + 1):
-            se += i * b[i] * e[j - i]
-            sf += i * b[i] * f[j - i]
-        e[j] = se / j
-        f[j] = -lam * sf / j
-
-    for j in range(1, m):
-        update(j)
-    lead = hm * b[1] ** (m - 1) / fact
+    one = mp.mpf(1)
+    ib = [0, one]  # ib[i] = i beta_i
+    # E = e^s and F = e^(-lam s) through order m while only beta_1 is known
+    e = [one / mp.factorial(j) for j in range(m + 1)]
+    f = [(-lam) ** j / mp.factorial(j) for j in range(m + 1)]
+    lead = hm / mp.factorial(m - 1)
     for k in range(2, n + 1):
-        top = k + m - 2
-        update(top)
-        resid = 0
-        for i in range(1, k):
-            resid += i * b[i] * (p * e[top + 1 - i] - lam * q * f[top + 1 - i])
-        b[k] = -resid / (lead * (k + m - 1))
+        # e, f hold orders 0..k+m-2 with beta_k = 0
+        top = k + m - 1
+        se = mp.fdot(ib[1:k], e[top - 1:m - 1:-1])
+        sf = mp.fdot(ib[1:k], f[top - 1:m - 1:-1])
+        kb = -k * (p * se - lq * sf) / (lead * top)
+        ib.append(kb)
+        e.append(se / top)
+        f.append(-lam * sf / top)
+        de, df = {}, {}
         for j in range(k, top + 1):
-            update(j)
-    return b[1:n + 1]
+            # beta_k's share of order j; e[j-k] already carries it when
+            # j - k >= k, and i = k is the kb term itself
+            se = kb * e[j - k]
+            sf = kb * f[j - k]
+            for i in range(1, min(j - k, k - 1) + 1):
+                se += ib[i] * de[j - i]
+                sf += ib[i] * df[j - i]
+            de[j] = se / j
+            df[j] = -lam * sf / j
+            e[j] += de[j]
+            f[j] += df[j]
+    return [c / i for i, c in enumerate(ib[1:], 1)], hm
+
+
+def _saddle_reversion(phase: Phase, u0, m: int, n: int) -> list:
+    """b_1..b_n of t(w) = sum_j b_j w^j with h(u0) - h(u0 + t) = w^m/m, at
+    working precision; m = 2 at a simple saddle, 3 at the double saddle.
+
+    b_k = beta_k b_1^k from the normalized engine (_saddle_betas), with
+    b_1 the principal root of b_1^m = -(m-1)!/h^(m)(u0).
+    """
+    beta, hm = _saddle_betas(phase, u0, m, n)
+    b1 = mp.root(-mp.factorial(m - 1) / hm, m)
+    return [bk * b1 ** k for k, bk in enumerate(beta, 1)]
 
 
 def reverse_series_simple(table: DerivativeTable, order: int) -> CoefficientSeries:
@@ -198,9 +228,11 @@ def double_coeffs_by_reversion(lam: float, order: int,
                                dps: int = 40) -> list[float]:
     """B_0..B_order from the cubic (m = 3) reversion in extended precision.
 
-    The principal cube root b_1 = (2/h''')^(1/3) e^(i pi/3) carries the
-    contour orientation; the per-order factor (H^(1/3) e^(-i pi/3))^(k+1)
-    takes it back out, leaving the real B_k.
+    B_k = (k+1) b_(k+1) (H^(1/3) e^(-i pi/3))^(k+1) / 2^(2/3), where the
+    principal cube root b_1 = (2/h''')^(1/3) e^(i pi/3) carries the contour
+    orientation.  In the normalized coefficients b_(k+1) = beta_(k+1)
+    b_1^(k+1) that is B_k = (k+1) beta_(k+1) 2^(2k/3): real throughout,
+    with no rotation to take back out.
     """
     if lam <= 0.0:
         raise DomainError("double-saddle coefficients require lam > 0")
@@ -210,14 +242,9 @@ def double_coeffs_by_reversion(lam: float, order: int,
         lm = mp.mpf(lam)
         u0 = 2 * mp.log(lm) / (1 + lm)
         phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
-        b = _saddle_reversion(phase, u0, 3, order + 1)
-        big_h = (1 + lm) * lm ** (2 / (1 + lm))
-        out = []
-        for k in range(order + 1):
-            bk = ((k + 1) * b[k] * big_h ** (mp.mpf(k + 1) / 3)
-                  * mp.e ** (-1j * mp.pi * (k + 1) / 3) / 2 ** (mp.mpf(2) / 3))
-            out.append(float(bk.real))
-        return out
+        beta, _ = _saddle_betas(phase, u0, 3, order + 1)
+        step = mp.cbrt(4)
+        return [float((k + 1) * bk * step ** k) for k, bk in enumerate(beta)]
 
 
 def double_saddle_coeffs(lam: float, order: int) -> CoefficientSeries:
@@ -249,11 +276,13 @@ def simple_coeffs_mp(phase: Phase, u0, order: int) -> list:
     (polish it first).  Used where the expansion value itself must carry
     far more than double precision.
 
-    A_k = (-1)^k (2k+1) b_(2k+1) / b_1 from the m = 2 reversion; b_(2k+1)
-    carries b_1^(2k+1), so the square-root branch of b_1 drops out.
+    A_k = (-1)^k (2k+1) b_(2k+1) / b_1 from the m = 2 reversion, which in
+    the normalized coefficients (b_1^2 = -1/h'') is (2k+1) beta_(2k+1) /
+    h''(u0)^k: no square-root branch enters, and at a real saddle every
+    A_k is an mpf.
     """
-    b = _saddle_reversion(phase, u0, 2, 2 * order + 1)
-    return [(-1) ** k * (2 * k + 1) * b[2 * k] / b[0] for k in range(order + 1)]
+    beta, h2 = _saddle_betas(phase, u0, 2, 2 * order + 1)
+    return [(2 * k + 1) * beta[2 * k] / h2 ** k for k in range(order + 1)]
 
 
 def is_near_curve(lam: float, a: float, rel_tol: float = 1e-6) -> bool:

@@ -90,7 +90,10 @@ class ExpansionResult:
     the prefactor is pulled out; truncation_index is where that series was
     actually cut (inclusive).  components carries the per-saddle
     contributions I_j in saddle order (for the single-saddle routes just
-    the value itself), component_truncations their individual cut points,
+    the value itself), component_truncations their individual cut points
+    and truncation_reasons why each was cut there: "fixed" (the policy's
+    k), "minimum" (the smallest term) or "capped" (the optimal rule landed
+    on the last computed term, so the minimum may lie beyond max_order),
     and exponent = x * Re h(u0) locates the overall scale.  value is the
     double rounding of mp_value, which keeps the extended-precision result
     for difference measurements.
@@ -103,6 +106,7 @@ class ExpansionResult:
     exponent: float
     components: tuple[float, ...]
     component_truncations: tuple[int, ...]
+    truncation_reasons: tuple[str, ...]
     mp_value: object
     mp_components: tuple
     route: str
@@ -120,6 +124,13 @@ def _pick_k(policy: TruncationPolicy, mags) -> int:
     if policy.mode is TruncationMode.FIXED:
         return policy.k
     return optimal_truncation(mags)
+
+
+def _truncation_reason(policy: TruncationPolicy, k_cut: int,
+                       n_terms: int) -> str:
+    if policy.mode is TruncationMode.FIXED:
+        return "fixed"
+    return "capped" if k_cut == n_terms - 1 else "minimum"
 
 
 def _series_span(policy: TruncationPolicy, max_order: int) -> int:
@@ -140,6 +151,7 @@ def _result(val, terms, k_cut: int, h0, x: float, trunc: TruncationPolicy,
         exponent=float(x * mp.re(h0)),
         components=(value,),
         component_truncations=(k_cut,),
+        truncation_reasons=(_truncation_reason(trunc, k_cut, len(terms)),),
         mp_value=val,
         mp_components=(val,),
         route=route,
@@ -165,8 +177,6 @@ def _saddle_series(phase: Phase, location: complex, x: float,
         um -= h1 / h2
     kmax = _series_span(trunc, max_order)
     coeff = simple_coeffs_mp(phase, um, kmax)
-    if not conjugate_pair:
-        coeff = [mp.re(c) for c in coeff]
     terms = [(-1) ** k * mp.rf(mp.mpf(1) / 2, k) * coeff[k] / (xm / 2) ** k
              for k in range(kmax + 1)]
     k_cut = _pick_k(trunc, [abs(t) for t in terms])
@@ -326,6 +336,7 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
             exponent=i0.exponent,
             components=tuple(float(c) for c in components),
             component_truncations=tuple(p.truncation_index for p in parts),
+            truncation_reasons=tuple(p.truncation_reasons[0] for p in parts),
             mp_value=total,
             mp_components=components,
             route="chain",

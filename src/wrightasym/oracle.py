@@ -90,12 +90,12 @@ def _sum_series(lam, mu, z, prec: PrecisionConfig):
         ps = abs(s)
         if ps > maxps:
             maxps = ps
-        if rg == 0:
-            if lam == 0:
-                # 1/Gamma(mu) = 0 with lam = 0: every term vanishes
-                return s, maxmag, n, tm
-            # a pole of Gamma(lam*n + mu) says nothing about the tail
-        elif n > peak and tm < tiny * maxps:
+        if z == 0 or (rg == 0 and lam == 0):
+            # every later term vanishes: z^n for n > 0, or the common
+            # factor 1/Gamma(mu) = 0 when lam = 0
+            return s, maxmag, n, tm
+        # a pole of Gamma(lam*n + mu) says nothing about the tail
+        if rg != 0 and n > peak and tm < tiny * maxps:
             return s, maxmag, n, tm
         n += 1
         pw *= z
@@ -111,6 +111,8 @@ def _finish(value_mp, series_sum, peak_mag, n_last, last_mag,
     """Round to double and attach the surviving-digit estimate."""
     if abs(series_sum) > 0:
         lost = max(float(mp.log10(peak_mag / abs(series_sum))), 0.0)
+    elif peak_mag == 0:
+        lost = 0.0  # every term is exactly zero: nothing cancelled
     else:
         lost = float(prec.decimal_digits)
     surviving = int(prec.decimal_digits - lost)

@@ -104,6 +104,20 @@ def test_expand_plus_chain_components(runner):
     assert "I_0" in res.output and "I_1" in res.output
 
 
+def test_expand_reports_truncation_reasons(runner):
+    argv = ("expand", "--lambda", "3", "--a", "0.2", "--x", "40",
+            "--sign", "plus", "--order", "3")
+    res = _run(runner, *argv)
+    assert res.exit_code == 0
+    assert "I_0 = 5.92085419e+12   (k = 3, fixed)" in res.output
+    assert "(k = 40, capped)" in res.output
+    payload = json.loads(_run(runner, *argv, "--json").output)
+    assert payload["truncation_reasons"] == ["fixed", "capped"]
+    res = _run(runner, "expand", "--lambda", "-0.25", "--a", "1",
+               "--x", "40", "--sign", "minus")
+    assert "truncation: k = 40 (optimal: capped)" in res.output
+
+
 def test_expand_flag_conflict_exits_2(runner):
     res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
                "--x", "40", "--sign", "minus", "--order", "3", "--optimal")

@@ -16,6 +16,7 @@ import pytest
 from wrightasym.core import Sign
 from wrightasym.coeffs import (
     CoefficientKind,
+    _saddle_betas,
     _saddle_reversion,
     DegenerateSaddle,
     closed_form_A,
@@ -216,9 +217,11 @@ def _ps_pow_unit(f, alpha, n):
     return q
 
 
-def _lagrange_b(phase, u0, m, n):
-    """b_1..b_n of t(w), h(u0) - h(u0 + t) = w^m/m, by Lagrange inversion:
-    b_j = [t^(j-1)] (t/w(t))^j / j."""
+def _lagrange_b(phase, u0, m, js):
+    """b_j for j in js of t(w), h(u0) - h(u0 + t) = w^m/m, by Lagrange
+    inversion: b_j = [t^(j-1)] (t/w(t))^j / j, one O(n^2) power per j."""
+    js = list(js)
+    n = max(js)
     s = -1 if phase.sign is Sign.MINUS else 1
     lam = mp.mpf(phase.lam)
     # Taylor coefficients c_j = h^(j)(u0)/j!, j = m..m+n-1
@@ -227,8 +230,7 @@ def _lagrange_b(phase, u0, m, n):
     # w = w1 t (1 + (c_(m+1)/c_m) t + ...)^(1/m); w1 on the package's branch
     w1 = 1 / mp.root(-1 / (m * c[0]), m)
     f = _ps_pow_unit([cj / c[0] for cj in c], mp.mpf(1) / m, n)
-    return [_ps_pow_unit(f, -j, n)[j - 1] / (j * w1 ** j)
-            for j in range(1, n + 1)]
+    return [_ps_pow_unit(f, -j, j)[j - 1] / (j * w1 ** j) for j in js]
 
 
 def _polished(phase, u):
@@ -253,7 +255,7 @@ def test_simple_coeffs_match_lagrange_inversion_to_order_15(case):
     with mp.workdps(60):
         u0 = _polished(ph, u)
         got = simple_coeffs_mp(ph, u0, 15)
-        b = _lagrange_b(ph, u0, 2, 31)
+        b = _lagrange_b(ph, u0, 2, range(1, 32))
         for k in range(16):
             want = (-1) ** k * (2 * k + 1) * b[2 * k] / b[0]
             assert abs(got[k] - want) <= mp.mpf(10) ** -40 * abs(want), k
@@ -267,6 +269,66 @@ def test_cubic_reversion_matches_lagrange_to_order_20(lam):
         lm = mp.mpf(lam)
         u0 = 2 * mp.log(lm) / (1 + lm)
         got = _saddle_reversion(ph, u0, 3, 21)
-        want = _lagrange_b(ph, u0, 3, 21)
+        want = _lagrange_b(ph, u0, 3, range(1, 22))
         for j, (g, w) in enumerate(zip(got, want), start=1):
             assert abs(g - w) <= mp.mpf(10) ** -40 * abs(w), j
+
+
+@pytest.mark.parametrize("case", range(3), ids=["real", "conjugate", "chain"])
+def test_simple_coeffs_match_lagrange_inversion_at_orders_20_to_40(case):
+    # the optimal routes compute A_0..A_40
+    ph, u = list(_high_order_cases())[case]
+    orders = (20, 30, 40)
+    with mp.workdps(60):
+        u0 = _polished(ph, u)
+        got = simple_coeffs_mp(ph, u0, 40)
+        b1, *bs = _lagrange_b(ph, u0, 2, [1] + [2 * k + 1 for k in orders])
+        for k, b in zip(orders, bs):
+            want = (-1) ** k * (2 * k + 1) * b / b1
+            assert abs(got[k] - want) <= mp.mpf(10) ** -40 * abs(want), k
+
+
+def test_cubic_reversion_matches_lagrange_at_orders_30_and_40():
+    lam = 1.7
+    ph = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
+    b_float = double_coeffs_by_reversion(lam, 40)
+    with mp.workdps(60):
+        lm = mp.mpf(lam)
+        u0 = 2 * mp.log(lm) / (1 + lm)
+        got = _saddle_reversion(ph, u0, 3, 41)
+        big_h = (1 + lm) * lm ** (2 / (1 + lm))
+        for k, b in zip((30, 40), _lagrange_b(ph, u0, 3, (31, 41))):
+            assert abs(got[k] - b) <= mp.mpf(10) ** -40 * abs(b), k
+            # B_k = (k+1) b_(k+1) (H^(1/3) e^(-i pi/3))^(k+1) / 2^(2/3)
+            want = ((k + 1) * b * (mp.cbrt(big_h) * mp.expjpi(-mp.mpf(1) / 3))
+                    ** (k + 1) / mp.cbrt(4))
+            assert abs(want.imag) <= mp.mpf(10) ** -40 * abs(want), k
+            assert b_float[k] == pytest.approx(float(want.real), rel=1e-14)
+
+
+def test_engine_cost_and_real_arithmetic(monkeypatch):
+    # two exact dot products per order, and no complex arithmetic where
+    # the saddle is real: a count, not a timing
+    calls = 0
+    fdot = mp.fdot
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return fdot(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "fdot", counted)
+    ph = Phase(1.0, 1.2, Sign.MINUS)
+    with mp.workdps(50):
+        u0 = _polished(ph, mp.mpf(solve_real_saddle(ph)[1].location.real))
+        coeffs = simple_coeffs_mp(ph, u0, 40)
+    assert calls <= 2 * 81 + 4
+    assert all(type(c) is mp.mpf for c in coeffs)
+    lam = 1.7
+    with mp.workdps(40):
+        lm = mp.mpf(lam)
+        beta, h3 = _saddle_betas(Phase(lam, double_saddle_curve(lam),
+                                       Sign.MINUS),
+                                 2 * mp.log(lm) / (1 + lm), 3, 41)
+    assert len(beta) == 41 and type(h3) is mp.mpf
+    assert all(type(c) is mp.mpf for c in beta)

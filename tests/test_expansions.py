@@ -119,6 +119,24 @@ def test_fixed_vs_optimal_bookkeeping():
     assert mags[opt.truncation_index] == min(m for m in mags if m > 0)
 
 
+@pytest.mark.parametrize("point,route,trunc,want", [
+    ((-0.25, 1.0, 40.0), expand_minus_auto, TruncationPolicy.optimal(),
+     ("capped",)),
+    ((1.0, 1.2, 40.0), expand_minus_auto, TruncationPolicy.optimal(),
+     ("minimum",)),
+    ((3.0, 0.2, 40.0), expand_plus, TruncationPolicy.fixed(3),
+     ("fixed", "capped")),
+], ids=["capped", "minimum", "chain-fixed"])
+def test_truncation_reasons(point, route, trunc, want):
+    sign = Sign.PLUS if route is expand_plus else Sign.MINUS
+    res = route(ScaledArgs(*point, sign), trunc)
+    assert res.truncation_reasons == want
+    assert len(res.truncation_reasons) == len(res.component_truncations)
+    # "capped" is the optimal cut on the last computed term
+    for reason, k in zip(want, res.component_truncations):
+        assert (reason == "capped") == (k == 40)
+
+
 def test_plus_components_and_subdominant_exclusion():
     args = ScaledArgs(6.0, 0.2, 40.0, Sign.PLUS)
     res = expand_plus(args, TruncationPolicy.optimal())

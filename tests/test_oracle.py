@@ -141,6 +141,19 @@ def test_gamma_poles_do_not_end_the_sum(z):
                                       rel=1e-14)
 
 
+@pytest.mark.parametrize("lam,mu,want", [(0.5, 0.0, 0.0), (0.5, -1.0, 0.0),
+                                          (0.5, 3.0, 0.5)])
+def test_zero_argument_is_the_first_term(lam, mu, want):
+    # at z = 0 only the n = 0 term 1/Gamma(mu) is left, and a pole of
+    # Gamma(mu) makes the value an exact 0 with no cancellation; a budget
+    # of 5 terms would run out if the sum went on past n = 0
+    res = wright_series(WrightParams(lam, mu), 0.0,
+                        PrecisionConfig(max_terms=5))
+    assert res.value == want
+    assert res.truncation_index == 0
+    assert not res.low_precision
+
+
 def _fixed_length_sum(args, n_terms, dps):
     # independent of the oracle's stop rule: a fixed number of terms
     with mp.workdps(dps):
