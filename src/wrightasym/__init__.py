@@ -49,15 +49,10 @@ from .saddles import (
     trace_descent_path,
 )
 from .coeffs import (
-    CoefficientKind,
-    CoefficientSeries,
     DegenerateSaddle,
-    DerivativeTable,
     closed_form_A,
-    derivative_table,
     double_coeffs_by_reversion,
     double_saddle_coeffs,
-    reverse_series_simple,
 )
 from .expansions import (
     ExpansionResult,
@@ -76,11 +71,8 @@ from .reference import TableSpec
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientKind",
-    "CoefficientSeries",
     "ConvergenceFailure",
     "DegenerateSaddle",
-    "DerivativeTable",
     "DomainError",
     "EvalResult",
     "ExpansionResult",
@@ -111,7 +103,6 @@ __all__ = [
     "closed_form_A",
     "complex_saddle_chain",
     "count_contributory_pairs",
-    "derivative_table",
     "double_coeffs_by_reversion",
     "double_saddle_coeffs",
     "double_saddle_curve",
@@ -123,7 +114,6 @@ __all__ = [
     "expand_plus",
     "mp_scaled_value",
     "optimal_truncation",
-    "reverse_series_simple",
     "solve_complex_pair",
     "solve_real_saddle",
     "stokes_boundary",

@@ -166,11 +166,11 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
     series oracle."""
     if order is not None and optimal:
         _fail(EXIT_DOMAIN, "--order and --optimal are mutually exclusive")
-    trunc = (TruncationPolicy.optimal() if order is None
-             else TruncationPolicy.fixed(order))
     try:
+        trunc = (TruncationPolicy.optimal() if order is None
+                 else TruncationPolicy.fixed(order))
         args = ScaledArgs(lam, a, x, _parse_sign(sign))
-    except DomainError as e:
+    except ValueError as e:
         _fail(EXIT_DOMAIN, str(e))
     try:
         if args.sign is Sign.MINUS:

@@ -18,78 +18,35 @@ the series of e^t and e^(-lam t); the same two sums extend those series
 by one order, and each convolution is one exact dot product (mp.fdot).
 The whole series to order n costs O(n^2), at any mpmath precision.
 
-Two independent references stay beside it: closed forms of A_0..A_3 in
-the normalized derivatives and, since on the coalescence curve the
+There is one way to get the A_k: Newton-polish the saddle at the working
+precision (saddles.polish_saddle), then run simple_coeffs_mp there; the
+expansion routes and the table reproductions both do exactly that.  A
+saddle whose m-th derivative vanishes (|h^(m)| < 1e-10) is refused with
+DegenerateSaddle.
+
+Two independent references stay beside the engine: closed forms of
+A_0..A_3 in the normalized derivatives H_n = h^(n)/h'' (read from
+Phase.dnh in double precision) and, since on the coalescence curve the
 derivative ratios collapse to rationals in lam, polynomial forms of
-B_0..B_6.  The engine supplies B_k beyond k = 6.
+B_0..B_6.  The double-saddle series uses those polynomials for k <= 6
+and the engine, rounded to double, beyond.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import mpmath as mp
 
 from .core import DomainError, Sign
-from .saddles import Phase, Saddle, double_saddle_curve
+from .saddles import Phase, double_saddle_curve
 
 _TWO_CBRT = 2.0 ** (1.0 / 3.0)
-# working precision of reverse_series_simple, whose output is rounded to double
-_ROUNDED_DPS = 30
+# working precision of the cubic reversion, whose output is rounded to double
+_REVERSION_DPS = 40
 
 
 class DegenerateSaddle(ValueError):
     """Vanishing second derivative: the simple-saddle reversion does not
     apply (use the double-saddle route)."""
-
-
-class CoefficientKind(enum.Enum):
-    SIMPLE_SADDLE_A = "simple_saddle_a"
-    DOUBLE_SADDLE_B = "double_saddle_b"
-
-
-@dataclass(frozen=True)
-class DerivativeTable:
-    """Phase derivatives at a saddle: values[n] = h^(n)(u), with values[0]
-    the phase value itself and values[1] the (vanishing) gradient, taken
-    from phase."""
-
-    saddle: Saddle
-    values: tuple[complex, ...]
-    phase: Phase
-
-
-@dataclass(frozen=True)
-class CoefficientSeries:
-    """Coefficients of one asymptotic series, with the saddle scale they
-    are normalized against: h''(u0) for the A_k, H = 2 h'''(u0) for the
-    B_k."""
-
-    kind: CoefficientKind
-    coefficients: tuple[complex, ...]
-    scale: complex
-    order: int
-
-
-def derivative_table(saddle: Saddle, phase: Phase, n_max: int) -> DerivativeTable:
-    """Tabulate h, h' and h^(n) for n = 2..n_max at the saddle.
-
-    The location must actually be stationary for this phase; mixing a
-    saddle solved under one sign with the other phase is rejected.
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    u = saddle.location
-    grad = phase.dh(u)
-    scale = max(1.0, abs(phase.d2h(u)), abs(phase.dnh(u, 3)))
-    if abs(grad) > 1e-10 * scale:
-        raise DomainError(
-            f"location {u} is not a stationary point of this phase "
-            f"(|h'| = {abs(grad):.2e})")
-    values = [complex(phase.h(u)), complex(grad)]
-    values.extend(complex(phase.dnh(u, n)) for n in range(2, n_max + 1))
-    return DerivativeTable(saddle=saddle, values=tuple(values), phase=phase)
 
 
 def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
@@ -118,6 +75,9 @@ def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
     q = (-1 if phase.sign is Sign.MINUS else 1) * mp.exp(-lam * u0) / 2
     lq = lam * q
     hm = p + (-lam) ** m * q
+    if abs(hm) < 1e-10:
+        raise DegenerateSaddle(f"|h^({m})(u0)| = {float(abs(hm)):.2e}: "
+                               f"saddle is (numerically) of higher order")
     one = mp.mpf(1)
     ib = [0, one]  # ib[i] = i beta_i
     # E = e^s and F = e^(-lam s) through order m while only beta_1 is known
@@ -149,47 +109,13 @@ def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
     return [c / i for i, c in enumerate(ib[1:], 1)], hm
 
 
-def _saddle_reversion(phase: Phase, u0, m: int, n: int) -> list:
-    """b_1..b_n of t(w) = sum_j b_j w^j with h(u0) - h(u0 + t) = w^m/m, at
-    working precision; m = 2 at a simple saddle, 3 at the double saddle.
-
-    b_k = beta_k b_1^k from the normalized engine (_saddle_betas), with
-    b_1 the principal root of b_1^m = -(m-1)!/h^(m)(u0).
-    """
-    beta, hm = _saddle_betas(phase, u0, m, n)
-    b1 = mp.root(-mp.factorial(m - 1) / hm, m)
-    return [bk * b1 ** k for k, bk in enumerate(beta, 1)]
-
-
-def reverse_series_simple(table: DerivativeTable, order: int) -> CoefficientSeries:
-    """A_0..A_order at a simple saddle, from the saddle-series engine run
-    at the table's location and rounded to double."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    h2 = table.values[2]
-    if abs(h2) < 1e-10:
-        raise DegenerateSaddle(
-            f"|h''| = {abs(h2):.2e}: saddle is (numerically) double")
-    with mp.workdps(_ROUNDED_DPS):
-        coeffs = simple_coeffs_mp(table.phase, mp.mpc(table.saddle.location),
-                                  order)
-        return CoefficientSeries(
-            kind=CoefficientKind.SIMPLE_SADDLE_A,
-            coefficients=tuple(complex(c) for c in coeffs),
-            scale=h2,
-            order=order,
-        )
-
-
-def closed_form_A(table: DerivativeTable) -> list[complex]:
+def closed_form_A(phase: Phase, location) -> list[complex]:
     """A_0..A_3 in closed form from the normalized derivatives
-    H_n = h^(n)/h''."""
-    h2 = table.values[2]
+    H_n = h^(n)/h'' at the saddle location, in double precision."""
+    h2 = phase.d2h(location)
     if abs(h2) < 1e-10:
         raise DegenerateSaddle("closed forms assume a simple saddle")
-    if len(table.values) <= 8:
-        raise ValueError("closed A_3 needs derivatives through n = 8")
-    H = {n: table.values[n] / h2 for n in range(3, 9)}
+    H = {n: phase.dnh(location, n) / h2 for n in range(3, 9)}
     a1 = (5 * H[3] ** 2 - 3 * H[4]) / (24 * h2)
     a2 = (385 * H[3] ** 4 - 630 * H[3] ** 2 * H[4] + 105 * H[4] ** 2
           + 168 * H[3] * H[5] - 24 * H[6]) / (3456 * h2 ** 2)
@@ -219,13 +145,7 @@ def _closed_b_polynomials(lam: float) -> list[float]:
     ]
 
 
-def _double_h_big(lam: float) -> float:
-    """Scale factor H = 2 h'''(u0) on the coalescence curve."""
-    return (1.0 + lam) * lam ** (2.0 / (1.0 + lam))
-
-
-def double_coeffs_by_reversion(lam: float, order: int,
-                               dps: int = 40) -> list[float]:
+def double_coeffs_by_reversion(lam: float, order: int) -> list[float]:
     """B_0..B_order from the cubic (m = 3) reversion in extended precision.
 
     B_k = (k+1) b_(k+1) (H^(1/3) e^(-i pi/3))^(k+1) / 2^(2/3), where the
@@ -238,7 +158,7 @@ def double_coeffs_by_reversion(lam: float, order: int,
         raise DomainError("double-saddle coefficients require lam > 0")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    with mp.workdps(dps):
+    with mp.workdps(_REVERSION_DPS):
         lm = mp.mpf(lam)
         u0 = 2 * mp.log(lm) / (1 + lm)
         phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
@@ -247,7 +167,7 @@ def double_coeffs_by_reversion(lam: float, order: int,
         return [float((k + 1) * bk * step ** k) for k, bk in enumerate(beta)]
 
 
-def double_saddle_coeffs(lam: float, order: int) -> CoefficientSeries:
+def double_saddle_coeffs(lam: float, order: int) -> list[float]:
     """B_0..B_order for the double-saddle series on the coalescence curve.
 
     The polynomial closed forms cover k <= 6; higher orders come from the
@@ -259,16 +179,8 @@ def double_saddle_coeffs(lam: float, order: int) -> CoefficientSeries:
         raise ValueError("order must be nonnegative")
     poly = _closed_b_polynomials(lam)
     if order <= 6:
-        coeffs = poly[:order + 1]
-    else:
-        rev = double_coeffs_by_reversion(lam, order)
-        coeffs = poly + rev[7:]
-    return CoefficientSeries(
-        kind=CoefficientKind.DOUBLE_SADDLE_B,
-        coefficients=tuple(complex(v) for v in coeffs),
-        scale=complex(_double_h_big(lam)),
-        order=order,
-    )
+        return poly[:order + 1]
+    return poly + double_coeffs_by_reversion(lam, order)[7:]
 
 
 def simple_coeffs_mp(phase: Phase, u0, order: int) -> list:
@@ -279,16 +191,7 @@ def simple_coeffs_mp(phase: Phase, u0, order: int) -> list:
     A_k = (-1)^k (2k+1) b_(2k+1) / b_1 from the m = 2 reversion, which in
     the normalized coefficients (b_1^2 = -1/h'') is (2k+1) beta_(2k+1) /
     h''(u0)^k: no square-root branch enters, and at a real saddle every
-    A_k is an mpf.
+    A_k is an mpf.  Raises DegenerateSaddle where |h''(u0)| < 1e-10.
     """
     beta, h2 = _saddle_betas(phase, u0, 2, 2 * order + 1)
     return [(2 * k + 1) * beta[2 * k] / h2 ** k for k in range(order + 1)]
-
-
-def is_near_curve(lam: float, a: float, rel_tol: float = 1e-6) -> bool:
-    """Whether (lam, a) sits within rel_tol of the coalescence curve,
-    where the simple-saddle series degenerate."""
-    if lam <= 0.0:
-        return False
-    curve = double_saddle_curve(lam)
-    return abs(a - curve) <= rel_tol * max(1.0, curve)

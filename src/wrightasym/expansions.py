@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .core import DomainError, ScaledArgs, Sign
-from .coeffs import is_near_curve, simple_coeffs_mp, double_saddle_coeffs
+from .coeffs import simple_coeffs_mp, double_saddle_coeffs
 from .saddles import Phase, Regime, RegionCount, classify_minus, \
-    complex_saddle_chain, count_contributory_pairs, solve_real_saddle
+    complex_saddle_chain, count_contributory_pairs, is_near_curve, \
+    polish_saddle
 
 _PREC_DPS = 50
 _PLUS_DPS = 60
@@ -112,14 +113,6 @@ class ExpansionResult:
     route: str
 
 
-def _mp_phase(phase: Phase, u):
-    """h, h' and h'' at u, at working precision."""
-    s = -1 if phase.sign is Sign.MINUS else 1
-    lam, a = mp.mpf(phase.lam), mp.mpf(phase.a)
-    p, q = mp.exp(u) / 2, s * mp.exp(-lam * u) / 2
-    return p + q - a * u, p - lam * q - a, p + lam ** 2 * q
-
-
 def _pick_k(policy: TruncationPolicy, mags) -> int:
     if policy.mode is TruncationMode.FIXED:
         return policy.k
@@ -160,49 +153,51 @@ def _result(val, terms, k_cut: int, h0, x: float, trunc: TruncationPolicy,
 
 def _saddle_series(phase: Phase, location: complex, x: float,
                    trunc: TruncationPolicy, max_order: int,
-                   conjugate_pair: bool, route: str) -> ExpansionResult:
+                   route: str) -> ExpansionResult:
     """One simple-saddle series at working precision:
 
         e^(x h0) / sqrt(2 pi x h0'') * sum_k (-1)^k (1/2)_k A_k / (x/2)^k
 
     with the location Newton-polished first.  A real saddle gives real
-    terms and this value as it stands; for a conjugate pair (location the
-    upper member, principal square root) the mirror saddle adds the
-    complex conjugate, so the value is twice the real part.
+    terms and this value as it stands; a complex location is the upper
+    member of a conjugate pair (principal square root), whose mirror
+    saddle adds the complex conjugate, so the value is twice the real
+    part.
     """
     xm = mp.mpf(x)
-    um = mp.mpc(location) if conjugate_pair else mp.mpf(location.real)
-    for _ in range(6):  # Newton polish of the double-precision location
-        _, h1, h2 = _mp_phase(phase, um)
-        um -= h1 / h2
+    um, h0, h2 = polish_saddle(phase, location)
     kmax = _series_span(trunc, max_order)
     coeff = simple_coeffs_mp(phase, um, kmax)
     terms = [(-1) ** k * mp.rf(mp.mpf(1) / 2, k) * coeff[k] / (xm / 2) ** k
              for k in range(kmax + 1)]
     k_cut = _pick_k(trunc, [abs(t) for t in terms])
-    h0, _, h2 = _mp_phase(phase, um)
     val = (mp.e ** (xm * h0) / mp.sqrt(2 * mp.pi * xm * h2)
            * mp.fsum(terms[:k_cut + 1]))
-    if conjugate_pair:
+    if location.imag != 0:
         val = 2 * mp.re(val)
     return _result(val, terms, k_cut, h0, x, trunc, route)
 
 
 def _minus_route(args: ScaledArgs, trunc: TruncationPolicy, max_order: int,
-                 conjugate_pair: bool) -> ExpansionResult:
+                 route: str | None) -> ExpansionResult:
     """Regime checks of the real-saddle or conjugate-pair route, then the
-    series over its contributory saddle."""
+    series over its contributory saddle; with route None, whichever route
+    the saddle configuration calls for, the double one included."""
     if args.sign is not Sign.MINUS:
         raise WrongRegime("minus-phase route called with plus-sign arguments")
     lam, a = args.lam, args.a
     if is_near_curve(lam, a):
+        if route is None:
+            return expand_minus_double(lam, args.x, trunc, max_order)
         raise WrongRegime(
             "parameters lie on the saddle-coalescence curve; "
             "use the double-saddle expansion")
     cls = classify_minus(lam, a)
-    route = "conjugate-pair" if conjugate_pair else "real-saddle"
-    if (cls.regime is Regime.CONJUGATE_PAIR) is not conjugate_pair:
-        need = "complex saddles" if conjugate_pair else "a real saddle"
+    found = ("conjugate-pair" if cls.regime is Regime.CONJUGATE_PAIR
+             else "real-saddle")
+    if route not in (None, found):
+        need = ("complex saddles" if route == "conjugate-pair"
+                else "a real saddle")
         raise WrongRegime(f"{route} route needs {need}; regime is "
                           f"{cls.regime.value} at lam={lam}, a={a}")
     # Coefficients in extended precision: the deep tail of this series
@@ -211,7 +206,7 @@ def _minus_route(args: ScaledArgs, trunc: TruncationPolicy, max_order: int,
     with mp.workdps(_PREC_DPS):
         return _saddle_series(Phase(lam, a, Sign.MINUS),
                               cls.contributory[0].location, args.x, trunc,
-                              max_order, conjugate_pair, route)
+                              max_order, found)
 
 
 def expand_minus_real(args: ScaledArgs, trunc: TruncationPolicy,
@@ -224,7 +219,7 @@ def expand_minus_real(args: ScaledArgs, trunc: TruncationPolicy,
     single real saddle plays the same role).  Within 1e-6 of the curve the
     reversion is ill conditioned; use the double-saddle route there.
     """
-    return _minus_route(args, trunc, max_order, conjugate_pair=False)
+    return _minus_route(args, trunc, max_order, "real-saddle")
 
 
 def expand_minus_complex(args: ScaledArgs, trunc: TruncationPolicy,
@@ -238,7 +233,7 @@ def expand_minus_complex(args: ScaledArgs, trunc: TruncationPolicy,
     evaluated at the upper saddle with the principal square root; the
     conjugate saddle contributes the mirror term, hence the real part.
     """
-    return _minus_route(args, trunc, max_order, conjugate_pair=True)
+    return _minus_route(args, trunc, max_order, "conjugate-pair")
 
 
 def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
@@ -256,7 +251,7 @@ def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"x must be positive and finite, got {x}")
     kmax = _series_span(trunc, max_order)
-    series = double_saddle_coeffs(lam, kmax)
+    coeffs = double_saddle_coeffs(lam, kmax)
     with mp.workdps(_PREC_DPS):
         lm, xm = mp.mpf(lam), mp.mpf(x)
         gam = (1 - lm) / (1 + lm)
@@ -270,7 +265,7 @@ def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
             if k % 3 == 2:
                 terms.append(mp.mpf(0))
                 continue
-            t = (mp.mpf(series.coefficients[k].real) / hx3 ** (mp.mpf(k) / 3)
+            t = (mp.mpf(coeffs[k]) / hx3 ** (mp.mpf(k) / 3)
                  * mp.gamma(mp.mpf(k + 1) / 3) * mp.sin(mp.pi * (k + 1) / 3))
             terms.append(t)
         k_cut = _pick_k(trunc, [abs(t) for t in terms])
@@ -295,7 +290,7 @@ def _cached_pair_contributions(lam: float, a: float, x: float,
     with mp.workdps(_PLUS_DPS):
         return tuple(_saddle_series(phase, sadl.location, x,
                                     TruncationPolicy.optimal(), max_order,
-                                    True, "chain pair")
+                                    "chain pair")
                      for sadl in complex_saddle_chain(phase, n_pairs))
 
 
@@ -317,10 +312,9 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
     lam, a, x = args.lam, args.a, args.x
     region: RegionCount = _cached_region(lam, a)
     phase = Phase(lam, a, Sign.PLUS)
-    real_saddle = solve_real_saddle(phase)
     with mp.workdps(_PLUS_DPS):
-        i0 = _saddle_series(phase, real_saddle.location, x, trunc, max_order,
-                            False, "chain")
+        i0 = _saddle_series(phase, region.saddles[0].location, x, trunc,
+                            max_order, "chain")
         parts = (i0,) + _cached_pair_contributions(lam, a, x, region.n_pairs,
                                                    max_order)
         components = tuple(p.mp_value for p in parts)
@@ -347,11 +341,5 @@ def expand_minus_auto(args: ScaledArgs, trunc: TruncationPolicy,
                       max_order: int = _DEFAULT_MAX_ORDER) -> ExpansionResult:
     """Dispatch the minus-phase expansion on the saddle configuration:
     real route above the curve (or lam <= 0), double route within 1e-6 of
-    it, conjugate-pair route below."""
-    lam, a = args.lam, args.a
-    if lam > 0.0 and is_near_curve(lam, a):
-        return expand_minus_double(lam, args.x, trunc, max_order)
-    cls = classify_minus(lam, a)
-    if cls.regime is Regime.CONJUGATE_PAIR:
-        return expand_minus_complex(args, trunc, max_order)
-    return expand_minus_real(args, trunc, max_order)
+    it, conjugate-pair route below.  The saddles are located once."""
+    return _minus_route(args, trunc, max_order, None)

@@ -10,7 +10,8 @@ exp(x*h(u)) where the phase is
 The integration contour runs from infinity below the real axis (Im u = -pi)
 around to infinity above it (Im u = +pi) and is deformed onto steepest
 descent paths.  Which saddles those paths cross decides the shape of the
-asymptotic expansion, so alongside the root-finding this module carries the
+asymptotic expansion, so alongside the root-finding (in doubles, with an
+mpmath Newton polish for the expansions) this module carries the
 descent-path tracer, the conjugate-pair counter for the plus phase, and the
 parameter-plane boundaries where the saddle configuration changes.
 """
@@ -22,6 +23,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import mpmath as mp
 from scipy.optimize import brentq
 
 from .core import DomainError, Sign
@@ -137,6 +139,12 @@ class RegionCount:
 
 
 _RESIDUAL_TOL = 1e-12
+# relative distance from the coalescence curve inside which the
+# simple-saddle series degenerate
+_NEAR_CURVE_REL = 1e-6
+_POLISH_STEPS = 6
+_MAX_PAIRS = 64
+_MAX_DESCENT_STEPS = 500000
 
 
 def _make_saddle(phase: Phase, u, index: int, kind: SaddleKind) -> Saddle:
@@ -170,6 +178,15 @@ def double_saddle_curve(lam: float) -> float:
     if lam <= 0.0:
         raise DomainError("coalescence curve requires lam > 0")
     return 0.5 * (1.0 + lam) * lam ** ((1.0 - lam) / (1.0 + lam))
+
+
+def is_near_curve(lam: float, a: float) -> bool:
+    """Whether (lam, a) sits within 1e-6 (relative) of the coalescence
+    curve, where the simple-saddle series degenerate."""
+    if lam <= 0.0:
+        return False
+    curve = double_saddle_curve(lam)
+    return abs(a - curve) <= _NEAR_CURVE_REL * max(1.0, curve)
 
 
 def double_saddle_point(lam: float) -> Saddle:
@@ -269,6 +286,31 @@ def solve_real_saddle(phase: Phase):
         _make_saddle(phase, left, 0, SaddleKind.REAL_SIMPLE),
         _make_saddle(phase, right, 0, SaddleKind.REAL_SIMPLE),
     )
+
+
+def polish_saddle(phase: Phase, location: complex):
+    """Newton-polish a double-precision saddle location at the working
+    mpmath precision; returns (u0, h(u0), h''(u0)), in mpf when the
+    location is real and in mpc otherwise.
+
+    The location must actually be stationary for this phase: a point
+    with |h'| above 1e-10 of the local derivative scale (for instance a
+    saddle solved under the other sign) is rejected.
+    """
+    grad = phase.dh(location)
+    scale = max(1.0, abs(phase.d2h(location)), abs(phase.dnh(location, 3)))
+    if abs(grad) > 1e-10 * scale:
+        raise DomainError(
+            f"location {location} is not a stationary point of this phase "
+            f"(|h'| = {abs(grad):.2e})")
+    s = -1 if phase.sign is Sign.MINUS else 1
+    lam, a = mp.mpf(phase.lam), mp.mpf(phase.a)
+    u = mp.mpc(location) if location.imag != 0 else mp.mpf(location.real)
+    for _ in range(_POLISH_STEPS):
+        p, q = mp.exp(u) / 2, s * mp.exp(-lam * u) / 2
+        u -= (p - lam * q - a) / (p + lam ** 2 * q)
+    p, q = mp.exp(u) / 2, s * mp.exp(-lam * u) / 2
+    return u, p + q - a * u, p + lam ** 2 * q
 
 
 def _complex_newton(phase: Phase, seed: complex, steps: int = 120) -> complex | None:
@@ -426,8 +468,7 @@ def _known_saddles(phase: Phase) -> list[Saddle]:
 
 
 def trace_descent_path(phase: Phase, from_saddle: Saddle,
-                       branch: PathBranch,
-                       max_steps: int = 500000) -> PathOutcome:
+                       branch: PathBranch) -> PathOutcome:
     """Follow a steepest descent path from a simple saddle.
 
     Integrates du/ds = -conj(h'(u))/|h'(u)| with RK4 and projects each step
@@ -455,7 +496,7 @@ def trace_descent_path(phase: Phase, from_saddle: Saddle,
         m = abs(d)
         return -d.conjugate() / m if m > 0 else 0.0j
 
-    for it in range(max_steps):
+    for it in range(_MAX_DESCENT_STEPS):
         g = phase.dh(u)
         ag = abs(g)
         near = min((abs(u - s.location) for s in others), default=math.inf)
@@ -491,11 +532,11 @@ def trace_descent_path(phase: Phase, from_saddle: Saddle,
             strip = round(u.imag * phase.lam / math.pi)
             return PathOutcome(Terminus.MINUS_INFINITY_STRIP, samples,
                                strip_index=strip)
-    raise StepFailure(f"descent path did not terminate in {max_steps} steps")
+    raise StepFailure(
+        f"descent path did not terminate in {_MAX_DESCENT_STEPS} steps")
 
 
-def count_contributory_pairs(lam: float, a: float,
-                             max_pairs: int = 64) -> RegionCount:
+def count_contributory_pairs(lam: float, a: float) -> RegionCount:
     """How many conjugate pairs of the plus-phase chain lie on the deformed
     integration contour.
 
@@ -517,7 +558,7 @@ def count_contributory_pairs(lam: float, a: float,
         return RegionCount(n_pairs=0, saddles=members,
                            last_pair_subdominant=False)
     n = 0
-    for k in range(1, max_pairs + 1):
+    for k in range(1, _MAX_PAIRS + 1):
         sadl = _chain_member(phase, k)
         im = sadl.phase_value.imag
         if abs(im) < 1e-3:

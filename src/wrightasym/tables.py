@@ -19,8 +19,9 @@ from scipy.optimize import minimize_scalar
 
 from .core import ScaledArgs, Sign
 from .oracle import PrecisionConfig, mp_scaled_value
-from .coeffs import derivative_table, reverse_series_simple
+from .coeffs import simple_coeffs_mp
 from .expansions import (
+    _PREC_DPS,
     TruncationPolicy,
     expand_minus_complex,
     expand_minus_double,
@@ -49,6 +50,7 @@ from .saddles import (
     Phase,
     count_contributory_pairs,
     double_saddle_curve,
+    polish_saddle,
     solve_complex_pair,
     solve_real_saddle,
     stokes_boundary,
@@ -116,6 +118,14 @@ def _rel_err(expansion_mp, oracle_mp) -> float:
         return float(abs(expansion_mp - oracle_mp) / abs(expansion_mp))
 
 
+def _simple_coeffs(phase: Phase, location: complex) -> list:
+    """A_0..A_5 the way the routes get them: the polished saddle, then
+    the coefficient engine, at the minus routes' working precision."""
+    with mp.workdps(_PREC_DPS):
+        u0, _, _ = polish_saddle(phase, location)
+        return simple_coeffs_mp(phase, u0, 5)
+
+
 def compute_t1(precision: int = 60) -> TableReport:
     """Real-saddle route: saddle location, A_1..A_5, error decay at x=40
     for the three tabulated (lam, a) pairs."""
@@ -129,10 +139,9 @@ def compute_t1(precision: int = 60) -> TableReport:
         saddle = solved[-1] if isinstance(solved, tuple) else solved
         cells.append(CellCheck(row, "u0", saddle.location.real,
                                case.u0, case.u0, _DECIMALS8, False))
-        table = derivative_table(saddle, phase, 14)
-        series = reverse_series_simple(table, 5)
+        coeffs = _simple_coeffs(phase, saddle.location)
         for k in range(1, 6):
-            ak = series.coefficients[k].real
+            ak = float(coeffs[k])
             pk = case.coeffs[k - 1]
             # one unit in the last printed place (6-decimal mantissas)
             cells.append(CellCheck(row, f"A_{k}", ak, pk, pk,
@@ -164,10 +173,9 @@ def compute_t2(precision: int = 60) -> TableReport:
     cells.append(CellCheck(row, "Im u0", saddle.location.imag,
                            case.saddle.imag, case.saddle.imag,
                            _DECIMALS8, False))
-    table = derivative_table(saddle, phase, 14)
-    series = reverse_series_simple(table, 5)
+    coeffs = _simple_coeffs(phase, saddle.location)
     for k in range(1, 6):
-        ak = series.coefficients[k]
+        ak = complex(coeffs[k])
         pk = case.coeffs[k - 1]
         # one unit in the 8th printed decimal; the table truncates some
         # round-half digits rather than rounding them

@@ -19,16 +19,16 @@ from mpmath import mp
 
 from wrightasym.coeffs import (
     closed_form_A,
-    derivative_table,
     double_coeffs_by_reversion,
     double_saddle_coeffs,
-    reverse_series_simple,
+    simple_coeffs_mp,
 )
 from wrightasym.core import ScaledArgs, Sign, WrightParams
 from wrightasym.oracle import PrecisionConfig, mp_scaled_value, wright_series
 from wrightasym.saddles import (
     Phase,
     double_saddle_curve,
+    polish_saddle,
     solve_complex_pair,
     solve_real_saddle,
 )
@@ -178,7 +178,8 @@ def test_acceptance_7_property_suites(verdict, t1_timed, t2_report,
             failures.append(f"h'' = {h2:.3e} outside (0, a={a:.3f}) at "
                             f"lam={lam:.3f}")
 
-    # closed-form A_0..A_3 against numeric reversion, both regimes
+    # closed-form A_0..A_3 against the coefficient engine at the
+    # polished saddle, both regimes
     for seed, complex_pair in ((211, False), (212, True)):
         rng = random.Random(seed)
         for _ in range(20):
@@ -192,21 +193,22 @@ def test_acceptance_7_property_suites(verdict, t1_timed, t2_report,
                 a = double_saddle_curve(lam) * rng.uniform(1.05, 3.0)
                 ph = Phase(lam, a, Sign.MINUS)
                 sadl = solve_real_saddle(ph)[1]
-            table = derivative_table(sadl, ph, 10)
-            series = reverse_series_simple(table, 3)
-            closed = closed_form_A(table)
+            with mp.workdps(50):
+                u0, _, _ = polish_saddle(ph, sadl.location)
+                engine = simple_coeffs_mp(ph, u0, 3)
+            closed = closed_form_A(ph, sadl.location)
             for k in range(4):
-                dev = abs(series.coefficients[k] - closed[k])
+                dev = abs(complex(engine[k]) - closed[k])
                 if dev > 1e-10 * max(1.0, abs(closed[k])):
                     failures.append(f"A_{k} reversion gap {dev:.1e} at "
                                     f"lam={lam:.3f} a={a:.3f}")
 
     # B_0..B_6 closed polynomials against numeric reversion
     for lam in (0.3, 0.5, 1.0, 2.0, 5.0):
-        poly = double_saddle_coeffs(lam, 6).coefficients
+        poly = double_saddle_coeffs(lam, 6)
         reverted = double_coeffs_by_reversion(lam, 6)
         for k in range(7):
-            dev = abs(poly[k].real - reverted[k])
+            dev = abs(poly[k] - reverted[k])
             if dev > 1e-10 * max(1.0, abs(reverted[k])):
                 failures.append(f"B_{k} reversion gap {dev:.1e} at "
                                 f"lam={lam:g}")

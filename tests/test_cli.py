@@ -124,6 +124,13 @@ def test_expand_flag_conflict_exits_2(runner):
     assert res.exit_code == 2
 
 
+def test_expand_negative_order_exits_2(runner):
+    res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
+               "--x", "40", "--sign", "minus", "--order", "-1")
+    assert res.exit_code == 2
+    assert "error: truncation order must be nonnegative" in res.output
+
+
 def test_expand_json_terms(runner):
     res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
                "--x", "40", "--sign", "minus", "--order", "4", "--json")

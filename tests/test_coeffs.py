@@ -13,17 +13,13 @@ import random
 import mpmath as mp
 import pytest
 
-from wrightasym.core import Sign
+from wrightasym.core import DomainError, Sign
 from wrightasym.coeffs import (
-    CoefficientKind,
     _saddle_betas,
-    _saddle_reversion,
     DegenerateSaddle,
     closed_form_A,
-    derivative_table,
     double_coeffs_by_reversion,
     double_saddle_coeffs,
-    reverse_series_simple,
     simple_coeffs_mp,
 )
 from wrightasym.saddles import (
@@ -31,6 +27,7 @@ from wrightasym.saddles import (
     complex_saddle_chain,
     double_saddle_curve,
     double_saddle_point,
+    polish_saddle,
     solve_complex_pair,
     solve_real_saddle,
 )
@@ -43,27 +40,34 @@ def _real_case(lam, factor):
     return ph, hi
 
 
-# -- derivative tables ----------------------------------------------------
+def _engine_A(ph, location, order):
+    """A_0..A_order the one way the package makes them: the polished
+    saddle, then the coefficient engine, at 50 digits."""
+    with mp.workdps(50):
+        u0, _, _ = polish_saddle(ph, location)
+        return simple_coeffs_mp(ph, u0, order)
 
-def test_derivative_table_matches_numerical_differentiation():
+
+# -- phase derivatives and the saddle polish -----------------------------
+
+def test_phase_dnh_matches_numerical_differentiation():
     ph, saddle = _real_case(1.0, 1.3)
-    table = derivative_table(saddle, ph, 8)
     u0 = saddle.location.real
     with mp.workdps(40):
         for n in range(2, 9):
             num = mp.diff(lambda t: (mp.e ** t - mp.e ** (-1.0 * t)) / 2 - ph.a * t,
                           mp.mpf(u0), n)
-            assert abs(table.values[n] - complex(num)) < 1e-9 * max(1.0, abs(num))
+            assert abs(ph.dnh(u0, n) - complex(num)) < 1e-9 * max(1.0, abs(num))
 
 
-def test_derivative_table_rejects_non_stationary_point():
+def test_polish_rejects_non_stationary_point():
     ph = Phase(1.0, 1.3, Sign.MINUS)
     lo, hi = solve_real_saddle(ph)
-    shifted = type(hi)(location=hi.location + 0.25, phase_value=hi.phase_value,
-                       second_derivative=hi.second_derivative, index=hi.index,
-                       kind=hi.kind)
-    with pytest.raises(ValueError):
-        derivative_table(shifted, ph, 6)
+    with pytest.raises(DomainError):
+        polish_saddle(ph, hi.location + 0.25)
+    # a saddle of the other phase is not stationary for this one
+    with pytest.raises(DomainError):
+        polish_saddle(Phase(1.0, 1.3, Sign.PLUS), hi.location)
 
 
 # -- simple-saddle A_k ----------------------------------------------------
@@ -73,12 +77,12 @@ def test_closed_forms_match_reversion_real_regime():
     for _ in range(20):
         lam = rng.uniform(0.2, 5.0)
         ph, saddle = _real_case(lam, rng.uniform(1.05, 3.0))
-        table = derivative_table(saddle, ph, 10)
-        series = reverse_series_simple(table, 3)
-        closed = closed_form_A(table)
+        got = _engine_A(ph, saddle.location, 3)
+        closed = closed_form_A(ph, saddle.location)
         for k in (1, 2, 3):
-            got, want = series.coefficients[k], closed[k]
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (lam, k)
+            want = closed[k]
+            assert abs(complex(got[k]) - want) <= 1e-10 * max(1.0, abs(want)), \
+                (lam, k)
 
 
 def test_closed_forms_match_reversion_complex_regime():
@@ -88,81 +92,50 @@ def test_closed_forms_match_reversion_complex_regime():
         a = double_saddle_curve(lam) * rng.uniform(0.2, 0.9)
         ph = Phase(lam, a, Sign.MINUS)
         saddle = solve_complex_pair(ph)
-        table = derivative_table(saddle, ph, 10)
-        series = reverse_series_simple(table, 3)
-        closed = closed_form_A(table)
+        got = _engine_A(ph, saddle.location, 3)
+        closed = closed_form_A(ph, saddle.location)
         for k in (1, 2, 3):
-            assert abs(series.coefficients[k] - closed[k]) \
+            assert abs(complex(got[k]) - closed[k]) \
                 <= 1e-10 * max(1.0, abs(closed[k])), (lam, a, k)
 
 
 def test_a_real_at_real_saddles():
     for lam, factor in ((0.7, 1.5), (2.0, 1.2), (4.0, 2.0)):
         ph, saddle = _real_case(lam, factor)
-        series = reverse_series_simple(derivative_table(saddle, ph, 14), 5)
-        for c in series.coefficients:
-            assert abs(c.imag) < 1e-10 * max(1.0, abs(c.real))
+        with mp.workdps(50):
+            u0, h0, h2 = polish_saddle(ph, saddle.location)
+        assert all(type(v) is mp.mpf for v in (u0, h0, h2))
+        coeffs = _engine_A(ph, saddle.location, 5)
+        assert coeffs[0] == 1
+        assert all(type(c) is mp.mpf for c in coeffs)
 
 
 def test_a_conjugation_equivariance():
     ph = Phase(1.5, 0.5, Sign.MINUS)
     s = solve_complex_pair(ph)
-    table_up = derivative_table(s, ph, 12)
-    mirrored = type(s)(location=s.location.conjugate(),
-                       phase_value=s.phase_value.conjugate(),
-                       second_derivative=s.second_derivative.conjugate(),
-                       index=s.index, kind=s.kind)
-    table_dn = derivative_table(mirrored, ph, 12)
-    up = reverse_series_simple(table_up, 4).coefficients
-    dn = reverse_series_simple(table_dn, 4).coefficients
+    up = _engine_A(ph, s.location, 4)
+    dn = _engine_A(ph, s.location.conjugate(), 4)
     for cu, cd in zip(up, dn):
-        assert cmath.isclose(cd, cu.conjugate(), rel_tol=1e-11, abs_tol=1e-13)
-
-
-def test_reverse_series_metadata():
-    ph, saddle = _real_case(1.0, 1.2)
-    series = reverse_series_simple(derivative_table(saddle, ph, 10), 3)
-    assert series.kind is CoefficientKind.SIMPLE_SADDLE_A
-    assert series.order == 3
-    assert abs(series.coefficients[0] - 1.0) < 1e-13
-    assert abs(series.scale - saddle.second_derivative) < 1e-12
+        assert cmath.isclose(complex(cd), complex(cu).conjugate(),
+                             rel_tol=1e-11, abs_tol=1e-13)
 
 
 def test_degenerate_saddle_refused():
     lam = 1.0
     ph = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
-    dbl = double_saddle_point(lam)
+    u0 = double_saddle_point(lam).location
     with pytest.raises(DegenerateSaddle):
-        reverse_series_simple(derivative_table(dbl, ph, 10), 3)
-
-
-def test_simple_coeffs_mp_agrees_with_double_path():
-    ph, saddle = _real_case(1.0, 1.2)
-    with mp.workdps(50):
-        um = mp.mpf(saddle.location.real)
-        got = simple_coeffs_mp(ph, um, 5)
-    ref = reverse_series_simple(derivative_table(saddle, ph, 14), 5).coefficients
-    for k in range(6):
-        assert abs(complex(got[k]) - ref[k]) < 1e-11 * max(1.0, abs(ref[k]))
+        closed_form_A(ph, u0)
+    with mp.workdps(50), pytest.raises(DegenerateSaddle):
+        simple_coeffs_mp(ph, mp.mpf(u0.real), 3)
 
 
 # -- double-saddle B_k ----------------------------------------------------
 
-def _b(lam, order):
-    return [c.real for c in double_saddle_coeffs(lam, order).coefficients]
-
-
-def test_b_series_metadata():
-    series = double_saddle_coeffs(1.7, 6)
-    assert series.kind is CoefficientKind.DOUBLE_SADDLE_B
-    want = (1.0 + 1.7) * 1.7 ** (2.0 / 2.7)
-    assert abs(series.scale.real - want) < 1e-12 * want
-
-
 def test_b_polynomials_spot_values():
     c = 2.0 ** (1.0 / 3.0)
     for lam in (0.3, 0.5, 1.0, 2.0, 5.0):
-        b = _b(lam, 6)
+        b = double_saddle_coeffs(lam, 6)
         assert b[0] == pytest.approx(1.0, abs=1e-14)
         assert b[1] == pytest.approx((lam - 1.0) / (3.0 * c), rel=1e-12)
         assert b[2] == pytest.approx((1.0 - 6.0 * lam + lam ** 2) / (20.0 * c * c),
@@ -174,7 +147,7 @@ def test_b_polynomials_spot_values():
 
 def test_b_polynomials_match_numerical_reversion():
     for lam in (0.3, 0.5, 1.0, 2.0, 5.0):
-        poly = _b(lam, 6)
+        poly = double_saddle_coeffs(lam, 6)
         revd = double_coeffs_by_reversion(lam, 6)
         for k in range(7):
             assert abs(poly[k] - revd[k]) <= 1e-10 * max(1.0, abs(revd[k])), \
@@ -182,7 +155,7 @@ def test_b_polynomials_match_numerical_reversion():
 
 
 def test_b_at_lam_one_odd_orders_vanish():
-    b = _b(1.0, 6)
+    b = double_saddle_coeffs(1.0, 6)
     assert abs(b[1]) < 1e-14
     assert abs(b[3]) < 1e-14
     assert abs(b[5]) < 1e-14
@@ -190,10 +163,10 @@ def test_b_at_lam_one_odd_orders_vanish():
 
 def test_b_extension_beyond_polynomials():
     # orders past 6 come from cubic reversion; the seam must be smooth
-    b10 = _b(1.7, 10)
-    b6 = _b(1.7, 6)
+    b10 = double_saddle_coeffs(1.7, 10)
+    b6 = double_saddle_coeffs(1.7, 6)
     assert b10[:7] == pytest.approx(b6, rel=1e-12)
-    assert all(abs(v) < 1e3 for v in b10)
+    assert all(type(v) is float and abs(v) < 1e3 for v in b10)
 
 
 def test_double_h_scale_is_twice_third_derivative():
@@ -233,6 +206,14 @@ def _lagrange_b(phase, u0, m, js):
     return [_ps_pow_unit(f, -j, j)[j - 1] / (j * w1 ** j) for j in js]
 
 
+def _cubic_b(phase, u0, n):
+    """b_1..b_n of the cubic substitution from the normalized engine:
+    b_k = beta_k b_1^k, b_1 the principal root of b_1^3 = -2/h^(3)(u0)."""
+    beta, h3 = _saddle_betas(phase, u0, 3, n)
+    b1 = mp.root(-2 / h3, 3)
+    return [bk * b1 ** k for k, bk in enumerate(beta, 1)]
+
+
 def _polished(phase, u):
     s = -1 if phase.sign is Sign.MINUS else 1
     lam, a = mp.mpf(phase.lam), mp.mpf(phase.a)
@@ -268,7 +249,7 @@ def test_cubic_reversion_matches_lagrange_to_order_20(lam):
     with mp.workdps(60):
         lm = mp.mpf(lam)
         u0 = 2 * mp.log(lm) / (1 + lm)
-        got = _saddle_reversion(ph, u0, 3, 21)
+        got = _cubic_b(ph, u0, 21)
         want = _lagrange_b(ph, u0, 3, range(1, 22))
         for j, (g, w) in enumerate(zip(got, want), start=1):
             assert abs(g - w) <= mp.mpf(10) ** -40 * abs(w), j
@@ -295,7 +276,7 @@ def test_cubic_reversion_matches_lagrange_at_orders_30_and_40():
     with mp.workdps(60):
         lm = mp.mpf(lam)
         u0 = 2 * mp.log(lm) / (1 + lm)
-        got = _saddle_reversion(ph, u0, 3, 41)
+        got = _cubic_b(ph, u0, 41)
         big_h = (1 + lm) * lm ** (2 / (1 + lm))
         for k, b in zip((30, 40), _lagrange_b(ph, u0, 3, (31, 41))):
             assert abs(got[k] - b) <= mp.mpf(10) ** -40 * abs(b), k

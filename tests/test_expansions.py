@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import wrightasym.coeffs as coeffs
+import wrightasym.expansions as expansions
 from wrightasym.core import ScaledArgs, Sign
 from wrightasym.expansions import (
     TruncationMode,
@@ -18,7 +20,7 @@ from wrightasym.expansions import (
 )
 from wrightasym.reference import TableSpec
 from wrightasym.saddles import double_saddle_curve
-from wrightasym.tables import compute_table
+from wrightasym.tables import compute_t3, compute_table
 
 
 # -- truncation choice ----------------------------------------------------
@@ -88,6 +90,30 @@ def test_auto_dispatch_selects_by_regime():
     pair = expand_minus_auto(ScaledArgs(1.5, 0.5, 40.0, Sign.MINUS),
                              TruncationPolicy.fixed(3))
     assert pair.route == "conjugate-pair"
+
+
+def test_auto_dispatch_classifies_once(monkeypatch):
+    calls = 0
+    classify = expansions.classify_minus
+
+    def counted(lam, a):
+        nonlocal calls
+        calls += 1
+        return classify(lam, a)
+
+    monkeypatch.setattr(expansions, "classify_minus", counted)
+    for point in ((1.0, 1.2), (1.5, 0.5), (-0.25, 1.0)):
+        calls = 0
+        expand_minus_auto(ScaledArgs(*point, 40.0, Sign.MINUS),
+                          TruncationPolicy.fixed(2))
+        assert calls == 1, point
+
+
+def test_auto_dispatch_rejects_plus_sign_on_the_curve():
+    lam = 2.0
+    on_curve = ScaledArgs(lam, double_saddle_curve(lam), 40.0, Sign.PLUS)
+    with pytest.raises(WrongRegime):
+        expand_minus_auto(on_curve, TruncationPolicy.fixed(2))
 
 
 # -- structural properties ------------------------------------------------
@@ -186,6 +212,28 @@ def test_parameter_plane_landmarks():
     fig4 = compute_table(TableSpec.FIG4_CURVES)
     assert fig4.passed
     assert any(row[0] == 2 for row in fig4.sweep_rows)
+
+
+def test_b4_erratum_reproduces_tabulated_t3(monkeypatch):
+    # the tabulated k=4/6 cells were computed with 826 for the 836 in
+    # both the lam and lam^3 terms of B_4; put the slip back
+    closed = coeffs._closed_b_polynomials
+
+    def slipped(lam):
+        b = closed(lam)
+        b[4] = -(277.0 + 826.0 * lam - 6114.0 * lam ** 2 + 826.0 * lam ** 3
+                 + 277.0 * lam ** 4) / (coeffs._TWO_CBRT * 136080.0)
+        return b
+
+    monkeypatch.setattr(coeffs, "_closed_b_polynomials", slipped)
+    cells = [c for c in compute_t3().cells
+             if c.label in ("err k=4", "err k=6")]
+    assert len(cells) == 6
+    for c in cells:
+        # (lam = 0.5, k = 6) also carries a two-decade exponent slip
+        scale = 100.0 if (c.row, c.label) == ("lam=0.5", "err k=6") else 1.0
+        assert c.computed / c.printed == pytest.approx(scale, rel=1e-3), \
+            (c.row, c.label, c.computed, c.printed)
 
 
 def test_error_decay_is_monotone_in_tables_1_2():
