@@ -186,13 +186,17 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
     except (ConvergenceFailure, NoConvergence) as e:
         _fail(1, str(e))
 
+    if not mp.isfinite(res.value) and mp.isfinite(res.mp_value):
+        _fail(EXIT_DOMAIN, f"the value overflows double precision "
+                           f"(exponent x*h0 = {res.exponent:.6g})")
     rel_err = None
     try:
         w_ref = mp_scaled_value(args, PrecisionConfig(max(precision, 60)))
         with mp.workdps(50):
             rel_err = float(abs(res.mp_value - w_ref) / abs(res.mp_value))
-    except (PrecisionLoss, NoConvergence):
-        pass
+        rel_text = f"{rel_err:.3e}"
+    except (PrecisionLoss, NoConvergence) as e:
+        rel_text = f"not available ({e})"
 
     if as_json:
         _emit_json({
@@ -226,8 +230,7 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
                                                  res.component_truncations,
                                                  res.truncation_reasons)):
                 click.echo(f"  I_{j} = {_sci(c)}   (k = {kc}, {why})")
-        if rel_err is not None:
-            click.echo(f"relative error vs series: {rel_err:.3e}")
+        click.echo(f"relative error vs series: {rel_text}")
     if out:
         _write_csv(
             out,
@@ -387,6 +390,8 @@ def cmd_table(spec, precision, as_json, out):
         report = compute_table(tspec, precision)
     except (OnStokesBoundary, NoBoundary) as e:
         _fail(EXIT_REGIME, str(e))
+    except DomainError as e:
+        _fail(EXIT_DOMAIN, str(e))
     except (ConvergenceFailure, NoConvergence, StepFailure) as e:
         _fail(1, str(e))
 

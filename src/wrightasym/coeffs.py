@@ -25,11 +25,11 @@ saddle whose m-th derivative vanishes (|h^(m)| < 1e-10) is refused with
 DegenerateSaddle.
 
 Two independent references stay beside the engine: closed forms of
-A_0..A_3 in the normalized derivatives H_n = h^(n)/h'' (read from
-Phase.dnh in double precision) and, since on the coalescence curve the
-derivative ratios collapse to rationals in lam, polynomial forms of
-B_0..B_6.  The double-saddle series uses those polynomials for k <= 6
-and the engine, rounded to double, beyond.
+A_0..A_3 in the normalized derivatives H_n = h^(n)/h'' (from
+Phase.derivs in the location's arithmetic) and, since on the coalescence
+curve the derivative ratios collapse to rationals in lam, polynomial
+forms of B_0..B_6.  The double-saddle series uses those polynomials for
+k <= 6 and the engine, rounded to double, beyond.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import mpmath as mp
 
 from .core import DomainError, Sign
-from .saddles import Phase, double_saddle_curve
+from .saddles import Phase, double_saddle_curve, u_star
 
 _TWO_CBRT = 2.0 ** (1.0 / 3.0)
 # working precision of the cubic reversion, whose output is rounded to double
@@ -59,9 +59,9 @@ def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
         t'(s) h'(u0 + t) = s^(m-1) h^(m)(u0)/(m-1)!,
 
     with h'(u0 + t) = P (E - 1) - lam Q (F - 1), E = e^t, F = e^(-lam t),
-    P = e^(u0)/2 and Q = sign e^(-lam u0)/2.  Every input is real wherever
-    u0 is, so a real saddle (and the coalescence curve) runs in mpf.  The
-    order-k equation is linear in beta_k with weight
+    P = e^(u0)/2 and Q = sign e^(-lam u0)/2 from Phase.parts.  Every
+    input is real wherever u0 is, so a real saddle (and the coalescence
+    curve) runs in mpf.  The order-k equation is linear in beta_k with weight
     h^(m)(u0) (k+m-1)/(m-1)!; its other part is two convolutions,
     sum i beta_i e_(k+m-1-i) and sum i beta_i f_(k+m-1-i), each one exact
     dot product.  The same two sums are (k+m-1) e_(k+m-1) and
@@ -70,9 +70,7 @@ def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
     e_k..e_(k+m-1) and f_k..f_(k+m-1) in O(m) each.  So each order costs
     two dot products, and the series to order n O(n^2) in all.
     """
-    lam = mp.mpf(phase.lam)
-    p = mp.exp(u0) / 2
-    q = (-1 if phase.sign is Sign.MINUS else 1) * mp.exp(-lam * u0) / 2
+    lam, _, p, q = phase.parts(u0)
     lq = lam * q
     hm = p + (-lam) ** m * q
     if abs(hm) < 1e-10:
@@ -112,10 +110,11 @@ def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
 def closed_form_A(phase: Phase, location) -> list[complex]:
     """A_0..A_3 in closed form from the normalized derivatives
     H_n = h^(n)/h'' at the saddle location, in double precision."""
-    h2 = phase.d2h(location)
+    d = phase.derivs(location, 8)
+    h2 = d[2]
     if abs(h2) < 1e-10:
         raise DegenerateSaddle("closed forms assume a simple saddle")
-    H = {n: phase.dnh(location, n) / h2 for n in range(3, 9)}
+    H = {n: d[n] / h2 for n in range(3, 9)}
     a1 = (5 * H[3] ** 2 - 3 * H[4]) / (24 * h2)
     a2 = (385 * H[3] ** 4 - 630 * H[3] ** 2 * H[4] + 105 * H[4] ** 2
           + 168 * H[3] * H[5] - 24 * H[6]) / (3456 * h2 ** 2)
@@ -159,10 +158,8 @@ def double_coeffs_by_reversion(lam: float, order: int) -> list[float]:
     if order < 0:
         raise ValueError("order must be nonnegative")
     with mp.workdps(_REVERSION_DPS):
-        lm = mp.mpf(lam)
-        u0 = 2 * mp.log(lm) / (1 + lm)
         phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
-        beta, _ = _saddle_betas(phase, u0, 3, order + 1)
+        beta, _ = _saddle_betas(phase, u_star(mp.mpf(lam)), 3, order + 1)
         step = mp.cbrt(4)
         return [float((k + 1) * bk * step ** k) for k, bk in enumerate(beta)]
 

@@ -11,12 +11,13 @@ Four routes, one per saddle configuration:
 
 Each returns the truncated series value together with the raw terms, so
 callers can study the error behaviour rather than just consume a number.
-Exponential prefactors are evaluated in extended precision: the series
-terms are O(1) and well conditioned in doubles, but e^(x h0) reaches 1e12
-and beyond where double rounding alone would swamp the small differences
-(oracle minus expansion) these expansions are judged by.  The plus-phase
-route runs its coefficients in extended precision too; its value feeds
-difference measurements (W - I_0) in which twelve leading digits cancel.
+Every route works at one extended precision, 50 digits: e^(x h0)
+reaches 1e12 and beyond, where double rounding alone would swamp the
+small differences (oracle minus expansion) these expansions are judged
+by; the deep tail of a series reaches relative errors near 1e-13, where
+double-precision noise in A_4, A_5 already shows; and the plus-phase
+value feeds differences (W - I_0) in which twelve leading digits cancel,
+leaving about 38.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ import mpmath as mp
 
 from .core import DomainError, ScaledArgs, Sign
 from .coeffs import simple_coeffs_mp, double_saddle_coeffs
-from .saddles import Phase, Regime, RegionCount, classify_minus, \
-    complex_saddle_chain, count_contributory_pairs, is_near_curve, \
-    polish_saddle
+from .saddles import Phase, Regime, RegionCount, Saddle, classify_minus, \
+    count_contributory_pairs, double_saddle_curve, is_near_curve, \
+    polish_saddle, u_star
 
 _PREC_DPS = 50
-_PLUS_DPS = 60
 _DEFAULT_MAX_ORDER = 40
 
 
@@ -200,9 +200,6 @@ def _minus_route(args: ScaledArgs, trunc: TruncationPolicy, max_order: int,
                 else "a real saddle")
         raise WrongRegime(f"{route} route needs {need}; regime is "
                           f"{cls.regime.value} at lam={lam}, a={a}")
-    # Coefficients in extended precision: the deep tail of this series
-    # reaches relative errors near 1e-13, where double-precision
-    # reversion noise in A_4, A_5 already distorts the measurement.
     with mp.workdps(_PREC_DPS):
         return _saddle_series(Phase(lam, a, Sign.MINUS),
                               cls.contributory[0].location, args.x, trunc,
@@ -253,13 +250,10 @@ def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
     kmax = _series_span(trunc, max_order)
     coeffs = double_saddle_coeffs(lam, kmax)
     with mp.workdps(_PREC_DPS):
-        lm, xm = mp.mpf(lam), mp.mpf(x)
-        gam = (1 - lm) / (1 + lm)
-        am = (1 + lm) / 2 * lm ** gam
-        u0 = 2 * mp.log(lm) / (1 + lm)
-        h0 = (mp.exp(u0) - mp.exp(-lm * u0)) / 2 - am * u0
-        big_h = (1 + lm) * lm ** (2 / (1 + lm))
-        hx3 = big_h * xm / 3
+        xm = mp.mpf(x)
+        phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
+        h0, _, _, h3 = phase.derivs(u_star(mp.mpf(lam)), 3)
+        hx3 = 2 * h3 * xm / 3
         terms = []
         for k in range(kmax + 1):
             if k % 3 == 2:
@@ -284,14 +278,13 @@ def _cached_region(lam: float, a: float) -> RegionCount:
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_pair_contributions(lam: float, a: float, x: float,
-                               n_pairs: int, max_order: int):
-    phase = Phase(lam, a, Sign.PLUS)
-    with mp.workdps(_PLUS_DPS):
+def _cached_pair_contributions(phase: Phase, x: float,
+                               pairs: tuple[Saddle, ...], max_order: int):
+    with mp.workdps(_PREC_DPS):
         return tuple(_saddle_series(phase, sadl.location, x,
                                     TruncationPolicy.optimal(), max_order,
                                     "chain pair")
-                     for sadl in complex_saddle_chain(phase, n_pairs))
+                     for sadl in pairs)
 
 
 def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
@@ -312,11 +305,11 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
     lam, a, x = args.lam, args.a, args.x
     region: RegionCount = _cached_region(lam, a)
     phase = Phase(lam, a, Sign.PLUS)
-    with mp.workdps(_PLUS_DPS):
+    with mp.workdps(_PREC_DPS):
         i0 = _saddle_series(phase, region.saddles[0].location, x, trunc,
                             max_order, "chain")
-        parts = (i0,) + _cached_pair_contributions(lam, a, x, region.n_pairs,
-                                                   max_order)
+        parts = (i0,) + _cached_pair_contributions(
+            phase, x, tuple(region.saddles[1:]), max_order)
         components = tuple(p.mp_value for p in parts)
         kept = components
         if region.last_pair_subdominant and not include_subdominant:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,7 +53,8 @@ class NoBoundary(ValueError):
 
 @dataclass(frozen=True)
 class Phase:
-    """One of the two phase functions, with its parameters attached."""
+    """One of the two phase functions, with its parameters attached.
+    derivs evaluates it; h, dh, dnh and d2h are views of derivs."""
 
     lam: float
     a: float
@@ -63,33 +65,46 @@ class Phase:
             raise DomainError(f"lam must exceed -1, got {self.lam}")
         if self.a <= 0.0:
             raise DomainError(f"a must be positive, got {self.a}")
+        object.__setattr__(self, "_half",
+                           -0.5 if self.sign is Sign.MINUS else 0.5)
 
-    @property
-    def _s(self) -> float:
-        return -1.0 if self.sign is Sign.MINUS else 1.0
+    # on first mp use only (scans build a Phase per level); float->mpf is exact
+    @functools.cached_property
+    def _mp_params(self) -> tuple:
+        return mp.mpf(self.lam), mp.mpf(self.a), mp.mpf(self._half)
+
+    def parts(self, u) -> tuple:
+        """lam, a, P = e^u/2 and Q = +-e^(-lam u)/2 in u's own arithmetic:
+        mpmath for an mpf or mpc, cmath for a complex, math otherwise."""
+        t = type(u)
+        if t is mp.mpf or t is mp.mpc:
+            lam, a, half = self._mp_params
+            return lam, a, mp.exp(u) / 2, half * mp.exp(-lam * u)
+        exp = cmath.exp if t is complex else math.exp
+        return self.lam, self.a, 0.5 * exp(u), self._half * exp(-self.lam * u)
+
+    def derivs(self, u, n: int) -> list:
+        """[h(u), h'(u), ..., h^(n)(u)] from one evaluation of parts(u):
+        h = P + Q - a u and h^(k) = P + (-lam)^k Q, less a for k = 1."""
+        lam, a, p, q = self.parts(u)
+        out = [p + q - a * u]
+        if n:
+            out.append(p - lam * q - a)
+            for k in range(2, n + 1):
+                out.append(p + (-lam) ** k * q)
+        return out
 
     def h(self, u):
-        if isinstance(u, complex):
-            return 0.5 * (cmath.exp(u) + self._s * cmath.exp(-self.lam * u)) - self.a * u
-        return 0.5 * (math.exp(u) + self._s * math.exp(-self.lam * u)) - self.a * u
+        return self.derivs(u, 0)[0]
 
     def dh(self, u):
-        lam = self.lam
-        if isinstance(u, complex):
-            return 0.5 * (cmath.exp(u) - self._s * lam * cmath.exp(-lam * u)) - self.a
-        return 0.5 * (math.exp(u) - self._s * lam * math.exp(-lam * u)) - self.a
+        return self.derivs(u, 1)[1]
 
     def dnh(self, u, n: int):
-        """n-th derivative for n >= 2: (e^u + sign*(-lam)^n e^(-lam*u))/2."""
-        if n < 2:
-            raise ValueError("dnh covers n >= 2; use h/dh below that")
-        lam = self.lam
-        if isinstance(u, complex):
-            return 0.5 * (cmath.exp(u) + self._s * (-lam) ** n * cmath.exp(-lam * u))
-        return 0.5 * (math.exp(u) + self._s * (-lam) ** n * math.exp(-lam * u))
+        return self.derivs(u, n)[n]
 
     def d2h(self, u):
-        return self.dnh(u, 2)
+        return self.derivs(u, 2)[2]
 
 
 class SaddleKind(enum.Enum):
@@ -148,28 +163,34 @@ _MAX_DESCENT_STEPS = 500000
 
 
 def _make_saddle(phase: Phase, u, index: int, kind: SaddleKind) -> Saddle:
-    h2 = phase.d2h(u)
-    res = abs(phase.dh(u))
-    if res > _RESIDUAL_TOL * max(1.0, abs(h2)):
+    h0, h1, h2 = phase.derivs(u, 2)
+    if abs(h1) > _RESIDUAL_TOL * max(1.0, abs(h2)):
         raise ConvergenceFailure(
-            f"saddle residual {res:.2e} out of tolerance at u={u}")
+            f"saddle residual {abs(h1):.2e} out of tolerance at u={u}")
     return Saddle(
         location=complex(u),
-        phase_value=complex(phase.h(u)),
+        phase_value=complex(h0),
         second_derivative=complex(h2),
         index=index,
         kind=kind,
     )
 
 
-def _newton_polish(phase: Phase, u: float, steps: int = 4) -> float:
+def _newton_polish(phase: Phase, u, steps: int = 4):
+    """Newton steps on h' = 0, in u's own arithmetic."""
     for _ in range(steps):
-        d = phase.dh(u)
-        dd = phase.d2h(u)
-        if dd == 0:
+        _, d, dd = phase.derivs(u, 2)
+        if not dd:
             break
         u -= d / dd
     return u
+
+
+def u_star(lam):
+    """u* = 2 ln|lam|/(1+lam) in lam's own arithmetic (mpmath for an mpf),
+    where the minus phase's h'' vanishes: the double saddle on the curve."""
+    log = mp.log if type(lam) is mp.mpf else math.log
+    return 2 * log(abs(lam)) / (1 + lam)
 
 
 def double_saddle_curve(lam: float) -> float:
@@ -190,15 +211,12 @@ def is_near_curve(lam: float, a: float) -> bool:
 
 
 def double_saddle_point(lam: float) -> Saddle:
-    """The coalesced (double) saddle u0 = 2 ln(lam)/(1+lam) on the curve.
+    """The coalesced (double) saddle u0 = u_star(lam) on the curve.
 
     Second derivative vanishes identically there; stored as exact zero.
     """
-    if lam <= 0.0:
-        raise DomainError("double saddle requires lam > 0")
-    u0 = 2.0 * math.log(lam) / (1.0 + lam)
-    a = double_saddle_curve(lam)
-    phase = Phase(lam, a, Sign.MINUS)
+    phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
+    u0 = u_star(lam)
     return Saddle(
         location=complex(u0),
         phase_value=complex(phase.h(u0)),
@@ -235,14 +253,14 @@ def solve_real_saddle(phase: Phase):
 
     Minus phase: for -1 < lam <= 0 a single root (returned alone); for
     lam > 0 the exponential sum is convex with its minimum at
-    u* = 2 ln(lam)/(1+lam), so there are two roots when a exceeds the
+    u* (u_star), so there are two roots when a exceeds the
     coalescence curve (returned as an ascending pair) and none below it
     (NoRealSaddle).  On the curve itself both entries collapse onto the
     double point.
     """
     lam, a = phase.lam, phase.a
+    f = phase.dh
     if phase.sign is Sign.PLUS:
-        f = phase.dh
         # monotone increasing from -a (at -inf on the lam>0 side) to +inf
         u = 0.0
         lo, hi = u, u
@@ -255,22 +273,19 @@ def solve_real_saddle(phase: Phase):
         return _make_saddle(phase, root, 0, SaddleKind.REAL_SIMPLE)
 
     # minus phase
-    f = phase.dh
     if lam <= 0.0:
         # derivative dips then rises; the single root sits on the rising branch
         if lam == 0.0:
             root = math.log(2.0 * a)
         else:
-            al = abs(lam)
-            u_min = 2.0 * math.log(al) / (1.0 - al) if al != 1.0 else 0.0
-            lo, hi = _bracket_right(f, u_min)
+            lo, hi = _bracket_right(f, u_star(lam))
             root = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
         root = _newton_polish(phase, root)
         return _make_saddle(phase, root, 0, SaddleKind.REAL_SIMPLE)
 
-    u_star = 2.0 * math.log(lam) / (1.0 + lam)
-    f_min = f(u_star)
-    scale = max(1.0, abs(phase.d2h(u_star)))
+    us = u_star(lam)
+    _, f_min, h2 = phase.derivs(us, 2)
+    scale = max(1.0, abs(h2))
     if f_min > _RESIDUAL_TOL * scale:
         raise NoRealSaddle(
             f"no real saddle: a={a} lies below the coalescence curve "
@@ -278,9 +293,9 @@ def solve_real_saddle(phase: Phase):
     if f_min > -_RESIDUAL_TOL * scale:
         d = double_saddle_point(lam)
         return d, d
-    lo, hi = _bracket_right(f, u_star)
+    lo, hi = _bracket_right(f, us)
     right = _newton_polish(phase, brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    lo, hi = _bracket_left(f, u_star)
+    lo, hi = _bracket_left(f, us)
     left = _newton_polish(phase, brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
     return (
         _make_saddle(phase, left, 0, SaddleKind.REAL_SIMPLE),
@@ -297,35 +312,31 @@ def polish_saddle(phase: Phase, location: complex):
     with |h'| above 1e-10 of the local derivative scale (for instance a
     saddle solved under the other sign) is rejected.
     """
-    grad = phase.dh(location)
-    scale = max(1.0, abs(phase.d2h(location)), abs(phase.dnh(location, 3)))
+    _, grad, h2, h3 = phase.derivs(location, 3)
+    scale = max(1.0, abs(h2), abs(h3))
     if abs(grad) > 1e-10 * scale:
         raise DomainError(
             f"location {location} is not a stationary point of this phase "
             f"(|h'| = {abs(grad):.2e})")
-    s = -1 if phase.sign is Sign.MINUS else 1
-    lam, a = mp.mpf(phase.lam), mp.mpf(phase.a)
     u = mp.mpc(location) if location.imag != 0 else mp.mpf(location.real)
-    for _ in range(_POLISH_STEPS):
-        p, q = mp.exp(u) / 2, s * mp.exp(-lam * u) / 2
-        u -= (p - lam * q - a) / (p + lam ** 2 * q)
-    p, q = mp.exp(u) / 2, s * mp.exp(-lam * u) / 2
-    return u, p + q - a * u, p + lam ** 2 * q
+    u = _newton_polish(phase, u, _POLISH_STEPS)
+    h0, _, h2 = phase.derivs(u, 2)
+    return u, h0, h2
 
 
 def _complex_newton(phase: Phase, seed: complex, steps: int = 120) -> complex | None:
     u = seed
     try:
         for _ in range(steps):
-            d = phase.dh(u)
-            dd = phase.d2h(u)
+            _, d, dd = phase.derivs(u, 2)
             if dd == 0:
                 return None
             du = d / dd
             u = u - du
             if abs(du) < 1e-15 * max(1.0, abs(u)):
                 break
-        if abs(phase.dh(u)) < 1e-13 * max(1.0, abs(phase.d2h(u))):
+        _, d, dd = phase.derivs(u, 2)
+        if abs(d) < 1e-13 * max(1.0, abs(dd)):
             return u
     except (OverflowError, ZeroDivisionError):
         return None
@@ -347,9 +358,9 @@ def solve_complex_pair(phase: Phase) -> Saddle:
     if a >= double_saddle_curve(lam) - 1e-13:
         raise DomainError(
             "parameters on or above the coalescence curve have real saddles")
-    u_star = 2.0 * math.log(lam) / (1.0 + lam)
+    us = u_star(lam)
     for off in (0.3, 0.5, 0.7, 0.9, 1.2, 1.6, 2.1, 2.7):
-        root = _complex_newton(phase, complex(u_star, off))
+        root = _complex_newton(phase, complex(us, off))
         if root is not None and 1e-9 < root.imag < math.pi:
             return _make_saddle(phase, root, 0, SaddleKind.COMPLEX_PAIR)
     raise ConvergenceFailure(
@@ -364,10 +375,6 @@ def classify_minus(lam: float, a: float) -> SaddleClassification:
     the smaller is a steepest ascent), below it a conjugate pair, on it
     (within 1e-12 relative) the double saddle.
     """
-    if lam <= -1.0:
-        raise DomainError(f"lam must exceed -1, got {lam}")
-    if a <= 0.0:
-        raise DomainError(f"a must be positive, got {a}")
     phase = Phase(lam, a, Sign.MINUS)
     if lam <= 0.0:
         s = solve_real_saddle(phase)
@@ -435,16 +442,15 @@ class PathOutcome:
     hit_index: int | None = None    # index of the saddle the path ran into
 
 
-def _descent_rays(phase: Phase, u: complex) -> tuple[complex, complex]:
+def _descent_rays(h2: complex) -> tuple[complex, complex]:
     """Unit vectors of the two descent directions at a simple saddle:
     angles where h''(u) e^(2 i theta) is real negative."""
-    h2 = phase.d2h(u)
     th = (math.pi - cmath.phase(h2)) / 2.0
     return cmath.exp(1j * th), cmath.exp(1j * (th + math.pi))
 
 
-def _pick_ray(phase: Phase, saddle: Saddle, branch: PathBranch) -> complex:
-    r1, r2 = _descent_rays(phase, saddle.location)
+def _pick_ray(saddle: Saddle, branch: PathBranch) -> complex:
+    r1, r2 = _descent_rays(saddle.second_derivative)
     if saddle.kind is SaddleKind.REAL_SIMPLE:
         # a real saddle has one upper descent path; both branch labels take it
         return r1 if r1.imag > 0 else r2
@@ -487,7 +493,7 @@ def trace_descent_path(phase: Phase, from_saddle: Saddle,
     others = [s for s in _known_saddles(phase)
               if abs(s.location - from_saddle.location) > 1e-9]
     level = phase.h(from_saddle.location).imag
-    direction = _pick_ray(phase, from_saddle, branch)
+    direction = _pick_ray(from_saddle, branch)
     u = from_saddle.location + 1e-6 * direction
     samples = [from_saddle.location, u]
 
@@ -497,7 +503,7 @@ def trace_descent_path(phase: Phase, from_saddle: Saddle,
         return -d.conjugate() / m if m > 0 else 0.0j
 
     for it in range(_MAX_DESCENT_STEPS):
-        g = phase.dh(u)
+        _, g, h2 = phase.derivs(u, 2)
         ag = abs(g)
         near = min((abs(u - s.location) for s in others), default=math.inf)
         for s in others:
@@ -507,7 +513,7 @@ def trace_descent_path(phase: Phase, from_saddle: Saddle,
                                    hit_index=s.index)
         cap = 2e-4 if near < 0.5 else 0.1
         floor = 2e-4 if near < 0.5 else 1e-3
-        step = min(cap, max(floor, 0.05 * ag / max(abs(phase.d2h(u)), 1e-9)))
+        step = min(cap, max(floor, 0.05 * ag / max(abs(h2), 1e-9)))
         k1 = flow(u)
         k2 = flow(u + 0.5 * step * k1)
         k3 = flow(u + 0.5 * step * k2)
@@ -516,9 +522,9 @@ def trace_descent_path(phase: Phase, from_saddle: Saddle,
         if abs(du) < 1e-15:
             raise StepFailure(f"descent step underflow at u={u}")
         u = u + du
-        g2 = phase.dh(u)
+        hu, g2 = phase.derivs(u, 1)
         if abs(g2) > 1e-13:
-            delta = level - phase.h(u).imag
+            delta = level - hu.imag
             corr = 1j * delta * g2.conjugate() / abs(g2) ** 2
             if abs(corr) < 0.5 * step:
                 u = u + corr

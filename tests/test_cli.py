@@ -131,6 +131,33 @@ def test_expand_negative_order_exits_2(runner):
     assert "error: truncation order must be nonnegative" in res.output
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_expand_overflow_exits_2(runner, fmt):
+    # x*h0 = 3.3e5: the extended-precision value is finite, its double
+    # rounding is not, and the oracle is never reached
+    res = _run(runner, "expand", "--lambda", "2", "--a", "0.5",
+               "--x", "1e6", "--sign", "minus", "--order", "3", *fmt)
+    assert res.exit_code == 2
+    assert "error: the value overflows double precision" in res.output
+    assert "x*h0 = 326713" in res.output
+    assert "Infinity" not in res.output
+
+
+def test_expand_says_why_the_error_is_missing(runner, monkeypatch):
+    import wrightasym.cli as cli_mod
+    from wrightasym.oracle import NoConvergence
+
+    def failing(args, prec):
+        raise NoConvergence("series did not settle within 5 terms")
+
+    monkeypatch.setattr(cli_mod, "mp_scaled_value", failing)
+    res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
+               "--x", "40", "--sign", "minus", "--order", "3")
+    assert res.exit_code == 0
+    assert ("relative error vs series: not available "
+            "(series did not settle within 5 terms)") in res.output
+
+
 def test_expand_json_terms(runner):
     res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
                "--x", "40", "--sign", "minus", "--order", "4", "--json")
@@ -212,6 +239,12 @@ def test_table_t1_passes(runner):
     assert res.exit_code == 0
     assert res.output.rstrip().endswith("PASS")
     assert "max deviation" in res.output
+
+
+def test_table_precision_below_floor_exits_2(runner):
+    res = _run(runner, "table", "t1", "--precision", "3")
+    assert res.exit_code == 2
+    assert "error: decimal_digits must be at least 30" in res.output
 
 
 def test_table_csv_and_json(runner, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 import wrightasym.coeffs as coeffs
 import wrightasym.expansions as expansions
+import wrightasym.saddles as saddles
 from wrightasym.core import ScaledArgs, Sign
 from wrightasym.expansions import (
     TruncationMode,
@@ -175,6 +176,26 @@ def test_plus_components_and_subdominant_exclusion():
     kept = expand_plus(args, TruncationPolicy.optimal(),
                        include_subdominant=True)
     assert kept.value == pytest.approx(sum(res.components), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam,n_pairs", [(3.0, 1), (6.0, 2)])
+def test_cold_chain_call_solves_each_member_once(monkeypatch, lam, n_pairs):
+    # the pair count solves members 1..N+1; the pair series reuse 1..N
+    calls = 0
+    member = saddles._chain_member
+
+    def counted(phase, k):
+        nonlocal calls
+        calls += 1
+        return member(phase, k)
+
+    monkeypatch.setattr(saddles, "_chain_member", counted)
+    expansions._cached_region.cache_clear()
+    expansions._cached_pair_contributions.cache_clear()
+    res = expand_plus(ScaledArgs(lam, 0.2, 40.0, Sign.PLUS),
+                      TruncationPolicy.fixed(3))
+    assert len(res.components) == n_pairs + 1
+    assert calls == n_pairs + 1
 
 
 def test_exponent_reported():

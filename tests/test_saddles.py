@@ -66,6 +66,26 @@ def test_phase_derivative_consistency():
     assert abs(ph.dnh(u, 2) - fd) < 1e-8
 
 
+@pytest.mark.parametrize("sign", [Sign.MINUS, Sign.PLUS])
+def test_phase_derivs_follow_the_argument_arithmetic(sign):
+    """derivs evaluates in u's own arithmetic: doubles for a float or a
+    complex, mpmath (at the working precision) for an mpf or an mpc."""
+    ph = Phase(1.7, 0.6, sign)
+    with mp.workdps(50):
+        for u, mu in ((0.37, mp.mpf(0.37)),
+                      (complex(0.37, 1.1), mp.mpc(0.37, 1.1))):
+            want = ph.derivs(mu, 4)
+            assert len(want) == 5
+            assert all(type(d) is type(mu) for d in want)
+            for k, w in enumerate(want):
+                num = mp.diff(ph.h, mu, k)
+                assert abs(num - w) <= mp.mpf(10) ** -40 * max(1, abs(w))
+            got = ph.derivs(u, 4)
+            assert all(type(d) is type(u) for d in got)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * max(1, abs(w))
+
+
 # -- real saddles ---------------------------------------------------------
 
 def test_minus_lam_zero_closed_form():
