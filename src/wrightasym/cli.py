@@ -32,7 +32,7 @@ from .expansions import TruncationMode, TruncationPolicy, WrongRegime, \
 from .reference import TableSpec
 from .saddles import ConvergenceFailure, NoBoundary, NoRealSaddle, \
     OnStokesBoundary, PathBranch, Phase, Regime, SaddleKind, StepFailure, \
-    classify_minus, complex_saddle_chain, count_contributory_pairs, \
+    _chain_member, classify_minus, count_contributory_pairs, \
     double_saddle_curve, solve_real_saddle, trace_descent_path
 from .tables import compute_table
 
@@ -291,10 +291,10 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
             region = count_contributory_pairs(lam, a)
             payload["n_pairs"] = region.n_pairs
             payload["last_pair_subdominant"] = region.last_pair_subdominant
-            listed = list(region.saddles)
-            if chain_n > region.n_pairs:
-                extra = complex_saddle_chain(phase, chain_n)
-                listed.extend(extra[region.n_pairs:])
+            # the counted members are listed already; solve only the rest
+            listed = list(region.saddles) + [
+                _chain_member(phase, k)
+                for k in range(region.n_pairs + 1, chain_n + 1)]
     except DomainError as e:
         _fail(EXIT_DOMAIN, str(e))
     except (OnStokesBoundary, NoRealSaddle) as e:

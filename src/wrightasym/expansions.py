@@ -9,8 +9,9 @@ Four routes, one per saddle configuration:
   plus sign (always)                -> expand_plus (real saddle plus the
                                        contributory complex-pair chain)
 
-Each returns the truncated series value together with the raw terms, so
-callers can study the error behaviour rather than just consume a number.
+Each returns the truncated series value together with the raw terms and
+the value at every shorter cut (the partial sums), so callers can study
+the error behaviour from one call rather than just consume a number.
 Every route works at one extended precision, 50 digits: e^(x h0)
 reaches 1e12 and beyond, where double rounding alone would swamp the
 small differences (oracle minus expansion) these expansions are judged
@@ -23,15 +24,14 @@ leaving about 38.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 
 from .core import DomainError, ScaledArgs, Sign
 from .coeffs import simple_coeffs_mp, double_saddle_coeffs
-from .saddles import Phase, Regime, RegionCount, Saddle, classify_minus, \
+from .saddles import Phase, Regime, classify_minus, \
     count_contributory_pairs, double_saddle_curve, is_near_curve, \
     polish_saddle, u_star
 
@@ -89,41 +89,40 @@ class ExpansionResult:
 
     terms holds the successive series terms of the primary saddle after
     the prefactor is pulled out; truncation_index is where that series was
-    actually cut (inclusive).  components carries the per-saddle
-    contributions I_j in saddle order (for the single-saddle routes just
-    the value itself), component_truncations their individual cut points
-    and truncation_reasons why each was cut there: "fixed" (the policy's
-    k), "minimum" (the smallest term) or "capped" (the optimal rule landed
-    on the last computed term, so the minimum may lie beyond max_order),
-    and exponent = x * Re h(u0) locates the overall scale.  value is the
-    double rounding of mp_value, which keeps the extended-precision result
-    for difference measurements.
+    actually cut (inclusive).  mp_partial_sums[k] is the extended-precision
+    value with the primary series cut at k instead, for k = 0 ..
+    truncation_index, so one call serves a whole fixed-k error study;
+    mp_value, the last of them, is the result, and value its double
+    rounding.  mp_components carries the per-saddle contributions I_j in
+    saddle order (for the single-saddle routes just the value itself) and
+    components their doubles, component_truncations their individual cut
+    points and truncation_reasons why each was cut there: "fixed" (the
+    policy's k), "minimum" (the smallest term) or "capped" (the optimal
+    rule landed on the last computed term, so the minimum may lie beyond
+    max_order), and exponent = x * Re h(u0) locates the overall scale.
     """
 
-    value: float
     terms: tuple[complex, ...]
     truncation_index: int
     truncation_mode: TruncationMode
     exponent: float
-    components: tuple[float, ...]
     component_truncations: tuple[int, ...]
     truncation_reasons: tuple[str, ...]
-    mp_value: object
+    mp_partial_sums: tuple
     mp_components: tuple
     route: str
 
+    @property
+    def mp_value(self):
+        return self.mp_partial_sums[-1]
 
-def _pick_k(policy: TruncationPolicy, mags) -> int:
-    if policy.mode is TruncationMode.FIXED:
-        return policy.k
-    return optimal_truncation(mags)
+    @property
+    def value(self) -> float:
+        return float(self.mp_value)
 
-
-def _truncation_reason(policy: TruncationPolicy, k_cut: int,
-                       n_terms: int) -> str:
-    if policy.mode is TruncationMode.FIXED:
-        return "fixed"
-    return "capped" if k_cut == n_terms - 1 else "minimum"
+    @property
+    def components(self) -> tuple[float, ...]:
+        return tuple(float(c) for c in self.mp_components)
 
 
 def _series_span(policy: TruncationPolicy, max_order: int) -> int:
@@ -132,21 +131,32 @@ def _series_span(policy: TruncationPolicy, max_order: int) -> int:
     return max_order
 
 
-def _result(val, terms, k_cut: int, h0, x: float, trunc: TruncationPolicy,
-            route: str) -> ExpansionResult:
-    """A one-component result from its mp value, terms and cut."""
-    value = float(val)
+def _result(pref, terms, h0, x: float, trunc: TruncationPolicy, route: str,
+            pair: bool = False) -> ExpansionResult:
+    """A one-component result: the series cut where the policy says (its
+    k, or the smallest term) and pref * sum_{j<=k} t_j for every k up to
+    that cut, twice the real part for the upper member of a conjugate
+    pair.  Each prefix sum is one exact running sum rounded once, so it is
+    bit-equal to mp.fsum of the prefix."""
+    if trunc.mode is TruncationMode.FIXED:
+        k_cut, reason = trunc.k, "fixed"
+    else:
+        k_cut = optimal_truncation([abs(t) for t in terms])
+        reason = "capped" if k_cut == len(terms) - 1 else "minimum"
+    partials, s = [], mp.mpf(0)
+    for t in terms[:k_cut + 1]:
+        s = mp.fadd(s, t, exact=True)
+        v = pref * (+s)
+        partials.append(2 * mp.re(v) if pair else v)
     return ExpansionResult(
-        value=value,
         terms=tuple(complex(t) for t in terms),
         truncation_index=k_cut,
         truncation_mode=trunc.mode,
         exponent=float(x * mp.re(h0)),
-        components=(value,),
         component_truncations=(k_cut,),
-        truncation_reasons=(_truncation_reason(trunc, k_cut, len(terms)),),
-        mp_value=val,
-        mp_components=(val,),
+        truncation_reasons=(reason,),
+        mp_partial_sums=tuple(partials),
+        mp_components=(partials[-1],),
         route=route,
     )
 
@@ -170,12 +180,8 @@ def _saddle_series(phase: Phase, location: complex, x: float,
     coeff = simple_coeffs_mp(phase, um, kmax)
     terms = [(-1) ** k * mp.rf(mp.mpf(1) / 2, k) * coeff[k] / (xm / 2) ** k
              for k in range(kmax + 1)]
-    k_cut = _pick_k(trunc, [abs(t) for t in terms])
-    val = (mp.e ** (xm * h0) / mp.sqrt(2 * mp.pi * xm * h2)
-           * mp.fsum(terms[:k_cut + 1]))
-    if location.imag != 0:
-        val = 2 * mp.re(val)
-    return _result(val, terms, k_cut, h0, x, trunc, route)
+    pref = mp.e ** (xm * h0) / mp.sqrt(2 * mp.pi * xm * h2)
+    return _result(pref, terms, h0, x, trunc, route, location.imag != 0)
 
 
 def _minus_route(args: ScaledArgs, trunc: TruncationPolicy, max_order: int,
@@ -262,29 +268,9 @@ def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
             t = (mp.mpf(coeffs[k]) / hx3 ** (mp.mpf(k) / 3)
                  * mp.gamma(mp.mpf(k + 1) / 3) * mp.sin(mp.pi * (k + 1) / 3))
             terms.append(t)
-        k_cut = _pick_k(trunc, [abs(t) for t in terms])
         pref = (mp.mpf(2) ** (mp.mpf(2) / 3) * mp.e ** (xm * h0)
                 / (3 * mp.pi * hx3 ** (mp.mpf(1) / 3)))
-        val = pref * mp.fsum(terms[:k_cut + 1])
-        return _result(val, terms, k_cut, h0, x, trunc, "double-saddle")
-
-
-# The chain geometry and the pair corrections do not depend on where I_0
-# is cut, so fixed-k error sweeps would otherwise redo the costly parts
-# (extended-precision reversion per saddle) once per column.
-@functools.lru_cache(maxsize=64)
-def _cached_region(lam: float, a: float) -> RegionCount:
-    return count_contributory_pairs(lam, a)
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_pair_contributions(phase: Phase, x: float,
-                               pairs: tuple[Saddle, ...], max_order: int):
-    with mp.workdps(_PREC_DPS):
-        return tuple(_saddle_series(phase, sadl.location, x,
-                                    TruncationPolicy.optimal(), max_order,
-                                    "chain pair")
-                     for sadl in pairs)
+        return _result(pref, terms, h0, x, trunc, "double-saddle")
 
 
 def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
@@ -295,38 +281,36 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
 
     The truncation policy applies to I_0; each pair series is cut at its
     own optimal point (their terms diverge much earlier, and the fixed-k
-    error study only makes sense against fully converged corrections).
-    When the last pair is subdominant (Re h(u_N) < 0, exponentially small
-    against I_0) it is reported in components but left out of the value
-    unless include_subdominant is set.
+    error study only makes sense against fully converged corrections), so
+    partial sum k is I_0 cut at k plus the same pair values.  When the
+    last pair is subdominant (Re h(u_N) < 0, exponentially small against
+    I_0) it is reported in components but left out of the value unless
+    include_subdominant is set.
     """
     if args.sign is not Sign.PLUS:
         raise WrongRegime("plus-phase route called with minus-sign arguments")
     lam, a, x = args.lam, args.a, args.x
-    region: RegionCount = _cached_region(lam, a)
+    region = count_contributory_pairs(lam, a)
     phase = Phase(lam, a, Sign.PLUS)
     with mp.workdps(_PREC_DPS):
         i0 = _saddle_series(phase, region.saddles[0].location, x, trunc,
                             max_order, "chain")
-        parts = (i0,) + _cached_pair_contributions(
-            phase, x, tuple(region.saddles[1:]), max_order)
+        parts = (i0,) + tuple(
+            _saddle_series(phase, sadl.location, x,
+                           TruncationPolicy.optimal(), max_order,
+                           "chain pair")
+            for sadl in region.saddles[1:])
         components = tuple(p.mp_value for p in parts)
-        kept = components
+        kept = components[1:]
         if region.last_pair_subdominant and not include_subdominant:
-            kept = components[:-1]
-        total = sum(kept, mp.mpf(0))
-        return ExpansionResult(
-            value=float(total),
-            terms=i0.terms,
-            truncation_index=i0.truncation_index,
-            truncation_mode=trunc.mode,
-            exponent=i0.exponent,
-            components=tuple(float(c) for c in components),
+            kept = kept[:-1]
+        return replace(
+            i0,
             component_truncations=tuple(p.truncation_index for p in parts),
             truncation_reasons=tuple(p.truncation_reasons[0] for p in parts),
-            mp_value=total,
+            mp_partial_sums=tuple(sum((s,) + kept, mp.mpf(0))
+                                  for s in i0.mp_partial_sums),
             mp_components=components,
-            route="chain",
         )
 
 

@@ -106,9 +106,10 @@ def _sum_series(lam, mu, z, prec: PrecisionConfig):
             )
 
 
-def _finish(value_mp, series_sum, peak_mag, n_last, last_mag,
-            prec: PrecisionConfig) -> EvalResult:
-    """Round to double and attach the surviving-digit estimate."""
+def _surviving_digits(series_sum, peak_mag, prec: PrecisionConfig) -> int:
+    """Decimal digits left after cancellation: the working precision less
+    the decades between the peak term and the sum.  Raises PrecisionLoss
+    when none are left."""
     if abs(series_sum) > 0:
         lost = max(float(mp.log10(peak_mag / abs(series_sum))), 0.0)
     elif peak_mag == 0:
@@ -118,6 +119,13 @@ def _finish(value_mp, series_sum, peak_mag, n_last, last_mag,
     surviving = int(prec.decimal_digits - lost)
     if surviving <= 0:
         raise PrecisionLoss(surviving)
+    return surviving
+
+
+def _finish(value_mp, series_sum, peak_mag, n_last, last_mag,
+            prec: PrecisionConfig) -> EvalResult:
+    """Round to double and attach the surviving-digit estimate."""
+    surviving = _surviving_digits(series_sum, peak_mag, prec)
     return EvalResult(
         value=float(value_mp),
         truncation_index=n_last,
@@ -154,9 +162,11 @@ def _scaled_mp(args: ScaledArgs, prec: PrecisionConfig):
 def mp_scaled_value(args: ScaledArgs,
                     prec: PrecisionConfig = PrecisionConfig()) -> mp.mpf:
     """Scaled value kept at full precision (for cross-checks that must
-    resolve differences far below double rounding)."""
+    resolve differences far below double rounding).  Raises
+    PrecisionLoss, as w_minus does, when cancellation leaves no digit."""
     with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
-        value, *_ = _scaled_mp(args, prec)
+        value, s, peak_mag, _, _ = _scaled_mp(args, prec)
+        _surviving_digits(s, peak_mag, prec)
         return +value
 
 

@@ -177,13 +177,17 @@ def _make_saddle(phase: Phase, u, index: int, kind: SaddleKind) -> Saddle:
 
 
 def _newton_polish(phase: Phase, u, steps: int = 4):
-    """Newton steps on h' = 0, in u's own arithmetic."""
+    """Up to `steps` Newton steps on h' = 0, in u's own arithmetic;
+    returns u and [h, h', h''] there.  A step that leaves u unchanged
+    ends the iteration: every later step would repeat it, so the result
+    is the one the full count gives."""
+    d = phase.derivs(u, 2)
     for _ in range(steps):
-        _, d, dd = phase.derivs(u, 2)
-        if not dd:
+        v = u - d[1] / d[2] if d[2] else u
+        if v == u:
             break
-        u -= d / dd
-    return u
+        u, d = v, phase.derivs(v, 2)
+    return u, d
 
 
 def u_star(lam):
@@ -260,6 +264,11 @@ def solve_real_saddle(phase: Phase):
     """
     lam, a = phase.lam, phase.a
     f = phase.dh
+
+    def simple(root) -> Saddle:
+        return _make_saddle(phase, _newton_polish(phase, root)[0], 0,
+                            SaddleKind.REAL_SIMPLE)
+
     if phase.sign is Sign.PLUS:
         # monotone increasing from -a (at -inf on the lam>0 side) to +inf
         u = 0.0
@@ -268,9 +277,7 @@ def solve_real_saddle(phase: Phase):
             lo -= 1.0
         while f(hi) < 0.0:
             hi += 1.0
-        root = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-        root = _newton_polish(phase, root)
-        return _make_saddle(phase, root, 0, SaddleKind.REAL_SIMPLE)
+        return simple(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
     # minus phase
     if lam <= 0.0:
@@ -280,8 +287,7 @@ def solve_real_saddle(phase: Phase):
         else:
             lo, hi = _bracket_right(f, u_star(lam))
             root = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-        root = _newton_polish(phase, root)
-        return _make_saddle(phase, root, 0, SaddleKind.REAL_SIMPLE)
+        return simple(root)
 
     us = u_star(lam)
     _, f_min, h2 = phase.derivs(us, 2)
@@ -293,14 +299,9 @@ def solve_real_saddle(phase: Phase):
     if f_min > -_RESIDUAL_TOL * scale:
         d = double_saddle_point(lam)
         return d, d
-    lo, hi = _bracket_right(f, us)
-    right = _newton_polish(phase, brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    lo, hi = _bracket_left(f, us)
-    left = _newton_polish(phase, brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    return (
-        _make_saddle(phase, left, 0, SaddleKind.REAL_SIMPLE),
-        _make_saddle(phase, right, 0, SaddleKind.REAL_SIMPLE),
-    )
+    right = brentq(f, *_bracket_right(f, us), xtol=1e-14, rtol=8.9e-16)
+    left = brentq(f, *_bracket_left(f, us), xtol=1e-14, rtol=8.9e-16)
+    return simple(left), simple(right)
 
 
 def polish_saddle(phase: Phase, location: complex):
@@ -319,8 +320,7 @@ def polish_saddle(phase: Phase, location: complex):
             f"location {location} is not a stationary point of this phase "
             f"(|h'| = {abs(grad):.2e})")
     u = mp.mpc(location) if location.imag != 0 else mp.mpf(location.real)
-    u = _newton_polish(phase, u, _POLISH_STEPS)
-    h0, _, h2 = phase.derivs(u, 2)
+    u, (h0, _, h2) = _newton_polish(phase, u, _POLISH_STEPS)
     return u, h0, h2
 
 

@@ -147,9 +147,9 @@ def compute_t1(precision: int = 60) -> TableReport:
                                    1.0001 * case.coeff_ulps[k - 1], False))
         args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
         w_ref = mp_scaled_value(args, prec)
-        for k in range(6):
-            res = expand_minus_real(args, TruncationPolicy.fixed(k))
-            err = _rel_err(res.mp_value, w_ref)
+        res = expand_minus_real(args, TruncationPolicy.fixed(5))
+        for k, partial in enumerate(res.mp_partial_sums):
+            err = _rel_err(partial, w_ref)
             pe = case.errors[k]
             cells.append(CellCheck(row, f"err k={k}", err, pe, pe,
                                    _ERRTOL, True))
@@ -184,9 +184,9 @@ def compute_t2(precision: int = 60) -> TableReport:
                                1.0001e-8, False))
     args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
     w_ref = mp_scaled_value(args, prec)
-    for k in range(6):
-        res = expand_minus_complex(args, TruncationPolicy.fixed(k))
-        err = _rel_err(res.mp_value, w_ref)
+    res = expand_minus_complex(args, TruncationPolicy.fixed(5))
+    for k, partial in enumerate(res.mp_partial_sums):
+        err = _rel_err(partial, w_ref)
         pe = case.errors[k]
         cells.append(CellCheck(row, f"err k={k}", err, pe, pe,
                                _ERRTOL, True))
@@ -205,10 +205,11 @@ def compute_t3(precision: int = 60) -> TableReport:
         a = double_saddle_curve(lam)
         args = ScaledArgs(lam, a, x, Sign.MINUS)
         w_ref = mp_scaled_value(args, prec)
+        res = expand_minus_double(lam, x, TruncationPolicy.fixed(
+            max(T3_COLUMNS)))
         errs: dict[int, float] = {}
         for k in T3_COLUMNS:
-            res = expand_minus_double(lam, x, TruncationPolicy.fixed(k))
-            err = _rel_err(res.mp_value, w_ref)
+            err = _rel_err(res.mp_partial_sums[k], w_ref)
             errs[k] = err
             printed = T3_ERRORS[lam][k]
             key = ("t3", lam, k)
@@ -235,14 +236,13 @@ def compute_t4(precision: int = 60) -> TableReport:
     for trow in T4_ROWS:
         row = f"lam={trow.lam:g} a={trow.a:g}"
         args = ScaledArgs(trow.lam, trow.a, x, Sign.PLUS)
-        results = [expand_plus(args, TruncationPolicy.fixed(k), max_order=34)
-                   for k in range(6)]
-        n_pairs = float(len(results[0].components) - 1)
+        res = expand_plus(args, TruncationPolicy.fixed(5), max_order=34)
+        n_pairs = float(len(res.mp_components) - 1)
         cells.append(CellCheck(row, "N", n_pairs, float(trow.n_pairs),
                                float(trow.n_pairs), 0.5, False))
         w_ref = mp_scaled_value(args, prec)
-        for k, res in enumerate(results):
-            err = _rel_err(res.mp_value, w_ref)
+        for k, partial in enumerate(res.mp_partial_sums):
+            err = _rel_err(partial, w_ref)
             printed = trow.errors[k]
             key = ("t4", trow.lam, k)
             corr = CORRECTIONS.get(key)

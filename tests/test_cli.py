@@ -158,6 +158,14 @@ def test_expand_says_why_the_error_is_missing(runner, monkeypatch):
             "(series did not settle within 5 terms)") in res.output
 
 
+def test_expand_refuses_a_cancelled_reference(runner):
+    res = _run(runner, "expand", "--lambda", "-0.9", "--a", "1",
+               "--x", "100", "--sign", "minus", "--order", "3")
+    assert res.exit_code == 0
+    assert ("relative error vs series: not available (only -4 decimal "
+            "digits survived the summation)") in res.output
+
+
 def test_expand_json_terms(runner):
     res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
                "--x", "40", "--sign", "minus", "--order", "4", "--json")
@@ -204,6 +212,29 @@ def test_saddles_plus_chain_listing(runner):
     chain = [s for s in payload["saddles"] if s["kind"] == "complex_pair"]
     assert len(chain) == 1
     assert 1.5707 < chain[0]["im_u"] < 4.7124  # (pi/2, 3 pi/2)
+
+
+def test_saddles_chain_solves_only_uncounted_members(runner, monkeypatch):
+    # the count solves members 1..N+1 (N = 2); the listing adds 3 and 4
+    import wrightasym.cli as cli_mod
+    import wrightasym.saddles as saddles_mod
+    calls = 0
+    member = saddles_mod._chain_member
+
+    def counted(phase, k):
+        nonlocal calls
+        calls += 1
+        return member(phase, k)
+
+    monkeypatch.setattr(saddles_mod, "_chain_member", counted)
+    monkeypatch.setattr(cli_mod, "_chain_member", counted)
+    res = _run(runner, "saddles", "--lambda", "6", "--a", "0.2",
+               "--sign", "plus", "--chain", "4", "--json")
+    payload = json.loads(res.output)
+    assert payload["n_pairs"] == 2
+    im = [s["im_u"] for s in payload["saddles"]]
+    assert len(im) == 5 and im == sorted(im)
+    assert calls <= 5
 
 
 def test_saddles_on_stokes_boundary_exits_4(runner):

@@ -7,6 +7,7 @@ import pytest
 import wrightasym.coeffs as coeffs
 import wrightasym.expansions as expansions
 import wrightasym.saddles as saddles
+import wrightasym.tables as tables
 from wrightasym.core import ScaledArgs, Sign
 from wrightasym.expansions import (
     TruncationMode,
@@ -21,7 +22,8 @@ from wrightasym.expansions import (
 )
 from wrightasym.reference import TableSpec
 from wrightasym.saddles import double_saddle_curve
-from wrightasym.tables import compute_t3, compute_table
+from wrightasym.tables import compute_t1, compute_t2, compute_t3, \
+    compute_t4, compute_table
 
 
 # -- truncation choice ----------------------------------------------------
@@ -190,12 +192,56 @@ def test_cold_chain_call_solves_each_member_once(monkeypatch, lam, n_pairs):
         return member(phase, k)
 
     monkeypatch.setattr(saddles, "_chain_member", counted)
-    expansions._cached_region.cache_clear()
-    expansions._cached_pair_contributions.cache_clear()
     res = expand_plus(ScaledArgs(lam, 0.2, 40.0, Sign.PLUS),
                       TruncationPolicy.fixed(3))
     assert len(res.components) == n_pairs + 1
     assert calls == n_pairs + 1
+
+
+_PARTIAL_POINTS = [
+    ((1.0, 1.2, 40.0), Sign.MINUS),                       # real
+    ((1.5, 0.5, 40.0), Sign.MINUS),                       # conjugate
+    ((2.0, double_saddle_curve(2.0), 40.0), Sign.MINUS),  # double
+    ((-0.25, 1.0, 40.0), Sign.MINUS),                     # lam < 0
+    ((3.0, 0.2, 40.0), Sign.PLUS),                        # chain, N = 1
+    ((6.0, 0.2, 40.0), Sign.PLUS),                        # chain, N = 2
+]
+
+
+@pytest.mark.parametrize("point,sign", _PARTIAL_POINTS,
+                         ids=["real", "conjugate", "double", "lam<0",
+                              "chain1", "chain2"])
+def test_partial_sums_are_the_shorter_cuts(point, sign):
+    route = expand_plus if sign is Sign.PLUS else expand_minus_auto
+    args = ScaledArgs(*point, sign)
+    res = route(args, TruncationPolicy.fixed(8))
+    assert len(res.mp_partial_sums) == 9
+    assert res.mp_value == res.mp_partial_sums[8]
+    for k in range(8):
+        cut = route(args, TruncationPolicy.fixed(k))
+        assert res.mp_partial_sums[k] == cut.mp_value, k
+        assert cut.mp_partial_sums == res.mp_partial_sums[:k + 1], k
+    opt = route(args, TruncationPolicy.optimal())
+    assert len(opt.mp_partial_sums) == opt.truncation_index + 1
+    assert opt.value == float(opt.mp_partial_sums[-1])
+
+
+def test_error_tables_make_one_route_call_per_row(monkeypatch):
+    calls = 0
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("expand_minus_real", "expand_minus_complex",
+                 "expand_minus_double", "expand_plus"):
+        monkeypatch.setattr(tables, name, counting(getattr(tables, name)))
+    for compute in (compute_t1, compute_t2, compute_t3, compute_t4):
+        assert compute().cells
+    assert calls == 10  # 3 + 1 + 3 + 3 rows
 
 
 def test_exponent_reported():

@@ -86,6 +86,15 @@ def test_precision_loss_raises_with_surviving_count():
     assert exc.value.surviving_digits <= 0
 
 
+def test_mp_scaled_value_reports_total_cancellation():
+    # w_minus and the full-precision reference share one digit rule
+    args = ScaledArgs(-0.9, 1.0, 100.0, Sign.MINUS)
+    for fn in (w_minus, mp_scaled_value):
+        with pytest.raises(PrecisionLoss) as exc:
+            fn(args, PrecisionConfig(60))
+        assert exc.value.surviving_digits == -4
+
+
 def test_low_precision_flag_under_heavy_cancellation():
     res = w_minus(ScaledArgs(1.5, 0.5, 80.0, Sign.MINUS), PrecisionConfig(30))
     assert res.low_precision

@@ -24,6 +24,7 @@ from wrightasym.saddles import (
     count_contributory_pairs,
     double_saddle_curve,
     double_saddle_point,
+    polish_saddle,
     solve_complex_pair,
     solve_real_saddle,
     stokes_boundary,
@@ -132,6 +133,30 @@ def test_plus_single_real_root_always():
         assert _residual_ok(ph, s.location)
         # plus-phase derivative is increasing: root is unique, h'' > 0
         assert s.second_derivative.real > 0.0
+
+
+def test_polish_stops_at_its_fixed_point(monkeypatch):
+    phase = Phase(1.0, 1.2, Sign.MINUS)
+    loc = solve_real_saddle(phase)[1].location
+    with mp.workdps(50):
+        # reference: six Newton steps, none skipped
+        u = mp.mpf(loc.real)
+        for _ in range(6):
+            _, d, dd = phase.derivs(u, 2)
+            u -= d / dd
+        h0, _, h2 = phase.derivs(u, 2)
+        calls = 0
+        derivs = Phase.derivs
+
+        def counted(self, v, n):
+            nonlocal calls
+            calls += type(v) in (mp.mpf, mp.mpc)
+            return derivs(self, v, n)
+
+        monkeypatch.setattr(Phase, "derivs", counted)
+        got = polish_saddle(phase, loc)
+    assert calls <= 4
+    assert got == (u, h0, h2)
 
 
 # -- coalescence curve ----------------------------------------------------
