@@ -50,8 +50,6 @@ from .saddles import (
 )
 from .coeffs import (
     DegenerateSaddle,
-    closed_form_A,
-    double_coeffs_by_reversion,
     double_saddle_coeffs,
 )
 from .expansions import (
@@ -100,10 +98,8 @@ __all__ = [
     "WrightParams",
     "WrongRegime",
     "classify_minus",
-    "closed_form_A",
     "complex_saddle_chain",
     "count_contributory_pairs",
-    "double_coeffs_by_reversion",
     "double_saddle_coeffs",
     "double_saddle_curve",
     "double_saddle_point",

@@ -100,6 +100,8 @@ class ExpansionResult:
     policy's k), "minimum" (the smallest term) or "capped" (the optimal
     rule landed on the last computed term, so the minimum may lie beyond
     max_order), and exponent = x * Re h(u0) locates the overall scale.
+    coefficients holds the A_k (or, on the double route, the B_k) of the
+    primary series as the route used them, k = 0 .. len(terms) - 1.
     """
 
     terms: tuple[complex, ...]
@@ -111,6 +113,7 @@ class ExpansionResult:
     mp_partial_sums: tuple
     mp_components: tuple
     route: str
+    coefficients: tuple
 
     @property
     def mp_value(self):
@@ -131,8 +134,8 @@ def _series_span(policy: TruncationPolicy, max_order: int) -> int:
     return max_order
 
 
-def _result(pref, terms, h0, x: float, trunc: TruncationPolicy, route: str,
-            pair: bool = False) -> ExpansionResult:
+def _result(pref, terms, coeffs, h0, x: float, trunc: TruncationPolicy,
+            route: str, pair: bool = False) -> ExpansionResult:
     """A one-component result: the series cut where the policy says (its
     k, or the smallest term) and pref * sum_{j<=k} t_j for every k up to
     that cut, twice the real part for the upper member of a conjugate
@@ -158,6 +161,7 @@ def _result(pref, terms, h0, x: float, trunc: TruncationPolicy, route: str,
         mp_partial_sums=tuple(partials),
         mp_components=(partials[-1],),
         route=route,
+        coefficients=tuple(coeffs),
     )
 
 
@@ -178,10 +182,14 @@ def _saddle_series(phase: Phase, location: complex, x: float,
     um, h0, h2 = polish_saddle(phase, location)
     kmax = _series_span(trunc, max_order)
     coeff = simple_coeffs_mp(phase, um, kmax)
-    terms = [(-1) ** k * mp.rf(mp.mpf(1) / 2, k) * coeff[k] / (xm / 2) ** k
-             for k in range(kmax + 1)]
+    # r = (-1)^k (1/2)_k / (x/2)^k as one running product
+    terms, r, hx = [], mp.mpf(1), -xm / 2
+    for k, ak in enumerate(coeff):
+        terms.append(r * ak)
+        r = r * (k + 0.5) / hx
     pref = mp.e ** (xm * h0) / mp.sqrt(2 * mp.pi * xm * h2)
-    return _result(pref, terms, h0, x, trunc, route, location.imag != 0)
+    return _result(pref, terms, coeff, h0, x, trunc, route,
+                   location.imag != 0)
 
 
 def _minus_route(args: ScaledArgs, trunc: TruncationPolicy, max_order: int,
@@ -270,7 +278,7 @@ def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
             terms.append(t)
         pref = (mp.mpf(2) ** (mp.mpf(2) / 3) * mp.e ** (xm * h0)
                 / (3 * mp.pi * hx3 ** (mp.mpf(1) / 3)))
-        return _result(pref, terms, h0, x, trunc, "double-saddle")
+        return _result(pref, terms, coeffs, h0, x, trunc, "double-saddle")
 
 
 def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,

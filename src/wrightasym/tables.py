@@ -19,9 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from .core import ScaledArgs, Sign
 from .oracle import PrecisionConfig, mp_scaled_value
-from .coeffs import simple_coeffs_mp
 from .expansions import (
-    _PREC_DPS,
     TruncationPolicy,
     expand_minus_complex,
     expand_minus_double,
@@ -49,7 +47,6 @@ from .saddles import (
     ConvergenceFailure,
     Phase,
     double_saddle_curve,
-    polish_saddle,
     solve_complex_pair,
     solve_real_saddle,
     stokes_boundary,
@@ -117,14 +114,6 @@ def _rel_err(expansion_mp, oracle_mp) -> float:
         return float(abs(expansion_mp - oracle_mp) / abs(expansion_mp))
 
 
-def _simple_coeffs(phase: Phase, location: complex) -> list:
-    """A_0..A_5 the way the routes get them: the polished saddle, then
-    the coefficient engine, at the minus routes' working precision."""
-    with mp.workdps(_PREC_DPS):
-        u0, _, _ = polish_saddle(phase, location)
-        return simple_coeffs_mp(phase, u0, 5)
-
-
 def compute_t1(precision: int = 60) -> TableReport:
     """Real-saddle route: saddle location, A_1..A_5, error decay at x=40
     for the three tabulated (lam, a) pairs."""
@@ -138,16 +127,15 @@ def compute_t1(precision: int = 60) -> TableReport:
         saddle = solved[-1] if isinstance(solved, tuple) else solved
         cells.append(CellCheck(row, "u0", saddle.location.real,
                                case.u0, case.u0, _DECIMALS8, False))
-        coeffs = _simple_coeffs(phase, saddle.location)
+        args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
+        res = expand_minus_real(args, TruncationPolicy.fixed(5))
         for k in range(1, 6):
-            ak = float(coeffs[k])
+            ak = float(res.coefficients[k])
             pk = case.coeffs[k - 1]
             # one unit in the last printed place (6-decimal mantissas)
             cells.append(CellCheck(row, f"A_{k}", ak, pk, pk,
                                    1.0001 * case.coeff_ulps[k - 1], False))
-        args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
         w_ref = mp_scaled_value(args, prec)
-        res = expand_minus_real(args, TruncationPolicy.fixed(5))
         for k, partial in enumerate(res.mp_partial_sums):
             err = _rel_err(partial, w_ref)
             pe = case.errors[k]
@@ -172,9 +160,10 @@ def compute_t2(precision: int = 60) -> TableReport:
     cells.append(CellCheck(row, "Im u0", saddle.location.imag,
                            case.saddle.imag, case.saddle.imag,
                            _DECIMALS8, False))
-    coeffs = _simple_coeffs(phase, saddle.location)
+    args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
+    res = expand_minus_complex(args, TruncationPolicy.fixed(5))
     for k in range(1, 6):
-        ak = complex(coeffs[k])
+        ak = complex(res.coefficients[k])
         pk = case.coeffs[k - 1]
         # one unit in the 8th printed decimal; the table truncates some
         # round-half digits rather than rounding them
@@ -182,9 +171,7 @@ def compute_t2(precision: int = 60) -> TableReport:
                                1.0001e-8, False))
         cells.append(CellCheck(row, f"Im A_{k}", ak.imag, pk.imag, pk.imag,
                                1.0001e-8, False))
-    args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
     w_ref = mp_scaled_value(args, prec)
-    res = expand_minus_complex(args, TruncationPolicy.fixed(5))
     for k, partial in enumerate(res.mp_partial_sums):
         err = _rel_err(partial, w_ref)
         pe = case.errors[k]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-import wrightasym.coeffs as coeffs
+from closed_forms import b4
 import wrightasym.expansions as expansions
 import wrightasym.saddles as saddles
 import wrightasym.tables as tables
@@ -244,6 +246,27 @@ def test_error_tables_make_one_route_call_per_row(monkeypatch):
     assert calls == 10  # 3 + 1 + 3 + 3 rows
 
 
+def test_t1_t2_polish_and_run_the_engine_once_per_row(monkeypatch):
+    # the A_k cells are the coefficients the route itself used
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("polish_saddle", "simple_coeffs_mp"):
+        for mod in (expansions, tables):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name,
+                                    counting(name, getattr(mod, name)))
+    for compute, rows in ((compute_t1, 3), (compute_t2, 1)):
+        calls.clear()
+        assert compute().passed
+        assert calls == {"polish_saddle": rows, "simple_coeffs_mp": rows}
+
+
 def test_exponent_reported():
     res = expand_minus_real(ScaledArgs(-0.25, 1.0, 40.0, Sign.MINUS),
                             TruncationPolicy.fixed(3))
@@ -284,15 +307,14 @@ def test_parameter_plane_landmarks():
 def test_b4_erratum_reproduces_tabulated_t3(monkeypatch):
     # the tabulated k=4/6 cells were computed with 826 for the 836 in
     # both the lam and lam^3 terms of B_4; put the slip back
-    closed = coeffs._closed_b_polynomials
+    engine = expansions.double_saddle_coeffs
 
-    def slipped(lam):
-        b = closed(lam)
-        b[4] = -(277.0 + 826.0 * lam - 6114.0 * lam ** 2 + 826.0 * lam ** 3
-                 + 277.0 * lam ** 4) / (coeffs._TWO_CBRT * 136080.0)
+    def slipped(lam, order):
+        b = engine(lam, order)
+        b[4] = b4(lam, 826.0)
         return b
 
-    monkeypatch.setattr(coeffs, "_closed_b_polynomials", slipped)
+    monkeypatch.setattr(expansions, "double_saddle_coeffs", slipped)
     cells = [c for c in compute_t3().cells
              if c.label in ("err k=4", "err k=6")]
     assert len(cells) == 6
