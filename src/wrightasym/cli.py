@@ -18,6 +18,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 import click
 import mpmath as mp
@@ -115,6 +116,8 @@ def cmd_eval(lam, a, x, sign, precision, as_json, out):
         _fail(EXIT_PRECISION, str(e))
     except NoConvergence as e:
         _fail(1, str(e))
+    if not math.isfinite(res.value):
+        _fail(EXIT_DOMAIN, "the value overflows double precision")
     tag = "W-" if args.sign is Sign.MINUS else "W+"
     if as_json:
         _emit_json({

@@ -11,13 +11,25 @@ converges for every finite z when lam > -1, but for the negative-argument
 scaled variant the terms alternate and cancellation can eat a large part of
 the working precision, which is why the summation tracks the peak term
 magnitude and reports how many digits survived.
+
+The summation loop works on raw libmp numbers.  A pre-pass in doubles
+estimates log2 of every term first; it picks the precision of each term's
+1/Gamma, which is what a term costs, and it refuses at once a series that
+provably cannot settle within the term budget.  Terms far below the peak
+get their 1/Gamma at fewer bits, never so few that a term's error reaches
+2^-prec of the peak term.  The running products, the sum, the peak and the
+stop rule stay at full working precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
+                          mpf_mul, mpf_mul_int, mpf_rgamma, round_nearest,
+                          to_float)
 
 from .core import DomainError, EvalResult, ScaledArgs, Sign, WrightParams
 
@@ -25,6 +37,24 @@ from .core import DomainError, EvalResult, ScaledArgs, Sign, WrightParams
 # discards terms 10 extra digits below the running scale, leaving ~5 in hand
 _GUARD_DIGITS = 15
 _STOP_MARGIN = 10
+
+# Gamma precision taper, in bits: a term at least _TAPER_BELOW under the
+# predicted peak gets its 1/Gamma at max(_TAPER_FLOOR, wp - below +
+# _TAPER_GUARD), so its error stays 2^-_TAPER_GUARD under 2^-wp x peak.
+# The pre-pass runs until the tail is wp + _TAIL_BITS under its maximum.
+_TAPER_BELOW = 64
+_TAPER_GUARD = 32
+_TAPER_FLOOR = 80
+_TAIL_BITS = 64
+# the summed peak may sit this far under the predicted one before the
+# taper is distrusted and the series summed again at full precision
+_PEAK_SLACK = 16
+# bits of slack in the proof that a series cannot settle
+_PROOF_SLACK = 4
+# a Gamma argument this close (relative) to a pole is beyond the doubles
+_POLE_TOL = 2.0 ** -30
+_LOG2_10 = math.log2(10)
+_LN2 = math.log(2)
 
 
 class NoConvergence(RuntimeError):
@@ -61,49 +91,126 @@ class PrecisionConfig:
             raise DomainError("max_terms must be positive")
 
 
+def _unsettled(prec: PrecisionConfig) -> NoConvergence:
+    return NoConvergence(
+        f"series did not settle within {prec.max_terms} terms")
+
+
+def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
+    """Pre-pass in doubles: the bits each term's 1/Gamma is evaluated at.
+
+    log2|t_n| = n log2|z| - (lgamma(n+1) + lgamma(lam*n + mu))/ln 2, with
+    a pole of Gamma counted as -inf, is estimated until the tail lies
+    wp + _TAIL_BITS under its maximum, or up to max_terms.  Returns the
+    bits for n = 0, 1, ... (later terms get wp) and the predicted log2 of
+    the peak term.  A term near a pole, which doubles cannot resolve,
+    keeps wp.
+
+    Raises NoConvergence when the estimates prove that the loop cannot
+    settle: every term n < max_terms stays above 10^-(D+10) (n+1) times
+    the largest term so far, and (n+1) times that term bounds every
+    partial sum so far, so the stop rule never fires.
+    """
+    lam_f, mu_f = to_float(lam), to_float(mu)
+    if z == fzero or not (math.isfinite(lam_f) and math.isfinite(mu_f)):
+        return [], -math.inf
+    lz = math.log2(z[1]) + z[2]
+    stop_bits = -(prec.decimal_digits + _STOP_MARGIN) * _LOG2_10 + _PROOF_SLACK
+    est = []
+    top = -math.inf
+    settles = False
+    try:
+        for n in range(prec.max_terms):
+            arg = lam_f * n + mu_f
+            if arg < 0.5 and (abs(arg - round(arg))
+                              <= _POLE_TOL * (abs(lam_f) * n + abs(mu_f) + 1)):
+                # an exact pole makes the term 0, which never stops the
+                # loop; any other term this close might
+                x = mpf_add(mpf_mul_int(lam, n, wp, rnd), mu, wp, rnd)
+                if not (x == fzero or (x[0] and x[2] >= 0)):
+                    settles = True
+                est.append(None)
+                continue
+            log_t = n * lz - (math.lgamma(n + 1) + math.lgamma(arg)) / _LN2
+            est.append(log_t)
+            if log_t > top:
+                top = log_t
+            if log_t < top + stop_bits + math.log2(n + 1):
+                settles = True
+                if log_t < top - wp - _TAIL_BITS:
+                    break
+        else:
+            if not settles and top > -math.inf:
+                raise _unsettled(prec)
+        bits = [wp if e is None or top - e < _TAPER_BELOW
+                else max(_TAPER_FLOOR, wp - int(top - e) + _TAPER_GUARD)
+                for e in est]
+    except (OverflowError, ValueError):
+        return [], -math.inf
+    return bits, top
+
+
 def _sum_series(lam, mu, z, prec: PrecisionConfig):
     """Core loop shared by all entry points; runs inside a workdps block.
 
     Returns (sum, peak_mag, n_last, last_term_mag); perfbench/spans.py
     reads n_last at index 2.  Incremental updates keep z^n and n! as
-    running products; each term costs one reciprocal-gamma evaluation.
+    running products.  The loop runs on raw libmp numbers, and each
+    term's 1/Gamma is evaluated at the bits _gamma_bits picked, so
+    only the cost of terms far below the peak drops; if the summed peak
+    falls short of the predicted one, the series is summed again with
+    every 1/Gamma at full precision.
     """
-    s = mp.mpf(0)
-    pw = mp.mpf(1)
-    fact = mp.mpf(1)
-    maxmag = mp.mpf(0)
-    maxps = mp.mpf(0)
-    peak = 0
-    n = 0
-    tiny = mp.mpf(10) ** (-(prec.decimal_digits + _STOP_MARGIN))
+    wp, rnd = mp.mp.prec, round_nearest  # what mpf arithmetic uses
+    lam, mu, z = lam._mpf_, mu._mpf_, z._mpf_
+    bits, top = _gamma_bits(lam, mu, z, wp, rnd, prec)
+    out = _sum_terms(lam, mu, z, wp, rnd, prec, bits)
+    peak_mag = out[1]
+    if (bits and min(bits) < wp and (peak_mag == fzero or peak_mag[2]
+                                     + peak_mag[3] < top - _PEAK_SLACK)):
+        out = _sum_terms(lam, mu, z, wp, rnd, prec, [])
+    s, peak_mag, n, last = out
+    make = mp.mp.make_mpf
+    return make(s), make(peak_mag), n, make(last)
+
+
+def _sum_terms(lam, mu, z, wp, rnd, prec: PrecisionConfig, bits):
+    # the plain mp loop's rounded operations in its order, on libmp tuples
+    tiny = (mp.mpf(10) ** (-(prec.decimal_digits + _STOP_MARGIN)))._mpf_
+    n_bits = len(bits)
+    s = maxmag = maxps = fzero
+    pw = fact = fone
+    z_zero, lam_zero = z == fzero, lam == fzero
+    peak = n = 0
     while True:
-        rg = mp.rgamma(lam * n + mu)
-        term = pw / fact * rg
-        s += term
-        tm = abs(term)
-        if tm > maxmag:
+        rg = mpf_rgamma(mpf_add(mpf_mul_int(lam, n, wp, rnd), mu, wp, rnd),
+                        bits[n] if n < n_bits else wp, rnd)
+        term = mpf_mul(mpf_div(pw, fact, wp, rnd), rg, wp, rnd)
+        s = mpf_add(s, term, wp, rnd)
+        tm = mpf_abs(term)
+        if mpf_cmp(tm, maxmag) > 0:
             maxmag, peak = tm, n
         # The stop scale must be the largest partial sum seen, never an
         # absolute floor: when nu is large the bare series sums to values
         # like 1e-59 (the scaled prefactor restores the magnitude), and
         # any fixed cutoff would leave a fat relative tail.
-        ps = abs(s)
-        if ps > maxps:
+        ps = mpf_abs(s)
+        if mpf_cmp(ps, maxps) > 0:
             maxps = ps
-        if z == 0 or (rg == 0 and lam == 0):
+        pole = rg == fzero
+        if z_zero or (pole and lam_zero):
             # every later term vanishes: z^n for n > 0, or the common
             # factor 1/Gamma(mu) = 0 when lam = 0
             return s, maxmag, n, tm
         # a pole of Gamma(lam*n + mu) says nothing about the tail
-        if rg != 0 and n > peak and tm < tiny * maxps:
+        if (not pole and n > peak
+                and mpf_cmp(tm, mpf_mul(tiny, maxps, wp, rnd)) < 0):
             return s, maxmag, n, tm
         n += 1
-        pw *= z
-        fact *= n
+        pw = mpf_mul(pw, z, wp, rnd)
+        fact = mpf_mul_int(fact, n, wp, rnd)
         if n >= prec.max_terms:
-            raise NoConvergence(
-                f"series did not settle within {prec.max_terms} terms"
-            )
+            raise _unsettled(prec)
 
 
 def _surviving_digits(series_sum, peak_mag, prec: PrecisionConfig) -> int:

@@ -1,0 +1,48 @@
+"""The oracle's summation loop in plain mpmath, kept as a reference.
+
+Not collected by pytest (no test_ prefix); test_oracle.py imports it.
+wrightasym.oracle._sum_series runs the same rounded operations in the
+same order on raw libmp numbers, with 1/Gamma evaluated at a lower
+precision for terms far below the peak.  This is the loop it replaced:
+every term at full working precision, through mpf objects.  Swapping it
+in for _sum_series gives the results the kernel is checked against.
+"""
+
+from __future__ import annotations
+
+import mpmath as mp
+
+from wrightasym.oracle import _STOP_MARGIN, NoConvergence, PrecisionConfig
+
+
+def plain_sum_series(lam, mu, z, prec: PrecisionConfig):
+    """(sum, peak_mag, n_last, last_term_mag), as _sum_series returns."""
+    s = mp.mpf(0)
+    pw = mp.mpf(1)
+    fact = mp.mpf(1)
+    maxmag = mp.mpf(0)
+    maxps = mp.mpf(0)
+    peak = 0
+    n = 0
+    tiny = mp.mpf(10) ** (-(prec.decimal_digits + _STOP_MARGIN))
+    while True:
+        rg = mp.rgamma(lam * n + mu)
+        term = pw / fact * rg
+        s += term
+        tm = abs(term)
+        if tm > maxmag:
+            maxmag, peak = tm, n
+        ps = abs(s)
+        if ps > maxps:
+            maxps = ps
+        if z == 0 or (rg == 0 and lam == 0):
+            return s, maxmag, n, tm
+        if rg != 0 and n > peak and tm < tiny * maxps:
+            return s, maxmag, n, tm
+        n += 1
+        pw *= z
+        fact *= n
+        if n >= prec.max_terms:
+            raise NoConvergence(
+                f"series did not settle within {prec.max_terms} terms"
+            )

@@ -58,6 +58,18 @@ def test_eval_precision_loss_exits_3(runner):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_eval_overflow_exits_2(runner, tmp_path, fmt):
+    # the series sums to a finite mp value whose double rounding is not
+    out = tmp_path / "eval.csv"
+    res = _run(runner, "eval", "--lambda", "1", "--a", "0.5", "--x", "3000",
+               "--sign", "plus", "--out", str(out), *fmt)
+    assert res.exit_code == 2
+    assert "error: the value overflows double precision" in res.output
+    assert "Infinity" not in res.output and "inf" not in res.output
+    assert not out.exists()
+
+
 def test_eval_low_precision_flag_exits_3(runner):
     res = _run(runner, "eval", "--lambda", "1.5", "--a", "0.5",
                "--x", "80", "--sign", "minus", "--precision", "30")

@@ -13,6 +13,8 @@ import math
 import mpmath as mp
 import pytest
 
+from plain_oracle import plain_sum_series
+from wrightasym import oracle
 from wrightasym.core import ScaledArgs, Sign, WrightParams
 from wrightasym.oracle import (
     NoConvergence,
@@ -184,3 +186,140 @@ def test_scaled_sum_runs_past_gamma_poles(lam, a, x, sign):
     ref = _fixed_length_sum(args, 400, 80)
     assert res.value == pytest.approx(float(ref), rel=1e-14)
     assert not res.low_precision
+
+
+# -- the summation kernel ---------------------------------------------------
+#
+# _sum_series runs the plain loop's rounded operations on libmp tuples and
+# evaluates 1/Gamma at fewer bits far below the peak.  Swapping the plain
+# loop (plain_oracle.py) back in must give the same results, field for
+# field, or the same exception with the same message.
+
+KERNEL_POINTS = [
+    # (lam, a, x, sign, decimal_digits)
+    (-0.9, 1.0, 20.0, Sign.MINUS, 60),
+    (-0.9, 1.0, 100.0, Sign.MINUS, 60),      # PrecisionLoss, -4 digits
+    (-0.75, 0.6, 50.0, Sign.PLUS, 60),
+    (-0.5, 0.5, 40.0, Sign.MINUS, 60),       # Gamma poles at n = 42, 44, ...
+    (-0.5, 0.25, 8.0, Sign.PLUS, 60),        # ... and at n = 6, 8, ...
+    (-0.25, 1.0, 40.0, Sign.MINUS, 60),
+    (-0.25, 1.0, 100.0, Sign.PLUS, 60),
+    (-0.25, 1.0, 200.0, Sign.MINUS, 30),     # PrecisionLoss
+    (0.0, 0.7, 30.0, Sign.MINUS, 60),
+    (0.0, 0.7, 30.0, Sign.PLUS, 60),
+    (0.3, 0.9, 120.0, Sign.MINUS, 60),
+    (0.5, 0.8, 60.0, Sign.MINUS, 60),
+    (0.5, 0.8, 400.0, Sign.PLUS, 60),
+    (1.0, 0.5, 4.0, Sign.MINUS, 60),
+    (1.0, 1.2, 40.0, Sign.MINUS, 60),
+    (1.0, 1.5, 24.0, Sign.PLUS, 60),
+    (1.5, 0.5, 40.0, Sign.MINUS, 100),
+    (1.5, 0.5, 80.0, Sign.MINUS, 30),        # low precision
+    (1.5, 0.5, 200.0, Sign.MINUS, 60),
+    (2.0, 0.5, 40.0, Sign.MINUS, 60),
+    (2.0, 0.6, 400.0, Sign.MINUS, 60),
+    (3.0, 0.2, 40.0, Sign.PLUS, 60),
+    (3.0, 0.2, 400.0, Sign.PLUS, 60),
+    (4.0, 0.3, 300.0, Sign.MINUS, 60),
+    (5.5, 0.25, 250.0, Sign.MINUS, 60),
+    (6.0, 0.2, 400.0, Sign.PLUS, 60),
+    (6.0, 0.5, 100.0, Sign.MINUS, 60),
+]
+
+
+def _fields(fn, *args):
+    try:
+        r = fn(*args)
+    except (PrecisionLoss, NoConvergence) as e:
+        return type(e).__name__, str(e)
+    return (repr(r.value), r.truncation_index, r.significant_digits,
+            r.low_precision, repr(r.last_term_magnitude))
+
+
+def _kernel_and_plain(monkeypatch, fn, *args):
+    got = _fields(fn, *args)
+    monkeypatch.setattr(oracle, "_sum_series", plain_sum_series)
+    return got, _fields(fn, *args)
+
+
+@pytest.mark.parametrize("lam,a,x,sign,digits", KERNEL_POINTS)
+def test_kernel_matches_plain_loop(monkeypatch, lam, a, x, sign, digits):
+    fn = w_minus if sign is Sign.MINUS else w_plus
+    got, want = _kernel_and_plain(monkeypatch, fn, ScaledArgs(lam, a, x, sign),
+                                  PrecisionConfig(digits))
+    assert got == want
+
+
+@pytest.mark.parametrize("lam,mu,z", [(0.5, 0.0, 0.0), (0.5, 3.0, 0.0),
+                                      (0.0, -2.0, 1.5), (-0.5, 0.5, -3.0)])
+def test_kernel_matches_plain_loop_unscaled(monkeypatch, lam, mu, z):
+    # z = 0, a pole of Gamma(mu) at lam = 0, and poles on every odd term
+    got, want = _kernel_and_plain(monkeypatch, wright_series,
+                                  WrightParams(lam, mu), z, PrecisionConfig())
+    assert got == want
+
+
+@pytest.mark.parametrize("budget", range(1, 46))
+def test_kernel_settles_or_refuses_as_the_plain_loop(monkeypatch, budget):
+    # the loop stops at n = 40, so the budget runs out well before the
+    # stop (refused by the pre-pass), just before it, and not at all
+    got, want = _kernel_and_plain(monkeypatch, wright_series,
+                                  WrightParams(0.5, 1.0), 5.0,
+                                  PrecisionConfig(30, max_terms=budget))
+    assert got == want
+
+
+def _bare_sum(fn, lam, a, x, sign, digits):
+    with mp.workdps(digits + oracle._GUARD_DIGITS):
+        lm, xm = mp.mpf(lam), mp.mpf(x)
+        z = (xm / 2) ** (lm + 1) * (-1 if sign is Sign.MINUS else 1)
+        return fn(lm, mp.mpf(a) * xm + 1, z, PrecisionConfig(digits))
+
+
+@pytest.mark.parametrize("lam,a,x,sign", [
+    (1.0, 1.2, 40.0, Sign.MINUS), (2.0, 0.5, 40.0, Sign.MINUS),
+    (3.0, 0.2, 40.0, Sign.PLUS), (1.5, 0.5, 200.0, Sign.MINUS),
+    (-0.5, 0.5, 40.0, Sign.MINUS), (4.0, 0.3, 300.0, Sign.MINUS),
+    (6.0, 0.2, 400.0, Sign.PLUS)])
+def test_kernel_sum_within_bound_of_higher_precision(lam, a, x, sign):
+    # the tapered 1/Gamma leaves the bare sum within 10^-(D+10) of the
+    # peak term of a plain sum at 40 more digits
+    s, peak, _, _ = _bare_sum(oracle._sum_series, lam, a, x, sign, 60)
+    ref, _, _, _ = _bare_sum(plain_sum_series, lam, a, x, sign, 100)
+    with mp.workdps(130):
+        assert abs(s - ref) <= mp.mpf(10) ** -70 * peak
+
+
+def _count_rgamma(monkeypatch):
+    calls = []
+    real = oracle.mpf_rgamma
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "mpf_rgamma", counted)
+    return calls
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wright_series(WrightParams(0.5, 1.0), 5.0,
+                          PrecisionConfig(30, max_terms=5)),
+    lambda: w_plus(ScaledArgs(0.5, 1.0, 1e6, Sign.PLUS),
+                   PrecisionConfig(max_terms=3000)),
+], ids=["tiny-budget", "huge-x"])
+def test_unsettling_series_refused_before_any_gamma(monkeypatch, call):
+    calls = _count_rgamma(monkeypatch)
+    with pytest.raises(NoConvergence, match="did not settle within"):
+        call()
+    assert calls == []
+
+
+def test_settling_series_is_summed(monkeypatch):
+    # one term more than the stop needs: the pre-pass must not refuse
+    n_last = w_plus(ScaledArgs(3.0, 0.2, 40.0, Sign.PLUS)).truncation_index
+    calls = _count_rgamma(monkeypatch)
+    res = w_plus(ScaledArgs(3.0, 0.2, 40.0, Sign.PLUS),
+                 PrecisionConfig(max_terms=n_last + 1))
+    assert res.truncation_index == n_last
+    assert len(calls) == n_last + 1
