@@ -173,6 +173,7 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
         trunc = (TruncationPolicy.optimal() if order is None
                  else TruncationPolicy.fixed(order))
         args = ScaledArgs(lam, a, x, _parse_sign(sign))
+        prec = PrecisionConfig(decimal_digits=precision)
     except ValueError as e:
         _fail(EXIT_DOMAIN, str(e))
     try:
@@ -194,7 +195,7 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
                            f"(exponent x*h0 = {res.exponent:.6g})")
     rel_err = None
     try:
-        w_ref = mp_scaled_value(args, PrecisionConfig(max(precision, 60)))
+        w_ref = mp_scaled_value(args, prec)
         with mp.workdps(50):
             rel_err = float(abs(res.mp_value - w_ref) / abs(res.mp_value))
         rel_text = f"{rel_err:.3e}"

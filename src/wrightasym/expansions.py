@@ -9,7 +9,10 @@ Four routes, one per saddle configuration:
   plus sign (always)                -> expand_plus (real saddle plus the
                                        contributory complex-pair chain)
 
-Each returns the truncated series value together with the raw terms and
+A route classifies the saddles, builds one SaddleSeries per contributory
+saddle (location, h0, prefactor, terms and coefficients, uncut) and
+hands them to one assembly, which cuts, folds conjugate pairs into twice
+the real part and sums.  The result keeps those series, the value and
 the value at every shorter cut (the partial sums), so callers can study
 the error behaviour from one call rather than just consume a number.
 Every route works at one extended precision, 50 digits: e^(x h0)
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -84,28 +87,46 @@ def optimal_truncation(magnitudes) -> int:
 
 
 @dataclass(frozen=True)
+class SaddleSeries:
+    """One contributory saddle's series, uncut.
+
+    location is the double-precision saddle the route solved; a complex
+    location is the upper member of a conjugate pair, whose mirror saddle
+    adds the complex conjugate.  h0 is h(u0) at the polished saddle, pref
+    the prefactor and mp_terms the series terms after it is pulled out,
+    built from coefficients (the A_k, or the B_k at the double saddle),
+    k = 0 .. len(mp_terms) - 1.
+    """
+
+    location: complex
+    h0: object
+    pref: object
+    mp_terms: tuple
+    coefficients: tuple
+
+
+@dataclass(frozen=True)
 class ExpansionResult:
     """One evaluated expansion.
 
-    terms holds the successive series terms of the primary saddle after
-    the prefactor is pulled out; truncation_index is where that series was
-    actually cut (inclusive).  mp_partial_sums[k] is the extended-precision
-    value with the primary series cut at k instead, for k = 0 ..
-    truncation_index, so one call serves a whole fixed-k error study;
-    mp_value, the last of them, is the result, and value its double
-    rounding.  mp_components carries the per-saddle contributions I_j in
-    saddle order (for the single-saddle routes just the value itself) and
-    components their doubles, component_truncations their individual cut
-    points and truncation_reasons why each was cut there: "fixed" (the
-    policy's k), "minimum" (the smallest term) or "capped" (the optimal
-    rule landed on the last computed term, so the minimum may lie beyond
-    max_order), and exponent = x * Re h(u0) locates the overall scale.
-    coefficients holds the A_k (or, on the double route, the B_k) of the
-    primary series as the route used them, k = 0 .. len(terms) - 1.
+    series holds each contributory saddle's SaddleSeries, the primary one
+    first.  terms (rounded to complex doubles) and coefficients (the A_k,
+    or on the double route the B_k) are views of the primary series, and
+    truncation_index is where it was actually cut (inclusive).
+    mp_partial_sums[k] is the extended-precision value with the primary
+    series cut at k instead, for k = 0 .. truncation_index, so one call
+    serves a whole fixed-k error study; mp_value, the last of them, is the
+    result, and value its double rounding.  mp_components carries the
+    per-saddle contributions I_j in saddle order (for the single-saddle
+    routes just the value itself) and components their doubles,
+    component_truncations their individual cut points and
+    truncation_reasons why each was cut there: "fixed" (the policy's k),
+    "minimum" (the smallest term) or "capped" (the optimal rule landed on
+    the last computed term, so the minimum may lie beyond max_order), and
+    exponent = x * Re h(u0) locates the overall scale.
     """
 
-    terms: tuple[complex, ...]
-    truncation_index: int
+    series: tuple[SaddleSeries, ...]
     truncation_mode: TruncationMode
     exponent: float
     component_truncations: tuple[int, ...]
@@ -113,7 +134,18 @@ class ExpansionResult:
     mp_partial_sums: tuple
     mp_components: tuple
     route: str
-    coefficients: tuple
+
+    @property
+    def terms(self) -> tuple[complex, ...]:
+        return tuple(complex(t) for t in self.series[0].mp_terms)
+
+    @property
+    def coefficients(self) -> tuple:
+        return self.series[0].coefficients
+
+    @property
+    def truncation_index(self) -> int:
+        return self.component_truncations[0]
 
     @property
     def mp_value(self):
@@ -128,68 +160,61 @@ class ExpansionResult:
         return tuple(float(c) for c in self.mp_components)
 
 
-def _series_span(policy: TruncationPolicy, max_order: int) -> int:
-    if policy.mode is TruncationMode.FIXED:
-        return policy.k
-    return max_order
-
-
-def _result(pref, terms, coeffs, h0, x: float, trunc: TruncationPolicy,
-            route: str, pair: bool = False) -> ExpansionResult:
-    """A one-component result: the series cut where the policy says (its
-    k, or the smallest term) and pref * sum_{j<=k} t_j for every k up to
-    that cut, twice the real part for the upper member of a conjugate
-    pair.  Each prefix sum is one exact running sum rounded once, so it is
-    bit-equal to mp.fsum of the prefix."""
-    if trunc.mode is TruncationMode.FIXED:
-        k_cut, reason = trunc.k, "fixed"
-    else:
-        k_cut = optimal_truncation([abs(t) for t in terms])
-        reason = "capped" if k_cut == len(terms) - 1 else "minimum"
-    partials, s = [], mp.mpf(0)
-    for t in terms[:k_cut + 1]:
-        s = mp.fadd(s, t, exact=True)
-        v = pref * (+s)
-        partials.append(2 * mp.re(v) if pair else v)
+def _assemble(series, x: float, trunc: TruncationPolicy, route: str,
+              kept: int = 0) -> ExpansionResult:
+    """A route's result from its saddles' series, the primary one first:
+    that one cut by the policy (its k, or the smallest term), every other
+    at its smallest term.  A component is pref * sum_{j<=k} t_j, twice the
+    real part for a complex location, each prefix one exact running sum
+    rounded once; partial sum k is the primary component cut at k plus the
+    first `kept` other components."""
+    cut = []  # (k, reason, sums) per series
+    for j, s in enumerate(series):
+        if j == 0 and trunc.mode is TruncationMode.FIXED:
+            k, why = trunc.k, "fixed"
+        else:
+            k = optimal_truncation([abs(t) for t in s.mp_terms])
+            why = "capped" if k == len(s.mp_terms) - 1 else "minimum"
+        sums, acc = [], mp.mpf(0)
+        for i, t in enumerate(s.mp_terms[:k + 1]):
+            acc = mp.fadd(acc, t, exact=True)
+            if j == 0 or i == k:
+                v = s.pref * (+acc)
+                sums.append(2 * mp.re(v) if s.location.imag != 0 else v)
+        cut.append((k, why, sums))
+    cuts, reasons, sums = zip(*cut)
+    added = [s[-1] for s in sums[1:1 + kept]]
     return ExpansionResult(
-        terms=tuple(complex(t) for t in terms),
-        truncation_index=k_cut,
+        series=tuple(series),
         truncation_mode=trunc.mode,
-        exponent=float(x * mp.re(h0)),
-        component_truncations=(k_cut,),
-        truncation_reasons=(reason,),
-        mp_partial_sums=tuple(partials),
-        mp_components=(partials[-1],),
+        exponent=float(x * mp.re(series[0].h0)),
+        component_truncations=cuts,
+        truncation_reasons=reasons,
+        mp_partial_sums=tuple(sum(added, p) for p in sums[0]),
+        mp_components=tuple(s[-1] for s in sums),
         route=route,
-        coefficients=tuple(coeffs),
     )
 
 
 def _saddle_series(phase: Phase, location: complex, x: float,
-                   trunc: TruncationPolicy, max_order: int,
-                   route: str) -> ExpansionResult:
-    """One simple-saddle series at working precision:
+                   order: int) -> SaddleSeries:
+    """One simple-saddle series to A_order at working precision:
 
         e^(x h0) / sqrt(2 pi x h0'') * sum_k (-1)^k (1/2)_k A_k / (x/2)^k
 
-    with the location Newton-polished first.  A real saddle gives real
-    terms and this value as it stands; a complex location is the upper
-    member of a conjugate pair (principal square root), whose mirror
-    saddle adds the complex conjugate, so the value is twice the real
-    part.
+    with the location Newton-polished first (principal square root for
+    a complex saddle).
     """
     xm = mp.mpf(x)
     um, h0, h2 = polish_saddle(phase, location)
-    kmax = _series_span(trunc, max_order)
-    coeff = simple_coeffs_mp(phase, um, kmax)
+    coeff = simple_coeffs_mp(phase, um, order)
     # r = (-1)^k (1/2)_k / (x/2)^k as one running product
     terms, r, hx = [], mp.mpf(1), -xm / 2
     for k, ak in enumerate(coeff):
         terms.append(r * ak)
         r = r * (k + 0.5) / hx
     pref = mp.e ** (xm * h0) / mp.sqrt(2 * mp.pi * xm * h2)
-    return _result(pref, terms, coeff, h0, x, trunc, route,
-                   location.imag != 0)
+    return SaddleSeries(location, h0, pref, tuple(terms), tuple(coeff))
 
 
 def _minus_route(args: ScaledArgs, trunc: TruncationPolicy, max_order: int,
@@ -214,10 +239,11 @@ def _minus_route(args: ScaledArgs, trunc: TruncationPolicy, max_order: int,
                 else "a real saddle")
         raise WrongRegime(f"{route} route needs {need}; regime is "
                           f"{cls.regime.value} at lam={lam}, a={a}")
+    order = trunc.k if trunc.mode is TruncationMode.FIXED else max_order
     with mp.workdps(_PREC_DPS):
-        return _saddle_series(Phase(lam, a, Sign.MINUS),
-                              cls.contributory[0].location, args.x, trunc,
-                              max_order, found)
+        series = _saddle_series(Phase(lam, a, Sign.MINUS),
+                                cls.contributory[0].location, args.x, order)
+        return _assemble((series,), args.x, trunc, found)
 
 
 def expand_minus_real(args: ScaledArgs, trunc: TruncationPolicy,
@@ -261,15 +287,16 @@ def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
         raise WrongRegime("the double-saddle route requires lam > 0")
     if not (x > 0.0) or not math.isfinite(x):
         raise DomainError(f"x must be positive and finite, got {x}")
-    kmax = _series_span(trunc, max_order)
-    coeffs = double_saddle_coeffs(lam, kmax)
+    order = trunc.k if trunc.mode is TruncationMode.FIXED else max_order
+    coeffs = double_saddle_coeffs(lam, order)
     with mp.workdps(_PREC_DPS):
         xm = mp.mpf(x)
         phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
-        h0, _, _, h3 = phase.derivs(u_star(mp.mpf(lam)), 3)
+        u0 = u_star(mp.mpf(lam))
+        h0, _, _, h3 = phase.derivs(u0, 3)
         hx3 = 2 * h3 * xm / 3
         terms = []
-        for k in range(kmax + 1):
+        for k in range(order + 1):
             if k % 3 == 2:
                 terms.append(mp.mpf(0))
                 continue
@@ -278,7 +305,9 @@ def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
             terms.append(t)
         pref = (mp.mpf(2) ** (mp.mpf(2) / 3) * mp.e ** (xm * h0)
                 / (3 * mp.pi * hx3 ** (mp.mpf(1) / 3)))
-        return _result(pref, terms, coeffs, h0, x, trunc, "double-saddle")
+        series = SaddleSeries(complex(u0), h0, pref, tuple(terms),
+                              tuple(coeffs))
+        return _assemble((series,), x, trunc, "double-saddle")
 
 
 def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
@@ -300,26 +329,15 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
     lam, a, x = args.lam, args.a, args.x
     region = count_contributory_pairs(lam, a)
     phase = Phase(lam, a, Sign.PLUS)
+    order = trunc.k if trunc.mode is TruncationMode.FIXED else max_order
+    kept = region.n_pairs
+    if region.last_pair_subdominant and not include_subdominant:
+        kept -= 1
     with mp.workdps(_PREC_DPS):
-        i0 = _saddle_series(phase, region.saddles[0].location, x, trunc,
-                            max_order, "chain")
-        parts = (i0,) + tuple(
-            _saddle_series(phase, sadl.location, x,
-                           TruncationPolicy.optimal(), max_order,
-                           "chain pair")
-            for sadl in region.saddles[1:])
-        components = tuple(p.mp_value for p in parts)
-        kept = components[1:]
-        if region.last_pair_subdominant and not include_subdominant:
-            kept = kept[:-1]
-        return replace(
-            i0,
-            component_truncations=tuple(p.truncation_index for p in parts),
-            truncation_reasons=tuple(p.truncation_reasons[0] for p in parts),
-            mp_partial_sums=tuple(sum((s,) + kept, mp.mpf(0))
-                                  for s in i0.mp_partial_sums),
-            mp_components=components,
-        )
+        series = [_saddle_series(phase, sadl.location, x,
+                                 max_order if j else order)
+                  for j, sadl in enumerate(region.saddles)]
+        return _assemble(series, x, trunc, "chain", kept)
 
 
 def expand_minus_auto(args: ScaledArgs, trunc: TruncationPolicy,

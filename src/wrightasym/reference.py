@@ -189,9 +189,3 @@ CORRECTIONS: dict[tuple, Correction] = {
         "stops at a spurious dip (a near-zero term at k=7) first"),
 }
 
-
-def check_target(key: tuple, printed: float) -> float:
-    """The value the self-check compares against: the adjudicated
-    correction when one exists, the tabulated figure otherwise."""
-    corr = CORRECTIONS.get(key)
-    return printed if corr is None else corr.value

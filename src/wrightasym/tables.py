@@ -40,15 +40,11 @@ from .reference import (
     TableSpec,
     X_DEFAULT_CHAIN_TABLE,
     X_DEFAULT_ERROR_TABLES,
-    check_target,
 )
 from .saddles import (
     NoBoundary,
     ConvergenceFailure,
-    Phase,
     double_saddle_curve,
-    solve_complex_pair,
-    solve_real_saddle,
     stokes_boundary,
 )
 
@@ -109,9 +105,28 @@ class TableReport:
 _DECIMALS8 = 5.001e-9  # half an ulp of an 8-decimal-place figure
 
 
-def _rel_err(expansion_mp, oracle_mp) -> float:
-    with mp.workdps(50):
-        return float(abs(expansion_mp - oracle_mp) / abs(expansion_mp))
+def _cell(row: str, label: str, computed: float, printed: float,
+          tol: float, key: tuple) -> CellCheck:
+    """A relative check against the tabulated figure, or against its
+    adjudicated figure where reference.CORRECTIONS has one for key."""
+    corr = CORRECTIONS.get(key)
+    return CellCheck(row, label, computed, printed,
+                     printed if corr is None else corr.value, tol, True,
+                     note=corr.note if corr else None)
+
+
+def _error_cells(row: str, res, w_ref, printed, tol: float,
+                 key: tuple) -> list[CellCheck]:
+    """One "err k" cell per (k, tabulated error) in printed: the relative
+    error of the result's partial sum k against the reference w_ref,
+    normalized by the partial sum; key + (k,) names its correction."""
+    cells = []
+    for k, pe in printed:
+        v = res.mp_partial_sums[k]
+        with mp.workdps(50):
+            err = float(abs(v - w_ref) / abs(v))
+        cells.append(_cell(row, f"err k={k}", err, pe, tol, key + (k,)))
+    return cells
 
 
 def compute_t1(precision: int = 60) -> TableReport:
@@ -122,25 +137,19 @@ def compute_t1(precision: int = 60) -> TableReport:
     cells: list[CellCheck] = []
     for case in T1_CASES:
         row = f"lam={case.lam:g} a={case.a:g}"
-        phase = Phase(case.lam, case.a, Sign.MINUS)
-        solved = solve_real_saddle(phase)
-        saddle = solved[-1] if isinstance(solved, tuple) else solved
-        cells.append(CellCheck(row, "u0", saddle.location.real,
-                               case.u0, case.u0, _DECIMALS8, False))
         args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
         res = expand_minus_real(args, TruncationPolicy.fixed(5))
+        cells.append(CellCheck(row, "u0", res.series[0].location.real,
+                               case.u0, case.u0, _DECIMALS8, False))
         for k in range(1, 6):
             ak = float(res.coefficients[k])
             pk = case.coeffs[k - 1]
             # one unit in the last printed place (6-decimal mantissas)
             cells.append(CellCheck(row, f"A_{k}", ak, pk, pk,
                                    1.0001 * case.coeff_ulps[k - 1], False))
-        w_ref = mp_scaled_value(args, prec)
-        for k, partial in enumerate(res.mp_partial_sums):
-            err = _rel_err(partial, w_ref)
-            pe = case.errors[k]
-            cells.append(CellCheck(row, f"err k={k}", err, pe, pe,
-                                   _ERRTOL, True))
+        cells += _error_cells(row, res, mp_scaled_value(args, prec),
+                              enumerate(case.errors), _ERRTOL,
+                              ("t1", case.lam))
     return TableReport(TableSpec.T1, cells)
 
 
@@ -151,17 +160,13 @@ def compute_t2(precision: int = 60) -> TableReport:
     case = T2_CASE
     x = X_DEFAULT_ERROR_TABLES
     row = f"lam={case.lam:g} a={case.a:g}"
-    cells: list[CellCheck] = []
-    phase = Phase(case.lam, case.a, Sign.MINUS)
-    saddle = solve_complex_pair(phase)
-    cells.append(CellCheck(row, "Re u0", saddle.location.real,
-                           case.saddle.real, case.saddle.real,
-                           _DECIMALS8, False))
-    cells.append(CellCheck(row, "Im u0", saddle.location.imag,
-                           case.saddle.imag, case.saddle.imag,
-                           _DECIMALS8, False))
     args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
     res = expand_minus_complex(args, TruncationPolicy.fixed(5))
+    u0 = res.series[0].location
+    cells = [CellCheck(row, "Re u0", u0.real, case.saddle.real,
+                       case.saddle.real, _DECIMALS8, False),
+             CellCheck(row, "Im u0", u0.imag, case.saddle.imag,
+                       case.saddle.imag, _DECIMALS8, False)]
     for k in range(1, 6):
         ak = complex(res.coefficients[k])
         pk = case.coeffs[k - 1]
@@ -171,12 +176,8 @@ def compute_t2(precision: int = 60) -> TableReport:
                                1.0001e-8, False))
         cells.append(CellCheck(row, f"Im A_{k}", ak.imag, pk.imag, pk.imag,
                                1.0001e-8, False))
-    w_ref = mp_scaled_value(args, prec)
-    for k, partial in enumerate(res.mp_partial_sums):
-        err = _rel_err(partial, w_ref)
-        pe = case.errors[k]
-        cells.append(CellCheck(row, f"err k={k}", err, pe, pe,
-                               _ERRTOL, True))
+    cells += _error_cells(row, res, mp_scaled_value(args, prec),
+                          enumerate(case.errors), _ERRTOL, ("t2", case.lam))
     return TableReport(TableSpec.T2, cells)
 
 
@@ -194,22 +195,16 @@ def compute_t3(precision: int = 60) -> TableReport:
         w_ref = mp_scaled_value(args, prec)
         res = expand_minus_double(lam, x, TruncationPolicy.fixed(
             max(T3_COLUMNS)))
-        errs: dict[int, float] = {}
-        for k in T3_COLUMNS:
-            err = _rel_err(res.mp_partial_sums[k], w_ref)
-            errs[k] = err
-            printed = T3_ERRORS[lam][k]
-            key = ("t3", lam, k)
-            corr = CORRECTIONS.get(key)
-            cells.append(CellCheck(
-                row, f"err k={k}", err, printed,
-                check_target(key, printed), _ERRTOL, True,
-                note=corr.note if corr else None))
+        errs = dict(zip(T3_COLUMNS, _error_cells(
+            row, res, w_ref, ((k, T3_ERRORS[lam][k]) for k in T3_COLUMNS),
+            _ERRTOL, ("t3", lam))))
+        cells += errs.values()
         if lam == 1.0:
+            e0 = errs[0].computed
             for k in (1, 3):
                 cells.append(CellCheck(
-                    row, f"err k={k} == err k=0", errs[k], errs[0],
-                    errs[0], 1e-10, True))
+                    row, f"err k={k} == err k=0", errs[k].computed, e0,
+                    e0, 1e-10, True))
     return TableReport(TableSpec.T3, cells)
 
 
@@ -227,16 +222,9 @@ def compute_t4(precision: int = 60) -> TableReport:
         n_pairs = float(len(res.mp_components) - 1)
         cells.append(CellCheck(row, "N", n_pairs, float(trow.n_pairs),
                                float(trow.n_pairs), 0.5, False))
-        w_ref = mp_scaled_value(args, prec)
-        for k, partial in enumerate(res.mp_partial_sums):
-            err = _rel_err(partial, w_ref)
-            printed = trow.errors[k]
-            key = ("t4", trow.lam, k)
-            corr = CORRECTIONS.get(key)
-            cells.append(CellCheck(
-                row, f"err k={k}", err, printed,
-                check_target(key, printed), _CHAIN_ERRTOL, True,
-                note=corr.note if corr else None))
+        cells += _error_cells(row, res, mp_scaled_value(args, prec),
+                              enumerate(trow.errors), _CHAIN_ERRTOL,
+                              ("t4", trow.lam))
     return TableReport(TableSpec.T4, cells)
 
 
@@ -257,17 +245,12 @@ def compute_t5(precision: int = 60) -> TableReport:
             delta_w = float(w_ref - res.mp_components[0])
             i1 = float(res.mp_components[1])
             w = float(w_ref)
-        for label, computed, printed in (("W", w, trow.w),
-                                         ("Delta W", delta_w, trow.delta_w),
-                                         ("I_1", i1, trow.i1)):
-            key = ("t5", trow.lam, trow.x,
-                   {"W": "w", "Delta W": "delta_w", "I_1": "i1"}[label])
-            corr = CORRECTIONS.get(key)
-            tol = _SIG7 if label == "W" else _SIG3
-            cells.append(CellCheck(
-                row, label, computed, printed,
-                check_target(key, printed), tol, True,
-                note=corr.note if corr else None))
+        for label, column, computed, printed, tol in (
+                ("W", "w", w, trow.w, _SIG7),
+                ("Delta W", "delta_w", delta_w, trow.delta_w, _SIG3),
+                ("I_1", "i1", i1, trow.i1, _SIG3)):
+            cells.append(_cell(row, label, computed, printed, tol,
+                               ("t5", trow.lam, trow.x, column)))
     return TableReport(TableSpec.T5, cells)
 
 

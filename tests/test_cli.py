@@ -130,6 +130,21 @@ def test_expand_reports_truncation_reasons(runner):
     assert "truncation: k = 40 (optimal: capped)" in res.output
 
 
+def test_expand_include_subdominant(runner):
+    # at x = 20 the subdominant I_2 is about 1e-3 and moves the value by
+    # 2e-8 relative; at x = 40 it would sit below double rounding
+    argv = ("expand", "--lambda", "6", "--a", "0.2", "--x", "20",
+            "--sign", "plus", "--optimal", "--json")
+    left_out = json.loads(_run(runner, *argv).output)
+    kept = json.loads(_run(runner, *argv, "--include-subdominant").output)
+    assert len(kept["components"]) == 3
+    assert kept["components"] == left_out["components"]
+    i0, i1, i2 = kept["components"]
+    assert left_out["value"] == pytest.approx(i0 + i1, rel=1e-12)
+    assert kept["value"] == pytest.approx(i0 + i1 + i2, rel=1e-12)
+    assert kept["value"] != left_out["value"]
+
+
 def test_expand_flag_conflict_exits_2(runner):
     res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
                "--x", "40", "--sign", "minus", "--order", "3", "--optimal")
@@ -168,6 +183,32 @@ def test_expand_says_why_the_error_is_missing(runner, monkeypatch):
     assert res.exit_code == 0
     assert ("relative error vs series: not available "
             "(series did not settle within 5 terms)") in res.output
+
+
+def test_expand_precision_below_floor_exits_2(runner):
+    res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
+               "--x", "40", "--sign", "minus", "--order", "3",
+               "--precision", "3")
+    assert res.exit_code == 2
+    assert "error: decimal_digits must be at least 30" in res.output
+
+
+def test_expand_reference_runs_at_the_given_precision(runner, monkeypatch):
+    import wrightasym.cli as cli_mod
+
+    seen = []
+    reference = cli_mod.mp_scaled_value
+
+    def recorded(args, prec):
+        seen.append(prec.decimal_digits)
+        return reference(args, prec)
+
+    monkeypatch.setattr(cli_mod, "mp_scaled_value", recorded)
+    res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
+               "--x", "40", "--sign", "minus", "--order", "3",
+               "--precision", "40")
+    assert res.exit_code == 0
+    assert seen == [40]
 
 
 def test_expand_refuses_a_cancelled_reference(runner):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import mpmath as mp
 import pytest
 
 from closed_forms import b4
@@ -228,6 +229,34 @@ def test_partial_sums_are_the_shorter_cuts(point, sign):
     assert opt.value == float(opt.mp_partial_sums[-1])
 
 
+@pytest.mark.parametrize("trunc", [TruncationPolicy.fixed(5),
+                                   TruncationPolicy.optimal()],
+                         ids=["fixed", "optimal"])
+@pytest.mark.parametrize("point,sign",
+                         [_PARTIAL_POINTS[i] for i in (0, 1, 2, 5)],
+                         ids=["real", "conjugate", "double", "chain2"])
+def test_components_are_their_saddles_cut_series(point, sign, trunc):
+    route = expand_plus if sign is Sign.PLUS else expand_minus_auto
+    args = ScaledArgs(*point, sign)
+    res = route(args, trunc)
+    assert len(res.series) == len(res.mp_components) \
+        == len(res.component_truncations)
+    with mp.workdps(expansions._PREC_DPS):
+        for s, k, c in zip(res.series, res.component_truncations,
+                           res.mp_components):
+            v = s.pref * mp.fsum(s.mp_terms[:k + 1])
+            assert c == (2 * mp.re(v) if s.location.imag != 0 else v)
+        if sign is Sign.MINUS:
+            assert res.mp_value == res.mp_components[0]
+            return
+        # (6, 0.2) has two pairs, the last subdominant and left out
+        i0, i1, i2 = res.mp_components
+        assert res.mp_value == i0 + i1
+        kept = route(args, trunc, include_subdominant=True)
+        assert kept.mp_value == res.mp_value + i2
+        assert kept.mp_value != res.mp_value
+
+
 def test_error_tables_make_one_route_call_per_row(monkeypatch):
     calls = 0
 
@@ -247,7 +276,8 @@ def test_error_tables_make_one_route_call_per_row(monkeypatch):
 
 
 def test_t1_t2_polish_and_run_the_engine_once_per_row(monkeypatch):
-    # the A_k cells are the coefficients the route itself used
+    # the A_k cells are the coefficients the route itself used, and the
+    # saddle cells the location the route solved
     calls = Counter()
 
     def counting(name, fn):
@@ -256,15 +286,18 @@ def test_t1_t2_polish_and_run_the_engine_once_per_row(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("polish_saddle", "simple_coeffs_mp"):
-        for mod in (expansions, tables):
+    for name in ("polish_saddle", "simple_coeffs_mp", "solve_real_saddle",
+                 "solve_complex_pair"):
+        for mod in (expansions, tables, saddles):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name,
                                     counting(name, getattr(mod, name)))
-    for compute, rows in ((compute_t1, 3), (compute_t2, 1)):
+    for compute, rows, solver in ((compute_t1, 3, "solve_real_saddle"),
+                                  (compute_t2, 1, "solve_complex_pair")):
         calls.clear()
         assert compute().passed
-        assert calls == {"polish_saddle": rows, "simple_coeffs_mp": rows}
+        assert calls == {"polish_saddle": rows, "simple_coeffs_mp": rows,
+                         solver: rows}
 
 
 def test_exponent_reported():

@@ -1,0 +1,159 @@
+"""Same outputs: a parent commit against the working tree, result by result.
+
+    python3 tools/same_outputs.py --parent HEAD --seeds 101-110
+
+Run from the root of a checkout.  The parent commit is exported with
+`git archive` into a temporary directory.  Then one fresh interpreter per
+tree imports that tree's package and, for every seed, runs the operations
+perfbench's `build_ops` gives for the eval-oracle, expand-fixed and
+expand-optimal workloads (the calls perfbench's runner makes), and then
+`wright table <spec>` with and without `--json` for every table spec.
+Both trees take their inputs from this checkout's perfbench/, which is
+only read.
+
+Each result is dumped as the repr of every public, non-callable attribute,
+with mpmath numbers printed to enough digits to tell any two apart; an
+exception as its type and message; a table run as its exit code and
+output.  The first difference is reported with both sides, and the exit
+code is 1 if there is any.  An attribute that exists on one side only is
+listed, but is not a difference.
+
+--parent names the commit the working tree is compared with: HEAD while
+the change is uncommitted, HEAD~1 once it is committed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import mpmath as mp
+from click.testing import CliRunner
+
+from bench_pairs import _export, _seeds
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run  # noqa: E402
+import runner  # noqa: E402
+
+WORKLOADS = ("eval-oracle", "expand-fixed", "expand-optimal")
+# bits of the working precision the reprs are printed at: above every
+# mantissa the package makes (50-60 digits are about 170-200 bits)
+REPR_BITS = 256
+
+
+def _attrs(result) -> dict[str, str]:
+    out = {}
+    with mp.workprec(REPR_BITS):
+        for name in dir(result):
+            if name.startswith("_"):
+                continue
+            value = getattr(result, name)
+            if not callable(value):
+                out[name] = repr(value)
+    return out
+
+
+def _dump(tree: Path, seeds: list[int], path: Path) -> None:
+    """Run every operation on the package of `tree`; one JSON line per
+    result, written to path."""
+    runner._load(str(tree))
+    from wrightasym.cli import main
+    from wrightasym.reference import TableSpec
+
+    with path.open("w") as fh:
+        def emit(key: str, record: dict) -> None:
+            fh.write(json.dumps({"key": key, **record}) + "\n")
+
+        for seed in seeds:
+            for workload in WORKLOADS:
+                for i, op in enumerate(run.build_ops(workload, seed)[0]):
+                    key = f"{workload} seed {seed} op {i} {json.dumps(op)}"
+                    try:
+                        result = runner._call(op)
+                    except Exception as exc:
+                        emit(key, {"error": f"{type(exc).__name__}: {exc}"})
+                    else:
+                        emit(key, {"attrs": _attrs(result)})
+        cli = CliRunner()
+        for spec in TableSpec:
+            for fmt in ((), ("--json",)):
+                argv = ["table", spec.value, *fmt]
+                res = cli.invoke(main, argv)
+                emit("wright " + " ".join(argv),
+                     {"attrs": {"exit_code": repr(res.exit_code),
+                                "output": res.output}})
+
+
+def _compare(parent: Path, change: Path) -> tuple[int, set, int]:
+    """(differences, one-sided attributes, results compared); the first
+    difference is printed."""
+    diffs, one_sided, n = 0, set(), 0
+    with parent.open() as fp, change.open() as fc:
+        for lp, lc in zip(fp, fc, strict=True):
+            p, c = json.loads(lp), json.loads(lc)
+            n += 1
+            if p["key"] != c["key"]:
+                raise SystemExit(f"the trees ran different operations: "
+                                 f"{p['key']} against {c['key']}")
+            if "error" in p or "error" in c:
+                pairs = [("outcome", p.get("error", "a result"),
+                          c.get("error", "a result"))]
+            else:
+                pa, ca = p["attrs"], c["attrs"]
+                one_sided |= {("parent", a) for a in pa.keys() - ca.keys()}
+                one_sided |= {("change", a) for a in ca.keys() - pa.keys()}
+                pairs = [(a, pa[a], ca[a]) for a in sorted(pa.keys()
+                                                           & ca.keys())]
+            for name, vp, vc in pairs:
+                if vp == vc:
+                    continue
+                diffs += 1
+                if diffs == 1:
+                    print(f"first difference: {p['key']}\n  {name}:\n"
+                          f"    parent {vp}\n    change {vc}")
+    return diffs, one_sided, n
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", default="HEAD",
+                    help="commit to compare the working tree with")
+    ap.add_argument("--seeds", default="101-110",
+                    help="seeds: 101-110 or 101,103")
+    ap.add_argument("--dump", nargs=2, metavar=("TREE", "OUT"),
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    seeds = _seeds(args.seeds)
+    if args.dump:
+        _dump(Path(args.dump[0]), seeds, Path(args.dump[1]))
+        return 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = Path(tmp)
+        parent_root = tmp / "parent"
+        parent_root.mkdir()
+        commit = _export(args.parent, parent_root)
+        outs = {"parent": tmp / "parent.jsonl", "change": tmp / "change.jsonl"}
+        procs = [subprocess.Popen(
+            [sys.executable, __file__, "--seeds", args.seeds, "--dump",
+             str(tree), str(outs[side])], cwd=ROOT)
+            for side, tree in (("parent", parent_root), ("change", ROOT))]
+        if any([proc.wait() for proc in procs]):
+            print("a dump run failed", file=sys.stderr)
+            return 2
+        diffs, one_sided, n = _compare(outs["parent"], outs["change"])
+    for side, name in sorted(one_sided):
+        print(f"only on the {side} side (not compared): {name}")
+    print(f"{n} results compared against {commit[:12]}: "
+          f"{diffs or 'no'} difference(s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
