@@ -13,12 +13,22 @@ the working precision, which is why the summation tracks the peak term
 magnitude and reports how many digits survived.
 
 The summation loop works on raw libmp numbers.  A pre-pass in doubles
-estimates log2 of every term first; it picks the precision of each term's
-1/Gamma, which is what a term costs, and it refuses at once a series that
-provably cannot settle within the term budget.  Terms far below the peak
-get their 1/Gamma at fewer bits, never so few that a term's error reaches
-2^-prec of the peak term.  The running products, the sum, the peak and the
-stop rule stay at full working precision.
+estimates log2 of every term first, and it refuses at once a series that
+provably cannot settle within the term budget.  Each term's 1/Gamma, which
+is what a term costs, comes from one of two sources:
+
+- when q*lam = p is an integer for a power of two q <= 8 and |p| <= 16
+  (every lam of the paper's tables, and lam = +-1/2, 1 of the classical
+  special cases), from the term q places back by a rising factorial,
+  Gamma(x + p) = Gamma(x) (x)_p, at 64 bits above the working precision;
+  only the first q terms, and a term just past a pole on an upward chain,
+  call rgamma;
+- for every other lam, from rgamma, at fewer bits for terms far below the
+  peak the pre-pass predicts, never so few that a term's error reaches
+  2^-prec of the peak term.
+
+The running products, the sum, the peak and the stop rule stay at full
+working precision.
 """
 
 from __future__ import annotations
@@ -27,9 +37,9 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
-                          mpf_mul, mpf_mul_int, mpf_rgamma, round_nearest,
-                          to_float)
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp,
+                          mpf_div, mpf_mul, mpf_mul_int, mpf_rgamma, mpf_sub,
+                          round_nearest, to_float)
 
 from .core import DomainError, EvalResult, ScaledArgs, Sign, WrightParams
 
@@ -49,6 +59,16 @@ _TAIL_BITS = 64
 # the summed peak may sit this far under the predicted one before the
 # taper is distrusted and the series summed again at full precision
 _PEAK_SLACK = 16
+# Gamma-ratio chain: q*lam = p with q a power of two up to _CHAIN_MAX_Q.
+# On a 2-CPU x86_64 with mpmath's pure-Python backend, a link costs about
+# 3 us per factor of (x)_p at 250-320 bits, and an rgamma of a fresh
+# argument 50-60 us even at 80-160 bits (100-150 us at 200-320), so
+# |p| <= 16 keeps every link under the cheapest rgamma.
+# Links run _CHAIN_GUARD bits above wp: 10^5 links of at most 2|p| + 1
+# roundings each stay under the taper's 2^-(wp + _TAPER_GUARD) budget.
+_CHAIN_MAX_Q = 8
+_CHAIN_MAX_P = 16
+_CHAIN_GUARD = 64
 # bits of slack in the proof that a series cannot settle
 _PROOF_SLACK = 4
 # a Gamma argument this close (relative) to a pole is beyond the doubles
@@ -150,41 +170,113 @@ def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
     return bits, top
 
 
+def _ratio_step(lam):
+    """(p, q) with q*lam = p an integer, q the least power of two that
+    makes it one, when q <= _CHAIN_MAX_Q and |p| <= _CHAIN_MAX_P; else
+    None.  lam = 0 gives (0, 1)."""
+    if lam == fzero:
+        return 0, 1
+    sign, man, exp, _ = lam  # lam = (-1)^sign man 2^exp with man odd
+    if not man or exp > _CHAIN_MAX_P.bit_length():
+        return None  # inf or nan, or |lam| >= 2^exp > _CHAIN_MAX_P
+    q, p = 1 << max(-exp, 0), man << max(exp, 0)
+    if q > _CHAIN_MAX_Q or p > _CHAIN_MAX_P:
+        return None
+    return (-p if sign else p), q
+
+
+def _rgamma_tapered(lam, mu, wp, rnd, bits):
+    """1/Gamma(lam*n + mu) for n = 0, 1, ...: the argument at wp bits, the
+    value at bits[n] (wp past the end of bits)."""
+    n_bits = len(bits)
+    n = 0
+    while True:
+        yield mpf_rgamma(mpf_add(mpf_mul_int(lam, n, wp, rnd), mu, wp, rnd),
+                         bits[n] if n < n_bits else wp, rnd)
+        n += 1
+
+
+def _rgamma_chain(lam, mu, p, q, wp, rnd):
+    """1/Gamma(x_n), x_n = lam*n + mu, for n = 0, 1, ..., when q*lam = p.
+
+    Everything runs at wp + _CHAIN_GUARD bits.  The first q values come
+    from rgamma; term n from term n - q, with x = x_(n-q):
+    p > 0 divides by (x)_p = x (x+1) ... (x+p-1), or calls rgamma again
+    when 1/Gamma(x) is 0 (x is a pole, x + p may not be); p < 0 multiplies
+    by (x-1) (x-2) ... (x-|p|), which is exactly 0 when the chain reaches
+    a pole; p = 0 (lam = 0) repeats the value.
+    """
+    prec = wp + _CHAIN_GUARD
+    ring = []
+    for n in range(q):
+        x = mpf_add(mpf_mul_int(lam, n, prec, rnd), mu, prec, rnd)
+        rg = mpf_rgamma(x, prec, rnd)
+        ring.append((x, rg))
+        yield rg
+    step = from_int(p)
+    ks = [from_int(k) for k in range(1, abs(p))]
+    i = 0
+    while True:
+        x, rg = ring[i]
+        x_next = mpf_add(x, step, prec, rnd)
+        if p > 0:
+            if rg == fzero:
+                rg = mpf_rgamma(x_next, prec, rnd)
+            else:
+                poch = x
+                for k in ks:
+                    poch = mpf_mul(poch, mpf_add(x, k, prec, rnd), prec, rnd)
+                rg = mpf_div(rg, poch, prec, rnd)
+        elif p < 0:
+            for k in ks:
+                rg = mpf_mul(rg, mpf_sub(x, k, prec, rnd), prec, rnd)
+            rg = mpf_mul(rg, x_next, prec, rnd)
+        ring[i] = (x_next, rg)
+        i = i + 1 if i + 1 < q else 0
+        yield rg
+
+
 def _sum_series(lam, mu, z, prec: PrecisionConfig):
     """Core loop shared by all entry points; runs inside a workdps block.
 
     Returns (sum, peak_mag, n_last, last_term_mag); perfbench/spans.py
     reads n_last at index 2.  Incremental updates keep z^n and n! as
-    running products.  The loop runs on raw libmp numbers, and each
-    term's 1/Gamma is evaluated at the bits _gamma_bits picked, so
-    only the cost of terms far below the peak drops; if the summed peak
-    falls short of the predicted one, the series is summed again with
-    every 1/Gamma at full precision.
+    running products.  The loop runs on raw libmp numbers.  When q*lam
+    is a small integer (_ratio_step), each term's 1/Gamma comes from the
+    term q places back (_rgamma_chain).  Otherwise it is evaluated at
+    the bits _gamma_bits picked, so only the cost of terms far below the
+    peak drops; if the summed peak falls short of the predicted one, the
+    series is summed again with every 1/Gamma at full precision.
     """
     wp, rnd = mp.mp.prec, round_nearest  # what mpf arithmetic uses
     lam, mu, z = lam._mpf_, mu._mpf_, z._mpf_
     bits, top = _gamma_bits(lam, mu, z, wp, rnd, prec)
-    out = _sum_terms(lam, mu, z, wp, rnd, prec, bits)
+    step = _ratio_step(lam)
+    lam_zero = lam == fzero
+    out = _sum_terms(z, lam_zero, wp, rnd, prec,
+                     _rgamma_chain(lam, mu, *step, wp, rnd) if step
+                     else _rgamma_tapered(lam, mu, wp, rnd, bits))
     peak_mag = out[1]
-    if (bits and min(bits) < wp and (peak_mag == fzero or peak_mag[2]
-                                     + peak_mag[3] < top - _PEAK_SLACK)):
-        out = _sum_terms(lam, mu, z, wp, rnd, prec, [])
+    if (not step and bits and min(bits) < wp
+            and (peak_mag == fzero
+                 or peak_mag[2] + peak_mag[3] < top - _PEAK_SLACK)):
+        out = _sum_terms(z, lam_zero, wp, rnd, prec,
+                         _rgamma_tapered(lam, mu, wp, rnd, []))
     s, peak_mag, n, last = out
     make = mp.mp.make_mpf
     return make(s), make(peak_mag), n, make(last)
 
 
-def _sum_terms(lam, mu, z, wp, rnd, prec: PrecisionConfig, bits):
-    # the plain mp loop's rounded operations in its order, on libmp tuples
+def _sum_terms(z, lam_zero, wp, rnd, prec: PrecisionConfig, rgammas):
+    # the plain mp loop's operations in its order, on libmp tuples, with
+    # 1/Gamma(lam*n + mu) for n = 0, 1, ... drawn from rgammas
     tiny = (mp.mpf(10) ** (-(prec.decimal_digits + _STOP_MARGIN)))._mpf_
-    n_bits = len(bits)
     s = maxmag = maxps = fzero
     pw = fact = fone
-    z_zero, lam_zero = z == fzero, lam == fzero
+    z_zero = z == fzero
     peak = n = 0
     while True:
-        rg = mpf_rgamma(mpf_add(mpf_mul_int(lam, n, wp, rnd), mu, wp, rnd),
-                        bits[n] if n < n_bits else wp, rnd)
+        rg = next(rgammas)
         term = mpf_mul(mpf_div(pw, fact, wp, rnd), rg, wp, rnd)
         s = mpf_add(s, term, wp, rnd)
         tm = mpf_abs(term)

@@ -1,11 +1,12 @@
 """The oracle's summation loop in plain mpmath, kept as a reference.
 
 Not collected by pytest (no test_ prefix); test_oracle.py imports it.
-wrightasym.oracle._sum_series runs the same rounded operations in the
-same order on raw libmp numbers, with 1/Gamma evaluated at a lower
-precision for terms far below the peak.  This is the loop it replaced:
-every term at full working precision, through mpf objects.  Swapping it
-in for _sum_series gives the results the kernel is checked against.
+wrightasym.oracle._sum_series runs this loop on raw libmp numbers, with
+each 1/Gamma either from a Gamma-ratio chain or at a lower precision for
+terms far below the peak.  This is the loop it replaced: every 1/Gamma
+from rgamma at full working precision, through mpf objects.  Swapping it
+in for _sum_series must give field-equal results, with sums within
+10^-(D+10) of the peak term.
 """
 
 from __future__ import annotations

@@ -190,10 +190,11 @@ def test_scaled_sum_runs_past_gamma_poles(lam, a, x, sign):
 
 # -- the summation kernel ---------------------------------------------------
 #
-# _sum_series runs the plain loop's rounded operations on libmp tuples and
-# evaluates 1/Gamma at fewer bits far below the peak.  Swapping the plain
-# loop (plain_oracle.py) back in must give the same results, field for
-# field, or the same exception with the same message.
+# _sum_series runs the plain loop on libmp tuples, with each 1/Gamma
+# either from a ratio chain or at fewer bits far below the peak, so its
+# sums stay within 10^-(D+10) of the peak term of the plain loop's.
+# Swapping the plain loop (plain_oracle.py) back in must give the same
+# results, field for field, or the same exception with the same message.
 
 KERNEL_POINTS = [
     # (lam, a, x, sign, decimal_digits)
@@ -251,9 +252,14 @@ def test_kernel_matches_plain_loop(monkeypatch, lam, a, x, sign, digits):
 
 
 @pytest.mark.parametrize("lam,mu,z", [(0.5, 0.0, 0.0), (0.5, 3.0, 0.0),
-                                      (0.0, -2.0, 1.5), (-0.5, 0.5, -3.0)])
+                                      (0.0, -2.0, 1.5), (-0.5, 0.5, -3.0),
+                                      (1.0, -2.0, 1.5), (0.5, -1.0, 2.0),
+                                      (2.0, -5.0, 3.0), (0.25, -2.0, -1.0),
+                                      (-0.5, 1.0, 2.0)])
 def test_kernel_matches_plain_loop_unscaled(monkeypatch, lam, mu, z):
-    # z = 0, a pole of Gamma(mu) at lam = 0, and poles on every odd term
+    # z = 0, a pole of Gamma(mu) at lam = 0, poles on every odd term,
+    # upward ratio chains leaving poles (q = 1, 2, 4) and a downward one
+    # running into them
     got, want = _kernel_and_plain(monkeypatch, wright_series,
                                   WrightParams(lam, mu), z, PrecisionConfig())
     assert got == want
@@ -280,10 +286,11 @@ def _bare_sum(fn, lam, a, x, sign, digits):
     (1.0, 1.2, 40.0, Sign.MINUS), (2.0, 0.5, 40.0, Sign.MINUS),
     (3.0, 0.2, 40.0, Sign.PLUS), (1.5, 0.5, 200.0, Sign.MINUS),
     (-0.5, 0.5, 40.0, Sign.MINUS), (4.0, 0.3, 300.0, Sign.MINUS),
-    (6.0, 0.2, 400.0, Sign.PLUS)])
+    (6.0, 0.2, 400.0, Sign.PLUS), (0.5, 0.8, 60.0, Sign.MINUS),
+    (-0.25, 1.0, 40.0, Sign.MINUS), (0.125, 1.0, 40.0, Sign.MINUS)])
 def test_kernel_sum_within_bound_of_higher_precision(lam, a, x, sign):
-    # the tapered 1/Gamma leaves the bare sum within 10^-(D+10) of the
-    # peak term of a plain sum at 40 more digits
+    # the tapered or chained 1/Gamma leaves the bare sum within 10^-(D+10)
+    # of the peak term of a plain sum at 40 more digits
     s, peak, _, _ = _bare_sum(oracle._sum_series, lam, a, x, sign, 60)
     ref, _, _, _ = _bare_sum(plain_sum_series, lam, a, x, sign, 100)
     with mp.workdps(130):
@@ -317,9 +324,49 @@ def test_unsettling_series_refused_before_any_gamma(monkeypatch, call):
 
 def test_settling_series_is_summed(monkeypatch):
     # one term more than the stop needs: the pre-pass must not refuse
-    n_last = w_plus(ScaledArgs(3.0, 0.2, 40.0, Sign.PLUS)).truncation_index
+    args = ScaledArgs(3.0, 0.2, 40.0, Sign.PLUS)
+    n_last = w_plus(args).truncation_index
+    res = w_plus(args, PrecisionConfig(max_terms=n_last + 1))
+    assert res.truncation_index == n_last
+    # lam = 3.1 is no integer over a power of two <= 8: one rgamma a term
+    args = ScaledArgs(3.1, 0.2, 40.0, Sign.PLUS)
+    n_last = w_plus(args).truncation_index
     calls = _count_rgamma(monkeypatch)
-    res = w_plus(ScaledArgs(3.0, 0.2, 40.0, Sign.PLUS),
-                 PrecisionConfig(max_terms=n_last + 1))
+    res = w_plus(args, PrecisionConfig(max_terms=n_last + 1))
     assert res.truncation_index == n_last
     assert len(calls) == n_last + 1
+
+
+@pytest.mark.parametrize("lam,a,sign,q", [(3.0, 0.2, Sign.PLUS, 1),
+                                          (0.5, 0.8, Sign.MINUS, 2),
+                                          (-0.25, 1.0, Sign.MINUS, 4)])
+def test_ratio_chain_calls_rgamma_for_its_seeds_only(monkeypatch, lam, a,
+                                                     sign, q):
+    # q*lam is an integer: only the first q terms call rgamma
+    calls = _count_rgamma(monkeypatch)
+    res = (w_minus if sign is Sign.MINUS else w_plus)(
+        ScaledArgs(lam, a, 40.0, sign))
+    assert res.truncation_index > q
+    assert len(calls) == q
+
+
+@pytest.mark.parametrize("lam,mu", [
+    (6.0, 81.0), (1.5, 21.0), (1.0, -2.0), (0.5, 0.8), (0.125, 3.7),
+    (-0.25, 41.3), (-0.5, 3.0), (16.0, 0.3), (-16.0, 300.5)])
+def test_ratio_chain_within_guard_of_rgamma(lam, mu):
+    # every chained 1/Gamma(lam*n + mu) stays within 2^-(wp+32) of the
+    # exact value, and is exactly 0 on a pole
+    wp = 200
+    lm, mm = mp.mpf(lam), mp.mpf(mu)
+    step = oracle._ratio_step(lm._mpf_)
+    assert step is not None
+    chain = oracle._rgamma_chain(lm._mpf_, mm._mpf_, *step, wp,
+                                 oracle.round_nearest)
+    with mp.workprec(wp + 128):
+        for n in range(300):
+            got, x = mp.mpf(next(chain)), lm * n + mm
+            if x <= 0 and x == int(x):
+                assert got == 0, f"n = {n}: pole at {x}"
+            else:
+                want = mp.rgamma(x)
+                assert abs(got - want) <= mp.ldexp(abs(want), -wp - 32), n

@@ -6,10 +6,12 @@ Run from the root of a checkout.  The parent commit is exported with
 `git archive` into a temporary directory.  Then one fresh interpreter per
 tree imports that tree's package and, for every seed, runs the operations
 perfbench's `build_ops` gives for the eval-oracle, expand-fixed and
-expand-optimal workloads (the calls perfbench's runner makes), and then
-`wright table <spec>` with and without `--json` for every table spec.
-Both trees take their inputs from this checkout's perfbench/, which is
-only read.
+expand-optimal workloads (the calls perfbench's runner makes).  Then it
+runs w_minus/w_plus at the T1-T5 points and on a grid of lam for which
+q*lam is an integer for a power of two q <= 8 (the oracle's Gamma-ratio
+chain, which perfbench's random lam never reach), and `wright table
+<spec>` with and without `--json` for every table spec.  Both trees take
+their inputs from this checkout's perfbench/, which is only read.
 
 Each result is dumped as the repr of every public, non-callable attribute,
 with mpmath numbers printed to enough digits to tell any two apart; an
@@ -43,6 +45,10 @@ import run  # noqa: E402
 import runner  # noqa: E402
 
 WORKLOADS = ("eval-oracle", "expand-fixed", "expand-optimal")
+# oracle points on the Gamma-ratio chain: every lam, x and sign, at one a
+CHAIN_LAMS = (-0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0)
+CHAIN_XS = (40.0, 200.0, 400.0)
+CHAIN_A = 0.5
 # bits of the working precision the reprs are printed at: above every
 # mantissa the package makes (50-60 digits are about 170-200 bits)
 REPR_BITS = 256
@@ -60,6 +66,25 @@ def _attrs(result) -> dict[str, str]:
     return out
 
 
+def _oracle_ops() -> list[dict]:
+    """perfbench runner operations for the oracle at the T1-T5 points,
+    then on the chain grid."""
+    from wrightasym import reference as ref
+    from wrightasym.saddles import double_saddle_curve
+
+    x_err, x_chain = ref.X_DEFAULT_ERROR_TABLES, ref.X_DEFAULT_CHAIN_TABLE
+    points = [(c.lam, c.a, x_err, "minus")
+              for c in (*ref.T1_CASES, ref.T2_CASE)]
+    points += [(lam, double_saddle_curve(lam), x_err, "minus")
+               for lam in sorted(ref.T3_ERRORS)]
+    points += [(r.lam, r.a, x_chain, "plus") for r in ref.T4_ROWS]
+    points += [(r.lam, r.a, r.x, "plus") for r in ref.T5_ROWS]
+    points += [(lam, CHAIN_A, x, sign) for lam in CHAIN_LAMS
+               for x in CHAIN_XS for sign in ("minus", "plus")]
+    return [{"route": "oracle", "lam": lam, "a": a, "x": x, "sign": sign}
+            for lam, a, x, sign in points]
+
+
 def _dump(tree: Path, seeds: list[int], path: Path) -> None:
     """Run every operation on the package of `tree`; one JSON line per
     result, written to path."""
@@ -71,16 +96,21 @@ def _dump(tree: Path, seeds: list[int], path: Path) -> None:
         def emit(key: str, record: dict) -> None:
             fh.write(json.dumps({"key": key, **record}) + "\n")
 
+        def call(key: str, op: dict) -> None:
+            try:
+                result = runner._call(op)
+            except Exception as exc:
+                emit(key, {"error": f"{type(exc).__name__}: {exc}"})
+            else:
+                emit(key, {"attrs": _attrs(result)})
+
         for seed in seeds:
             for workload in WORKLOADS:
                 for i, op in enumerate(run.build_ops(workload, seed)[0]):
-                    key = f"{workload} seed {seed} op {i} {json.dumps(op)}"
-                    try:
-                        result = runner._call(op)
-                    except Exception as exc:
-                        emit(key, {"error": f"{type(exc).__name__}: {exc}"})
-                    else:
-                        emit(key, {"attrs": _attrs(result)})
+                    call(f"{workload} seed {seed} op {i} {json.dumps(op)}",
+                         op)
+        for op in _oracle_ops():
+            call(f"oracle {json.dumps(op)}", op)
         cli = CliRunner()
         for spec in TableSpec:
             for fmt in ((), ("--json",)):
