@@ -13,7 +13,9 @@ descent paths.  Which saddles those paths cross decides the shape of the
 asymptotic expansion, so alongside the root-finding (in doubles, with an
 mpmath Newton polish for the expansions) this module carries the
 descent-path tracer, the conjugate-pair counter for the plus phase, and the
-parameter-plane boundaries where the saddle configuration changes.
+parameter-plane boundaries where the saddle configuration changes.  Real
+roots come from `brentq`, a port of scipy's Brent method, so that the
+package needs no scipy (and no numpy) at run time.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import cmath
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import mpmath as mp
-from scipy.optimize import brentq
 
 from .core import DomainError, Sign
 
@@ -230,6 +232,86 @@ def double_saddle_point(lam: float) -> Saddle:
     )
 
 
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float,
+           rtol: float = _BRENT_RTOL) -> float:
+    """A root of f in [a, b] by Brent's method: a step-for-step port of
+    scipy.optimize.brentq (scipy's brentq.c), so it returns the same
+    double.
+
+    f(a) and f(b) must differ in sign bit (an exact zero at either end is
+    returned at once).  Each step takes an inverse-quadratic or secant step
+    when that stays well inside the bracket, and bisects otherwise; it
+    stops on f = 0 or once half the bracket is below
+    delta = (xtol + rtol*|x|)/2.  Raises ValueError on a NaN value of f or
+    a same-sign bracket, and RuntimeError after _BRENT_MAXITER steps
+    without convergence, with scipy's messages.
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    def signbit(v: float) -> bool:
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and signbit(fpre) != signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
 def _bracket_right(f, lo: float) -> tuple[float, float]:
     """Expand right from lo until f changes sign; f(lo) must be <= 0."""
     hi = lo + 1.0
@@ -261,6 +343,9 @@ def solve_real_saddle(phase: Phase):
     coalescence curve (returned as an ascending pair) and none below it
     (NoRealSaddle).  On the curve itself both entries collapse onto the
     double point.
+
+    Each root is bracketed by a sign change of h', located by brentq and
+    Newton-polished in doubles.
     """
     lam, a = phase.lam, phase.a
     f = phase.dh
@@ -590,8 +675,9 @@ def stokes_boundary(lam: float, pair_index: int,
     """Parameter a at which chain pair `pair_index` joins or leaves the
     contour for fixed lam: the root of Im h(u_k)(a) = 0.
 
-    Scans [a_min, a_max] for a sign change and refines it with brentq.
-    Raises NoBoundary when the level keeps one sign over the whole range.
+    Scans [a_min, a_max] for a sign change and refines it with brentq
+    (each level evaluation locates the chain member afresh).  Raises
+    NoBoundary when the level keeps one sign over the whole range.
     """
     if pair_index < 1:
         raise DomainError("pair_index counts from 1")

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import mpmath as mp
-from scipy.optimize import minimize_scalar
 
 from .core import ScaledArgs, Sign
 from .oracle import PrecisionConfig, mp_scaled_value
@@ -44,6 +43,7 @@ from .reference import (
 from .saddles import (
     NoBoundary,
     ConvergenceFailure,
+    brentq,
     double_saddle_curve,
     stokes_boundary,
 )
@@ -255,16 +255,19 @@ def compute_t5(precision: int = 60) -> TableReport:
 
 
 def compute_fig2(n_points: int = 241) -> TableReport:
-    """Coalescence-curve sweep a*(lam) with its maximum pinned."""
+    """Coalescence-curve sweep a*(lam) with its maximum pinned.
+
+    The maximum is where d ln a*/dlam vanishes, which reduces to
+    1 + lam - 2 lam ln lam = 0: its one root on [1, 4] comes from brentq
+    with the tightest xtol, so the stop is rtol's (a few ulp).
+    """
     lo, hi = 0.02, 50.0
     rows = []
     for i in range(n_points):
         lam = lo * (hi / lo) ** (i / (n_points - 1.0))
         rows.append((lam, double_saddle_curve(lam)))
-    opt = minimize_scalar(lambda t: -double_saddle_curve(t),
-                          bounds=(1.0, 4.0), method="bounded",
-                          options={"xatol": 1e-12})
-    lam_max = float(opt.x)
+    lam_max = brentq(lambda t: 1.0 + t - 2.0 * t * math.log(t), 1.0, 4.0,
+                     xtol=5e-324)
     a_max = double_saddle_curve(lam_max)
     cells = [
         CellCheck("curve max", "lam", lam_max, CURVE_MAX_LAM,

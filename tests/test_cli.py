@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -363,3 +367,39 @@ def test_table_mismatch_exits_5(runner, monkeypatch):
     res = _run(runner, "table", "t1")
     assert res.exit_code == 5
     assert "FAIL" in res.output
+
+
+# -- run-time dependencies --------------------------------------------------
+
+_EVERY_ROUTE_AND_TABLE = """
+import sys
+import wrightasym.cli
+from wrightasym import expansions as ex, oracle
+from wrightasym.core import ScaledArgs, Sign
+from wrightasym.reference import TableSpec
+from wrightasym.saddles import double_saddle_curve
+from wrightasym.tables import compute_table
+
+fixed = ex.TruncationPolicy.fixed(2)
+for lam, a, sign, route in (
+        (1.0, 1.5, Sign.MINUS, "real-saddle"),
+        (2.0, 0.6, Sign.MINUS, "conjugate-pair"),
+        (2.0, double_saddle_curve(2.0), Sign.MINUS, "double-saddle"),
+        (3.0, 0.2, Sign.PLUS, "chain")):
+    expand = ex.expand_minus_auto if sign is Sign.MINUS else ex.expand_plus
+    assert expand(ScaledArgs(lam, a, 25.0, sign), fixed).route == route
+oracle.w_minus(ScaledArgs(1.0, 1.5, 24.0, Sign.MINUS))
+oracle.w_plus(ScaledArgs(1.0, 1.5, 24.0, Sign.PLUS))
+for spec in TableSpec:
+    compute_table(spec)
+print(sorted({"scipy", "numpy"} & set(sys.modules)))
+"""
+
+
+def test_no_route_or_table_imports_scipy_or_numpy():
+    # a lazy import would put its cost inside a timed operation
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _EVERY_ROUTE_AND_TABLE],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,11 +5,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wrightasym import saddles, tables
 from wrightasym.core import Sign
 from wrightasym.saddles import (
     NoRealSaddle,
@@ -19,6 +21,7 @@ from wrightasym.saddles import (
     Regime,
     SaddleKind,
     Terminus,
+    brentq,
     classify_minus,
     complex_saddle_chain,
     count_contributory_pairs,
@@ -30,6 +33,7 @@ from wrightasym.saddles import (
     stokes_boundary,
     trace_descent_path,
 )
+from wrightasym.tables import compute_fig2
 
 CURVE_MAX_LAM = 2.09350
 CURVE_MAX_A = 1.19123
@@ -159,6 +163,130 @@ def test_polish_stops_at_its_fixed_point(monkeypatch):
     assert got == (u, h0, h2)
 
 
+# -- Brent root finder ----------------------------------------------------
+
+def _outcome(solve, f, a, b, **kw):
+    """A root as its exact bits, or an exception as its type and message."""
+    try:
+        return solve(f, a, b, **kw).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _same_as_scipy(monkeypatch, scipy_brentq, f, a, b, maxiter=100, **kw):
+    """Whether brentq, capped at maxiter steps, ends as scipy's does."""
+    monkeypatch.setattr(saddles, "_BRENT_MAXITER", maxiter)
+    return (_outcome(brentq, f, a, b, **kw)
+            == _outcome(scipy_brentq, f, a, b, maxiter=maxiter, **kw))
+
+
+def test_brentq_matches_scipy_on_the_package_brackets(monkeypatch):
+    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+    seen = []
+
+    def compare(f, a, b, **kw):
+        ours = _outcome(brentq, f, a, b, **kw)
+        assert ours == _outcome(scipy_brentq, f, a, b, **kw), (a, b, kw)
+        seen.append(kw.get("xtol"))
+        return brentq(f, a, b, **kw)
+
+    monkeypatch.setattr(saddles, "brentq", compare)
+    monkeypatch.setattr(tables, "brentq", compare)
+    rng = random.Random(20)
+    for _ in range(40):
+        lam = rng.uniform(0.1, 8.0)
+        curve = double_saddle_curve(lam)
+        # two real saddles, well above and just above the curve
+        solve_real_saddle(Phase(lam, curve * rng.uniform(1.01, 3.0),
+                                Sign.MINUS))
+        solve_real_saddle(Phase(lam, curve * (1 + 10 ** rng.uniform(-5, -2)),
+                                Sign.MINUS))
+        solve_real_saddle(Phase(rng.uniform(-0.95, -0.01),
+                                rng.uniform(0.05, 4.0), Sign.MINUS))
+        solve_real_saddle(Phase(rng.uniform(-0.95, 8.0),
+                                rng.uniform(0.05, 4.0), Sign.PLUS))
+    for lam, pair in ((2.0, 1), (3.0, 1), (6.0, 2)):
+        stokes_boundary(lam, pair)
+    compute_fig2(n_points=3)
+    assert seen.count(1e-14) == 240 and seen.count(1e-10) == 3
+    assert seen.count(5e-324) == 1
+
+
+def test_brentq_matches_scipy_on_random_smooth_functions(monkeypatch):
+    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+    rng = random.Random(2021)
+    tolerances = ((2e-12, 4 * sys.float_info.epsilon), (1e-14, 8.9e-16),
+                  (1e-10, 1e-10), (5e-324, 8.9e-16), (1e-4, 8.9e-16),
+                  (0.05, 1e-6), (0.5, 1e-6))
+    for i in range(3000):
+        kind = i % 4
+        r = rng.uniform(-5.0, 5.0)
+        c = [rng.uniform(-3.0, 3.0) for _ in range(4)]
+        p = 10 ** rng.uniform(-0.7, 0.7)
+        if kind == 0:
+            def f(x, c=c):
+                return ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
+        elif kind == 1:
+            def f(x, r=r, c=c):
+                return math.tanh(c[0] * (x - r)) + 0.1 * c[1] * math.sin(x)
+        elif kind == 2:
+            def f(x, r=r, p=p):
+                return math.copysign(abs(x - r) ** p, x - r)
+        else:
+            def f(x, r=r, c=c):
+                return math.exp(c[0] * x) - math.exp(c[0] * r) + c[1] * 1e-3
+        lo = rng.uniform(-6.0, 6.0)
+        hi = lo + 10 ** rng.uniform(-3, 1.2)
+        xtol, rtol = tolerances[rng.randrange(len(tolerances))]
+        maxiter = 100 if rng.random() < 0.95 else rng.randrange(0, 6)
+        assert _same_as_scipy(monkeypatch, scipy_brentq, f, lo, hi,
+                              maxiter=maxiter, xtol=xtol, rtol=rtol), \
+            (i, lo, hi, xtol, rtol, maxiter)
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x * x + 1.0, 0.0, 2.0),                        # same sign
+    (lambda x: x - 1.0, 2.0, 3.0),
+    (lambda x: math.nan if x > 1.0 else x - 1.5, 0.0, 2.0),  # NaN at b
+    (lambda x: math.nan, 0.0, 2.0),                           # NaN at a
+    (lambda x: math.nan if 0.9 < x < 1.1 else x - 1.0, 0.0, 3.0),
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: -0.0 if x == 0.0 else x - 1.0, 0.0, 2.0),     # f(a) = -0.0
+])
+def test_brentq_same_outcome_as_scipy(monkeypatch, f, a, b):
+    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+    for maxiter in (0, 2, 100):
+        assert _same_as_scipy(monkeypatch, scipy_brentq, f, a, b,
+                              maxiter=maxiter, xtol=2e-12)
+
+
+@pytest.mark.parametrize("xtol", [2.0 ** -97, 2.0 ** -98])
+def test_brentq_has_scipys_iteration_cap(xtol):
+    # a step at 0 halves the bracket each step: 100 steps reach 2^-97,
+    # 2^-98 needs 101
+    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+
+    def step(x):
+        return 1.0 if x > 0.0 else -1.0
+
+    assert (_outcome(brentq, step, -1.0, 3.0, xtol=xtol)
+            == _outcome(scipy_brentq, step, -1.0, 3.0, xtol=xtol))
+
+
+def test_brentq_errors(monkeypatch):
+    with pytest.raises(ValueError, match="must have different signs"):
+        brentq(lambda x: x * x + 1.0, 0.0, 2.0, xtol=2e-12)
+    with pytest.raises(ValueError, match=r"at x=2\.0 is NaN"):
+        brentq(lambda x: math.nan if x > 1.0 else x - 1.5, 0.0, 2.0,
+               xtol=2e-12)
+    assert brentq(lambda x: -0.0 if x == 0.0 else x - 1.0, 0.0, 2.0,
+                  xtol=2e-12) == 0.0
+    monkeypatch.setattr(saddles, "_BRENT_MAXITER", 2)
+    with pytest.raises(RuntimeError,
+                       match=r"^Failed to converge after 2 iterations\.$"):
+        brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=2e-12)
+
+
 # -- coalescence curve ----------------------------------------------------
 
 def test_curve_closed_form_spot_values():
@@ -167,6 +295,19 @@ def test_curve_closed_form_spot_values():
     lam = 2.0
     expect = 1.5 * 2.0 ** (-1.0 / 3.0)
     assert abs(double_saddle_curve(lam) - expect) < 1e-14
+
+
+def test_fig2_maximum_is_the_root_of_the_log_derivative():
+    # d ln a*/dlam = 0 reduces to 1 + lam - 2 lam ln lam = 0
+    lam_cell, a_cell = compute_fig2(n_points=3).cells
+    with mp.workdps(30):
+        root = mp.findroot(lambda t: 1 + t - 2 * t * mp.log(t), 2.09)
+        assert mp.nstr(root, 17) == "2.093495236569713"
+        root = float(root)
+    assert abs(lam_cell.computed - root) <= 2 * math.ulp(root)
+    assert a_cell.computed == double_saddle_curve(lam_cell.computed)
+    for d in (-1e-6, 1e-6):
+        assert a_cell.computed >= double_saddle_curve(lam_cell.computed + d)
 
 
 def test_curve_maximum_location():
