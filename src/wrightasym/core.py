@@ -88,8 +88,9 @@ class EvalResult:
     value is the rounded double result; truncation_index is the last
     summed term index; last_term_magnitude the magnitude of that term.
     significant_digits estimates how many decimal digits survived the
-    summation (cancellation subtracts from the working precision); when it
-    drops below 16 the low_precision flag is set.
+    summation (cancellation subtracts from the working precision, and the
+    terms left out after the stop cap it); when it drops below 16 the
+    low_precision flag is set.
     """
 
     value: float

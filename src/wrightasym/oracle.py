@@ -14,7 +14,10 @@ magnitude and reports how many digits survived.
 
 The summation loop works on raw libmp numbers.  A pre-pass in doubles
 estimates log2 of every term first, and it refuses at once a series that
-provably cannot settle within the term budget.  Each term's 1/Gamma, which
+provably cannot settle within the term budget.  On the minus axis its
+peak term against the leading saddle term's |W-| predicts the
+cancellation, and a sum that would keep no requested digit is refused
+before it is summed.  Each term's 1/Gamma, which
 is what a term costs, comes from one of two sources:
 
 - when q*lam = p is an integer for a power of two q <= 8 and |p| <= 16
@@ -42,6 +45,7 @@ from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp,
                           round_nearest, to_float)
 
 from .core import DomainError, EvalResult, ScaledArgs, Sign, WrightParams
+from .saddles import minus_log_scale
 
 # extra working digits on top of the requested precision; the stop rule
 # discards terms 10 extra digits below the running scale, leaving ~5 in hand
@@ -71,6 +75,9 @@ _CHAIN_MAX_P = 16
 _CHAIN_GUARD = 64
 # bits of slack in the proof that a series cannot settle
 _PROOF_SLACK = 4
+# a minus-axis sum is refused unsummed when the saddle estimate puts its
+# cancellation this many decimal digits past the requested precision
+_REFUSE_MARGIN = 2
 # a Gamma argument this close (relative) to a pole is beyond the doubles
 _POLE_TOL = 2.0 ** -30
 _LOG2_10 = math.log2(10)
@@ -82,13 +89,20 @@ class NoConvergence(RuntimeError):
 
 
 class PrecisionLoss(RuntimeError):
-    """Cancellation consumed the entire working precision."""
+    """Cancellation consumed the entire working precision: measured on
+    the sum, or predicted before it (predicted_loss, in decimal digits)."""
 
-    def __init__(self, surviving_digits: int):
+    def __init__(self, surviving_digits: int,
+                 predicted_loss: float | None = None):
         self.surviving_digits = surviving_digits
-        super().__init__(
-            f"only {surviving_digits} decimal digits survived the summation"
-        )
+        if predicted_loss is None:
+            msg = (f"only {surviving_digits} decimal digits survived the "
+                   f"summation")
+        else:
+            msg = (f"the leading saddle term predicts {predicted_loss:.1f} "
+                   f"decimal digits of cancellation: only {surviving_digits}"
+                   f" would survive the summation")
+        super().__init__(msg)
 
 
 @dataclass(frozen=True)
@@ -122,9 +136,9 @@ def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
     log2|t_n| = n log2|z| - (lgamma(n+1) + lgamma(lam*n + mu))/ln 2, with
     a pole of Gamma counted as -inf, is estimated until the tail lies
     wp + _TAIL_BITS under its maximum, or up to max_terms.  Returns the
-    bits for n = 0, 1, ... (later terms get wp) and the predicted log2 of
-    the peak term.  A term near a pole, which doubles cannot resolve,
-    keeps wp.
+    bits for n = 0, 1, ... (later terms get wp), the predicted log2 of
+    the peak term and the estimates themselves (None for a term near a
+    pole, which doubles cannot resolve and which keeps wp).
 
     Raises NoConvergence when the estimates prove that the loop cannot
     settle: every term n < max_terms stays above 10^-(D+10) (n+1) times
@@ -133,7 +147,7 @@ def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
     """
     lam_f, mu_f = to_float(lam), to_float(mu)
     if z == fzero or not (math.isfinite(lam_f) and math.isfinite(mu_f)):
-        return [], -math.inf
+        return [], -math.inf, []
     lz = math.log2(z[1]) + z[2]
     stop_bits = -(prec.decimal_digits + _STOP_MARGIN) * _LOG2_10 + _PROOF_SLACK
     est = []
@@ -166,8 +180,14 @@ def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
                 else max(_TAPER_FLOOR, wp - int(top - e) + _TAPER_GUARD)
                 for e in est]
     except (OverflowError, ValueError):
-        return [], -math.inf
-    return bits, top
+        return [], -math.inf, []
+    return bits, top, est
+
+
+def _prepass(lam, mu, z, prec: PrecisionConfig):
+    """_gamma_bits for mpf arguments at the working precision."""
+    return _gamma_bits(lam._mpf_, mu._mpf_, z._mpf_, mp.mp.prec,
+                       round_nearest, prec)
 
 
 def _ratio_step(lam):
@@ -236,8 +256,9 @@ def _rgamma_chain(lam, mu, p, q, wp, rnd):
         yield rg
 
 
-def _sum_series(lam, mu, z, prec: PrecisionConfig):
-    """Core loop shared by all entry points; runs inside a workdps block.
+def _sum_series(lam, mu, z, prec: PrecisionConfig, pre):
+    """Core loop shared by all entry points; runs inside a workdps block,
+    after the pre-pass, whose result pre is.
 
     Returns (sum, peak_mag, n_last, last_term_mag); perfbench/spans.py
     reads n_last at index 2.  Incremental updates keep z^n and n! as
@@ -250,7 +271,7 @@ def _sum_series(lam, mu, z, prec: PrecisionConfig):
     """
     wp, rnd = mp.mp.prec, round_nearest  # what mpf arithmetic uses
     lam, mu, z = lam._mpf_, mu._mpf_, z._mpf_
-    bits, top = _gamma_bits(lam, mu, z, wp, rnd, prec)
+    bits, top, _ = pre
     step = _ratio_step(lam)
     lam_zero = lam == fzero
     out = _sum_terms(z, lam_zero, wp, rnd, prec,
@@ -321,16 +342,33 @@ def _surviving_digits(series_sum, peak_mag, prec: PrecisionConfig) -> int:
     return surviving
 
 
-def _finish(value_mp, series_sum, peak_mag, n_last, last_mag,
+def _tail_digits(series_sum, est, n_last):
+    """Decimal digits of the sum that the terms after n_last leave, by
+    the pre-pass's estimates of their moduli; inf when it has none."""
+    tail = [e for e in est[n_last + 1:] if e is not None]
+    if not tail:
+        return math.inf
+    if not series_sum:
+        return 0
+    top = max(tail)
+    log2_tail = top + math.log2(math.fsum(2.0 ** (e - top) for e in tail))
+    return max(0, int((float(mp.log(abs(series_sum), 2)) - log2_tail)
+                      / _LOG2_10))
+
+
+def _finish(value_mp, series_sum, peak_mag, n_last, last_mag, pre,
             prec: PrecisionConfig) -> EvalResult:
-    """Round to double and attach the surviving-digit estimate."""
-    surviving = _surviving_digits(series_sum, peak_mag, prec)
+    """Round to double and attach the surviving-digit estimate: the
+    working precision less the cancellation, capped by the tail the
+    stop rule left out."""
+    digits = min(_surviving_digits(series_sum, peak_mag, prec),
+                 prec.decimal_digits, _tail_digits(series_sum, pre[2], n_last))
     return EvalResult(
         value=float(value_mp),
         truncation_index=n_last,
         last_term_magnitude=float(last_mag),
-        significant_digits=min(surviving, prec.decimal_digits),
-        low_precision=surviving < 16,
+        significant_digits=digits,
+        low_precision=digits < 16,
     )
 
 
@@ -338,24 +376,47 @@ def wright_series(params: WrightParams, z: float,
                   prec: PrecisionConfig = PrecisionConfig()) -> EvalResult:
     """Evaluate W_{lam,mu}(z) by direct summation."""
     with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
-        s, peakm, n, last = _sum_series(
-            mp.mpf(params.lam), mp.mpf(params.mu), mp.mpf(z), prec)
-        return _finish(s, s, peakm, n, last, prec)
+        lam, mu, zm = mp.mpf(params.lam), mp.mpf(params.mu), mp.mpf(z)
+        pre = _prepass(lam, mu, zm, prec)
+        s, peakm, n, last = _sum_series(lam, mu, zm, prec, pre)
+        return _finish(s, s, peakm, n, last, pre, prec)
+
+
+def _predicted_loss(args: ScaledArgs, top: float) -> float | None:
+    """Decimal digits a minus-axis sum loses to cancellation, predicted:
+    log10(peak term / |sum|) with the pre-pass's peak (log2 top) and the
+    sum from the saddle layer's |W-| less the prefactor (x/2)^nu.  None
+    where the saddle layer gives no estimate."""
+    try:
+        ln_w = minus_log_scale(args.lam, args.a, args.x)
+    except (ArithmeticError, ValueError, RuntimeError):
+        return None
+    return (top - (ln_w - args.nu * math.log(args.x / 2)) / _LN2) / _LOG2_10
 
 
 def _scaled_mp(args: ScaledArgs, prec: PrecisionConfig):
     """Full-precision scaled value; nu = a*x and z = +-(x/2)^(lam+1) are
     formed in mp arithmetic so no double rounding enters the parameters.
 
-    Returns (value_mp, series_sum, peak_mag, n, last_mag).
+    A minus-axis sum whose predicted cancellation (_predicted_loss) is at
+    least decimal_digits + _REFUSE_MARGIN is refused with PrecisionLoss
+    before any term is formed.  Returns (value_mp, series_sum, peak_mag,
+    n, last_mag, pre), pre the pre-pass.
     """
     lm, am, xm = mp.mpf(args.lam), mp.mpf(args.a), mp.mpf(args.x)
     nu = am * xm
+    mu = nu + 1
     z = (xm / 2) ** (lm + 1)
     if args.sign is Sign.MINUS:
         z = -z
-    s, peakm, n, last = _sum_series(lm, nu + 1, z, prec)
-    return (xm / 2) ** nu * s, s, peakm, n, last
+    pre = _prepass(lm, mu, z, prec)
+    if args.sign is Sign.MINUS:
+        loss = _predicted_loss(args, pre[1])
+        if (loss is not None
+                and prec.decimal_digits + _REFUSE_MARGIN <= loss < math.inf):
+            raise PrecisionLoss(int(prec.decimal_digits - loss), loss)
+    s, peakm, n, last = _sum_series(lm, mu, z, prec, pre)
+    return (xm / 2) ** nu * s, s, peakm, n, last, pre
 
 
 def mp_scaled_value(args: ScaledArgs,
@@ -364,7 +425,7 @@ def mp_scaled_value(args: ScaledArgs,
     resolve differences far below double rounding).  Raises
     PrecisionLoss, as w_minus does, when cancellation leaves no digit."""
     with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
-        value, s, peak_mag, _, _ = _scaled_mp(args, prec)
+        value, s, peak_mag, *_ = _scaled_mp(args, prec)
         _surviving_digits(s, peak_mag, prec)
         return +value
 

@@ -474,6 +474,31 @@ def classify_minus(lam: float, a: float) -> SaddleClassification:
         Regime.CONJUGATE_PAIR, [solve_complex_pair(phase)])
 
 
+# ln(2^(2/3) Gamma(1/3) sin(pi/3) / (3 pi)): the double-saddle series'
+# k = 0 term (B_0 = 1) without its e^(x h0) (H x/3)^(-1/3)
+_LN_DOUBLE_LEAD = math.log(2 ** (2 / 3) * math.gamma(1 / 3)
+                           * math.sin(math.pi / 3) / (3 * math.pi))
+
+
+def minus_log_scale(lam: float, a: float, x: float) -> float:
+    """ln|W-(lam, a; x)| as the leading steepest-descent term gives it, in
+    doubles.
+
+    At the contributory real saddle that is x Re h(u0) - ln(2 pi x
+    |h''(u0)|)/2; a conjugate pair adds ln 2, which bounds the pair's sum
+    2 Re(...) without its cosine; within 1e-6 of the coalescence curve,
+    where the expansions take the double route, it is that route's k = 0
+    term.  Raises what classify_minus raises.
+    """
+    if is_near_curve(lam, a):
+        h0, _, _, h3 = Phase(lam, a, Sign.MINUS).derivs(u_star(lam), 3)
+        return x * h0 + _LN_DOUBLE_LEAD - math.log(2 * abs(h3) * x / 3) / 3
+    s = classify_minus(lam, a).contributory[0]
+    out = (x * s.phase_value.real
+           - math.log(2 * math.pi * x * abs(s.second_derivative)) / 2)
+    return out + math.log(2) if s.kind is SaddleKind.COMPLEX_PAIR else out
+
+
 def complex_saddle_chain(phase: Phase, count: int) -> list[Saddle]:
     """First `count` members of the plus-phase complex saddle string.
 

@@ -16,8 +16,9 @@ import mpmath as mp
 from wrightasym.oracle import _STOP_MARGIN, NoConvergence, PrecisionConfig
 
 
-def plain_sum_series(lam, mu, z, prec: PrecisionConfig):
-    """(sum, peak_mag, n_last, last_term_mag), as _sum_series returns."""
+def plain_sum_series(lam, mu, z, prec: PrecisionConfig, pre=None):
+    """(sum, peak_mag, n_last, last_term_mag), as _sum_series returns;
+    pre, the kernel's pre-pass, is not used."""
     s = mp.mpf(0)
     pw = mp.mpf(1)
     fact = mp.mpf(1)

@@ -219,8 +219,9 @@ def test_expand_refuses_a_cancelled_reference(runner):
     res = _run(runner, "expand", "--lambda", "-0.9", "--a", "1",
                "--x", "100", "--sign", "minus", "--order", "3")
     assert res.exit_code == 0
-    assert ("relative error vs series: not available (only -4 decimal "
-            "digits survived the summation)") in res.output
+    assert ("relative error vs series: not available (the leading saddle "
+            "term predicts 100.1 decimal digits of cancellation: only -40 "
+            "would survive the summation)") in res.output
 
 
 def test_expand_json_terms(runner):

@@ -277,7 +277,8 @@ def test_error_tables_make_one_route_call_per_row(monkeypatch):
 
 def test_t1_t2_polish_and_run_the_engine_once_per_row(monkeypatch):
     # the A_k cells are the coefficients the route itself used, and the
-    # saddle cells the location the route solved
+    # saddle cells the location the route solved; the solver runs once
+    # more per row for the oracle's cancellation estimate on its reference
     calls = Counter()
 
     def counting(name, fn):
@@ -297,7 +298,7 @@ def test_t1_t2_polish_and_run_the_engine_once_per_row(monkeypatch):
         calls.clear()
         assert compute().passed
         assert calls == {"polish_saddle": rows, "simple_coeffs_mp": rows,
-                         solver: rows}
+                         solver: 2 * rows}
 
 
 def test_exponent_reported():
@@ -370,3 +371,21 @@ def test_error_decay_is_monotone_in_tables_1_2():
             seq.sort()
             errs = [e for _, e in seq]
             assert all(b < a for a, b in zip(errs, errs[1:])), (spec, row)
+
+
+@pytest.mark.parametrize("lam,a,x", [(-0.25, 1.0, 40.0), (1.0, 1.2, 40.0),
+                                     (2.0, 0.5, 40.0), (1.5, 0.5, 200.0),
+                                     (2.0, None, 100.0)])
+def test_minus_log_scale_is_the_leading_term(lam, a, x):
+    # the oracle's cancellation estimate is the k = 0 expansion: its
+    # modulus at a real saddle and on the curve, 2 |pref| for a pair
+    a = double_saddle_curve(lam) if a is None else a
+    res = expand_minus_auto(ScaledArgs(lam, a, x, Sign.MINUS),
+                            TruncationPolicy.fixed(0))
+    s = res.series[0]
+    lead = abs(s.pref * s.mp_terms[0])
+    if s.location.imag:
+        lead *= 2
+        assert abs(res.mp_value) <= lead
+    assert saddles.minus_log_scale(lam, a, x) == pytest.approx(
+        float(mp.log(lead)), abs=1e-9)

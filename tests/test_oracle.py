@@ -9,12 +9,13 @@ two paths share no code).
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath as mp
 import pytest
 
 from plain_oracle import plain_sum_series
-from wrightasym import oracle
+from wrightasym import oracle, saddles
 from wrightasym.core import ScaledArgs, Sign, WrightParams
 from wrightasym.oracle import (
     NoConvergence,
@@ -89,12 +90,13 @@ def test_precision_loss_raises_with_surviving_count():
 
 
 def test_mp_scaled_value_reports_total_cancellation():
-    # w_minus and the full-precision reference share one digit rule
+    # w_minus and the full-precision reference share one digit rule; a
+    # 400-digit sum loses 100.09 digits here, so 60 - 100.09 survive
     args = ScaledArgs(-0.9, 1.0, 100.0, Sign.MINUS)
     for fn in (w_minus, mp_scaled_value):
         with pytest.raises(PrecisionLoss) as exc:
             fn(args, PrecisionConfig(60))
-        assert exc.value.surviving_digits == -4
+        assert exc.value.surviving_digits == -40
 
 
 def test_low_precision_flag_under_heavy_cancellation():
@@ -199,13 +201,13 @@ def test_scaled_sum_runs_past_gamma_poles(lam, a, x, sign):
 KERNEL_POINTS = [
     # (lam, a, x, sign, decimal_digits)
     (-0.9, 1.0, 20.0, Sign.MINUS, 60),
-    (-0.9, 1.0, 100.0, Sign.MINUS, 60),      # PrecisionLoss, -4 digits
+    (-0.9, 1.0, 100.0, Sign.MINUS, 60),      # refused unsummed, -40 digits
     (-0.75, 0.6, 50.0, Sign.PLUS, 60),
     (-0.5, 0.5, 40.0, Sign.MINUS, 60),       # Gamma poles at n = 42, 44, ...
     (-0.5, 0.25, 8.0, Sign.PLUS, 60),        # ... and at n = 6, 8, ...
     (-0.25, 1.0, 40.0, Sign.MINUS, 60),
     (-0.25, 1.0, 100.0, Sign.PLUS, 60),
-    (-0.25, 1.0, 200.0, Sign.MINUS, 30),     # PrecisionLoss
+    (-0.25, 1.0, 200.0, Sign.MINUS, 30),     # refused unsummed
     (0.0, 0.7, 30.0, Sign.MINUS, 60),
     (0.0, 0.7, 30.0, Sign.PLUS, 60),
     (0.3, 0.9, 120.0, Sign.MINUS, 60),
@@ -278,8 +280,10 @@ def test_kernel_settles_or_refuses_as_the_plain_loop(monkeypatch, budget):
 def _bare_sum(fn, lam, a, x, sign, digits):
     with mp.workdps(digits + oracle._GUARD_DIGITS):
         lm, xm = mp.mpf(lam), mp.mpf(x)
+        mu = mp.mpf(a) * xm + 1
         z = (xm / 2) ** (lm + 1) * (-1 if sign is Sign.MINUS else 1)
-        return fn(lm, mp.mpf(a) * xm + 1, z, PrecisionConfig(digits))
+        prec = PrecisionConfig(digits)
+        return fn(lm, mu, z, prec, oracle._prepass(lm, mu, z, prec))
 
 
 @pytest.mark.parametrize("lam,a,x,sign", [
@@ -370,3 +374,108 @@ def test_ratio_chain_within_guard_of_rgamma(lam, mu):
             else:
                 want = mp.rgamma(x)
                 assert abs(got - want) <= mp.ldexp(abs(want), -wp - 32), n
+
+
+# -- refusal before the sum and the tail cap ----------------------------------
+
+def _loss(lam, a, x, digits):
+    """(log10(peak / |sum|) of the bare minus-axis series, summed by the
+    kernel at `digits`; the pre-pass's log2 peak)."""
+    s, peak, _, _ = _bare_sum(oracle._sum_series, lam, a, x, Sign.MINUS,
+                              digits)
+    with mp.workdps(digits):
+        loss = float(mp.log10(peak / abs(s)))
+    with mp.workdps(digits + oracle._GUARD_DIGITS):
+        lm, xm = mp.mpf(lam), mp.mpf(x)
+        top = oracle._prepass(lm, mp.mpf(a) * xm + 1, -(xm / 2) ** (lm + 1),
+                              PrecisionConfig(digits))[1]
+    return loss, top
+
+
+@pytest.mark.parametrize("lam,a,x,digits", [(-0.9, 1.0, 100.0, 60),
+                                            (-0.25, 1.0, 200.0, 30)])
+def test_kernel_matches_plain_loop_past_the_refusal(lam, a, x, digits):
+    # w_minus refuses these sums unsummed; the kernel still stops where
+    # the plain loop does, within 10^-(D+10) of the peak term
+    got = _bare_sum(oracle._sum_series, lam, a, x, Sign.MINUS, digits)
+    want = _bare_sum(plain_sum_series, lam, a, x, Sign.MINUS, digits)
+    assert got[2] == want[2]
+    with mp.workdps(digits + 40):
+        bound = mp.mpf(10) ** -(digits + 10) * want[1]
+        assert abs(got[0] - want[0]) <= bound
+        assert abs(got[1] - want[1]) <= bound
+
+
+@pytest.mark.parametrize("lam,a,x", [(-0.9, 1.0, 100.0), (-0.25, 1.0, 200.0),
+                                     (0.5, 0.8, 200.0), (1.5, 0.5, 400.0)])
+def test_hopeless_sum_refused_before_any_gamma(monkeypatch, lam, a, x):
+    # the leading saddle term predicts the loss a 130-digit sum measures
+    loss, _ = _loss(lam, a, x, 130)
+    calls = _count_rgamma(monkeypatch)
+    with pytest.raises(PrecisionLoss, match="predicts") as exc:
+        w_minus(ScaledArgs(lam, a, x, Sign.MINUS), PrecisionConfig(60))
+    assert calls == []
+    assert exc.value.surviving_digits == int(60 - loss)
+
+
+def _minus_points(rng, per_kind):
+    # lam <= 0; above and below the coalescence curve; the band 1e-6..1e-1
+    # on both sides of it; and within 1e-6, where the double term is used
+    offsets = [lambda: 1 + rng.uniform(0.1, 1.0),
+               lambda: 1 - rng.uniform(0.1, 0.8),
+               lambda: 1 + 10 ** rng.uniform(-6, -1),
+               lambda: 1 - 10 ** rng.uniform(-6, -1),
+               lambda: 1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -6.2)]
+    for _ in range(per_kind):
+        yield rng.uniform(-0.95, 0.0), rng.uniform(0.2, 2.0), \
+            rng.uniform(5, 120)
+        for off in offsets:
+            lam = rng.uniform(0.2, 4.0)
+            yield lam, saddles.double_saddle_curve(lam) * off(), \
+                rng.uniform(5, 120)
+
+
+def test_predicted_loss_never_above_the_measured():
+    # one-sided: a refusal needs a loss the sum would really suffer
+    checked = 0
+    for lam, a, x in _minus_points(random.Random(24), 17):
+        digits = 30
+        while True:
+            loss, top = _loss(lam, a, x, digits)
+            if loss < digits - 10:
+                break
+            digits += 50
+        if loss >= 70:
+            continue
+        checked += 1
+        pred = oracle._predicted_loss(ScaledArgs(lam, a, x, Sign.MINUS), top)
+        assert pred <= loss + 0.5, (lam, a, x, pred, loss)
+    assert checked >= 90
+
+
+def test_sum_just_under_the_refusal_threshold_is_summed(monkeypatch):
+    # predicted 31.94 and 32.01 digits lost at 30 requested: the first is
+    # summed (and fails the post-sum rule), the second refused unsummed
+    calls = _count_rgamma(monkeypatch)
+    with pytest.raises(PrecisionLoss, match="survived the summation"):
+        w_minus(ScaledArgs(0.3, 0.9, 91.0, Sign.MINUS), PrecisionConfig(30))
+    assert calls
+    calls.clear()
+    with pytest.raises(PrecisionLoss, match="predicts"):
+        w_minus(ScaledArgs(0.3, 0.9, 91.2, Sign.MINUS), PrecisionConfig(30))
+    assert calls == []
+
+
+@pytest.mark.parametrize("lam,a,x,sign,most", [
+    (-0.9, 1.0, 40.0, Sign.PLUS, 57), (-0.8, 1.0, 60.0, Sign.PLUS, 58),
+    (-0.9, 1.0, 20.0, Sign.MINUS, 38)])
+def test_digits_capped_by_the_tail_past_the_stop(lam, a, x, sign, most):
+    # near lam = -1 the terms after the stop add up to many times the
+    # last one; the 60-digit sum is off by more than 10^-60
+    args = ScaledArgs(lam, a, x, sign)
+    res = (w_minus if sign is Sign.MINUS else w_plus)(args)
+    v60 = mp_scaled_value(args, PrecisionConfig(60))
+    v100 = mp_scaled_value(args, PrecisionConfig(100))
+    with mp.workdps(120):
+        correct = -mp.log10(abs(v60 - v100) / abs(v100))
+    assert res.significant_digits <= min(most, correct)

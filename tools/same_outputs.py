@@ -16,9 +16,17 @@ their inputs from this checkout's perfbench/, which is only read.
 Each result is dumped as the repr of every public, non-callable attribute,
 with mpmath numbers printed to enough digits to tell any two apart; an
 exception as its type and message; a table run as its exit code and
-output.  The first difference is reported with both sides, and the exit
-code is 1 if there is any.  An attribute that exists on one side only is
-listed, but is not a difference.
+output.  Differences are counted in three classes, and the first of each
+is reported with both sides:
+
+- outcome: a value on one side and an exception on the other, or two
+  exceptions of different types;
+- message: two exceptions of one type with different messages;
+- attribute: one attribute of two results (a table run's exit code or
+  output included).
+
+The exit code is 1 if there is any difference.  An attribute that exists
+on one side only is listed, but is not a difference.
 
 --parent names the commit the working tree is compared with: HEAD while
 the change is uncommitted, HEAD~1 once it is committed.
@@ -121,10 +129,17 @@ def _dump(tree: Path, seeds: list[int], path: Path) -> None:
                                 "output": res.output}})
 
 
-def _compare(parent: Path, change: Path) -> tuple[int, set, int]:
-    """(differences, one-sided attributes, results compared); the first
-    difference is printed."""
-    diffs, one_sided, n = 0, set(), 0
+CLASSES = ("outcome", "message", "attribute")
+
+
+def _error_type(record: dict) -> str | None:
+    return record["error"].split(":", 1)[0] if "error" in record else None
+
+
+def _compare(parent: Path, change: Path) -> tuple[dict, set, int]:
+    """(differences per class, one-sided attributes, results compared);
+    the first difference of each class is printed."""
+    diffs, one_sided, n = dict.fromkeys(CLASSES, 0), set(), 0
     with parent.open() as fp, change.open() as fc:
         for lp, lc in zip(fp, fc, strict=True):
             p, c = json.loads(lp), json.loads(lc)
@@ -132,10 +147,15 @@ def _compare(parent: Path, change: Path) -> tuple[int, set, int]:
             if p["key"] != c["key"]:
                 raise SystemExit(f"the trees ran different operations: "
                                  f"{p['key']} against {c['key']}")
-            if "error" in p or "error" in c:
+            if _error_type(p) != _error_type(c):
+                kind = "outcome"
                 pairs = [("outcome", p.get("error", "a result"),
                           c.get("error", "a result"))]
+            elif "error" in p:
+                kind = "message"
+                pairs = [("message", p["error"], c["error"])]
             else:
+                kind = "attribute"
                 pa, ca = p["attrs"], c["attrs"]
                 one_sided |= {("parent", a) for a in pa.keys() - ca.keys()}
                 one_sided |= {("change", a) for a in ca.keys() - pa.keys()}
@@ -144,10 +164,10 @@ def _compare(parent: Path, change: Path) -> tuple[int, set, int]:
             for name, vp, vc in pairs:
                 if vp == vc:
                     continue
-                diffs += 1
-                if diffs == 1:
-                    print(f"first difference: {p['key']}\n  {name}:\n"
-                          f"    parent {vp}\n    change {vc}")
+                diffs[kind] += 1
+                if diffs[kind] == 1:
+                    print(f"first {kind} difference: {p['key']}\n"
+                          f"  {name}:\n    parent {vp}\n    change {vc}")
     return diffs, one_sided, n
 
 
@@ -181,8 +201,10 @@ def main() -> int:
     for side, name in sorted(one_sided):
         print(f"only on the {side} side (not compared): {name}")
     print(f"{n} results compared against {commit[:12]}: "
-          f"{diffs or 'no'} difference(s)")
-    return 1 if diffs else 0
+          f"{sum(diffs.values()) or 'no'} difference(s)")
+    for kind in CLASSES:
+        print(f"  {kind} changes: {diffs[kind]}")
+    return 1 if any(diffs.values()) else 0
 
 
 if __name__ == "__main__":
