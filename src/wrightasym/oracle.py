@@ -12,7 +12,7 @@ scaled variant the terms alternate and cancellation can eat a large part of
 the working precision, which is why the summation tracks the peak term
 magnitude and reports how many digits survived.
 
-The summation loop works on raw libmp numbers.  A pre-pass in doubles
+The summation loop works on Python integers.  A pre-pass in doubles
 estimates log2 of every term first, and it refuses at once a series that
 provably cannot settle within the term budget.  On the minus axis its
 peak term against the leading saddle term's |W-| predicts the
@@ -30,8 +30,12 @@ is what a term costs, comes from one of two sources:
   peak the pre-pass predicts, never so few that a term's error reaches
   2^-prec of the peak term.
 
-The running products, the sum, the peak and the stop rule stay at full
-working precision.
+z^n/n! is kept as a mantissa of 64 bits above the working precision and
+an exponent; the sum, the largest term and the largest partial sum are
+integers in one unit, 64 bits below the working precision's last bit of
+the largest term so far, and the stop rule compares them exactly.  Only
+the result is rounded back to an mpf, once.  The error budget is
+_sum_series's.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_cmp,
-                          mpf_div, mpf_mul, mpf_mul_int, mpf_rgamma, mpf_sub,
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_div,
+                          mpf_mul, mpf_mul_int, mpf_rgamma, mpf_sub,
                           round_nearest, to_float)
 
 from .core import DomainError, EvalResult, ScaledArgs, Sign, WrightParams
@@ -73,11 +77,16 @@ _PEAK_SLACK = 16
 _CHAIN_MAX_Q = 8
 _CHAIN_MAX_P = 16
 _CHAIN_GUARD = 64
+# the term loop's integers: z^n/n! keeps wp + _ACC_GUARD bits, and the
+# sum counts units _ACC_GUARD bits under 2^-wp of the largest term
+_ACC_GUARD = 64
 # bits of slack in the proof that a series cannot settle
 _PROOF_SLACK = 4
 # a minus-axis sum is refused unsummed when the saddle estimate puts its
-# cancellation this many decimal digits past the requested precision
-_REFUSE_MARGIN = 2
+# cancellation at D + _REFUSE_MARGIN decimal digits or more (D requested):
+# the post-sum rule refuses every measured loss above D - 1, and the
+# estimate has not been seen more than 0.051 digits above the measured loss
+_REFUSE_MARGIN = -0.9
 # a Gamma argument this close (relative) to a pole is beyond the doubles
 _POLE_TOL = 2.0 ** -30
 _LOG2_10 = math.log2(10)
@@ -206,13 +215,19 @@ def _ratio_step(lam):
 
 
 def _rgamma_tapered(lam, mu, wp, rnd, bits):
-    """1/Gamma(lam*n + mu) for n = 0, 1, ...: the argument at wp bits, the
-    value at bits[n] (wp past the end of bits)."""
+    """1/Gamma(lam*n + mu) for n = 0, 1, ...: the argument summed exactly
+    in integers and rounded once to wp bits, the value at bits[n] (wp
+    past the end of bits)."""
+    (ls, lman, lexp, _), (ms, mman, mexp, _) = lam, mu
+    exp = min(lexp, mexp)
+    step = (-lman if ls else lman) << (lexp - exp)
+    arg = (-mman if ms else mman) << (mexp - exp)
     n_bits = len(bits)
     n = 0
     while True:
-        yield mpf_rgamma(mpf_add(mpf_mul_int(lam, n, wp, rnd), mu, wp, rnd),
+        yield mpf_rgamma(from_man_exp(arg, exp, wp, rnd),
                          bits[n] if n < n_bits else wp, rnd)
+        arg += step
         n += 1
 
 
@@ -261,13 +276,28 @@ def _sum_series(lam, mu, z, prec: PrecisionConfig, pre):
     after the pre-pass, whose result pre is.
 
     Returns (sum, peak_mag, n_last, last_term_mag); perfbench/spans.py
-    reads n_last at index 2.  Incremental updates keep z^n and n! as
-    running products.  The loop runs on raw libmp numbers.  When q*lam
-    is a small integer (_ratio_step), each term's 1/Gamma comes from the
-    term q places back (_rgamma_chain).  Otherwise it is evaluated at
-    the bits _gamma_bits picked, so only the cost of terms far below the
-    peak drops; if the summed peak falls short of the predicted one, the
-    series is summed again with every 1/Gamma at full precision.
+    reads n_last at index 2.  When q*lam is a small integer (_ratio_step),
+    each term's 1/Gamma comes from the term q places back
+    (_rgamma_chain).  Otherwise it is evaluated at the bits _gamma_bits
+    picked, so only the cost of terms far below the peak drops; if the
+    summed peak falls short of the predicted one, the series is summed
+    again with every 1/Gamma at full precision.
+
+    The loop (_sum_terms) runs on Python ints, with W = wp + _ACC_GUARD:
+    c_n = |z|^n/n! is a W-bit mantissa and an exponent, its mantissa
+    advanced by ((c_(n-1) zman) << 32) // n, zman z's, and renormalised
+    to W bits in either direction; term n is c_n times the 1/Gamma
+    mantissa, its sign that of 1/Gamma flipped for odd n when z < 0.  The
+    sum, the largest term and the largest partial sum are integers in
+    units of 2^U, U = (top bit of the largest term so far) - W; a larger
+    term raises U and shifts all three right.  The stop test is
+    the exact tm 10^(D+10) < maxps, and the sum is rounded to wp once.
+    Error budget, at most 10^5 terms:
+    - c_n is off by at most n 2^(1-W), relative, under 2^-(wp+46);
+    - truncating a term, or shifting U up, loses less than one unit,
+      2^-(wp+63) of the peak term; the terms and the shifts together stay
+      under 2^-(wp+45) of it.
+    Both sit inside the taper's 2^-(wp + _TAPER_GUARD) budget.
     """
     wp, rnd = mp.mp.prec, round_nearest  # what mpf arithmetic uses
     lam, mu, z = lam._mpf_, mu._mpf_, z._mpf_
@@ -289,41 +319,65 @@ def _sum_series(lam, mu, z, prec: PrecisionConfig, pre):
 
 
 def _sum_terms(z, lam_zero, wp, rnd, prec: PrecisionConfig, rgammas):
-    # the plain mp loop's operations in its order, on libmp tuples, with
-    # 1/Gamma(lam*n + mu) for n = 0, 1, ... drawn from rgammas
-    tiny = (mp.mpf(10) ** (-(prec.decimal_digits + _STOP_MARGIN)))._mpf_
-    s = maxmag = maxps = fzero
-    pw = fact = fone
-    z_zero = z == fzero
+    # the plain loop on Python ints, with 1/Gamma(lam*n + mu) for
+    # n = 0, 1, ... drawn from rgammas; the error budget is _sum_series's
+    width = wp + _ACC_GUARD
+    zsign, zman, zexp, _ = z
+    cman, cexp = 1 << (width - 1), 1 - width  # c_0 = 1
+    ten = 10 ** (prec.decimal_digits + _STOP_MARGIN)
+    unit = -(1 << 62)  # no term yet: the first nonzero one raises it
+    s = maxmag = maxps = 0
     peak = n = 0
     while True:
-        rg = next(rgammas)
-        term = mpf_mul(mpf_div(pw, fact, wp, rnd), rg, wp, rnd)
-        s = mpf_add(s, term, wp, rnd)
-        tm = mpf_abs(term)
-        if mpf_cmp(tm, maxmag) > 0:
-            maxmag, peak = tm, n
-        # The stop scale must be the largest partial sum seen, never an
-        # absolute floor: when nu is large the bare series sums to values
-        # like 1e-59 (the scaled prefactor restores the magnitude), and
-        # any fixed cutoff would leave a fat relative tail.
-        ps = mpf_abs(s)
-        if mpf_cmp(ps, maxps) > 0:
-            maxps = ps
-        pole = rg == fzero
-        if z_zero or (pole and lam_zero):
+        sign, rman, rexp, _ = next(rgammas)
+        pole = not rman
+        if pole:
+            tm = 0
+        else:
+            prod = cman * rman
+            e = cexp + rexp
+            rise = e + prod.bit_length() - width - unit
+            if rise > 0:
+                # a term above the largest so far: coarser unit, same width
+                unit += rise
+                s >>= rise
+                maxmag >>= rise
+                maxps >>= rise
+            k = unit - e
+            tm = prod >> k if k >= 0 else prod << -k
+            if sign ^ (zsign & n):
+                s -= tm
+            else:
+                s += tm
+            if tm > maxmag:
+                maxmag, peak = tm, n
+            # The stop scale must be the largest partial sum seen, never
+            # an absolute floor: when nu is large the bare series sums to
+            # values like 1e-59 (the scaled prefactor restores the
+            # magnitude), and any fixed cutoff would leave a fat relative
+            # tail.
+            ps = -s if s < 0 else s
+            if ps > maxps:
+                maxps = ps
+        if not zman or (pole and lam_zero):
             # every later term vanishes: z^n for n > 0, or the common
             # factor 1/Gamma(mu) = 0 when lam = 0
-            return s, maxmag, n, tm
+            break
         # a pole of Gamma(lam*n + mu) says nothing about the tail
-        if (not pole and n > peak
-                and mpf_cmp(tm, mpf_mul(tiny, maxps, wp, rnd)) < 0):
-            return s, maxmag, n, tm
+        if not pole and n > peak and tm * ten < maxps:
+            break
         n += 1
-        pw = mpf_mul(pw, z, wp, rnd)
-        fact = mpf_mul_int(fact, n, wp, rnd)
         if n >= prec.max_terms:
             raise _unsettled(prec)
+        # c_n = c_(n-1) |z| / n, renormalised to width bits; 32 spare bits
+        # keep the quotient above width bits for n < 2^32, so its floor
+        # costs less than the renormalisation
+        cman = ((cman * zman) << 32) // n
+        shift = cman.bit_length() - width
+        cman = cman >> shift if shift >= 0 else cman << -shift
+        cexp += zexp - 32 + shift
+    return (from_man_exp(s, unit, wp, rnd), from_man_exp(maxmag, unit, wp, rnd),
+            n, fzero if pole else from_man_exp(prod, e, wp, rnd))
 
 
 def _surviving_digits(series_sum, peak_mag, prec: PrecisionConfig) -> int:

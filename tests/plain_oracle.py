@@ -1,11 +1,15 @@
 """The oracle's summation loop in plain mpmath, kept as a reference.
 
 Not collected by pytest (no test_ prefix); test_oracle.py imports it.
-wrightasym.oracle._sum_series runs this loop on raw libmp numbers, with
-each 1/Gamma either from a Gamma-ratio chain or at a lower precision for
-terms far below the peak.  This is the loop it replaced: every 1/Gamma
-from rgamma at full working precision, through mpf objects.  Swapping it
-in for _sum_series must give field-equal results, with sums within
+wrightasym.oracle._sum_series runs this loop on Python integers: z^n/n!
+as a mantissa of wp + 64 bits and an exponent, the sum, the largest term
+and the largest partial sum in units 64 bits below the last bit of the
+largest term at wp, so a term is off by at most n 2^(-wp-63) of itself
+and one unit.  Each of its 1/Gamma comes either from a Gamma-ratio chain
+or at a lower precision for terms far below the peak.  This is the loop
+it replaced: every 1/Gamma from rgamma at full working precision, every
+product, quotient and sum rounded to wp, through mpf objects.  Swapping
+it in for _sum_series must give field-equal results, with sums within
 10^-(D+10) of the peak term.
 """
 

@@ -13,6 +13,7 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plain_oracle import plain_sum_series
 from wrightasym import oracle, saddles
@@ -192,11 +193,14 @@ def test_scaled_sum_runs_past_gamma_poles(lam, a, x, sign):
 
 # -- the summation kernel ---------------------------------------------------
 #
-# _sum_series runs the plain loop on libmp tuples, with each 1/Gamma
-# either from a ratio chain or at fewer bits far below the peak, so its
-# sums stay within 10^-(D+10) of the peak term of the plain loop's.
-# Swapping the plain loop (plain_oracle.py) back in must give the same
-# results, field for field, or the same exception with the same message.
+# _sum_series runs the plain loop on Python ints: z^n/n! as a mantissa of
+# wp + 64 bits and an exponent, the sum in units 64 bits under 2^-wp of
+# the largest term, so each term is off by at most n 2^-(wp+63) of itself
+# plus one unit.  Each 1/Gamma comes either from a ratio chain or at fewer
+# bits far below the peak, so its sums stay within 10^-(D+10) of the peak
+# term of the plain loop's.  Swapping the plain loop (plain_oracle.py)
+# back in must give the same results, field for field, or the same
+# exception with the same message.
 
 KERNEL_POINTS = [
     # (lam, a, x, sign, decimal_digits)
@@ -227,6 +231,7 @@ KERNEL_POINTS = [
     (5.5, 0.25, 250.0, Sign.MINUS, 60),
     (6.0, 0.2, 400.0, Sign.PLUS, 60),
     (6.0, 0.5, 100.0, Sign.MINUS, 60),
+    (0.3, 0.2, 400.0, Sign.PLUS, 60),        # peak 337 bits over t_0 > W
 ]
 
 
@@ -257,11 +262,13 @@ def test_kernel_matches_plain_loop(monkeypatch, lam, a, x, sign, digits):
                                       (0.0, -2.0, 1.5), (-0.5, 0.5, -3.0),
                                       (1.0, -2.0, 1.5), (0.5, -1.0, 2.0),
                                       (2.0, -5.0, 3.0), (0.25, -2.0, -1.0),
-                                      (-0.5, 1.0, 2.0)])
+                                      (-0.5, 1.0, 2.0), (0.3, 1.0, 2.0),
+                                      (1.7, 0.5, -1.0), (-0.55, 2.0, 0.5)])
 def test_kernel_matches_plain_loop_unscaled(monkeypatch, lam, mu, z):
     # z = 0, a pole of Gamma(mu) at lam = 0, poles on every odd term,
     # upward ratio chains leaving poles (q = 1, 2, 4) and a downward one
-    # running into them
+    # running into them; the last three have a 1-bit z mantissa and no
+    # chain, so z^n/n! is renormalised after every division by n
     got, want = _kernel_and_plain(monkeypatch, wright_series,
                                   WrightParams(lam, mu), z, PrecisionConfig())
     assert got == want
@@ -274,6 +281,20 @@ def test_kernel_settles_or_refuses_as_the_plain_loop(monkeypatch, budget):
     got, want = _kernel_and_plain(monkeypatch, wright_series,
                                   WrightParams(0.5, 1.0), 5.0,
                                   PrecisionConfig(30, max_terms=budget))
+    assert got == want
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(lam=st.floats(-0.95, 6.0, exclude_min=True),
+       a=st.floats(0.05, 2.0), x=st.floats(0.5, 150.0),
+       minus=st.booleans(), digits=st.sampled_from((30, 60)))
+def test_kernel_matches_plain_loop_anywhere(lam, a, x, minus, digits):
+    # as the fixed points above, at random points
+    sign = Sign.MINUS if minus else Sign.PLUS
+    fn = w_minus if minus else w_plus
+    args = (ScaledArgs(lam, a, x, sign), PrecisionConfig(digits))
+    with pytest.MonkeyPatch.context() as patch:
+        got, want = _kernel_and_plain(patch, fn, *args)
     assert got == want
 
 
@@ -449,20 +470,21 @@ def test_predicted_loss_never_above_the_measured():
             continue
         checked += 1
         pred = oracle._predicted_loss(ScaledArgs(lam, a, x, Sign.MINUS), top)
-        assert pred <= loss + 0.5, (lam, a, x, pred, loss)
+        assert pred <= loss + 0.09, (lam, a, x, pred, loss)
     assert checked >= 90
 
 
 def test_sum_just_under_the_refusal_threshold_is_summed(monkeypatch):
-    # predicted 31.94 and 32.01 digits lost at 30 requested: the first is
-    # summed (and fails the post-sum rule), the second refused unsummed
+    # predicted 29.08 and 29.11 digits lost at 30 requested, either side
+    # of 30 - 0.9: the first is summed (and fails the post-sum rule), the
+    # second refused unsummed
     calls = _count_rgamma(monkeypatch)
     with pytest.raises(PrecisionLoss, match="survived the summation"):
-        w_minus(ScaledArgs(0.3, 0.9, 91.0, Sign.MINUS), PrecisionConfig(30))
+        w_minus(ScaledArgs(0.3, 0.9, 83.1, Sign.MINUS), PrecisionConfig(30))
     assert calls
     calls.clear()
     with pytest.raises(PrecisionLoss, match="predicts"):
-        w_minus(ScaledArgs(0.3, 0.9, 91.2, Sign.MINUS), PrecisionConfig(30))
+        w_minus(ScaledArgs(0.3, 0.9, 83.2, Sign.MINUS), PrecisionConfig(30))
     assert calls == []
 
 

@@ -9,7 +9,9 @@ perfbench's `build_ops` gives for the eval-oracle, expand-fixed and
 expand-optimal workloads (the calls perfbench's runner makes).  Then it
 runs w_minus/w_plus at the T1-T5 points and on a grid of lam for which
 q*lam is an integer for a power of two q <= 8 (the oracle's Gamma-ratio
-chain, which perfbench's random lam never reach), and `wright table
+chain, which perfbench's random lam never reach), then wright_series at
+unscaled points whose z has a mantissa of 1 or 2 bits (the oracle's
+z^n/n! is renormalised after every division by n), and `wright table
 <spec>` with and without `--json` for every table spec.  Both trees take
 their inputs from this checkout's perfbench/, which is only read.
 
@@ -57,6 +59,10 @@ WORKLOADS = ("eval-oracle", "expand-fixed", "expand-optimal")
 CHAIN_LAMS = (-0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0)
 CHAIN_XS = (40.0, 200.0, 400.0)
 CHAIN_A = 0.5
+# unscaled (lam, mu, z) whose z has a mantissa of 1 or 2 bits, the first
+# two with Gamma poles
+UNSCALED = ((-0.5, 0.5, -3.0), (-0.5, 1.0, 2.0), (0.3, 1.0, 2.0),
+            (1.7, 0.5, -1.0), (-0.55, 2.0, 0.5))
 # bits of the working precision the reprs are printed at: above every
 # mantissa the package makes (50-60 digits are about 170-200 bits)
 REPR_BITS = 256
@@ -98,15 +104,17 @@ def _dump(tree: Path, seeds: list[int], path: Path) -> None:
     result, written to path."""
     runner._load(str(tree))
     from wrightasym.cli import main
+    from wrightasym.core import WrightParams
+    from wrightasym.oracle import wright_series
     from wrightasym.reference import TableSpec
 
     with path.open("w") as fh:
         def emit(key: str, record: dict) -> None:
             fh.write(json.dumps({"key": key, **record}) + "\n")
 
-        def call(key: str, op: dict) -> None:
+        def call(key: str, run_op) -> None:
             try:
-                result = runner._call(op)
+                result = run_op()
             except Exception as exc:
                 emit(key, {"error": f"{type(exc).__name__}: {exc}"})
             else:
@@ -116,9 +124,12 @@ def _dump(tree: Path, seeds: list[int], path: Path) -> None:
             for workload in WORKLOADS:
                 for i, op in enumerate(run.build_ops(workload, seed)[0]):
                     call(f"{workload} seed {seed} op {i} {json.dumps(op)}",
-                         op)
+                         lambda: runner._call(op))
         for op in _oracle_ops():
-            call(f"oracle {json.dumps(op)}", op)
+            call(f"oracle {json.dumps(op)}", lambda: runner._call(op))
+        for lam, mu, z in UNSCALED:
+            call(f"wright_series {lam} {mu} {z}",
+                 lambda: wright_series(WrightParams(lam, mu), z))
         cli = CliRunner()
         for spec in TableSpec:
             for fmt in ((), ("--json",)):
