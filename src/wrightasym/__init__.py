@@ -29,21 +29,12 @@ from .saddles import (
     NoRealSaddle,
     OnStokesBoundary,
     PathBranch,
-    PathOutcome,
     Phase,
-    RegionCount,
     Regime,
     Saddle,
-    SaddleClassification,
     SaddleKind,
     StepFailure,
-    Terminus,
-    classify_minus,
-    complex_saddle_chain,
-    count_contributory_pairs,
     double_saddle_curve,
-    double_saddle_point,
-    solve_complex_pair,
     solve_real_saddle,
     stokes_boundary,
     trace_descent_path,
@@ -58,9 +49,6 @@ from .expansions import (
     TruncationPolicy,
     WrongRegime,
     expand_minus_auto,
-    expand_minus_complex,
-    expand_minus_double,
-    expand_minus_real,
     expand_plus,
     optimal_truncation,
 )
@@ -79,38 +67,26 @@ __all__ = [
     "NoRealSaddle",
     "OnStokesBoundary",
     "PathBranch",
-    "PathOutcome",
     "Phase",
     "PrecisionConfig",
     "PrecisionLoss",
-    "RegionCount",
     "Regime",
     "Saddle",
-    "SaddleClassification",
     "SaddleKind",
     "ScaledArgs",
     "Sign",
     "StepFailure",
     "TableSpec",
-    "Terminus",
     "TruncationMode",
     "TruncationPolicy",
     "WrightParams",
     "WrongRegime",
-    "classify_minus",
-    "complex_saddle_chain",
-    "count_contributory_pairs",
     "double_saddle_coeffs",
     "double_saddle_curve",
-    "double_saddle_point",
     "expand_minus_auto",
-    "expand_minus_complex",
-    "expand_minus_double",
-    "expand_minus_real",
     "expand_plus",
     "mp_scaled_value",
     "optimal_truncation",
-    "solve_complex_pair",
     "solve_real_saddle",
     "stokes_boundary",
     "trace_descent_path",

@@ -33,8 +33,8 @@ from .expansions import TruncationMode, TruncationPolicy, WrongRegime, \
 from .reference import TableSpec
 from .saddles import ConvergenceFailure, NoBoundary, NoRealSaddle, \
     OnStokesBoundary, PathBranch, Phase, Regime, SaddleKind, StepFailure, \
-    _chain_member, classify_minus, count_contributory_pairs, \
-    double_saddle_curve, solve_real_saddle, trace_descent_path
+    _chain_member, contour, double_saddle_curve, solve_real_saddle, \
+    trace_descent_path
 from .tables import compute_table
 
 EXIT_DOMAIN = 2
@@ -284,21 +284,19 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
     listed = []
     try:
         phase = Phase(lam, a, _parse_sign(sign))
+        c = contour(lam, a, phase.sign)
+        listed = list(c.saddles)
         if phase.sign is Sign.MINUS:
-            cls = classify_minus(lam, a)
-            payload["regime"] = cls.regime.value
-            listed = list(cls.contributory)
-            if cls.regime is Regime.TWO_REAL:
-                smaller, larger = solve_real_saddle(phase)
-                listed = [smaller, larger]
+            payload["regime"] = c.regime.value
+            if c.regime is Regime.TWO_REAL:
+                listed = list(solve_real_saddle(phase))
         else:
-            region = count_contributory_pairs(lam, a)
-            payload["n_pairs"] = region.n_pairs
-            payload["last_pair_subdominant"] = region.last_pair_subdominant
+            n_pairs = len(c.saddles) - 1
+            payload["n_pairs"] = n_pairs
+            payload["last_pair_subdominant"] = c.last_pair_subdominant
             # the counted members are listed already; solve only the rest
-            listed = list(region.saddles) + [
-                _chain_member(phase, k)
-                for k in range(region.n_pairs + 1, chain_n + 1)]
+            listed += [_chain_member(phase, k)
+                       for k in range(n_pairs + 1, chain_n + 1)]
     except DomainError as e:
         _fail(EXIT_DOMAIN, str(e))
     except (OnStokesBoundary, NoRealSaddle) as e:

@@ -1,50 +1,51 @@
 """Steepest-descent asymptotic expansions of the scaled Wright functions
 for large x at fixed lam and a.
 
-Four routes, one per saddle configuration:
+Two entries, one per sign, each over the saddles its contour crosses
+(saddles.contour):
 
-  minus sign, two real saddles      -> expand_minus_real   (larger saddle)
-  minus sign, conjugate pair        -> expand_minus_complex
-  minus sign, on the coalescence curve -> expand_minus_double
-  plus sign (always)                -> expand_plus (real saddle plus the
-                                       contributory complex-pair chain)
+  expand_minus_auto  minus sign, in one of three regimes:
+                       real saddle (the larger of two above the
+                         coalescence curve, the only one for lam <= 0)
+                       conjugate pair (below the curve)
+                       double saddle (within 1e-6 of the curve)
+  expand_plus        plus sign: the real saddle plus the contributory
+                     complex-pair chain
 
-A route classifies the saddles, builds one SaddleSeries per contributory
-saddle (location, h0, prefactor, terms and coefficients, uncut) and
-hands them to one assembly, which cuts, folds conjugate pairs into twice
-the real part and sums.  The result keeps those series, the value and
-the value at every shorter cut (the partial sums), so callers can study
-the error behaviour from one call rather than just consume a number.
-Every route works at one extended precision, 50 digits: e^(x h0)
-reaches 1e12 and beyond, where double rounding alone would swamp the
-small differences (oracle minus expansion) these expansions are judged
-by; the deep tail of a series reaches relative errors near 1e-13, where
-double-precision noise in A_4, A_5 already shows; and the plus-phase
-value feeds differences (W - I_0) in which twelve leading digits cancel,
-leaving about 38.
+An entry builds one SaddleSeries per contributory saddle (location, h0,
+prefactor, terms and coefficients, uncut) and hands them to one
+assembly, which cuts, folds conjugate pairs into twice the real part and
+sums.  The result keeps those series, the value and the value at every
+shorter cut (the partial sums), so callers can study the error behaviour
+from one call rather than just consume a number.  Both entries work at
+one extended precision, 50 digits: e^(x h0) reaches 1e12 and beyond,
+where double rounding alone would swamp the small differences (oracle
+minus expansion) these expansions are judged by; the deep tail of a
+series reaches relative errors near 1e-13, where double-precision noise
+in A_4, A_5 already shows; and the plus-phase value feeds differences
+(W - I_0) in which twelve leading digits cancel, leaving about 38.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
-from .core import DomainError, ScaledArgs, Sign
+from .core import ScaledArgs, Sign
 from .coeffs import simple_coeffs_mp, double_saddle_coeffs
-from .saddles import Phase, Regime, classify_minus, \
-    count_contributory_pairs, double_saddle_curve, is_near_curve, \
-    polish_saddle, u_star
+from .saddles import Phase, Regime, contour, double_saddle_curve, \
+    is_near_curve, polish_saddle, u_star
 
 _PREC_DPS = 50
-_DEFAULT_MAX_ORDER = 40
+# the highest order a series is computed to: the reach of the optimal
+# rule and the largest fixed truncation k
+_MAX_ORDER = 40
 
 
 class WrongRegime(ValueError):
-    """The requested expansion route does not match the saddle
-    configuration at these parameters."""
+    """An expansion entry was called with arguments of the other sign."""
 
 
 class TruncationMode(enum.Enum):
@@ -61,6 +62,8 @@ class TruncationPolicy:
     def fixed(cls, k: int) -> "TruncationPolicy":
         if k < 0:
             raise ValueError("truncation order must be nonnegative")
+        if k > _MAX_ORDER:
+            raise ValueError(f"truncation order must be at most {_MAX_ORDER}")
         return cls(TruncationMode.FIXED, k)
 
     @classmethod
@@ -122,7 +125,7 @@ class ExpansionResult:
     component_truncations their individual cut points and
     truncation_reasons why each was cut there: "fixed" (the policy's k),
     "minimum" (the smallest term) or "capped" (the optimal rule landed on
-    the last computed term, so the minimum may lie beyond max_order), and
+    the last computed term, so the minimum may lie beyond it), and
     exponent = x * Re h(u0) locates the overall scale.
     """
 
@@ -217,65 +220,9 @@ def _saddle_series(phase: Phase, location: complex, x: float,
     return SaddleSeries(location, h0, pref, tuple(terms), tuple(coeff))
 
 
-def _minus_route(args: ScaledArgs, trunc: TruncationPolicy, max_order: int,
-                 route: str | None) -> ExpansionResult:
-    """Regime checks of the real-saddle or conjugate-pair route, then the
-    series over its contributory saddle; with route None, whichever route
-    the saddle configuration calls for, the double one included."""
-    if args.sign is not Sign.MINUS:
-        raise WrongRegime("minus-phase route called with plus-sign arguments")
-    lam, a = args.lam, args.a
-    if is_near_curve(lam, a):
-        if route is None:
-            return expand_minus_double(lam, args.x, trunc, max_order)
-        raise WrongRegime(
-            "parameters lie on the saddle-coalescence curve; "
-            "use the double-saddle expansion")
-    cls = classify_minus(lam, a)
-    found = ("conjugate-pair" if cls.regime is Regime.CONJUGATE_PAIR
-             else "real-saddle")
-    if route not in (None, found):
-        need = ("complex saddles" if route == "conjugate-pair"
-                else "a real saddle")
-        raise WrongRegime(f"{route} route needs {need}; regime is "
-                          f"{cls.regime.value} at lam={lam}, a={a}")
-    order = trunc.k if trunc.mode is TruncationMode.FIXED else max_order
-    with mp.workdps(_PREC_DPS):
-        series = _saddle_series(Phase(lam, a, Sign.MINUS),
-                                cls.contributory[0].location, args.x, order)
-        return _assemble((series,), args.x, trunc, found)
-
-
-def expand_minus_real(args: ScaledArgs, trunc: TruncationPolicy,
-                      max_order: int = _DEFAULT_MAX_ORDER) -> ExpansionResult:
-    """Expansion over the larger of the two real minus-phase saddles:
-
-        e^(x h0) / sqrt(2 pi x h0'') * sum_k (-1)^k (1/2)_k A_k / (x/2)^k
-
-    Valid above the coalescence curve (and for -1 < lam <= 0, where the
-    single real saddle plays the same role).  Within 1e-6 of the curve the
-    reversion is ill conditioned; use the double-saddle route there.
-    """
-    return _minus_route(args, trunc, max_order, "real-saddle")
-
-
-def expand_minus_complex(args: ScaledArgs, trunc: TruncationPolicy,
-                         max_order: int = _DEFAULT_MAX_ORDER) -> ExpansionResult:
-    """Expansion over the conjugate saddle pair (minus phase below the
-    coalescence curve):
-
-        sqrt(2/(pi x)) * Re{ e^(x h0) / sqrt(h0'')
-                             * sum_k (-1)^k (1/2)_k A_k / (x/2)^k }
-
-    evaluated at the upper saddle with the principal square root; the
-    conjugate saddle contributes the mirror term, hence the real part.
-    """
-    return _minus_route(args, trunc, max_order, "conjugate-pair")
-
-
-def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
-                        max_order: int = _DEFAULT_MAX_ORDER) -> ExpansionResult:
-    """Expansion at the double saddle, on the coalescence curve a = a*(lam):
+def _double_series(lam: float, x: float, order: int) -> SaddleSeries:
+    """The double-saddle series to B_order at working precision, on the
+    coalescence curve a = a*(lam):
 
         2^(2/3) e^(x h0) / (3 pi) * sum_k B_k Gamma((k+1)/3)
                                     * sin(pi (k+1)/3) / (H x/3)^((k+1)/3)
@@ -283,36 +230,65 @@ def expand_minus_double(lam: float, x: float, trunc: TruncationPolicy,
     with H = 2 h'''(u0).  The sine kills every k = 2 (mod 3) term, so those
     appear as exact zeros in the term list.
     """
-    if lam <= 0.0:
-        raise WrongRegime("the double-saddle route requires lam > 0")
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"x must be positive and finite, got {x}")
-    order = trunc.k if trunc.mode is TruncationMode.FIXED else max_order
     coeffs = double_saddle_coeffs(lam, order)
+    xm = mp.mpf(x)
+    phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
+    u0 = u_star(mp.mpf(lam))
+    h0, _, _, h3 = phase.derivs(u0, 3)
+    hx3 = 2 * h3 * xm / 3
+    terms = []
+    for k in range(order + 1):
+        if k % 3 == 2:
+            terms.append(mp.mpf(0))
+            continue
+        t = (mp.mpf(coeffs[k]) / hx3 ** (mp.mpf(k) / 3)
+             * mp.gamma(mp.mpf(k + 1) / 3) * mp.sin(mp.pi * (k + 1) / 3))
+        terms.append(t)
+    pref = (mp.mpf(2) ** (mp.mpf(2) / 3) * mp.e ** (xm * h0)
+            / (3 * mp.pi * hx3 ** (mp.mpf(1) / 3)))
+    return SaddleSeries(complex(u0), h0, pref, tuple(terms), tuple(coeffs))
+
+
+def expand_minus_auto(args: ScaledArgs,
+                      trunc: TruncationPolicy) -> ExpansionResult:
+    """Minus-phase expansion over the saddle its contour crosses.
+
+    At a real saddle (the larger of two above the coalescence curve, the
+    only one for lam <= 0):
+
+        e^(x h0) / sqrt(2 pi x h0'') * sum_k (-1)^k (1/2)_k A_k / (x/2)^k
+
+    Below the curve, over the conjugate pair:
+
+        sqrt(2/(pi x)) * Re{ e^(x h0) / sqrt(h0'')
+                             * sum_k (-1)^k (1/2)_k A_k / (x/2)^k }
+
+    evaluated at the upper saddle with the principal square root; the
+    conjugate saddle contributes the mirror term, hence the real part.
+    Within 1e-6 of the curve the reversion behind the A_k is ill
+    conditioned, so there the double-saddle series (_double_series) is
+    evaluated on the curve itself.  The saddles are located once.
+    """
+    if args.sign is not Sign.MINUS:
+        raise WrongRegime("minus-phase route called with plus-sign arguments")
+    lam, a, x = args.lam, args.a, args.x
+    order = trunc.k if trunc.mode is TruncationMode.FIXED else _MAX_ORDER
+    if is_near_curve(lam, a):
+        with mp.workdps(_PREC_DPS):
+            return _assemble((_double_series(lam, x, order),), x, trunc,
+                             "double-saddle")
+    c = contour(lam, a, Sign.MINUS)
+    route = ("conjugate-pair" if c.regime is Regime.CONJUGATE_PAIR
+             else "real-saddle")
     with mp.workdps(_PREC_DPS):
-        xm = mp.mpf(x)
-        phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
-        u0 = u_star(mp.mpf(lam))
-        h0, _, _, h3 = phase.derivs(u0, 3)
-        hx3 = 2 * h3 * xm / 3
-        terms = []
-        for k in range(order + 1):
-            if k % 3 == 2:
-                terms.append(mp.mpf(0))
-                continue
-            t = (mp.mpf(coeffs[k]) / hx3 ** (mp.mpf(k) / 3)
-                 * mp.gamma(mp.mpf(k + 1) / 3) * mp.sin(mp.pi * (k + 1) / 3))
-            terms.append(t)
-        pref = (mp.mpf(2) ** (mp.mpf(2) / 3) * mp.e ** (xm * h0)
-                / (3 * mp.pi * hx3 ** (mp.mpf(1) / 3)))
-        series = SaddleSeries(complex(u0), h0, pref, tuple(terms),
-                              tuple(coeffs))
-        return _assemble((series,), x, trunc, "double-saddle")
+        series = _saddle_series(Phase(lam, a, Sign.MINUS),
+                                c.saddles[0].location, x, order)
+        return _assemble((series,), x, trunc, route)
 
 
 def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
                 include_subdominant: bool = False,
-                max_order: int = _DEFAULT_MAX_ORDER) -> ExpansionResult:
+                max_order: int = _MAX_ORDER) -> ExpansionResult:
     """Plus-phase expansion: the real-saddle series I_0 plus the
     contributory complex-pair contributions I_1..I_N.
 
@@ -327,22 +303,14 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
     if args.sign is not Sign.PLUS:
         raise WrongRegime("plus-phase route called with minus-sign arguments")
     lam, a, x = args.lam, args.a, args.x
-    region = count_contributory_pairs(lam, a)
+    c = contour(lam, a, Sign.PLUS)
     phase = Phase(lam, a, Sign.PLUS)
     order = trunc.k if trunc.mode is TruncationMode.FIXED else max_order
-    kept = region.n_pairs
-    if region.last_pair_subdominant and not include_subdominant:
+    kept = len(c.saddles) - 1
+    if c.last_pair_subdominant and not include_subdominant:
         kept -= 1
     with mp.workdps(_PREC_DPS):
         series = [_saddle_series(phase, sadl.location, x,
                                  max_order if j else order)
-                  for j, sadl in enumerate(region.saddles)]
+                  for j, sadl in enumerate(c.saddles)]
         return _assemble(series, x, trunc, "chain", kept)
-
-
-def expand_minus_auto(args: ScaledArgs, trunc: TruncationPolicy,
-                      max_order: int = _DEFAULT_MAX_ORDER) -> ExpansionResult:
-    """Dispatch the minus-phase expansion on the saddle configuration:
-    real route above the curve (or lam <= 0), double route within 1e-6 of
-    it, conjugate-pair route below.  The saddles are located once."""
-    return _minus_route(args, trunc, max_order, None)

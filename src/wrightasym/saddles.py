@@ -12,10 +12,10 @@ around to infinity above it (Im u = +pi) and is deformed onto steepest
 descent paths.  Which saddles those paths cross decides the shape of the
 asymptotic expansion, so alongside the root-finding (in doubles, with an
 mpmath Newton polish for the expansions) this module carries the
-descent-path tracer, the conjugate-pair counter for the plus phase, and the
-parameter-plane boundaries where the saddle configuration changes.  Real
-roots come from `brentq`, a port of scipy's Brent method, so that the
-package needs no scipy (and no numpy) at run time.
+descent-path tracer, `contour` (the contributory saddles of either phase),
+and the parameter-plane boundaries where the saddle configuration
+changes.  Real roots come from `brentq`, a port of scipy's Brent method,
+so that the package needs no scipy (and no numpy) at run time.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class NoBoundary(ValueError):
 @dataclass(frozen=True)
 class Phase:
     """One of the two phase functions, with its parameters attached.
-    derivs evaluates it; h, dh, dnh and d2h are views of derivs."""
+    derivs evaluates it; h and dh are views of derivs."""
 
     lam: float
     a: float
@@ -102,12 +102,6 @@ class Phase:
     def dh(self, u):
         return self.derivs(u, 1)[1]
 
-    def dnh(self, u, n: int):
-        return self.derivs(u, n)[n]
-
-    def d2h(self, u):
-        return self.derivs(u, 2)[2]
-
 
 class SaddleKind(enum.Enum):
     REAL_SIMPLE = "real_simple"
@@ -120,6 +114,7 @@ class Regime(enum.Enum):
     TWO_REAL = "two_real"
     CONJUGATE_PAIR = "conjugate_pair"
     DOUBLE = "double"
+    CHAIN = "chain"
 
 
 @dataclass(frozen=True)
@@ -136,23 +131,21 @@ class Saddle:
 
 
 @dataclass(frozen=True)
-class SaddleClassification:
-    regime: Regime
-    contributory: list[Saddle]
+class Contour:
+    """The saddles one phase's steepest-descent contour crosses.
 
-
-@dataclass(frozen=True)
-class RegionCount:
-    """Contributory conjugate-pair count for the plus phase.
-
-    saddles lists the real saddle followed by the n_pairs chain members on
-    the deformed contour; last_pair_subdominant records whether the final
-    pair's contribution decays exponentially (Re h(u_N) < 0).
+    regime tags the configuration: on the minus axis the single real
+    saddle (lam <= 0), the larger of two real saddles, the conjugate pair
+    (through its upper member) or the double saddle; on the plus axis
+    CHAIN, the real saddle followed by the contributory chain pairs.
+    saddles lists the contributory saddles, the primary one first, and
+    last_pair_subdominant records whether the final chain pair's
+    contribution decays exponentially (Re h(u_N) < 0).
     """
 
-    n_pairs: int
-    saddles: list[Saddle]
-    last_pair_subdominant: bool
+    regime: Regime
+    saddles: tuple[Saddle, ...]
+    last_pair_subdominant: bool = False
 
 
 _RESIDUAL_TOL = 1e-12
@@ -452,28 +445,6 @@ def solve_complex_pair(phase: Phase) -> Saddle:
         f"conjugate pair not located for lam={lam}, a={a}")
 
 
-def classify_minus(lam: float, a: float) -> SaddleClassification:
-    """Saddle configuration of the minus phase.
-
-    For lam > 0 the coalescence curve splits the plane: above it two real
-    saddles (only the larger lies on the descent contour; the path through
-    the smaller is a steepest ascent), below it a conjugate pair, on it
-    (within 1e-12 relative) the double saddle.
-    """
-    phase = Phase(lam, a, Sign.MINUS)
-    if lam <= 0.0:
-        s = solve_real_saddle(phase)
-        return SaddleClassification(Regime.SINGLE_REAL, [s])
-    curve = double_saddle_curve(lam)
-    if abs(a - curve) <= 1e-12 * max(1.0, curve):
-        return SaddleClassification(Regime.DOUBLE, [double_saddle_point(lam)])
-    if a > curve:
-        _, larger = solve_real_saddle(phase)
-        return SaddleClassification(Regime.TWO_REAL, [larger])
-    return SaddleClassification(
-        Regime.CONJUGATE_PAIR, [solve_complex_pair(phase)])
-
-
 # ln(2^(2/3) Gamma(1/3) sin(pi/3) / (3 pi)): the double-saddle series'
 # k = 0 term (B_0 = 1) without its e^(x h0) (H x/3)^(-1/3)
 _LN_DOUBLE_LEAD = math.log(2 ** (2 / 3) * math.gamma(1 / 3)
@@ -488,12 +459,12 @@ def minus_log_scale(lam: float, a: float, x: float) -> float:
     |h''(u0)|)/2; a conjugate pair adds ln 2, which bounds the pair's sum
     2 Re(...) without its cosine; within 1e-6 of the coalescence curve,
     where the expansions take the double route, it is that route's k = 0
-    term.  Raises what classify_minus raises.
+    term.  Raises what contour raises.
     """
     if is_near_curve(lam, a):
         h0, _, _, h3 = Phase(lam, a, Sign.MINUS).derivs(u_star(lam), 3)
         return x * h0 + _LN_DOUBLE_LEAD - math.log(2 * abs(h3) * x / 3) / 3
-    s = classify_minus(lam, a).contributory[0]
+    s = contour(lam, a, Sign.MINUS).saddles[0]
     out = (x * s.phase_value.real
            - math.log(2 * math.pi * x * abs(s.second_derivative)) / 2)
     return out + math.log(2) if s.kind is SaddleKind.COMPLEX_PAIR else out
@@ -579,8 +550,7 @@ def _known_saddles(phase: Phase) -> list[Saddle]:
         except ConvergenceFailure:
             pass
         return known
-    cls = classify_minus(phase.lam, phase.a)
-    return list(cls.contributory)
+    return list(contour(phase.lam, phase.a, Sign.MINUS).saddles)
 
 
 def trace_descent_path(phase: Phase, from_saddle: Saddle,
@@ -652,28 +622,38 @@ def trace_descent_path(phase: Phase, from_saddle: Saddle,
         f"descent path did not terminate in {_MAX_DESCENT_STEPS} steps")
 
 
-def count_contributory_pairs(lam: float, a: float) -> RegionCount:
-    """How many conjugate pairs of the plus-phase chain lie on the deformed
-    integration contour.
+def contour(lam: float, a: float, sign: Sign) -> Contour:
+    """The contributory saddles of the phase of this sign.
 
-    Membership criterion: pair k is on the contour while the imaginary part
-    of its phase value stays above the level of the real saddle (zero);
-    counting stops at the first pair at or below it.  The sign change of
-    Im h(u_k) in the parameter plane is exactly where the descent path
-    topology reconnects (pair k joins or leaves the contour), which is what
-    stokes_boundary locates.
+    Minus phase: for lam > 0 the coalescence curve splits the plane:
+    above it two real saddles (only the larger lies on the descent
+    contour; the path through the smaller is a steepest ascent), below it
+    a conjugate pair, on it (within 1e-12 relative) the double saddle.
 
-    Raises OnStokesBoundary when the first non-counted pair sits within
-    1e-6 (in a-distance) of its sign change, where the count is ambiguous.
+    Plus phase: the real saddle, then the chain pairs on the deformed
+    contour.  Pair k is on the contour while the imaginary part of its
+    phase value stays above the level of the real saddle (zero); counting
+    stops at the first pair at or below it.  The sign change of Im h(u_k)
+    in the parameter plane is exactly where the descent path topology
+    reconnects (pair k joins or leaves the contour), which is what
+    stokes_boundary locates.  Raises OnStokesBoundary when the first
+    non-counted pair sits within 1e-6 (in a-distance) of its sign change,
+    where the count is ambiguous.
     """
-    phase = Phase(lam, a, Sign.PLUS)
-    real = solve_real_saddle(phase)
-    members = [real]
+    phase = Phase(lam, a, sign)
+    if sign is Sign.MINUS:
+        if lam <= 0.0:
+            return Contour(Regime.SINGLE_REAL, (solve_real_saddle(phase),))
+        curve = double_saddle_curve(lam)
+        if abs(a - curve) <= 1e-12 * max(1.0, curve):
+            return Contour(Regime.DOUBLE, (double_saddle_point(lam),))
+        if a > curve:
+            return Contour(Regime.TWO_REAL, (solve_real_saddle(phase)[1],))
+        return Contour(Regime.CONJUGATE_PAIR, (solve_complex_pair(phase),))
+    members = [solve_real_saddle(phase)]
     if lam <= 0.0:
         # both exponentials grow rightward: no complex string to count
-        return RegionCount(n_pairs=0, saddles=members,
-                           last_pair_subdominant=False)
-    n = 0
+        return Contour(Regime.CHAIN, tuple(members))
     for k in range(1, _MAX_PAIRS + 1):
         sadl = _chain_member(phase, k)
         im = sadl.phase_value.imag
@@ -688,11 +668,10 @@ def count_contributory_pairs(lam: float, a: float) -> RegionCount:
                     f"lam={lam}, a={a}")
         if im > 0.0:
             members.append(sadl)
-            n = k
         else:
             break
-    sub = n >= 1 and members[-1].phase_value.real < 0.0
-    return RegionCount(n_pairs=n, saddles=members, last_pair_subdominant=sub)
+    sub = len(members) > 1 and members[-1].phase_value.real < 0.0
+    return Contour(Regime.CHAIN, tuple(members), sub)
 
 
 def stokes_boundary(lam: float, pair_index: int,

@@ -18,13 +18,7 @@ import mpmath as mp
 
 from .core import ScaledArgs, Sign
 from .oracle import PrecisionConfig, mp_scaled_value
-from .expansions import (
-    TruncationPolicy,
-    expand_minus_complex,
-    expand_minus_double,
-    expand_minus_real,
-    expand_plus,
-)
+from .expansions import TruncationPolicy, expand_minus_auto, expand_plus
 from .reference import (
     CORRECTIONS,
     CURVE_MAX_A,
@@ -138,7 +132,7 @@ def compute_t1(precision: int = 60) -> TableReport:
     for case in T1_CASES:
         row = f"lam={case.lam:g} a={case.a:g}"
         args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
-        res = expand_minus_real(args, TruncationPolicy.fixed(5))
+        res = expand_minus_auto(args, TruncationPolicy.fixed(5))
         cells.append(CellCheck(row, "u0", res.series[0].location.real,
                                case.u0, case.u0, _DECIMALS8, False))
         for k in range(1, 6):
@@ -161,7 +155,7 @@ def compute_t2(precision: int = 60) -> TableReport:
     x = X_DEFAULT_ERROR_TABLES
     row = f"lam={case.lam:g} a={case.a:g}"
     args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
-    res = expand_minus_complex(args, TruncationPolicy.fixed(5))
+    res = expand_minus_auto(args, TruncationPolicy.fixed(5))
     u0 = res.series[0].location
     cells = [CellCheck(row, "Re u0", u0.real, case.saddle.real,
                        case.saddle.real, _DECIMALS8, False),
@@ -193,8 +187,7 @@ def compute_t3(precision: int = 60) -> TableReport:
         a = double_saddle_curve(lam)
         args = ScaledArgs(lam, a, x, Sign.MINUS)
         w_ref = mp_scaled_value(args, prec)
-        res = expand_minus_double(lam, x, TruncationPolicy.fixed(
-            max(T3_COLUMNS)))
+        res = expand_minus_auto(args, TruncationPolicy.fixed(max(T3_COLUMNS)))
         errs = dict(zip(T3_COLUMNS, _error_cells(
             row, res, w_ref, ((k, T3_ERRORS[lam][k]) for k in T3_COLUMNS),
             _ERRTOL, ("t3", lam))))

@@ -156,10 +156,13 @@ def test_expand_flag_conflict_exits_2(runner):
 
 
 def test_expand_negative_order_exits_2(runner):
-    res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
-               "--x", "40", "--sign", "minus", "--order", "-1")
-    assert res.exit_code == 2
-    assert "error: truncation order must be nonnegative" in res.output
+    # an order above the cap is refused before any coefficient is computed
+    for order, message in (("-1", "must be nonnegative"),
+                           ("100000000", "must be at most 40")):
+        res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
+                   "--x", "40", "--sign", "minus", "--order", order)
+        assert res.exit_code == 2
+        assert f"error: truncation order {message}" in res.output
 
 
 @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])

@@ -17,9 +17,6 @@ from wrightasym.expansions import (
     TruncationPolicy,
     WrongRegime,
     expand_minus_auto,
-    expand_minus_complex,
-    expand_minus_double,
-    expand_minus_real,
     expand_plus,
     optimal_truncation,
 )
@@ -52,6 +49,10 @@ def test_optimal_truncation_all_zero_rejected():
 def test_truncation_policy_constructors():
     f = TruncationPolicy.fixed(4)
     assert f.mode is TruncationMode.FIXED and f.k == 4
+    # the order cap bounds a fixed k too
+    assert TruncationPolicy.fixed(40).k == 40
+    with pytest.raises(ValueError, match="at most 40"):
+        TruncationPolicy.fixed(41)
     o = TruncationPolicy.optimal()
     assert o.mode is TruncationMode.OPTIMAL
 
@@ -62,29 +63,15 @@ def test_routes_reject_wrong_sign():
     plus_args = ScaledArgs(1.0, 1.2, 40.0, Sign.PLUS)
     minus_args = ScaledArgs(1.0, 1.2, 40.0, Sign.MINUS)
     with pytest.raises(WrongRegime):
-        expand_minus_real(plus_args, TruncationPolicy.fixed(2))
+        expand_minus_auto(plus_args, TruncationPolicy.fixed(2))
     with pytest.raises(WrongRegime):
         expand_plus(minus_args, TruncationPolicy.fixed(2))
 
 
-def test_real_route_rejects_conjugate_regime():
-    args = ScaledArgs(1.5, 0.5, 40.0, Sign.MINUS)
-    with pytest.raises(WrongRegime):
-        expand_minus_real(args, TruncationPolicy.fixed(2))
-
-
-def test_complex_route_rejects_two_real_regime():
-    args = ScaledArgs(1.0, 1.2, 40.0, Sign.MINUS)
-    with pytest.raises(WrongRegime):
-        expand_minus_complex(args, TruncationPolicy.fixed(2))
-
-
-def test_near_curve_refusal_and_auto_dispatch():
+def test_near_curve_auto_dispatch():
     lam = 2.0
     astar = double_saddle_curve(lam)
     near = ScaledArgs(lam, astar * (1.0 + 1e-9), 40.0, Sign.MINUS)
-    with pytest.raises(WrongRegime):
-        expand_minus_real(near, TruncationPolicy.fixed(2))
     res = expand_minus_auto(near, TruncationPolicy.fixed(2))
     assert res.route == "double-saddle"
 
@@ -100,14 +87,14 @@ def test_auto_dispatch_selects_by_regime():
 
 def test_auto_dispatch_classifies_once(monkeypatch):
     calls = 0
-    classify = expansions.classify_minus
+    classify = expansions.contour
 
-    def counted(lam, a):
+    def counted(lam, a, sign):
         nonlocal calls
         calls += 1
-        return classify(lam, a)
+        return classify(lam, a, sign)
 
-    monkeypatch.setattr(expansions, "classify_minus", counted)
+    monkeypatch.setattr(expansions, "contour", counted)
     for point in ((1.0, 1.2), (1.5, 0.5), (-0.25, 1.0)):
         calls = 0
         expand_minus_auto(ScaledArgs(*point, 40.0, Sign.MINUS),
@@ -125,14 +112,18 @@ def test_auto_dispatch_rejects_plus_sign_on_the_curve():
 # -- structural properties ------------------------------------------------
 
 def test_real_route_terms_are_real():
-    res = expand_minus_real(ScaledArgs(1.0, 1.2, 40.0, Sign.MINUS),
+    res = expand_minus_auto(ScaledArgs(1.0, 1.2, 40.0, Sign.MINUS),
                             TruncationPolicy.fixed(5))
+    assert res.route == "real-saddle"
     for t in res.terms:
         assert t.imag == 0.0
 
 
 def test_double_route_every_third_term_vanishes():
-    res = expand_minus_double(2.0, 40.0, TruncationPolicy.fixed(8))
+    res = expand_minus_auto(
+        ScaledArgs(2.0, double_saddle_curve(2.0), 40.0, Sign.MINUS),
+        TruncationPolicy.fixed(8))
+    assert res.route == "double-saddle"
     for k, t in enumerate(res.terms):
         if k % 3 == 2:
             assert t == 0, f"term {k} should vanish exactly"
@@ -142,10 +133,10 @@ def test_double_route_every_third_term_vanishes():
 
 def test_fixed_vs_optimal_bookkeeping():
     args = ScaledArgs(1.0, 1.2, 40.0, Sign.MINUS)
-    fixed = expand_minus_real(args, TruncationPolicy.fixed(2))
+    fixed = expand_minus_auto(args, TruncationPolicy.fixed(2))
     assert fixed.truncation_index == 2
     assert fixed.truncation_mode is TruncationMode.FIXED
-    opt = expand_minus_real(args, TruncationPolicy.optimal())
+    opt = expand_minus_auto(args, TruncationPolicy.optimal())
     assert opt.truncation_mode is TruncationMode.OPTIMAL
     mags = [abs(t) for t in opt.terms]
     assert mags[opt.truncation_index] == min(m for m in mags if m > 0)
@@ -267,8 +258,7 @@ def test_error_tables_make_one_route_call_per_row(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("expand_minus_real", "expand_minus_complex",
-                 "expand_minus_double", "expand_plus"):
+    for name in ("expand_minus_auto", "expand_plus"):
         monkeypatch.setattr(tables, name, counting(getattr(tables, name)))
     for compute in (compute_t1, compute_t2, compute_t3, compute_t4):
         assert compute().cells
@@ -302,7 +292,7 @@ def test_t1_t2_polish_and_run_the_engine_once_per_row(monkeypatch):
 
 
 def test_exponent_reported():
-    res = expand_minus_real(ScaledArgs(-0.25, 1.0, 40.0, Sign.MINUS),
+    res = expand_minus_auto(ScaledArgs(-0.25, 1.0, 40.0, Sign.MINUS),
                             TruncationPolicy.fixed(3))
     assert res.exponent == pytest.approx(-11.946504, abs=1e-5)
 

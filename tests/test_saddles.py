@@ -1,4 +1,4 @@
-"""Saddle geometry: solvers, classification, chains, descent paths."""
+"""Saddle geometry: solvers, contours, chains, descent paths."""
 
 from __future__ import annotations
 
@@ -22,9 +22,8 @@ from wrightasym.saddles import (
     SaddleKind,
     Terminus,
     brentq,
-    classify_minus,
     complex_saddle_chain,
-    count_contributory_pairs,
+    contour,
     double_saddle_curve,
     double_saddle_point,
     polish_saddle,
@@ -40,7 +39,7 @@ CURVE_MAX_A = 1.19123
 
 
 def _residual_ok(phase, u):
-    return abs(phase.dh(u)) <= 1e-12 * max(1.0, abs(phase.d2h(u)))
+    return abs(phase.dh(u)) <= 1e-12 * max(1.0, abs(phase.derivs(u, 2)[2]))
 
 
 # -- phase function -------------------------------------------------------
@@ -64,11 +63,11 @@ def test_phase_conjugate_symmetry(lam, a, re, im, sign):
 
 
 def test_phase_derivative_consistency():
-    # dnh(2) agrees with a central difference of dh
+    # h'' agrees with a central difference of dh
     ph = Phase(1.3, 0.7, Sign.MINUS)
     u, eps = 0.4, 1e-6
     fd = (ph.dh(u + eps) - ph.dh(u - eps)) / (2 * eps)
-    assert abs(ph.dnh(u, 2) - fd) < 1e-8
+    assert abs(ph.derivs(u, 2)[2] - fd) < 1e-8
 
 
 @pytest.mark.parametrize("sign", [Sign.MINUS, Sign.PLUS])
@@ -323,25 +322,26 @@ def test_double_saddle_point_sits_on_curve():
         assert s.kind is SaddleKind.REAL_DOUBLE
         ph = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
         assert abs(ph.dh(s.location.real)) < 1e-10
-        assert abs(ph.d2h(s.location.real)) < 1e-10
+        assert abs(ph.derivs(s.location.real, 2)[2]) < 1e-10
         assert abs(s.location.real - 2.0 * math.log(lam) / (1 + lam)) < 1e-12
 
 
 def test_classification_flips_across_curve():
     for lam in (0.5, 1.0, 2.0, 5.0):
         astar = double_saddle_curve(lam)
-        assert classify_minus(lam, astar + 1e-9).regime is Regime.TWO_REAL
-        assert classify_minus(lam, astar - 1e-9).regime is Regime.CONJUGATE_PAIR
-        assert classify_minus(lam, astar).regime is Regime.DOUBLE
-    assert classify_minus(-0.5, 1.0).regime is Regime.SINGLE_REAL
+        for a, regime in ((astar + 1e-9, Regime.TWO_REAL),
+                          (astar - 1e-9, Regime.CONJUGATE_PAIR),
+                          (astar, Regime.DOUBLE)):
+            assert contour(lam, a, Sign.MINUS).regime is regime
+    assert contour(-0.5, 1.0, Sign.MINUS).regime is Regime.SINGLE_REAL
 
 
 def test_two_real_contributory_is_larger_root():
-    cls = classify_minus(1.0, 1.2)
+    c = contour(1.0, 1.2, Sign.MINUS)
     ph = Phase(1.0, 1.2, Sign.MINUS)
     lo, hi = solve_real_saddle(ph)
-    assert len(cls.contributory) == 1
-    assert abs(cls.contributory[0].location.real - hi.location.real) < 1e-12
+    assert len(c.saddles) == 1
+    assert abs(c.saddles[0].location.real - hi.location.real) < 1e-12
 
 
 # -- complex pair ---------------------------------------------------------
@@ -408,18 +408,19 @@ def test_chain_lam_one_boundary_saddle():
 
 @pytest.mark.parametrize("lam,a,n", [(1.0, 0.5, 0), (3.0, 0.2, 1), (6.0, 0.2, 2)])
 def test_contributory_pair_counts(lam, a, n):
-    region = count_contributory_pairs(lam, a)
-    assert region.n_pairs == n
-    if n >= 1:
-        assert region.last_pair_subdominant
-        # contributory means the pair's phase has positive imaginary part
-        for s in region.saddles[1:]:
-            assert s.phase_value.imag > 0.0
+    c = contour(lam, a, Sign.PLUS)
+    assert c.regime is Regime.CHAIN
+    assert len(c.saddles) == n + 1
+    assert c.saddles[0].kind is SaddleKind.REAL_SIMPLE
+    assert c.last_pair_subdominant is (n >= 1)
+    # contributory means the pair's phase has positive imaginary part
+    for s in c.saddles[1:]:
+        assert s.phase_value.imag > 0.0
 
 
 def test_count_negative_lam_no_chain():
-    region = count_contributory_pairs(-0.5, 1.0)
-    assert region.n_pairs == 0
+    c = contour(-0.5, 1.0, Sign.PLUS)
+    assert len(c.saddles) == 1 and not c.last_pair_subdominant
 
 
 def test_stokes_boundary_first_pair_at_lam_two():
@@ -427,9 +428,9 @@ def test_stokes_boundary_first_pair_at_lam_two():
     assert abs(a_flip - 0.4075) < 1e-3
     # counting right on the flip is refused rather than guessed
     with pytest.raises(OnStokesBoundary):
-        count_contributory_pairs(2.0, a_flip)
-    assert count_contributory_pairs(2.0, a_flip - 0.01).n_pairs >= 1
-    assert count_contributory_pairs(2.0, a_flip + 0.01).n_pairs == 0
+        contour(2.0, a_flip, Sign.PLUS)
+    assert len(contour(2.0, a_flip - 0.01, Sign.PLUS).saddles) >= 2
+    assert len(contour(2.0, a_flip + 0.01, Sign.PLUS).saddles) == 1
 
 
 # -- descent paths --------------------------------------------------------

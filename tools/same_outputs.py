@@ -11,20 +11,25 @@ runs w_minus/w_plus at the T1-T5 points and on a grid of lam for which
 q*lam is an integer for a power of two q <= 8 (the oracle's Gamma-ratio
 chain, which perfbench's random lam never reach), then wright_series at
 unscaled points whose z has a mantissa of 1 or 2 bits (the oracle's
-z^n/n! is renormalised after every division by n), and `wright table
-<spec>` with and without `--json` for every table spec.  Both trees take
-their inputs from this checkout's perfbench/, which is only read.
+z^n/n! is renormalised after every division by n).  Last it runs the CLI,
+each command as text and with `--json`: `wright table <spec>` for every
+table spec; `wright expand` with `--order 3` and with optimal truncation
+at the T1-T5 points, at one point within 1e-6 of the coalescence curve
+and, with `--include-subdominant`, at (6, 0.2, 40, plus); and `wright
+saddles` on the curve at lam = 2 and 1e-9 either side of it (minus) and
+at (6, 0.2) with `--chain 4` (plus).  Both trees take their inputs from
+this checkout's perfbench/, which is only read.
 
 Each result is dumped as the repr of every public, non-callable attribute,
 with mpmath numbers printed to enough digits to tell any two apart; an
-exception as its type and message; a table run as its exit code and
+exception as its type and message; a CLI run as its exit code and
 output.  Differences are counted in three classes, and the first of each
 is reported with both sides:
 
 - outcome: a value on one side and an exception on the other, or two
   exceptions of different types;
 - message: two exceptions of one type with different messages;
-- attribute: one attribute of two results (a table run's exit code or
+- attribute: one attribute of two results (a CLI run's exit code or
   output included).
 
 The exit code is 1 if there is any difference.  An attribute that exists
@@ -80,9 +85,8 @@ def _attrs(result) -> dict[str, str]:
     return out
 
 
-def _oracle_ops() -> list[dict]:
-    """perfbench runner operations for the oracle at the T1-T5 points,
-    then on the chain grid."""
+def _table_points() -> list[tuple]:
+    """(lam, a, x, sign) of every row of tables T1-T5."""
     from wrightasym import reference as ref
     from wrightasym.saddles import double_saddle_curve
 
@@ -93,10 +97,39 @@ def _oracle_ops() -> list[dict]:
                for lam in sorted(ref.T3_ERRORS)]
     points += [(r.lam, r.a, x_chain, "plus") for r in ref.T4_ROWS]
     points += [(r.lam, r.a, r.x, "plus") for r in ref.T5_ROWS]
-    points += [(lam, CHAIN_A, x, sign) for lam in CHAIN_LAMS
-               for x in CHAIN_XS for sign in ("minus", "plus")]
+    return points
+
+
+def _oracle_ops() -> list[dict]:
+    """perfbench runner operations for the oracle at the T1-T5 points,
+    then on the chain grid."""
+    points = _table_points() + [(lam, CHAIN_A, x, sign) for lam in CHAIN_LAMS
+                                for x in CHAIN_XS
+                                for sign in ("minus", "plus")]
     return [{"route": "oracle", "lam": lam, "a": a, "x": x, "sign": sign}
             for lam, a, x, sign in points]
+
+
+def _cli_argvs() -> list[list[str]]:
+    """`wright` command lines, each as text and with --json."""
+    from wrightasym.reference import TableSpec
+    from wrightasym.saddles import double_saddle_curve
+
+    curve = double_saddle_curve(2.0)
+    argvs = [["table", spec.value] for spec in TableSpec]
+    expand = [(lam, a, x, sign, ()) for lam, a, x, sign in _table_points()]
+    expand += [(2.0, curve * (1.0 + 1e-9), 40.0, "minus", ()),
+               (6.0, 0.2, 40.0, "plus", ("--include-subdominant",))]
+    for lam, a, x, sign, extra in expand:
+        for order in (("--order", "3"), ()):
+            argvs.append(["expand", "--lambda", repr(lam), "--a", repr(a),
+                          "--x", repr(x), "--sign", sign, *order, *extra])
+    for a in (curve, curve - 1e-9, curve + 1e-9):
+        argvs.append(["saddles", "--lambda", "2.0", "--a", repr(a),
+                      "--sign", "minus"])
+    argvs.append(["saddles", "--lambda", "6.0", "--a", "0.2",
+                  "--sign", "plus", "--chain", "4"])
+    return [argv + fmt for argv in argvs for fmt in ([], ["--json"])]
 
 
 def _dump(tree: Path, seeds: list[int], path: Path) -> None:
@@ -106,7 +139,6 @@ def _dump(tree: Path, seeds: list[int], path: Path) -> None:
     from wrightasym.cli import main
     from wrightasym.core import WrightParams
     from wrightasym.oracle import wright_series
-    from wrightasym.reference import TableSpec
 
     with path.open("w") as fh:
         def emit(key: str, record: dict) -> None:
@@ -131,13 +163,11 @@ def _dump(tree: Path, seeds: list[int], path: Path) -> None:
             call(f"wright_series {lam} {mu} {z}",
                  lambda: wright_series(WrightParams(lam, mu), z))
         cli = CliRunner()
-        for spec in TableSpec:
-            for fmt in ((), ("--json",)):
-                argv = ["table", spec.value, *fmt]
-                res = cli.invoke(main, argv)
-                emit("wright " + " ".join(argv),
-                     {"attrs": {"exit_code": repr(res.exit_code),
-                                "output": res.output}})
+        for argv in _cli_argvs():
+            res = cli.invoke(main, argv)
+            emit("wright " + " ".join(argv),
+                 {"attrs": {"exit_code": repr(res.exit_code),
+                            "output": res.output}})
 
 
 CLASSES = ("outcome", "message", "attribute")
