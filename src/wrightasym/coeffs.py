@@ -15,12 +15,17 @@ two exponentials, so each new beta_k solves one linear equation whose
 known part is two convolutions against the series of e^t and e^(-lam t);
 the same two sums extend those series by one order.  The series to order
 n costs O(n^2).  The recurrence goes order by order and never sees the
-large parameter, so it runs in u0's own arithmetic, as Phase.parts does:
-mpmath at the working precision for an mpf or mpc u0, each convolution
-one exact dot product (mp.fdot), and Python floats for a float u0, each
-convolution one math.fsum of the products.  Every input is real at a
-real saddle and on the coalescence curve, so those run in real
-arithmetic.
+large parameter, so it runs on exact Python integers in fixed point,
+whatever u0's arithmetic (Brent and Zimmermann, Modern Computer
+Arithmetic, ch. 3): order j in units of 2^-(F + r j), the rescale 2^r of
+s levelling the betas' geometric rise or fall, each convolution a sum of
+exact integer products shifted once, one int list per series at a real
+saddle or on the coalescence curve and (re, im) lists at a complex one.
+F is sized from the call: the working precision (53 bits for a float
+u0) plus a 32-bit guard, raised and run again where a beta keeps fewer
+bits.  Each beta is rounded once to u0's arithmetic, an mpf or mpc at
+the working precision or a double; _saddle_betas states the error
+budget.
 
 The A_k come from Newton-polishing the saddle at the working precision
 (saddles.polish_saddle) and running simple_coeffs_mp there; the B_k from
@@ -33,9 +38,10 @@ forms live here: the tests keep them as independent references.
 from __future__ import annotations
 
 import math
-import operator
+from operator import mul
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .core import DomainError, Sign
 from .saddles import Phase, double_saddle_curve, u_star
@@ -46,71 +52,267 @@ class DegenerateSaddle(ValueError):
     apply (use the double-saddle route)."""
 
 
-def _fsum_dot(xs, ys) -> float:
-    return math.fsum(map(operator.mul, xs, ys))
+# every beta keeps at least wp + _GUARD bits in units of its fixed-point
+# scale, wp the working precision
+_GUARD = 32
+# orders and bits of the pilot run that sizes the rescale of s, and the
+# headroom per pilot order the full run starts with
+_PILOT = 12
+_PILOT_BITS = 112
+_SLACK = 3
+
+
+def _exact(x) -> tuple[int, int, int]:
+    """(re, im, e) with x = (re + i im) 2^e exactly, for an mpf, mpc,
+    float or complex x."""
+    if type(x) is mp.mpc or type(x) is complex:
+        (a, ea), (b, eb) = _binary(x.real), _binary(x.imag)
+        e = min(ea, eb)
+        return a << (ea - e), b << (eb - e), e
+    n, e = _binary(x)
+    return n, 0, e
+
+
+def _binary(x) -> tuple[int, int]:
+    """(n, e) with x = n 2^e exactly, for an mpf or a float."""
+    if type(x) is mp.mpf:
+        sign, man, exp, _ = x._mpf_
+        return (-man if sign else man), exp
+    n, d = x.as_integer_ratio()
+    return n, 1 - d.bit_length()
+
+
+def _rz(x: int, s: int, d: int = 1) -> int:
+    """x / (d 2^s) rounded toward zero, d > 0.  This rounding commutes with
+    negation, so a beta that vanishes by symmetry (every other one on the
+    curve at lam = 1) comes out exactly 0."""
+    return (x >> s) // d if x >= 0 else -((-x >> s) // d)
+
+
+def _fixed_ratio(a, b, scale: int) -> tuple[int, int]:
+    """a/b in units of 2^-scale, real and imaginary part rounded toward
+    zero, for a and b as _exact gives them."""
+    ar, ai, ae = a
+    br, bi, be = b
+    den = br * br + bi * bi
+    nr, ni = ar * br + ai * bi, ai * br - ar * bi
+    s = ae - be + scale
+    if s < 0:
+        return _rz(nr, -s, den), _rz(ni, -s, den)
+    return _rz(nr << s, 0, den), _rz(ni << s, 0, den)
+
+
+def _series_start(cl, m: int, fb: int, r: int) -> tuple[list, list]:
+    """E and F through order m with only beta_1 = 1: e_j = 1/j! and f_j =
+    (-lam)^j/j! in units of 2^-(fb + r j)."""
+    return ([_rz(1 << (fb + r * j), 0, math.factorial(j))
+             for j in range(m + 1)],
+            [_rz(cl ** j << (fb + r * j), fb * j, math.factorial(j))
+             for j in range(m + 1)])
+
+
+def _real_betas(cp, cq, cl, m: int, n: int, fb: int, r: int) -> list:
+    """[k beta_k], k = 1..n, in units of 2^-(fb + r k), at a real saddle:
+    cp = P/lead, cq = lam Q/lead and cl = -lam in units of 2^-fb, m = 2
+    or 3."""
+    f2 = 2 * fb
+    e, f = _series_start(cl, m, fb, r)
+    ib = [1 << (fb + r)]
+    solve = f2 + r * (m - 1)
+    for k in range(2, n + 1):
+        top = k + m - 1
+        se = sum(map(mul, ib, reversed(e)))
+        sf = sum(map(mul, ib, reversed(f)))
+        kb = _rz(-k * (cp * se - cq * sf), solve, top)
+        e.append(_rz(se, fb, top))
+        f.append(_rz(cl * sf, f2, top))
+        # beta_k s^k multiplies E by e^(beta_k s^k) and F by
+        # e^(-lam beta_k s^k), adding to orders k..k+m-1; o descends, so
+        # e[o] is read before its own update, and the square enters only
+        # at o = k (m = 3, k = 2), where e_0 = f_0 = 1
+        b = _rz(kb, 0, k)
+        bf = _rz(cl * b, fb)
+        for o in range(m - 1, -1, -1):
+            de, df, s = b * e[o], bf * f[o], fb
+            if o == k:
+                de, df, s = 2 * de + b * b, 2 * df + bf * bf, fb + 1
+            e[k + o] += _rz(de, s)
+            f[k + o] += _rz(df, s)
+        ib.append(kb)
+    return [ib]
+
+
+def _complex_betas(cp, cq, cl, m: int, n: int, fb: int, r: int) -> list:
+    """_real_betas at a complex saddle: every series, cp and cq as (re,
+    im) pairs of ints, each complex dot product as four real ones."""
+    (pr, pi), (qr, qi) = cp, cq
+    f2 = 2 * fb
+    er, fr = _series_start(cl, m, fb, r)
+    ei, fi = [0] * (m + 1), [0] * (m + 1)
+    br, bi = [1 << (fb + r)], [0]
+    solve = f2 + r * (m - 1)
+
+    def cdot(xr, xi, yr, yi):
+        return (sum(map(mul, xr, reversed(yr)))
+                - sum(map(mul, xi, reversed(yi))),
+                sum(map(mul, xr, reversed(yi)))
+                + sum(map(mul, xi, reversed(yr))))
+
+    for k in range(2, n + 1):
+        top = k + m - 1
+        ser, sei = cdot(br, bi, er, ei)
+        sfr, sfi = cdot(br, bi, fr, fi)
+        xr = pr * ser - pi * sei - qr * sfr + qi * sfi
+        xi = pr * sei + pi * ser - qr * sfi - qi * sfr
+        kr = _rz(-k * xr, solve, top)
+        ki = _rz(-k * xi, solve, top)
+        er.append(_rz(ser, fb, top))
+        ei.append(_rz(sei, fb, top))
+        fr.append(_rz(cl * sfr, f2, top))
+        fi.append(_rz(cl * sfi, f2, top))
+        b_r, b_i = _rz(kr, 0, k), _rz(ki, 0, k)
+        g_r, g_i = _rz(cl * b_r, fb), _rz(cl * b_i, fb)
+        for o in range(m - 1, -1, -1):
+            dr = b_r * er[o] - b_i * ei[o]
+            di = b_r * ei[o] + b_i * er[o]
+            hr = g_r * fr[o] - g_i * fi[o]
+            hi = g_r * fi[o] + g_i * fr[o]
+            s = fb
+            if o == k:
+                dr = 2 * dr + b_r * b_r - b_i * b_i
+                di = 2 * (di + b_r * b_i)
+                hr = 2 * hr + g_r * g_r - g_i * g_i
+                hi = 2 * (hi + g_r * g_i)
+                s += 1
+            j = k + o
+            er[j] += _rz(dr, s)
+            ei[j] += _rz(di, s)
+            fr[j] += _rz(hr, s)
+            fi[j] += _rz(hi, s)
+        br.append(kr)
+        bi.append(ki)
+    return [br, bi]
+
+
+def _fixed_betas(phase: Phase, u0, m: int, n: int) -> tuple:
+    """(parts, fb, r, hm): k beta_k for k = 1..n in units of 2^-(fb + r k),
+    as one int list at a real u0 and (re, im) lists at a complex one, and
+    h^(m)(u0) in u0's arithmetic; _saddle_betas states the method."""
+    lam, _, p, q = phase.parts(u0)
+    to_mp = type(u0) is mp.mpf or type(u0) is mp.mpc
+    cplx = type(u0) is mp.mpc or type(u0) is complex
+    wp = mp.mp.prec if to_mp else 53
+    # (m-1)! P, (m-1)! lam Q and h^(m) = P + (-lam)^m Q exactly; h^(m)
+    # rounded once to u0's arithmetic
+    ln, le = _binary(lam)
+    (pr, pi, pe), (qr, qi, qe) = _exact(p), _exact(q)
+    fm, c = math.factorial(m - 1), (-ln) ** m
+    pa, lq = (fm * pr, fm * pi, pe), (fm * ln * qr, fm * ln * qi, qe + le)
+    e0 = min(pe, qe + m * le)
+    sp, sq = pe - e0, qe + m * le - e0
+    hx = ((pr << sp) + (c * qr << sq), (pi << sp) + (c * qi << sq), e0)
+    if to_mp:
+        hm = [from_man_exp(x, e0, wp, round_nearest) for x in hx[:2]]
+        hm = mp.make_mpc(tuple(hm)) if cplx else mp.make_mpf(hm[0])
+    else:
+        hm = [math.ldexp(float(x), e0) for x in hx[:2]]
+        hm = complex(*hm) if cplx else hm[0]
+    if abs(hm) < 1e-10:
+        raise DegenerateSaddle(f"|h^({m})(u0)| = {float(abs(hm)):.2e}: "
+                               f"saddle is (numerically) of higher order")
+    recur = _complex_betas if cplx else _real_betas
+
+    def run(nn: int, fb: int, r: int) -> list:
+        # P/lead and lam Q/lead, lead = h^(m)/(m-1)!, and -lam
+        cp, cq = _fixed_ratio(pa, hx, fb), _fixed_ratio(lq, hx, fb)
+        cl = -ln << (fb + le) if fb + le >= 0 else _rz(-ln, -(fb + le))
+        if not cplx:
+            cp, cq = cp[0], cq[0]
+        return recur(cp, cq, cl, m, nn, fb, r)
+
+    r = 0
+    if n > _PILOT:
+        # the pilot's last k beta_k against its unit gives log2 of the
+        # betas' rise per order; r undoes it, rounding a fall up so that
+        # it is overcorrected rather than left to eat the guard bits
+        top = max(map(int.bit_length, run(_PILOT, _PILOT_BITS, 0)[0][-2:]))
+        r = -((top - _PILOT_BITS) // (_PILOT - 1))
+    fb = wp + _GUARD + _SLACK * min(n, _PILOT)
+    parts = run(n, fb, r)
+    # bits of each beta, the larger of it and its neighbour counting
+    bits = [max(map(int.bit_length, v)) for v in zip(*parts)]
+    short = wp + _GUARD - min(map(max, bits, bits[1:]), default=bits[0])
+    if short > 0:
+        fb += short
+        parts = run(n, fb, r)
+    return parts, fb, r, hm
 
 
 def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
-    """beta_1..beta_n and h^(m)(u0) in u0's arithmetic, mpmath at the
-    working precision for an mpf or mpc and floats for a float: t = sum_k
-    beta_k s^k solves h(u0) - h(u0 + t) = w^m/m in the normalized variable
-    s = b_1 w, so beta_k = b_k / b_1^k and beta_1 = 1.
+    """beta_1..beta_n and h^(m)(u0), rounded to u0's arithmetic, mpmath at
+    the working precision for an mpf or mpc and floats for a float: t =
+    sum_k beta_k s^k solves h(u0) - h(u0 + t) = w^m/m in the normalized
+    variable s = b_1 w, so beta_k = b_k / b_1^k and beta_1 = 1.
 
     In s the differentiated substitution reads
 
         t'(s) h'(u0 + t) = s^(m-1) h^(m)(u0)/(m-1)!,
 
     with h'(u0 + t) = P (E - 1) - lam Q (F - 1), E = e^t, F = e^(-lam t),
-    P = e^(u0)/2 and Q = sign e^(-lam u0)/2 from Phase.parts.  Every
-    input is real wherever u0 is, so a real saddle (and the coalescence
-    curve) runs in real arithmetic.  The order-k equation is linear in
-    beta_k with weight h^(m)(u0) (k+m-1)/(m-1)!; its other part is two
-    convolutions, sum i beta_i e_(k+m-1-i) and sum i beta_i f_(k+m-1-i),
-    each one dot product: exact (mp.fdot) in mpmath, math.fsum of the
-    rounded products in floats.  The same two sums are (k+m-1) e_(k+m-1) and
-    -(k+m-1) f_(k+m-1)/lam with beta_k still 0, from E' = t' E and
-    F' = -lam t' F; once beta_k is solved its terms are added to
-    e_k..e_(k+m-1) and f_k..f_(k+m-1) in O(m) each.  So each order costs
-    two dot products, and the series to order n O(n^2) in all.
+    P = e^(u0)/2 and Q = sign e^(-lam u0)/2 from Phase.parts.  The
+    order-k equation is linear in beta_k with weight lead (k+m-1), lead =
+    h^(m)(u0)/(m-1)!; its other part is two convolutions, sum i beta_i
+    e_(k+m-1-i) and sum i beta_i f_(k+m-1-i).  The same two sums are
+    (k+m-1) e_(k+m-1) and -(k+m-1) f_(k+m-1)/lam with beta_k still 0, from
+    E' = t' E and F' = -lam t' F.  Once beta_k is solved, beta_k s^k
+    multiplies E by e^(beta_k s^k), so e_(k+o) gains beta_k e_o for o <
+    m (and beta_k^2/2 where o = k), and likewise F: O(m) each.  So each
+    order costs two dot products, and the series to order n O(n^2) in
+    all.
+
+    The recurrence runs on Python ints in fixed point (_real_betas, and
+    _complex_betas on (re, im) lists at a complex saddle).  P, Q and lam
+    are binary fractions, so lam Q and lead are formed from them exactly,
+    and P/lead and lam Q/lead are rounded to units of 2^-F (fb in the
+    code).  A value of
+    order j is kept in units of 2^-(F + r j), which rescales s by 2^r: r
+    comes from a pilot run of the first 12 orders at 112 bits and levels
+    the betas' geometric rise or fall, which spans 2^-180..2^800 over 81
+    orders at the saddles measured.  Error budget:
+    - every dot product is exact, and every stored value is rounded once
+      (a shift, with a division by an order folded in) toward zero, so it
+      is off by under one unit from the recurrence on the values before
+      it; those units carry into later orders;
+    - F starts at wp + 32 + 3 min(n, 12) bits, wp the working precision
+      (53 for floats).  If some beta keeps fewer than wp + 32 bits (the
+      larger of it and its neighbour counting, so an isolated zero beta
+      does not), the run is repeated once at F raised by the shortfall;
+    - each beta is then rounded once, to an mpf or mpc at wp or to a
+      double.
+    Rounding toward zero commutes with negation, so a beta that vanishes
+    by symmetry (every other one on the curve at lam = 1) is exactly 0.
+    Measured at 50 digits at the five saddles of
+    test_engine_matches_80_digit_engine, beta_1..beta_81 are within
+    1.3e-51 (half an ulp) of the fdot engine of tests/fdot_engine.py run
+    at 120 digits on the same P, Q and lam, so what the A_k keep is set by
+    the rounding of u0, P, Q and h'', not by the recurrence.
     """
-    lam, _, p, q = phase.parts(u0)
-    lq = lam * q
-    hm = p + (-lam) ** m * q
-    if abs(hm) < 1e-10:
-        raise DegenerateSaddle(f"|h^({m})(u0)| = {float(abs(hm)):.2e}: "
-                               f"saddle is (numerically) of higher order")
-    if type(u0) is mp.mpf or type(u0) is mp.mpc:
-        one, dot = mp.mpf(1), mp.fdot
-    else:
-        one, dot = 1.0, _fsum_dot
-    ib = [0, one]  # ib[i] = i beta_i
-    # E = e^s and F = e^(-lam s) through order m while only beta_1 is known
-    e = [one / math.factorial(j) for j in range(m + 1)]
-    f = [(-lam) ** j / math.factorial(j) for j in range(m + 1)]
-    lead = hm / math.factorial(m - 1)
-    for k in range(2, n + 1):
-        # e, f hold orders 0..k+m-2 with beta_k = 0
-        top = k + m - 1
-        se = dot(ib[1:k], e[top - 1:m - 1:-1])
-        sf = dot(ib[1:k], f[top - 1:m - 1:-1])
-        kb = -k * (p * se - lq * sf) / (lead * top)
-        ib.append(kb)
-        e.append(se / top)
-        f.append(-lam * sf / top)
-        de, df = {}, {}
-        for j in range(k, top + 1):
-            # beta_k's share of order j; e[j-k] already carries it when
-            # j - k >= k, and i = k is the kb term itself
-            se = kb * e[j - k]
-            sf = kb * f[j - k]
-            for i in range(1, min(j - k, k - 1) + 1):
-                se += ib[i] * de[j - i]
-                sf += ib[i] * df[j - i]
-            de[j] = se / j
-            df[j] = -lam * sf / j
-            e[j] += de[j]
-            f[j] += df[j]
-    return [c / i for i, c in enumerate(ib[1:], 1)], hm
+    parts, fb, r, hm = _fixed_betas(phase, u0, m, n)
+    to_mp = type(u0) is mp.mpf or type(u0) is mp.mpc
+    wp = mp.mp.prec
+    out = []
+    for k, v in enumerate(zip(*parts), 1):
+        s = fb + r * k
+        if to_mp:
+            xs = [from_rational(x, k << s, wp, round_nearest) if s >= 0
+                  else from_rational(x << -s, k, wp, round_nearest)
+                  for x in v]
+            out.append(mp.make_mpf(xs[0]) if len(xs) == 1
+                       else mp.make_mpc(tuple(xs)))
+        else:
+            xs = [x / (k << s) if s >= 0 else (x << -s) / k for x in v]
+            out.append(xs[0] if len(xs) == 1 else complex(*xs))
+    return out, hm
 
 
 def double_saddle_coeffs(lam: float, order: int) -> list[float]:
@@ -142,5 +344,12 @@ def simple_coeffs_mp(phase: Phase, u0, order: int) -> list:
     h''(u0)^k: no square-root branch enters, and at a real saddle every
     A_k is an mpf.  Raises DegenerateSaddle where |h''(u0)| < 1e-10.
     """
-    beta, h2 = _saddle_betas(phase, u0, 2, 2 * order + 1)
-    return [(2 * k + 1) * beta[2 * k] / h2 ** k for k in range(order + 1)]
+    parts, fb, r, h2 = _fixed_betas(phase, u0, 2, 2 * order + 1)
+    out = []
+    for k in range(order + 1):
+        # (2k+1) beta_(2k+1) exactly, then one rounding in the quotient
+        j = 2 * k + 1
+        num = [from_man_exp(v[j - 1], -fb - r * j) for v in parts]
+        num = mp.make_mpf(num[0]) if len(num) == 1 else mp.make_mpc(tuple(num))
+        out.append(num / h2 ** k)
+    return out

@@ -236,16 +236,21 @@ def _double_series(lam: float, x: float, order: int) -> SaddleSeries:
     u0 = u_star(mp.mpf(lam))
     h0, _, _, h3 = phase.derivs(u0, 3)
     hx3 = 2 * h3 * xm / 3
+    root = mp.cbrt(hx3)
+    # g[k % 3] = Gamma((k+1)/3) / (H x/3)^(k/3), carried from k to k + 3
+    # by Gamma(s + 1) = s Gamma(s); the sine is sqrt(3)/2 times 1, 1, 0,
+    # -1, -1, 0 as k runs through 0..5 (mod 6)
+    g = [mp.gamma(mp.mpf(1) / 3), mp.gamma(mp.mpf(2) / 3) / root]
+    sine = mp.sqrt(3) / 2
     terms = []
-    for k in range(order + 1):
+    for k, bk in enumerate(coeffs):
         if k % 3 == 2:
             terms.append(mp.mpf(0))
             continue
-        t = (mp.mpf(coeffs[k]) / hx3 ** (mp.mpf(k) / 3)
-             * mp.gamma(mp.mpf(k + 1) / 3) * mp.sin(mp.pi * (k + 1) / 3))
-        terms.append(t)
+        terms.append(mp.mpf(bk) * g[k % 3] * (sine if k % 6 < 2 else -sine))
+        g[k % 3] = g[k % 3] * (k + 1) / (3 * hx3)
     pref = (mp.mpf(2) ** (mp.mpf(2) / 3) * mp.e ** (xm * h0)
-            / (3 * mp.pi * hx3 ** (mp.mpf(1) / 3)))
+            / (3 * mp.pi * root))
     return SaddleSeries(complex(u0), h0, pref, tuple(terms), tuple(coeffs))
 
 

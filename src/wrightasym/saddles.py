@@ -153,6 +153,8 @@ _RESIDUAL_TOL = 1e-12
 # simple-saddle series degenerate
 _NEAR_CURVE_REL = 1e-6
 _POLISH_STEPS = 6
+# a step this many ulp or shorter ends an mp Newton polish
+_POLISH_ULPS = 16
 _MAX_PAIRS = 64
 _MAX_DESCENT_STEPS = 500000
 
@@ -171,14 +173,30 @@ def _make_saddle(phase: Phase, u, index: int, kind: SaddleKind) -> Saddle:
     )
 
 
+def _sup(v):
+    """max(|Re v|, |Im v|) for an mpc, |v| otherwise."""
+    return max(abs(v.real), abs(v.imag)) if type(v) is mp.mpc else abs(v)
+
+
 def _newton_polish(phase: Phase, u, steps: int = 4):
     """Up to `steps` Newton steps on h' = 0, in u's own arithmetic;
-    returns u and [h, h', h''] there.  A step that leaves u unchanged
-    ends the iteration: every later step would repeat it, so the result
-    is the one the full count gives."""
+    returns u and [h, h', h''] there.  The iteration ends where the next
+    step would leave u unchanged, or, in mpmath, move it by at most
+    _POLISH_ULPS ulp: there u can cycle in its last bits (by 4e-52 to
+    2e-51 at 50 digits at (1.5, 0.5, -)), so every later step would only
+    cost an evaluation."""
+    # sizes in the larger of |Re| and |Im| (no square root); u moves by
+    # far less than itself, so the tolerance is set once
+    tol = (_POLISH_ULPS * mp.eps * _sup(u)
+           if type(u) is mp.mpf or type(u) is mp.mpc else -1.0)
     d = phase.derivs(u, 2)
     for _ in range(steps):
-        v = u - d[1] / d[2] if d[2] else u
+        if not d[2]:
+            break
+        step = d[1] / d[2]
+        if _sup(step) <= tol:
+            break
+        v = u - step
         if v == u:
             break
         u, d = v, phase.derivs(v, 2)

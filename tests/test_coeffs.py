@@ -3,7 +3,9 @@
 The low orders are checked against the closed forms in closed_forms.py,
 the high orders against an independent Lagrange inversion kept here:
 J.C.P. Miller powers of the Taylor series of
-w(t) = (m (h(u0) - h(u0 + t)))^(1/m), O(n^3).
+w(t) = (m (h(u0) - h(u0 + t)))^(1/m), O(n^3).  The integer engine is
+also held to the mpmath engine it replaced (fdot_engine.py) run at 80
+digits.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import random
 import mpmath as mp
 import pytest
 
+import fdot_engine
 from closed_forms import b_polynomials, closed_form_A
+from wrightasym import coeffs
 from wrightasym.core import DomainError, Sign
 from wrightasym.coeffs import (
     _saddle_betas,
@@ -281,31 +285,98 @@ def test_cubic_reversion_matches_lagrange_at_orders_30_and_40():
 
 
 def test_engine_cost_and_real_arithmetic(monkeypatch):
-    # two exact dot products per order, and no complex arithmetic where
-    # the saddle is real: a count, not a timing
-    calls = 0
-    fdot = mp.fdot
+    # the recurrence runs on ints, and where the saddle is real nothing
+    # complex is made: counts, not timings
+    calls = {"fdot": 0, "complex": 0}
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return fdot(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(mp, "fdot", counted)
+    monkeypatch.setattr(mp, "fdot", counted("fdot", mp.fdot))
+    monkeypatch.setattr(mp, "make_mpc", counted("complex", mp.make_mpc))
+    monkeypatch.setattr(coeffs, "_complex_betas",
+                        counted("complex", coeffs._complex_betas))
     ph = Phase(1.0, 1.2, Sign.MINUS)
     with mp.workdps(50):
         u0 = _polished(ph, mp.mpf(solve_real_saddle(ph)[1].location.real))
-        coeffs = simple_coeffs_mp(ph, u0, 40)
-    assert calls <= 2 * 81 + 4
-    assert all(type(c) is mp.mpf for c in coeffs)
+        a_k = simple_coeffs_mp(ph, u0, 40)
+    assert calls == {"fdot": 0, "complex": 0}
+    assert all(type(c) is mp.mpf for c in a_k)
     lam = 1.7
     with mp.workdps(40):
         lm = mp.mpf(lam)
         beta, h3 = _saddle_betas(Phase(lam, double_saddle_curve(lam),
                                        Sign.MINUS),
                                  2 * mp.log(lm) / (1 + lm), 3, 41)
+    assert calls == {"fdot": 0, "complex": 0}
     assert len(beta) == 41 and type(h3) is mp.mpf
     assert all(type(c) is mp.mpf for c in beta)
+
+
+def _engine_cases():
+    """The real, conjugate, lam < 0 and two chain saddles the integer
+    engine is held to the fdot engine at."""
+    ph = Phase(1.0, 1.2, Sign.MINUS)
+    yield ph, solve_real_saddle(ph)[1].location
+    ph = Phase(2.0, 0.5, Sign.MINUS)
+    yield ph, solve_complex_pair(ph).location
+    ph = Phase(-0.25, 1.0, Sign.MINUS)
+    yield ph, solve_real_saddle(ph).location
+    ph = Phase(3.0, 0.2, Sign.PLUS)
+    yield ph, complex_saddle_chain(ph, 1)[0].location
+    ph = Phase(6.0, 0.2, Sign.PLUS)
+    yield ph, complex_saddle_chain(ph, 2)[1].location
+
+
+def _errors_against_80_digits(ph, location):
+    """Largest relative error of A_0..A_40 at 50 digits, from the integer
+    engine and from the fdot engine, against the fdot engine at 80 digits;
+    both 50-digit runs start from the 80-digit polished saddle rounded to
+    50 digits."""
+    with mp.workdps(80):
+        u80, _, _ = polish_saddle(ph, location)
+        want = fdot_engine.simple_coeffs(ph, u80, 40)
+    with mp.workdps(50):
+        u = +u80
+        got = simple_coeffs_mp(ph, u, 40)
+        old = fdot_engine.simple_coeffs(ph, u, 40)
+    with mp.workdps(80):
+        return tuple(max(abs(a - w) / abs(w) for a, w in zip(run, want))
+                     for run in (got, old))
+
+
+@pytest.mark.parametrize("case", range(5), ids=["real", "conjugate",
+                                                "lam<0", "chain1", "chain2"])
+def test_engine_matches_80_digit_engine(case):
+    # the fdot engine's errors here are 1.8e-49, 5.3e-50, 2.2e-48, 8e-50
+    # and 1.0e-49
+    ph, location = list(_engine_cases())[case]
+    new, old = _errors_against_80_digits(ph, location)
+    assert new <= 2 * old, (new, old)
+
+
+def test_engine_reruns_at_a_larger_scale(monkeypatch):
+    # with no pilot and no headroom the first run keeps too few bits at
+    # (-0.25, 1, -), whose beta's fall to 1e-47 by order 81: the re-run
+    # at the larger scale must restore the accuracy
+    runs = 0
+    real_betas = coeffs._real_betas
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return real_betas(*args)
+
+    monkeypatch.setattr(coeffs, "_real_betas", counted)
+    monkeypatch.setattr(coeffs, "_PILOT", 100)
+    monkeypatch.setattr(coeffs, "_SLACK", 0)
+    ph, location = list(_engine_cases())[2]
+    new, old = _errors_against_80_digits(ph, location)
+    assert runs == 2
+    assert new <= 2 * old, (new, old)
 
 
 @pytest.mark.parametrize("lam", [0.2, 0.3, 0.5, 1.0, 1.7, 2.0, 4.0, 8.0])

@@ -138,6 +138,19 @@ def test_plus_single_real_root_always():
         assert s.second_derivative.real > 0.0
 
 
+def _count_mp_derivs(monkeypatch) -> dict:
+    """Count Phase.derivs calls with an mpf or mpc argument."""
+    calls = {"mp": 0}
+    derivs = Phase.derivs
+
+    def counted(self, v, n):
+        calls["mp"] += type(v) in (mp.mpf, mp.mpc)
+        return derivs(self, v, n)
+
+    monkeypatch.setattr(Phase, "derivs", counted)
+    return calls
+
+
 def test_polish_stops_at_its_fixed_point(monkeypatch):
     phase = Phase(1.0, 1.2, Sign.MINUS)
     loc = solve_real_saddle(phase)[1].location
@@ -148,18 +161,35 @@ def test_polish_stops_at_its_fixed_point(monkeypatch):
             _, d, dd = phase.derivs(u, 2)
             u -= d / dd
         h0, _, h2 = phase.derivs(u, 2)
-        calls = 0
-        derivs = Phase.derivs
-
-        def counted(self, v, n):
-            nonlocal calls
-            calls += type(v) in (mp.mpf, mp.mpc)
-            return derivs(self, v, n)
-
-        monkeypatch.setattr(Phase, "derivs", counted)
+        calls = _count_mp_derivs(monkeypatch)
         got = polish_saddle(phase, loc)
-    assert calls <= 4
+    assert calls["mp"] <= 4
     assert got == (u, h0, h2)
+
+
+def _cycling_saddles():
+    """Saddles where a 50-digit Newton step keeps moving u in its last
+    ulp (by 4e-52..2e-51) instead of reaching a fixed point."""
+    ph = Phase(1.5, 0.5, Sign.MINUS)
+    yield ph, solve_complex_pair(ph).location
+    ph = Phase(3.0, 0.2, Sign.PLUS)
+    yield ph, complex_saddle_chain(ph, 1)[0].location
+    ph = Phase(6.0, 0.2, Sign.PLUS)
+    yield ph, solve_real_saddle(ph).location
+
+
+@pytest.mark.parametrize("case", range(3), ids=["conjugate", "chain1",
+                                                "plus-real"])
+def test_polish_stops_within_16_ulp(monkeypatch, case):
+    phase, loc = list(_cycling_saddles())[case]
+    with mp.workdps(50):
+        calls = _count_mp_derivs(monkeypatch)
+        u, _, h2 = polish_saddle(phase, loc)
+        assert calls["mp"] <= 4
+        # the step the polish declined moves u by at most 16 ulp, in the
+        # larger of its real and imaginary parts
+        step = phase.dh(u) / h2
+        assert saddles._sup(step) <= 16 * mp.eps * saddles._sup(u)
 
 
 # -- Brent root finder ----------------------------------------------------

@@ -32,6 +32,12 @@ is reported with both sides:
 - attribute: one attribute of two results (a CLI run's exit code or
   output included).
 
+Attribute differences are also listed by attribute name, with their
+count and, where every differing pair of reprs parses as a number or a
+tuple of numbers of one length (ints, floats, complex, mpf, mpc), the
+largest relative difference |p - c| / max(|p|, |c|) over them, so a
+last-bit move reads as its size.
+
 The exit code is 1 if there is any difference.  An attribute that exists
 on one side only is listed, but is not a difference.
 
@@ -42,6 +48,7 @@ the change is uncommitted, HEAD~1 once it is committed.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import subprocess
 import sys
@@ -173,14 +180,67 @@ def _dump(tree: Path, seeds: list[int], path: Path) -> None:
 CLASSES = ("outcome", "message", "attribute")
 
 
+def _numbers(text: str) -> list | None:
+    """The numbers a repr spells, in order, if it is a number or a tuple
+    or list of numbers (ints, floats, complex, mpf('...') and
+    mpc(real='...', imag='...')); None otherwise."""
+    try:
+        node = ast.parse(text, mode="eval").body
+    except SyntaxError:
+        return None
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List)) else [node]
+    out = []
+    for item in items:
+        try:
+            if isinstance(item, ast.Call):
+                name = item.func.id if isinstance(item.func, ast.Name) else ""
+                args = [ast.literal_eval(a) for a in item.args]
+                kwargs = {k.arg: ast.literal_eval(k.value)
+                          for k in item.keywords}
+                if name not in ("mpf", "mpc"):
+                    return None
+                out.append(getattr(mp, name)(*args, **kwargs))
+            else:
+                try:
+                    value = ast.literal_eval(item)
+                except ValueError:
+                    value = float(ast.unparse(item))  # inf, -inf, nan
+                if isinstance(value, bool) or not isinstance(
+                        value, (int, float, complex)):
+                    return None
+                out.append(mp.mpmathify(value))
+        except (ValueError, TypeError, SyntaxError, AttributeError):
+            return None
+    return out
+
+
+def _relative_move(vp: str, vc: str):
+    """Largest relative difference between two reprs of numbers, or None
+    where either does not parse or their lengths differ."""
+    with mp.workprec(REPR_BITS):
+        p, c = _numbers(vp), _numbers(vc)
+        if p is None or c is None or len(p) != len(c):
+            return None
+        out = mp.mpf(0)
+        for a, b in zip(p, c):
+            if a == b or (mp.isnan(a) and mp.isnan(b)):
+                continue
+            if not (mp.isfinite(a) and mp.isfinite(b)):
+                return mp.inf
+            out = max(out, abs(a - b) / max(abs(a), abs(b)))
+        return out
+
+
 def _error_type(record: dict) -> str | None:
     return record["error"].split(":", 1)[0] if "error" in record else None
 
 
-def _compare(parent: Path, change: Path) -> tuple[dict, set, int]:
-    """(differences per class, one-sided attributes, results compared);
+def _compare(parent: Path, change: Path) -> tuple[dict, set, int, dict]:
+    """(differences per class, one-sided attributes, results compared,
+    [count, largest relative move or None] per differing attribute name);
     the first difference of each class is printed."""
     diffs, one_sided, n = dict.fromkeys(CLASSES, 0), set(), 0
+    moves: dict[str, list] = {}
     with parent.open() as fp, change.open() as fc:
         for lp, lc in zip(fp, fc, strict=True):
             p, c = json.loads(lp), json.loads(lc)
@@ -206,10 +266,16 @@ def _compare(parent: Path, change: Path) -> tuple[dict, set, int]:
                 if vp == vc:
                     continue
                 diffs[kind] += 1
+                if kind == "attribute":
+                    move = moves.setdefault(name, [0, mp.mpf(0)])
+                    move[0] += 1
+                    size = _relative_move(vp, vc) if move[1] is not None \
+                        else None
+                    move[1] = None if size is None else max(move[1], size)
                 if diffs[kind] == 1:
                     print(f"first {kind} difference: {p['key']}\n"
                           f"  {name}:\n    parent {vp}\n    change {vc}")
-    return diffs, one_sided, n
+    return diffs, one_sided, n, moves
 
 
 def main() -> int:
@@ -238,13 +304,18 @@ def main() -> int:
         if any([proc.wait() for proc in procs]):
             print("a dump run failed", file=sys.stderr)
             return 2
-        diffs, one_sided, n = _compare(outs["parent"], outs["change"])
+        diffs, one_sided, n, moves = _compare(outs["parent"],
+                                              outs["change"])
     for side, name in sorted(one_sided):
         print(f"only on the {side} side (not compared): {name}")
     print(f"{n} results compared against {commit[:12]}: "
           f"{sum(diffs.values()) or 'no'} difference(s)")
     for kind in CLASSES:
         print(f"  {kind} changes: {diffs[kind]}")
+    for name, (count, size) in sorted(moves.items()):
+        how = ("not numbers" if size is None
+               else f"largest relative move {mp.nstr(size, 3)}")
+        print(f"    {name}: {count}, {how}")
     return 1 if any(diffs.values()) else 0
 
 
