@@ -159,8 +159,8 @@ _MAX_PAIRS = 64
 _MAX_DESCENT_STEPS = 500000
 
 
-def _make_saddle(phase: Phase, u, index: int, kind: SaddleKind) -> Saddle:
-    h0, h1, h2 = phase.derivs(u, 2)
+def _make_saddle(u, derivs: list, index: int, kind: SaddleKind) -> Saddle:
+    h0, h1, h2 = derivs  # [h, h', h''] at u, from the root-finder
     if abs(h1) > _RESIDUAL_TOL * max(1.0, abs(h2)):
         raise ConvergenceFailure(
             f"saddle residual {abs(h1):.2e} out of tolerance at u={u}")
@@ -362,7 +362,7 @@ def solve_real_saddle(phase: Phase):
     f = phase.dh
 
     def simple(root) -> Saddle:
-        return _make_saddle(phase, _newton_polish(phase, root)[0], 0,
+        return _make_saddle(*_newton_polish(phase, root), 0,
                             SaddleKind.REAL_SIMPLE)
 
     if phase.sign is Sign.PLUS:
@@ -420,7 +420,8 @@ def polish_saddle(phase: Phase, location: complex):
     return u, h0, h2
 
 
-def _complex_newton(phase: Phase, seed: complex, steps: int = 120) -> complex | None:
+def _complex_newton(phase: Phase, seed: complex, steps: int = 120) -> tuple | None:
+    """Newton on h' = 0 from seed: (u, [h, h', h''] at u), or None."""
     u = seed
     try:
         for _ in range(steps):
@@ -431,9 +432,9 @@ def _complex_newton(phase: Phase, seed: complex, steps: int = 120) -> complex | 
             u = u - du
             if abs(du) < 1e-15 * max(1.0, abs(u)):
                 break
-        _, d, dd = phase.derivs(u, 2)
-        if abs(d) < 1e-13 * max(1.0, abs(dd)):
-            return u
+        derivs = phase.derivs(u, 2)
+        if abs(derivs[1]) < 1e-13 * max(1.0, abs(derivs[2])):
+            return u, derivs
     except (OverflowError, ZeroDivisionError):
         return None
     return None
@@ -456,9 +457,9 @@ def solve_complex_pair(phase: Phase) -> Saddle:
             "parameters on or above the coalescence curve have real saddles")
     us = u_star(lam)
     for off in (0.3, 0.5, 0.7, 0.9, 1.2, 1.6, 2.1, 2.7):
-        root = _complex_newton(phase, complex(us, off))
-        if root is not None and 1e-9 < root.imag < math.pi:
-            return _make_saddle(phase, root, 0, SaddleKind.COMPLEX_PAIR)
+        found = _complex_newton(phase, complex(us, off))
+        if found is not None and 1e-9 < found[0].imag < math.pi:
+            return _make_saddle(*found, 0, SaddleKind.COMPLEX_PAIR)
     raise ConvergenceFailure(
         f"conjugate pair not located for lam={lam}, a={a}")
 
@@ -507,9 +508,10 @@ def _chain_member(phase: Phase, k: int) -> Saddle:
         raise DomainError("chain saddles require lam > 0")
     y_est = (2 * k - 1) * math.pi / lam
     for xr in (0.0, 0.1, 0.2, 0.3, 0.5, -0.1, 0.8, 1.2):
-        cand = _complex_newton(phase, complex(xr, y_est))
-        if cand is None or cand.imag <= 0:
+        found = _complex_newton(phase, complex(xr, y_est))
+        if found is None or found[0].imag <= 0:
             continue
+        cand = found[0]
         if k == 1:
             # closed lower edge: at lam = 1 the first saddle sits
             # exactly on Im u = pi/lam (u = i pi - arcsinh(a))
@@ -517,7 +519,7 @@ def _chain_member(phase: Phase, k: int) -> Saddle:
         else:
             ok = abs(cand.imag - y_est) < math.pi / lam
         if ok:
-            return _make_saddle(phase, cand, k, SaddleKind.COMPLEX_PAIR)
+            return _make_saddle(*found, k, SaddleKind.COMPLEX_PAIR)
     raise ConvergenceFailure(
         f"chain saddle {k} not found for lam={lam}, a={phase.a}")
 
@@ -675,15 +677,11 @@ def contour(lam: float, a: float, sign: Sign) -> Contour:
     for k in range(1, _MAX_PAIRS + 1):
         sadl = _chain_member(phase, k)
         im = sadl.phase_value.imag
-        if abs(im) < 1e-3:
-            # convert the level margin to parameter distance before guarding
-            da = 1e-4 * max(a, 0.1)
-            above = _chain_member(Phase(lam, a + da, Sign.PLUS), k)
-            slope = abs(above.phase_value.imag - im) / da
-            if abs(im) < 1e-6 * max(1.0, slope):
-                raise OnStokesBoundary(
-                    f"pair {k} sits on the contour-change boundary at "
-                    f"lam={lam}, a={a}")
+        # the level margin in parameter distance: |d Im h(u_k)/da| = Im u_k
+        if abs(im) < 1e-6 * max(1.0, sadl.location.imag):
+            raise OnStokesBoundary(
+                f"pair {k} sits on the contour-change boundary at "
+                f"lam={lam}, a={a}")
         if im > 0.0:
             members.append(sadl)
         else:
@@ -697,9 +695,12 @@ def stokes_boundary(lam: float, pair_index: int,
     """Parameter a at which chain pair `pair_index` joins or leaves the
     contour for fixed lam: the root of Im h(u_k)(a) = 0.
 
-    Scans [a_min, a_max] for a sign change and refines it with brentq
-    (each level evaluation locates the chain member afresh).  Raises
-    NoBoundary when the level keeps one sign over the whole range.
+    The level falls strictly in a (h' = 0 at u_k, so d Im h(u_k)/da =
+    -Im u_k <= -(pi/lam - 1e-9) for every member _chain_member accepts):
+    it changes sign at most once.  So bisecting the indices of an 80-point
+    log grid on [a_min, a_max] finds the cell a scan from a_min would, and
+    brentq refines it, returning an exact zero at a grid point as it is.
+    Raises NoBoundary when the level has one sign at both range ends.
     """
     if pair_index < 1:
         raise DomainError("pair_index counts from 1")
@@ -711,14 +712,13 @@ def stokes_boundary(lam: float, pair_index: int,
     n_scan = 80
     grid = [a_min * (a_max / a_min) ** (i / (n_scan - 1.0))
             for i in range(n_scan)]
-    prev_a, prev_v = grid[0], level(grid[0])
-    for ai in grid[1:]:
-        vi = level(ai)
-        if prev_v == 0.0:
-            return prev_a
-        if (prev_v < 0.0) != (vi < 0.0):
-            return brentq(level, prev_a, ai, xtol=1e-10)
-        prev_a, prev_v = ai, vi
-    raise NoBoundary(
-        f"pair {pair_index} has no level sign change for lam={lam} "
-        f"in [{a_min}, {a_max}]")
+    below = level(grid[0]) < 0.0
+    lo, hi = 0, n_scan - 1
+    if (level(grid[hi]) < 0.0) == below:
+        raise NoBoundary(
+            f"pair {pair_index} has no level sign change for lam={lam} "
+            f"in [{a_min}, {a_max}]")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if (level(grid[mid]) < 0.0) == below else (lo, mid)
+    return brentq(level, grid[lo], grid[hi], xtol=1e-10)

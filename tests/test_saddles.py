@@ -11,9 +11,12 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linear_scan
 from wrightasym import saddles, tables
 from wrightasym.core import Sign
 from wrightasym.saddles import (
+    ConvergenceFailure,
+    NoBoundary,
     NoRealSaddle,
     OnStokesBoundary,
     PathBranch,
@@ -21,6 +24,7 @@ from wrightasym.saddles import (
     Regime,
     SaddleKind,
     Terminus,
+    _chain_member,
     brentq,
     complex_saddle_chain,
     contour,
@@ -461,6 +465,68 @@ def test_stokes_boundary_first_pair_at_lam_two():
         contour(2.0, a_flip, Sign.PLUS)
     assert len(contour(2.0, a_flip - 0.01, Sign.PLUS).saddles) >= 2
     assert len(contour(2.0, a_flip + 0.01, Sign.PLUS).saddles) == 1
+
+
+def _boundary_or_error(search, lam, pair):
+    try:
+        return search(lam, pair)
+    except (NoBoundary, ConvergenceFailure) as e:
+        return type(e)
+
+
+def test_stokes_boundary_bisection_matches_the_linear_scan():
+    # the level falls strictly in a, so bisection finds the scan's cell and
+    # brentq returns the same double: fig4's calls, then seeded ones
+    calls = [(lam / 2, pair) for pair in (1, 2) for lam in range(2, 17)]
+    rng = random.Random(32)
+    calls += [(rng.uniform(1.0, 8.0), rng.choice((1, 2))) for _ in range(30)]
+    for lam, pair in calls:
+        assert (_boundary_or_error(stokes_boundary, lam, pair)
+                == _boundary_or_error(linear_scan.stokes_boundary, lam, pair)
+                ), (lam, pair)
+
+
+def test_stokes_boundary_ignores_a_spurious_scan_root():
+    # member 3 hops to another saddle (Im u 7.08, not 5.34) at
+    # a = 0.0547-0.0625, where the level jumps from -1.02 to +0.27 and back;
+    # the scan took the jump for a root, but the level is negative at both
+    # ends of the range, so there is no boundary
+    lam = 2.541376546933124
+    assert linear_scan.stokes_boundary(lam, 3) == 0.05265294772417102
+    with pytest.raises(NoBoundary):
+        stokes_boundary(lam, 3)
+
+
+@pytest.mark.parametrize("lam,a,k", [(2.0, 0.3, 1), (3.0, 0.5, 1),
+                                     (6.0, 0.2, 2), (8.0, 0.6, 2),
+                                     (1.5, 0.9, 1)])
+def test_chain_level_slope_is_minus_im_u(lam, a, k):
+    # h' = 0 at u_k, so d h(u_k)/da = dh/da = -u_k
+    da = 1e-5 * a
+    up, down = (_chain_member(Phase(lam, b, Sign.PLUS), k).phase_value.imag
+                for b in (a + da, a - da))
+    im_u = _chain_member(Phase(lam, a, Sign.PLUS), k).location.imag
+    assert (up - down) / (2 * da) == pytest.approx(-im_u, rel=1e-8)
+
+
+def test_fig4_and_the_boundary_guard_solve_few_chain_members(monkeypatch):
+    calls = 0
+    member = saddles._chain_member
+
+    def counted(phase, k):
+        nonlocal calls
+        calls += 1
+        return member(phase, k)
+
+    monkeypatch.setattr(saddles, "_chain_member", counted)
+    assert tables.compute_fig4().passed
+    assert calls == 366
+    # the guard reads the level's slope off the member it has: one solve
+    a_flip = stokes_boundary(2.0, 1)
+    calls = 0
+    with pytest.raises(OnStokesBoundary):
+        contour(2.0, a_flip, Sign.PLUS)
+    assert calls == 1
 
 
 # -- descent paths --------------------------------------------------------
