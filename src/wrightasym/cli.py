@@ -32,9 +32,8 @@ from .expansions import TruncationMode, TruncationPolicy, WrongRegime, \
     expand_minus_auto, expand_plus
 from .reference import TableSpec
 from .saddles import ConvergenceFailure, NoBoundary, NoRealSaddle, \
-    OnStokesBoundary, PathBranch, Phase, Regime, SaddleKind, StepFailure, \
-    _chain_member, contour, double_saddle_curve, solve_real_saddle, \
-    trace_descent_path
+    OnStokesBoundary, PathBranch, Phase, SaddleKind, StepFailure, \
+    _chain_member, contour, double_saddle_curve, trace_descent_path
 from .tables import compute_table
 
 EXIT_DOMAIN = 2
@@ -285,11 +284,9 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
     try:
         phase = Phase(lam, a, _parse_sign(sign))
         c = contour(lam, a, phase.sign)
-        listed = list(c.saddles)
+        listed = [s for s in (c.off_contour, *c.saddles) if s is not None]
         if phase.sign is Sign.MINUS:
             payload["regime"] = c.regime.value
-            if c.regime is Regime.TWO_REAL:
-                listed = list(solve_real_saddle(phase))
         else:
             n_pairs = len(c.saddles) - 1
             payload["n_pairs"] = n_pairs

@@ -77,9 +77,6 @@ class ScaledArgs:
         mag = (self.x / 2.0) ** (self.lam + 1.0)
         return -mag if self.sign is Sign.MINUS else mag
 
-    def wright_params(self) -> WrightParams:
-        return WrightParams(self.lam, self.nu + 1.0)
-
 
 @dataclass
 class EvalResult:

@@ -1,29 +1,32 @@
 """Steepest-descent asymptotic expansions of the scaled Wright functions
 for large x at fixed lam and a.
 
-Two entries, one per sign, each over the saddles its contour crosses
-(saddles.contour):
+Two entries, one per sign, over one body that reads the saddles the
+contour crosses (saddles.contour) and names the route after its regime:
 
   expand_minus_auto  minus sign, in one of three regimes:
                        real saddle (the larger of two above the
-                         coalescence curve, the only one for lam <= 0)
+                         coalescence curve a*, the only one for lam <= 0)
                        conjugate pair (below the curve)
-                       double saddle (within 1e-6 of the curve)
+                       double saddle (contour's DOUBLE regime,
+                         |a - a*| <= 1e-6 * max(1, a*), where `wright
+                         saddles` reports `regime: double`)
   expand_plus        plus sign: the real saddle plus the contributory
                      complex-pair chain
 
-An entry builds one SaddleSeries per contributory saddle (location, h0,
-prefactor, terms and coefficients, uncut) and hands them to one
-assembly, which cuts, folds conjugate pairs into twice the real part and
-sums.  The result keeps those series, the value and the value at every
-shorter cut (the partial sums), so callers can study the error behaviour
-from one call rather than just consume a number.  Both entries work at
-one extended precision, 50 digits: e^(x h0) reaches 1e12 and beyond,
-where double rounding alone would swamp the small differences (oracle
-minus expansion) these expansions are judged by; the deep tail of a
-series reaches relative errors near 1e-13, where double-precision noise
-in A_4, A_5 already shows; and the plus-phase value feeds differences
-(W - I_0) in which twelve leading digits cancel, leaving about 38.
+The body builds the double-saddle series, or else one SaddleSeries per
+contributory saddle (location, h0, prefactor, terms and coefficients,
+uncut), and hands them to one assembly, which cuts, folds conjugate
+pairs into twice the real part and sums.  The result keeps those series,
+the value and the value at every shorter cut (the partial sums), so
+callers can study the error behaviour from one call rather than just
+consume a number.  Both entries work at one extended precision, 50
+digits: e^(x h0) reaches 1e12 and beyond, where double rounding alone
+would swamp the small differences (oracle minus expansion) these
+expansions are judged by; the deep tail of a series reaches relative
+errors near 1e-13, where double-precision noise in A_4, A_5 already
+shows; and the plus-phase value feeds differences (W - I_0) in which
+twelve leading digits cancel, leaving about 38.
 """
 
 from __future__ import annotations
@@ -36,12 +39,15 @@ import mpmath as mp
 from .core import ScaledArgs, Sign
 from .coeffs import simple_coeffs_mp, double_saddle_coeffs
 from .saddles import Phase, Regime, contour, double_saddle_curve, \
-    is_near_curve, polish_saddle, u_star
+    polish_saddle, u_star
 
 _PREC_DPS = 50
 # the highest order a series is computed to: the reach of the optimal
 # rule and the largest fixed truncation k
 _MAX_ORDER = 40
+_ROUTES = {Regime.SINGLE_REAL: "real-saddle", Regime.TWO_REAL: "real-saddle",
+           Regime.CONJUGATE_PAIR: "conjugate-pair",
+           Regime.DOUBLE: "double-saddle", Regime.CHAIN: "chain"}
 
 
 class WrongRegime(ValueError):
@@ -254,6 +260,30 @@ def _double_series(lam: float, x: float, order: int) -> SaddleSeries:
     return SaddleSeries(complex(u0), h0, pref, tuple(terms), tuple(coeffs))
 
 
+def _expand(sign: Sign, args: ScaledArgs, trunc: TruncationPolicy,
+            include_subdominant: bool, max_order: int) -> ExpansionResult:
+    """Both entries' body: the series of the saddles args' contour
+    crosses, assembled under the route its regime names."""
+    if args.sign is not sign:
+        raise WrongRegime(f"{sign.value}-phase route called with "
+                          f"{args.sign.value}-sign arguments")
+    lam, a, x = args.lam, args.a, args.x
+    c = contour(lam, a, args.sign)
+    order = trunc.k if trunc.mode is TruncationMode.FIXED else max_order
+    kept = len(c.saddles) - 1
+    if c.last_pair_subdominant and not include_subdominant:
+        kept -= 1
+    with mp.workdps(_PREC_DPS):
+        if c.regime is Regime.DOUBLE:
+            series = [_double_series(lam, x, order)]
+        else:
+            phase = Phase(lam, a, args.sign)
+            series = [_saddle_series(phase, sadl.location, x,
+                                     max_order if j else order)
+                      for j, sadl in enumerate(c.saddles)]
+        return _assemble(series, x, trunc, _ROUTES[c.regime], kept)
+
+
 def expand_minus_auto(args: ScaledArgs,
                       trunc: TruncationPolicy) -> ExpansionResult:
     """Minus-phase expansion over the saddle its contour crosses.
@@ -270,25 +300,12 @@ def expand_minus_auto(args: ScaledArgs,
 
     evaluated at the upper saddle with the principal square root; the
     conjugate saddle contributes the mirror term, hence the real part.
-    Within 1e-6 of the curve the reversion behind the A_k is ill
-    conditioned, so there the double-saddle series (_double_series) is
-    evaluated on the curve itself.  The saddles are located once.
+    Near the curve a* the reversion behind the A_k is ill conditioned, so
+    in contour's DOUBLE regime, |a - a*| <= 1e-6 * max(1, a*), the
+    double-saddle series (_double_series) is evaluated on the curve
+    itself.  The saddles are located once.
     """
-    if args.sign is not Sign.MINUS:
-        raise WrongRegime("minus-phase route called with plus-sign arguments")
-    lam, a, x = args.lam, args.a, args.x
-    order = trunc.k if trunc.mode is TruncationMode.FIXED else _MAX_ORDER
-    if is_near_curve(lam, a):
-        with mp.workdps(_PREC_DPS):
-            return _assemble((_double_series(lam, x, order),), x, trunc,
-                             "double-saddle")
-    c = contour(lam, a, Sign.MINUS)
-    route = ("conjugate-pair" if c.regime is Regime.CONJUGATE_PAIR
-             else "real-saddle")
-    with mp.workdps(_PREC_DPS):
-        series = _saddle_series(Phase(lam, a, Sign.MINUS),
-                                c.saddles[0].location, x, order)
-        return _assemble((series,), x, trunc, route)
+    return _expand(Sign.MINUS, args, trunc, False, _MAX_ORDER)
 
 
 def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
@@ -305,17 +322,4 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
     I_0) it is reported in components but left out of the value unless
     include_subdominant is set.
     """
-    if args.sign is not Sign.PLUS:
-        raise WrongRegime("plus-phase route called with minus-sign arguments")
-    lam, a, x = args.lam, args.a, args.x
-    c = contour(lam, a, Sign.PLUS)
-    phase = Phase(lam, a, Sign.PLUS)
-    order = trunc.k if trunc.mode is TruncationMode.FIXED else max_order
-    kept = len(c.saddles) - 1
-    if c.last_pair_subdominant and not include_subdominant:
-        kept -= 1
-    with mp.workdps(_PREC_DPS):
-        series = [_saddle_series(phase, sadl.location, x,
-                                 max_order if j else order)
-                  for j, sadl in enumerate(c.saddles)]
-        return _assemble(series, x, trunc, "chain", kept)
+    return _expand(Sign.PLUS, args, trunc, include_subdominant, max_order)

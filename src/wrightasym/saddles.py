@@ -25,7 +25,7 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -140,17 +140,19 @@ class Contour:
     CHAIN, the real saddle followed by the contributory chain pairs.
     saddles lists the contributory saddles, the primary one first, and
     last_pair_subdominant records whether the final chain pair's
-    contribution decays exponentially (Re h(u_N) < 0).
+    contribution decays exponentially (Re h(u_N) < 0).  off_contour holds
+    the two-real regime's smaller real saddle, which the contour misses.
     """
 
     regime: Regime
     saddles: tuple[Saddle, ...]
     last_pair_subdominant: bool = False
+    off_contour: Saddle | None = None
 
 
 _RESIDUAL_TOL = 1e-12
 # relative distance from the coalescence curve inside which the
-# simple-saddle series degenerate
+# simple-saddle series degenerate, so contour takes the double saddle
 _NEAR_CURVE_REL = 1e-6
 _POLISH_STEPS = 6
 # a step this many ulp or shorter ends an mp Newton polish
@@ -216,15 +218,6 @@ def double_saddle_curve(lam: float) -> float:
     if lam <= 0.0:
         raise DomainError("coalescence curve requires lam > 0")
     return 0.5 * (1.0 + lam) * lam ** ((1.0 - lam) / (1.0 + lam))
-
-
-def is_near_curve(lam: float, a: float) -> bool:
-    """Whether (lam, a) sits within 1e-6 (relative) of the coalescence
-    curve, where the simple-saddle series degenerate."""
-    if lam <= 0.0:
-        return False
-    curve = double_saddle_curve(lam)
-    return abs(a - curve) <= _NEAR_CURVE_REL * max(1.0, curve)
 
 
 def double_saddle_point(lam: float) -> Saddle:
@@ -476,14 +469,15 @@ def minus_log_scale(lam: float, a: float, x: float) -> float:
 
     At the contributory real saddle that is x Re h(u0) - ln(2 pi x
     |h''(u0)|)/2; a conjugate pair adds ln 2, which bounds the pair's sum
-    2 Re(...) without its cosine; within 1e-6 of the coalescence curve,
-    where the expansions take the double route, it is that route's k = 0
-    term.  Raises what contour raises.
+    2 Re(...) without its cosine; in the double regime (within 1e-6 of the
+    coalescence curve, where the expansions take the double route) it is
+    that route's k = 0 term, at this a.  Raises what contour raises.
     """
-    if is_near_curve(lam, a):
+    c = contour(lam, a, Sign.MINUS)
+    if c.regime is Regime.DOUBLE:
         h0, _, _, h3 = Phase(lam, a, Sign.MINUS).derivs(u_star(lam), 3)
         return x * h0 + _LN_DOUBLE_LEAD - math.log(2 * abs(h3) * x / 3) / 3
-    s = contour(lam, a, Sign.MINUS).saddles[0]
+    s = c.saddles[0]
     out = (x * s.phase_value.real
            - math.log(2 * math.pi * x * abs(s.second_derivative)) / 2)
     return out + math.log(2) if s.kind is SaddleKind.COMPLEX_PAIR else out
@@ -645,10 +639,13 @@ def trace_descent_path(phase: Phase, from_saddle: Saddle,
 def contour(lam: float, a: float, sign: Sign) -> Contour:
     """The contributory saddles of the phase of this sign.
 
-    Minus phase: for lam > 0 the coalescence curve splits the plane:
+    Minus phase: for lam > 0 the coalescence curve a* splits the plane:
     above it two real saddles (only the larger lies on the descent
-    contour; the path through the smaller is a steepest ascent), below it
-    a conjugate pair, on it (within 1e-12 relative) the double saddle.
+    contour; the path through the smaller, off_contour, is a steepest
+    ascent), below it a conjugate pair.  Within |a - a*| <= 1e-6 *
+    max(1, a*), where the simple-saddle series degenerate, the regime is
+    DOUBLE (the expansions' route there, and what `wright saddles`
+    reports) and the saddle is the double saddle on the curve.
 
     Plus phase: the real saddle, then the chain pairs on the deformed
     contour.  Pair k is on the contour while the imaginary part of its
@@ -665,10 +662,11 @@ def contour(lam: float, a: float, sign: Sign) -> Contour:
         if lam <= 0.0:
             return Contour(Regime.SINGLE_REAL, (solve_real_saddle(phase),))
         curve = double_saddle_curve(lam)
-        if abs(a - curve) <= 1e-12 * max(1.0, curve):
+        if abs(a - curve) <= _NEAR_CURVE_REL * max(1.0, curve):
             return Contour(Regime.DOUBLE, (double_saddle_point(lam),))
         if a > curve:
-            return Contour(Regime.TWO_REAL, (solve_real_saddle(phase)[1],))
+            smaller, larger = solve_real_saddle(phase)
+            return Contour(Regime.TWO_REAL, (larger,), off_contour=smaller)
         return Contour(Regime.CONJUGATE_PAIR, (solve_complex_pair(phase),))
     members = [solve_real_saddle(phase)]
     if lam <= 0.0:
@@ -705,6 +703,7 @@ def stokes_boundary(lam: float, pair_index: int,
     if pair_index < 1:
         raise DomainError("pair_index counts from 1")
 
+    @functools.cache
     def level(a: float) -> float:
         phase = Phase(lam, a, Sign.PLUS)
         return _chain_member(phase, pair_index).phase_value.imag

@@ -298,6 +298,43 @@ def test_saddles_chain_solves_only_uncounted_members(runner, monkeypatch):
     assert calls <= 5
 
 
+def test_saddles_two_real_solves_the_real_saddles_once(runner, monkeypatch):
+    # the contour keeps the smaller root it solved; the listing reuses it
+    import wrightasym.cli as cli_mod
+    import wrightasym.saddles as saddles_mod
+    calls = 0
+    solve = saddles_mod.solve_real_saddle
+
+    def counted(phase):
+        nonlocal calls
+        calls += 1
+        return solve(phase)
+
+    monkeypatch.setattr(saddles_mod, "solve_real_saddle", counted)
+    # counted too if the command solves them itself
+    monkeypatch.setattr(cli_mod, "solve_real_saddle", counted, raising=False)
+    res = _run(runner, "saddles", "--lambda", "1", "--a", "1.2",
+               "--sign", "minus", "--json")
+    payload = json.loads(res.output)
+    assert payload["regime"] == "two_real"
+    assert [s["kind"] for s in payload["saddles"]] == ["real_simple"] * 2
+    re_u = [s["re_u"] for s in payload["saddles"]]
+    assert re_u == sorted(re_u) and re_u[0] < re_u[1]
+    assert calls == 1
+
+
+def test_saddles_reports_double_in_the_near_curve_band(runner):
+    from wrightasym.saddles import double_saddle_curve
+    curve = double_saddle_curve(2.0)
+    for a, regime in ((curve * (1 + 5e-7), "double"),
+                      (curve * (1 - 5e-7), "double"),
+                      (curve * (1 + 2e-6), "two_real"),
+                      (curve * (1 - 2e-6), "conjugate_pair")):
+        res = _run(runner, "saddles", "--lambda", "2", "--a", repr(a),
+                   "--sign", "minus")
+        assert res.output.splitlines()[0] == f"regime: {regime}"
+
+
 def test_saddles_on_stokes_boundary_exits_4(runner):
     a_flip = stokes_boundary(2.0, 1)
     res = _run(runner, "saddles", "--lambda", "2", "--a", repr(a_flip),

@@ -55,9 +55,6 @@ def test_scaled_args_derived_quantities(lam, a, x):
     assert minus.z <= 0.0 <= plus.z
     assert math.isclose(abs(minus.z), (x / 2.0) ** (lam + 1.0), rel_tol=1e-12)
     assert minus.z == -plus.z
-    p = minus.wright_params()
-    assert p.lam == lam
-    assert p.mu == minus.nu + 1.0
 
 
 def test_scaled_args_frozen():

@@ -21,7 +21,7 @@ from wrightasym.expansions import (
     optimal_truncation,
 )
 from wrightasym.reference import TableSpec
-from wrightasym.saddles import double_saddle_curve
+from wrightasym.saddles import Regime, contour, double_saddle_curve
 from wrightasym.tables import compute_t1, compute_t2, compute_t3, \
     compute_t4, compute_table
 
@@ -62,9 +62,11 @@ def test_truncation_policy_constructors():
 def test_routes_reject_wrong_sign():
     plus_args = ScaledArgs(1.0, 1.2, 40.0, Sign.PLUS)
     minus_args = ScaledArgs(1.0, 1.2, 40.0, Sign.MINUS)
-    with pytest.raises(WrongRegime):
+    with pytest.raises(WrongRegime, match="^minus-phase route called with "
+                                          "plus-sign arguments$"):
         expand_minus_auto(plus_args, TruncationPolicy.fixed(2))
-    with pytest.raises(WrongRegime):
+    with pytest.raises(WrongRegime, match="^plus-phase route called with "
+                                          "minus-sign arguments$"):
         expand_plus(minus_args, TruncationPolicy.fixed(2))
 
 
@@ -74,6 +76,27 @@ def test_near_curve_auto_dispatch():
     near = ScaledArgs(lam, astar * (1.0 + 1e-9), 40.0, Sign.MINUS)
     res = expand_minus_auto(near, TruncationPolicy.fixed(2))
     assert res.route == "double-saddle"
+
+
+_REGIME_ROUTE = {Regime.TWO_REAL: "real-saddle",
+                 Regime.CONJUGATE_PAIR: "conjugate-pair",
+                 Regime.DOUBLE: "double-saddle"}
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 5.0])
+@pytest.mark.parametrize("delta", [1e-9, -1e-9, 5e-7, -5e-7,
+                                   2e-6, -2e-6, 1e-3, -1e-3])
+def test_route_is_the_contour_regime(lam, delta):
+    # one near-curve band: the route the expansion takes is the regime the
+    # contour reports, on both sides of the band's edge
+    a = double_saddle_curve(lam) * (1.0 + delta)
+    regime = contour(lam, a, Sign.MINUS).regime
+    assert regime is (Regime.DOUBLE if abs(delta) < 1e-6
+                      else Regime.TWO_REAL if delta > 0
+                      else Regime.CONJUGATE_PAIR)
+    res = expand_minus_auto(ScaledArgs(lam, a, 40.0, Sign.MINUS),
+                            TruncationPolicy.fixed(3))
+    assert res.route == _REGIME_ROUTE[regime]
 
 
 def test_auto_dispatch_selects_by_regime():

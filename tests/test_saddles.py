@@ -361,10 +361,15 @@ def test_double_saddle_point_sits_on_curve():
 
 
 def test_classification_flips_across_curve():
+    # the double regime is the band |a - a*| <= 1e-6 max(1, a*) around the
+    # curve, where the expansions take the double route; outside it the
+    # saddles split
     for lam in (0.5, 1.0, 2.0, 5.0):
         astar = double_saddle_curve(lam)
-        for a, regime in ((astar + 1e-9, Regime.TWO_REAL),
-                          (astar - 1e-9, Regime.CONJUGATE_PAIR),
+        for a, regime in ((astar * (1 + 2e-6), Regime.TWO_REAL),
+                          (astar * (1 - 2e-6), Regime.CONJUGATE_PAIR),
+                          (astar + 1e-9, Regime.DOUBLE),
+                          (astar - 1e-9, Regime.DOUBLE),
                           (astar, Regime.DOUBLE)):
             assert contour(lam, a, Sign.MINUS).regime is regime
     assert contour(-0.5, 1.0, Sign.MINUS).regime is Regime.SINGLE_REAL
@@ -376,6 +381,10 @@ def test_two_real_contributory_is_larger_root():
     lo, hi = solve_real_saddle(ph)
     assert len(c.saddles) == 1
     assert abs(c.saddles[0].location.real - hi.location.real) < 1e-12
+    # the smaller root is kept apart, off the contour
+    assert c.off_contour == lo
+    for lam, a in ((-0.5, 1.0), (1.5, 0.5), (2.0, double_saddle_curve(2.0))):
+        assert contour(lam, a, Sign.MINUS).off_contour is None
 
 
 # -- complex pair ---------------------------------------------------------
@@ -520,7 +529,9 @@ def test_fig4_and_the_boundary_guard_solve_few_chain_members(monkeypatch):
 
     monkeypatch.setattr(saddles, "_chain_member", counted)
     assert tables.compute_fig4().passed
-    assert calls == 366
+    # every (lam, a, pair) once: brentq's end levels are the bisection's,
+    # and the pinned cell is the sweep's row
+    assert calls == 305
     # the guard reads the level's slope off the member it has: one solve
     a_flip = stokes_boundary(2.0, 1)
     calls = 0

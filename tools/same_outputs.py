@@ -16,9 +16,11 @@ each command as text and with `--json`: `wright table <spec>` for every
 table spec; `wright expand` with `--order 3` and with optimal truncation
 at the T1-T5 points, at one point within 1e-6 of the coalescence curve
 and, with `--include-subdominant`, at (6, 0.2, 40, plus); and `wright
-saddles` on the curve at lam = 2 and 1e-9 either side of it (minus) and
-at (6, 0.2) with `--chain 4` (plus).  Both trees take their inputs from
-this checkout's perfbench/, which is only read.
+saddles` (minus) at lam = 2 on the curve a*, 1e-9 either side of it
+(inside the 1e-6 band where the minus contour is the double saddle) and
+at a*(1 -+ 2e-6) (just outside it), with `--trace` at (1, 1.2) and
+(1.5, 0.5), and (plus) at (6, 0.2) with `--chain 4`.  Both trees take
+their inputs from this checkout's perfbench/, which is only read.
 
 Each result is dumped as the repr of every public, non-callable attribute,
 with mpmath numbers printed to enough digits to tell any two apart; an
@@ -131,9 +133,13 @@ def _cli_argvs() -> list[list[str]]:
         for order in (("--order", "3"), ()):
             argvs.append(["expand", "--lambda", repr(lam), "--a", repr(a),
                           "--x", repr(x), "--sign", sign, *order, *extra])
-    for a in (curve, curve - 1e-9, curve + 1e-9):
+    for a in (curve, curve - 1e-9, curve + 1e-9,
+              curve * (1.0 - 2e-6), curve * (1.0 + 2e-6)):
         argvs.append(["saddles", "--lambda", "2.0", "--a", repr(a),
                       "--sign", "minus"])
+    for lam, a in (("1.0", "1.2"), ("1.5", "0.5")):
+        argvs.append(["saddles", "--lambda", lam, "--a", a,
+                      "--sign", "minus", "--trace"])
     argvs.append(["saddles", "--lambda", "6.0", "--a", "0.2",
                   "--sign", "plus", "--chain", "4"])
     return [argv + fmt for argv in argvs for fmt in ([], ["--json"])]
