@@ -18,7 +18,6 @@ from .oracle import (
     NoConvergence,
     PrecisionConfig,
     PrecisionLoss,
-    mp_scaled_value,
     w_minus,
     w_plus,
     wright_series,
@@ -85,7 +84,6 @@ __all__ = [
     "double_saddle_curve",
     "expand_minus_auto",
     "expand_plus",
-    "mp_scaled_value",
     "optimal_truncation",
     "solve_real_saddle",
     "stokes_boundary",

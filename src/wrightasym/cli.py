@@ -5,9 +5,9 @@ expand (steepest-descent expansion with fixed or optimal truncation),
 saddles (saddle inventory, chain members, descent-path tracing), and
 table (recompute a reference table and compare cell by cell).
 
-Exit codes: 0 success, 2 domain error, 3 precision loss (fewer than 16
-significant digits survive), 4 wrong regime or a parameter-plane
-boundary, 5 reference-table mismatch.
+Exit codes: 0 success, 2 domain error or a value outside the double
+range, 3 precision loss (fewer than 16 significant digits survive),
+4 wrong regime or a parameter-plane boundary, 5 reference-table mismatch.
 
 CSV outputs start with a '#' header block (command, version, precision,
 parameters), use 9-significant-digit scientific notation and LF line
@@ -26,15 +26,15 @@ import mpmath as mp
 from . import __version__
 from .core import DomainError, ScaledArgs, Sign
 from .oracle import NoConvergence, PrecisionConfig, PrecisionLoss, \
-    mp_scaled_value, w_minus, w_plus
+    w_minus, w_plus
 from .coeffs import DegenerateSaddle
 from .expansions import TruncationMode, TruncationPolicy, WrongRegime, \
     expand_minus_auto, expand_plus
 from .reference import TableSpec
 from .saddles import ConvergenceFailure, NoBoundary, NoRealSaddle, \
     OnStokesBoundary, PathBranch, Phase, SaddleKind, StepFailure, \
-    _chain_member, contour, double_saddle_curve, trace_descent_path
-from .tables import compute_table
+    chain_member, contour, double_saddle_curve, trace_descent_path
+from .tables import compute_table, relative_error
 
 EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
@@ -81,6 +81,14 @@ def _parse_sign(sign: str) -> Sign:
     return Sign.MINUS if sign == "minus" else Sign.PLUS
 
 
+def _flushed(res) -> str | None:
+    """Whether the double rounding of a result loses its finite, nonzero
+    mp_value: "overflows", "underflows" or None."""
+    if not math.isfinite(res.value) and mp.isfinite(res.mp_value):
+        return "overflows"
+    return "underflows" if res.value == 0 and res.mp_value != 0 else None
+
+
 @click.group()
 @click.version_option(__version__, prog_name="wright")
 def main() -> None:
@@ -115,8 +123,8 @@ def cmd_eval(lam, a, x, sign, precision, as_json, out):
         _fail(EXIT_PRECISION, str(e))
     except NoConvergence as e:
         _fail(1, str(e))
-    if not math.isfinite(res.value):
-        _fail(EXIT_DOMAIN, "the value overflows double precision")
+    if flushed := _flushed(res):
+        _fail(EXIT_DOMAIN, f"the value {flushed} double precision")
     tag = "W-" if args.sign is Sign.MINUS else "W+"
     if as_json:
         _emit_json({
@@ -189,14 +197,13 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
     except (ConvergenceFailure, NoConvergence) as e:
         _fail(1, str(e))
 
-    if not mp.isfinite(res.value) and mp.isfinite(res.mp_value):
-        _fail(EXIT_DOMAIN, f"the value overflows double precision "
+    if flushed := _flushed(res):
+        _fail(EXIT_DOMAIN, f"the value {flushed} double precision "
                            f"(exponent x*h0 = {res.exponent:.6g})")
     rel_err = None
+    oracle = w_minus if args.sign is Sign.MINUS else w_plus
     try:
-        w_ref = mp_scaled_value(args, prec)
-        with mp.workdps(50):
-            rel_err = float(abs(res.mp_value - w_ref) / abs(res.mp_value))
+        rel_err = relative_error(res.mp_value, oracle(args, prec).mp_value)
         rel_text = f"{rel_err:.3e}"
     except (PrecisionLoss, NoConvergence) as e:
         rel_text = f"not available ({e})"
@@ -292,7 +299,7 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
             payload["n_pairs"] = n_pairs
             payload["last_pair_subdominant"] = c.last_pair_subdominant
             # the counted members are listed already; solve only the rest
-            listed += [_chain_member(phase, k)
+            listed += [chain_member(phase, k)
                        for k in range(n_pairs + 1, chain_n + 1)]
     except DomainError as e:
         _fail(EXIT_DOMAIN, str(e))

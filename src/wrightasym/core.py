@@ -17,6 +17,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
+
 
 class DomainError(ValueError):
     """Raised when parameters fall outside the supported domain."""
@@ -82,17 +84,20 @@ class ScaledArgs:
 class EvalResult:
     """Outcome of a direct series summation.
 
-    value is the rounded double result; truncation_index is the last
-    summed term index; last_term_magnitude the magnitude of that term.
-    significant_digits estimates how many decimal digits survived the
-    summation (cancellation subtracts from the working precision, and the
-    terms left out after the stop cap it); when it drops below 16 the
-    low_precision flag is set.
+    mp_value is the result at the working precision, value its double
+    rounding; truncation_index is the last summed term index;
+    last_term_magnitude the magnitude of that term.  significant_digits
+    estimates how many decimal digits survived the summation (cancellation
+    subtracts from the working precision, and the terms left out after the
+    stop cap it); when it drops below 16 the low_precision flag is set.
     """
 
-    value: float
+    mp_value: mp.mpf
     truncation_index: int = 0
     last_term_magnitude: float = 0.0
     significant_digits: int | None = None
     low_precision: bool = False
 
+    @property
+    def value(self) -> float:
+        return float(self.mp_value)

@@ -2,8 +2,8 @@
 
 This is the ground-truth side of the package: every asymptotic result is
 judged against these sums.  All arithmetic runs in mpmath at a configurable
-decimal precision with a guard margin; only the final value is rounded to
-double.  The series
+decimal precision with a guard margin; a result carries its value at that
+precision and its double rounding.  The series
 
     W_{lam,mu}(z) = sum_{n>=0} z^n / (n! Gamma(lam*n + mu))
 
@@ -412,13 +412,13 @@ def _tail_digits(series_sum, est, n_last):
 
 def _finish(value_mp, series_sum, peak_mag, n_last, last_mag, pre,
             prec: PrecisionConfig) -> EvalResult:
-    """Round to double and attach the surviving-digit estimate: the
-    working precision less the cancellation, capped by the tail the
-    stop rule left out."""
+    """The result: the value as computed, with the surviving-digit
+    estimate, the working precision less the cancellation, capped by the
+    tail the stop rule left out."""
     digits = min(_surviving_digits(series_sum, peak_mag, prec),
                  prec.decimal_digits, _tail_digits(series_sum, pre[2], n_last))
     return EvalResult(
-        value=float(value_mp),
+        mp_value=value_mp,
         truncation_index=n_last,
         last_term_magnitude=float(last_mag),
         significant_digits=digits,
@@ -448,40 +448,30 @@ def _predicted_loss(args: ScaledArgs, top: float) -> float | None:
     return (top - (ln_w - args.nu * math.log(args.x / 2)) / _LN2) / _LOG2_10
 
 
-def _scaled_mp(args: ScaledArgs, prec: PrecisionConfig):
-    """Full-precision scaled value; nu = a*x and z = +-(x/2)^(lam+1) are
-    formed in mp arithmetic so no double rounding enters the parameters.
+def _scaled(args: ScaledArgs, prec: PrecisionConfig) -> EvalResult:
+    """Scaled value of either sign at the working precision; nu = a*x and
+    z = +-(x/2)^(lam+1) are formed in mp arithmetic so no double rounding
+    enters the parameters.
 
     A minus-axis sum whose predicted cancellation (_predicted_loss) is at
     least decimal_digits + _REFUSE_MARGIN is refused with PrecisionLoss
-    before any term is formed.  Returns (value_mp, series_sum, peak_mag,
-    n, last_mag, pre), pre the pre-pass.
+    before any term is formed.
     """
-    lm, am, xm = mp.mpf(args.lam), mp.mpf(args.a), mp.mpf(args.x)
-    nu = am * xm
-    mu = nu + 1
-    z = (xm / 2) ** (lm + 1)
-    if args.sign is Sign.MINUS:
-        z = -z
-    pre = _prepass(lm, mu, z, prec)
-    if args.sign is Sign.MINUS:
-        loss = _predicted_loss(args, pre[1])
-        if (loss is not None
-                and prec.decimal_digits + _REFUSE_MARGIN <= loss < math.inf):
-            raise PrecisionLoss(int(prec.decimal_digits - loss), loss)
-    s, peakm, n, last = _sum_series(lm, mu, z, prec, pre)
-    return (xm / 2) ** nu * s, s, peakm, n, last, pre
-
-
-def mp_scaled_value(args: ScaledArgs,
-                    prec: PrecisionConfig = PrecisionConfig()) -> mp.mpf:
-    """Scaled value kept at full precision (for cross-checks that must
-    resolve differences far below double rounding).  Raises
-    PrecisionLoss, as w_minus does, when cancellation leaves no digit."""
     with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
-        value, s, peak_mag, *_ = _scaled_mp(args, prec)
-        _surviving_digits(s, peak_mag, prec)
-        return +value
+        lm, am, xm = mp.mpf(args.lam), mp.mpf(args.a), mp.mpf(args.x)
+        nu = am * xm
+        mu = nu + 1
+        z = (xm / 2) ** (lm + 1)
+        if args.sign is Sign.MINUS:
+            z = -z
+        pre = _prepass(lm, mu, z, prec)
+        if args.sign is Sign.MINUS:
+            loss = _predicted_loss(args, pre[1])
+            if (loss is not None and prec.decimal_digits + _REFUSE_MARGIN
+                    <= loss < math.inf):
+                raise PrecisionLoss(int(prec.decimal_digits - loss), loss)
+        s, peakm, n, last = _sum_series(lm, mu, z, prec, pre)
+        return _finish((xm / 2) ** nu * s, s, peakm, n, last, pre, prec)
 
 
 def w_minus(args: ScaledArgs,
@@ -489,8 +479,7 @@ def w_minus(args: ScaledArgs,
     """Negative-argument scaled Wright function (alternating series)."""
     if args.sign is not Sign.MINUS:
         raise DomainError("w_minus requires sign=Minus")
-    with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
-        return _finish(*_scaled_mp(args, prec), prec)
+    return _scaled(args, prec)
 
 
 def w_plus(args: ScaledArgs,
@@ -499,5 +488,4 @@ def w_plus(args: ScaledArgs,
     summation is essentially cancellation-free)."""
     if args.sign is not Sign.PLUS:
         raise DomainError("w_plus requires sign=Plus")
-    with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
-        return _finish(*_scaled_mp(args, prec), prec)
+    return _scaled(args, prec)

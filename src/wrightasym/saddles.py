@@ -159,6 +159,9 @@ _POLISH_STEPS = 6
 _POLISH_ULPS = 16
 _MAX_PAIRS = 64
 _MAX_DESCENT_STEPS = 500000
+# the range of a in which stokes_boundary looks for a level sign change
+_BOUNDARY_A_MIN = 0.02
+_BOUNDARY_A_MAX = 4.0
 
 
 def _make_saddle(u, derivs: list, index: int, kind: SaddleKind) -> Saddle:
@@ -483,18 +486,14 @@ def minus_log_scale(lam: float, a: float, x: float) -> float:
     return out + math.log(2) if s.kind is SaddleKind.COMPLEX_PAIR else out
 
 
-def complex_saddle_chain(phase: Phase, count: int) -> list[Saddle]:
-    """First `count` members of the plus-phase complex saddle string.
+def chain_member(phase: Phase, k: int) -> Saddle:
+    """Member k (from 1) of the plus-phase complex saddle string, by
+    Newton from a short ladder of real-part seeds at its level; members
+    are solved independently.
 
     Member k sits near Im u = (2k-1)*pi/lam: the first inside
     (pi/lam, 3*pi/lam), later ones within half a strip of the estimate.
     """
-    return [_chain_member(phase, k) for k in range(1, count + 1)]
-
-
-def _chain_member(phase: Phase, k: int) -> Saddle:
-    """Member k of the plus-phase chain, by Newton from a short ladder of
-    real-part seeds at its level; members are solved independently."""
     if phase.sign is not Sign.PLUS:
         raise DomainError("the complex saddle chain belongs to the plus phase")
     lam = phase.lam
@@ -560,7 +559,7 @@ def _known_saddles(phase: Phase) -> list[Saddle]:
         # chain members up to one strip above the endpoint valley matter
         kmax = max(1, int((phase.lam + 3.0) / 2.0) + 1)
         try:
-            known.extend(complex_saddle_chain(phase, kmax))
+            known.extend([chain_member(phase, k) for k in range(1, kmax + 1)])
         except ConvergenceFailure:
             pass
         return known
@@ -673,7 +672,7 @@ def contour(lam: float, a: float, sign: Sign) -> Contour:
         # both exponentials grow rightward: no complex string to count
         return Contour(Regime.CHAIN, tuple(members))
     for k in range(1, _MAX_PAIRS + 1):
-        sadl = _chain_member(phase, k)
+        sadl = chain_member(phase, k)
         im = sadl.phase_value.imag
         # the level margin in parameter distance: |d Im h(u_k)/da| = Im u_k
         if abs(im) < 1e-6 * max(1.0, sadl.location.imag):
@@ -688,15 +687,14 @@ def contour(lam: float, a: float, sign: Sign) -> Contour:
     return Contour(Regime.CHAIN, tuple(members), sub)
 
 
-def stokes_boundary(lam: float, pair_index: int,
-                    a_min: float = 0.02, a_max: float = 4.0) -> float:
-    """Parameter a at which chain pair `pair_index` joins or leaves the
-    contour for fixed lam: the root of Im h(u_k)(a) = 0.
+def stokes_boundary(lam: float, pair_index: int) -> float:
+    """Parameter a in [0.02, 4] at which chain pair `pair_index` joins or
+    leaves the contour for fixed lam: the root of Im h(u_k)(a) = 0.
 
     The level falls strictly in a (h' = 0 at u_k, so d Im h(u_k)/da =
-    -Im u_k <= -(pi/lam - 1e-9) for every member _chain_member accepts):
+    -Im u_k <= -(pi/lam - 1e-9) for every member chain_member accepts):
     it changes sign at most once.  So bisecting the indices of an 80-point
-    log grid on [a_min, a_max] finds the cell a scan from a_min would, and
+    log grid on [0.02, 4] finds the cell a scan from 0.02 would, and
     brentq refines it, returning an exact zero at a grid point as it is.
     Raises NoBoundary when the level has one sign at both range ends.
     """
@@ -706,17 +704,17 @@ def stokes_boundary(lam: float, pair_index: int,
     @functools.cache
     def level(a: float) -> float:
         phase = Phase(lam, a, Sign.PLUS)
-        return _chain_member(phase, pair_index).phase_value.imag
+        return chain_member(phase, pair_index).phase_value.imag
 
     n_scan = 80
-    grid = [a_min * (a_max / a_min) ** (i / (n_scan - 1.0))
-            for i in range(n_scan)]
+    grid = [_BOUNDARY_A_MIN * (_BOUNDARY_A_MAX / _BOUNDARY_A_MIN)
+            ** (i / (n_scan - 1.0)) for i in range(n_scan)]
     below = level(grid[0]) < 0.0
     lo, hi = 0, n_scan - 1
     if (level(grid[hi]) < 0.0) == below:
         raise NoBoundary(
             f"pair {pair_index} has no level sign change for lam={lam} "
-            f"in [{a_min}, {a_max}]")
+            f"in [{_BOUNDARY_A_MIN}, {_BOUNDARY_A_MAX}]")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if (level(grid[mid]) < 0.0) == below else (lo, mid)

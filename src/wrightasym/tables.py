@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .core import ScaledArgs, Sign
-from .oracle import PrecisionConfig, mp_scaled_value
+from .oracle import PrecisionConfig, w_minus, w_plus
 from .expansions import TruncationPolicy, expand_minus_auto, expand_plus
 from .reference import (
     CORRECTIONS,
@@ -109,18 +109,22 @@ def _cell(row: str, label: str, computed: float, printed: float,
                      note=corr.note if corr else None)
 
 
+def relative_error(v, w_ref) -> float:
+    """err = |V - W| / |V| of an expansion value v against the oracle's
+    w_ref, formed at the expansions' working precision of 50 digits."""
+    with mp.workdps(50):
+        return float(abs(v - w_ref) / abs(v))
+
+
 def _error_cells(row: str, res, w_ref, printed, tol: float,
                  key: tuple) -> list[CellCheck]:
     """One "err k" cell per (k, tabulated error) in printed: the relative
-    error of the result's partial sum k against the reference w_ref,
-    normalized by the partial sum; key + (k,) names its correction."""
-    cells = []
-    for k, pe in printed:
-        v = res.mp_partial_sums[k]
-        with mp.workdps(50):
-            err = float(abs(v - w_ref) / abs(v))
-        cells.append(_cell(row, f"err k={k}", err, pe, tol, key + (k,)))
-    return cells
+    error of the result's partial sum k against the reference w_ref;
+    key + (k,) names its correction."""
+    return [_cell(row, f"err k={k}",
+                  relative_error(res.mp_partial_sums[k], w_ref), pe, tol,
+                  key + (k,))
+            for k, pe in printed]
 
 
 def compute_t1(precision: int = 60) -> TableReport:
@@ -141,7 +145,7 @@ def compute_t1(precision: int = 60) -> TableReport:
             # one unit in the last printed place (6-decimal mantissas)
             cells.append(CellCheck(row, f"A_{k}", ak, pk, pk,
                                    1.0001 * case.coeff_ulps[k - 1], False))
-        cells += _error_cells(row, res, mp_scaled_value(args, prec),
+        cells += _error_cells(row, res, w_minus(args, prec).mp_value,
                               enumerate(case.errors), _ERRTOL,
                               ("t1", case.lam))
     return TableReport(TableSpec.T1, cells)
@@ -170,7 +174,7 @@ def compute_t2(precision: int = 60) -> TableReport:
                                1.0001e-8, False))
         cells.append(CellCheck(row, f"Im A_{k}", ak.imag, pk.imag, pk.imag,
                                1.0001e-8, False))
-    cells += _error_cells(row, res, mp_scaled_value(args, prec),
+    cells += _error_cells(row, res, w_minus(args, prec).mp_value,
                           enumerate(case.errors), _ERRTOL, ("t2", case.lam))
     return TableReport(TableSpec.T2, cells)
 
@@ -186,7 +190,7 @@ def compute_t3(precision: int = 60) -> TableReport:
         row = f"lam={lam:g}"
         a = double_saddle_curve(lam)
         args = ScaledArgs(lam, a, x, Sign.MINUS)
-        w_ref = mp_scaled_value(args, prec)
+        w_ref = w_minus(args, prec).mp_value
         res = expand_minus_auto(args, TruncationPolicy.fixed(max(T3_COLUMNS)))
         errs = dict(zip(T3_COLUMNS, _error_cells(
             row, res, w_ref, ((k, T3_ERRORS[lam][k]) for k in T3_COLUMNS),
@@ -215,7 +219,7 @@ def compute_t4(precision: int = 60) -> TableReport:
         n_pairs = float(len(res.mp_components) - 1)
         cells.append(CellCheck(row, "N", n_pairs, float(trow.n_pairs),
                                float(trow.n_pairs), 0.5, False))
-        cells += _error_cells(row, res, mp_scaled_value(args, prec),
+        cells += _error_cells(row, res, w_plus(args, prec).mp_value,
                               enumerate(trow.errors), _CHAIN_ERRTOL,
                               ("t4", trow.lam))
     return TableReport(TableSpec.T4, cells)
@@ -232,16 +236,14 @@ def compute_t5(precision: int = 60) -> TableReport:
     for trow in T5_ROWS:
         row = f"lam={trow.lam:g} x={trow.x:g}"
         args = ScaledArgs(trow.lam, trow.a, trow.x, Sign.PLUS)
-        w_ref = mp_scaled_value(args, prec)
+        ref = w_plus(args, prec)
         res = expand_plus(args, TruncationPolicy.optimal())
         with mp.workdps(_DIFF_DPS):
-            delta_w = float(w_ref - res.mp_components[0])
-            i1 = float(res.mp_components[1])
-            w = float(w_ref)
+            delta_w = float(ref.mp_value - res.mp_components[0])
         for label, column, computed, printed, tol in (
-                ("W", "w", w, trow.w, _SIG7),
+                ("W", "w", ref.value, trow.w, _SIG7),
                 ("Delta W", "delta_w", delta_w, trow.delta_w, _SIG3),
-                ("I_1", "i1", i1, trow.i1, _SIG3)):
+                ("I_1", "i1", res.components[1], trow.i1, _SIG3)):
             cells.append(_cell(row, label, computed, printed, tol,
                                ("t5", trow.lam, trow.x, column)))
     return TableReport(TableSpec.T5, cells)

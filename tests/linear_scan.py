@@ -11,7 +11,7 @@ the same brentq call.
 from __future__ import annotations
 
 from wrightasym.core import DomainError, Sign
-from wrightasym.saddles import NoBoundary, Phase, _chain_member, brentq
+from wrightasym.saddles import NoBoundary, Phase, brentq, chain_member
 
 
 def stokes_boundary(lam: float, pair_index: int,
@@ -23,7 +23,7 @@ def stokes_boundary(lam: float, pair_index: int,
 
     def level(a: float) -> float:
         phase = Phase(lam, a, Sign.PLUS)
-        return _chain_member(phase, pair_index).phase_value.imag
+        return chain_member(phase, pair_index).phase_value.imag
 
     n_scan = 80
     grid = [a_min * (a_max / a_min) ** (i / (n_scan - 1.0))

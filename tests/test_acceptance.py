@@ -23,7 +23,7 @@ from mpmath import mp
 from closed_forms import b_polynomials, closed_form_A
 from wrightasym.coeffs import double_saddle_coeffs, simple_coeffs_mp
 from wrightasym.core import ScaledArgs, Sign, WrightParams
-from wrightasym.oracle import PrecisionConfig, mp_scaled_value, wright_series
+from wrightasym.oracle import PrecisionConfig, w_minus, w_plus, wright_series
 from wrightasym.saddles import (
     Phase,
     double_saddle_curve,
@@ -232,8 +232,9 @@ def test_acceptance_7_property_suites(verdict, t1_timed, t2_report,
              for lam in (3.0, 4.0, 6.0) for x in (20.0, 30.0, 40.0)]
     for lam, a, x, sign in grid:
         args = ScaledArgs(lam, a, x, sign)
-        v1 = mp_scaled_value(args, PrecisionConfig(60))
-        v2 = mp_scaled_value(args, PrecisionConfig(120))
+        fn = w_minus if sign is Sign.MINUS else w_plus
+        v1 = fn(args, PrecisionConfig(60)).mp_value
+        v2 = fn(args, PrecisionConfig(120)).mp_value
         with mp.workdps(140):
             rel = float(abs(v1 - v2) / abs(v2))
         if rel > 1e-14:

@@ -62,15 +62,28 @@ def test_eval_precision_loss_exits_3(runner):
     assert res.exit_code == 3
 
 
-@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
-def test_eval_overflow_exits_2(runner, tmp_path, fmt):
-    # the series sums to a finite mp value whose double rounding is not
+_FORMATS = (("text", ()), ("json", ("--json",)))
+
+
+@pytest.mark.parametrize("point,flow,fmt", [
+    pytest.param(point, flow, fmt, id=prefix + name)
+    for prefix, point, flow in (
+        ("", ("1", "0.5", "3000", "plus"), "overflows"),
+        # W- = 6.4e-2266 and W+ = 4.3e-460
+        ("underflow-minus-", ("3", "5", "800", "minus"), "underflows"),
+        ("underflow-plus-", ("0.5", "2", "2000", "plus"), "underflows"))
+    for name, fmt in _FORMATS])
+def test_eval_overflow_exits_2(runner, tmp_path, point, flow, fmt):
+    # the series sums to a finite, nonzero mp value that its double
+    # rounding loses
+    lam, a, x, sign = point
     out = tmp_path / "eval.csv"
-    res = _run(runner, "eval", "--lambda", "1", "--a", "0.5", "--x", "3000",
-               "--sign", "plus", "--out", str(out), *fmt)
+    res = _run(runner, "eval", "--lambda", lam, "--a", a, "--x", x,
+               "--sign", sign, "--out", str(out), *fmt)
     assert res.exit_code == 2
-    assert "error: the value overflows double precision" in res.output
+    assert f"error: the value {flow} double precision" in res.output
     assert "Infinity" not in res.output and "inf" not in res.output
+    assert "0.00000000e+00" not in res.output
     assert not out.exists()
 
 
@@ -165,16 +178,26 @@ def test_expand_negative_order_exits_2(runner):
         assert f"error: truncation order {message}" in res.output
 
 
-@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
-def test_expand_overflow_exits_2(runner, fmt):
-    # x*h0 = 3.3e5: the extended-precision value is finite, its double
-    # rounding is not, and the oracle is never reached
-    res = _run(runner, "expand", "--lambda", "2", "--a", "0.5",
-               "--x", "1e6", "--sign", "minus", "--order", "3", *fmt)
+@pytest.mark.parametrize("point,flow,exponent,fmt", [
+    pytest.param(point, flow, exponent, fmt, id=prefix + name)
+    for prefix, point, flow, exponent in (
+        ("", ("2", "0.5", "1e6"), "overflows", "326713"),
+        ("underflow-", ("3", "5", "800"), "underflows", "-5210.74"))
+    for name, fmt in _FORMATS])
+def test_expand_overflow_exits_2(runner, tmp_path, point, flow, exponent,
+                                 fmt):
+    # x*h0 = 3.3e5 or -5.2e3: the extended-precision value is finite and
+    # nonzero, its double rounding loses it, and the oracle is never reached
+    lam, a, x = point
+    out = tmp_path / "expand.csv"
+    res = _run(runner, "expand", "--lambda", lam, "--a", a, "--x", x,
+               "--sign", "minus", "--order", "3", "--out", str(out), *fmt)
     assert res.exit_code == 2
-    assert "error: the value overflows double precision" in res.output
-    assert "x*h0 = 326713" in res.output
+    assert f"error: the value {flow} double precision" in res.output
+    assert f"x*h0 = {exponent}" in res.output
     assert "Infinity" not in res.output
+    assert "0.00000000e+00" not in res.output
+    assert not out.exists()
 
 
 def test_expand_says_why_the_error_is_missing(runner, monkeypatch):
@@ -184,7 +207,7 @@ def test_expand_says_why_the_error_is_missing(runner, monkeypatch):
     def failing(args, prec):
         raise NoConvergence("series did not settle within 5 terms")
 
-    monkeypatch.setattr(cli_mod, "mp_scaled_value", failing)
+    monkeypatch.setattr(cli_mod, "w_minus", failing)
     res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
                "--x", "40", "--sign", "minus", "--order", "3")
     assert res.exit_code == 0
@@ -204,13 +227,13 @@ def test_expand_reference_runs_at_the_given_precision(runner, monkeypatch):
     import wrightasym.cli as cli_mod
 
     seen = []
-    reference = cli_mod.mp_scaled_value
+    reference = cli_mod.w_minus
 
     def recorded(args, prec):
         seen.append(prec.decimal_digits)
         return reference(args, prec)
 
-    monkeypatch.setattr(cli_mod, "mp_scaled_value", recorded)
+    monkeypatch.setattr(cli_mod, "w_minus", recorded)
     res = _run(runner, "expand", "--lambda", "1.5", "--a", "0.5",
                "--x", "40", "--sign", "minus", "--order", "3",
                "--precision", "40")
@@ -280,15 +303,15 @@ def test_saddles_chain_solves_only_uncounted_members(runner, monkeypatch):
     import wrightasym.cli as cli_mod
     import wrightasym.saddles as saddles_mod
     calls = 0
-    member = saddles_mod._chain_member
+    member = saddles_mod.chain_member
 
     def counted(phase, k):
         nonlocal calls
         calls += 1
         return member(phase, k)
 
-    monkeypatch.setattr(saddles_mod, "_chain_member", counted)
-    monkeypatch.setattr(cli_mod, "_chain_member", counted)
+    monkeypatch.setattr(saddles_mod, "chain_member", counted)
+    monkeypatch.setattr(cli_mod, "chain_member", counted)
     res = _run(runner, "saddles", "--lambda", "6", "--a", "0.2",
                "--sign", "plus", "--chain", "4", "--json")
     payload = json.loads(res.output)

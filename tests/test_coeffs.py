@@ -28,7 +28,7 @@ from wrightasym.coeffs import (
 )
 from wrightasym.saddles import (
     Phase,
-    complex_saddle_chain,
+    chain_member,
     double_saddle_curve,
     double_saddle_point,
     polish_saddle,
@@ -224,7 +224,7 @@ def _high_order_cases():
     ph = Phase(1.5, 0.5, Sign.MINUS)
     yield ph, mp.mpc(solve_complex_pair(ph).location)
     ph = Phase(3.0, 0.2, Sign.PLUS)
-    yield ph, mp.mpc(complex_saddle_chain(ph, 1)[0].location)
+    yield ph, mp.mpc(chain_member(ph, 1).location)
 
 
 @pytest.mark.parametrize("case", range(3), ids=["real", "conjugate", "chain"])
@@ -326,9 +326,9 @@ def _engine_cases():
     ph = Phase(-0.25, 1.0, Sign.MINUS)
     yield ph, solve_real_saddle(ph).location
     ph = Phase(3.0, 0.2, Sign.PLUS)
-    yield ph, complex_saddle_chain(ph, 1)[0].location
+    yield ph, chain_member(ph, 1).location
     ph = Phase(6.0, 0.2, Sign.PLUS)
-    yield ph, complex_saddle_chain(ph, 2)[1].location
+    yield ph, chain_member(ph, 2).location
 
 
 def _errors_against_80_digits(ph, location):

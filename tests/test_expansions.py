@@ -201,14 +201,14 @@ def test_plus_components_and_subdominant_exclusion():
 def test_cold_chain_call_solves_each_member_once(monkeypatch, lam, n_pairs):
     # the pair count solves members 1..N+1; the pair series reuse 1..N
     calls = 0
-    member = saddles._chain_member
+    member = saddles.chain_member
 
     def counted(phase, k):
         nonlocal calls
         calls += 1
         return member(phase, k)
 
-    monkeypatch.setattr(saddles, "_chain_member", counted)
+    monkeypatch.setattr(saddles, "chain_member", counted)
     res = expand_plus(ScaledArgs(lam, 0.2, 40.0, Sign.PLUS),
                       TruncationPolicy.fixed(3))
     assert len(res.components) == n_pairs + 1

@@ -22,11 +22,19 @@ from wrightasym.oracle import (
     NoConvergence,
     PrecisionConfig,
     PrecisionLoss,
-    mp_scaled_value,
     w_minus,
     w_plus,
     wright_series,
 )
+
+
+def _check_mp_value(res, ref):
+    # the double is the mp value's rounding, and that value agrees with
+    # the reference result ref to the digits res reports
+    assert res.value == float(res.mp_value)
+    with mp.workdps(140):
+        rel = abs(res.mp_value - ref.mp_value) / abs(ref.mp_value)
+        assert rel < mp.mpf(10) ** -res.significant_digits
 
 
 def _bessel_i(order, w, dps=40):
@@ -50,6 +58,8 @@ def test_bessel_reduction(mu, z):
         ref = mp.mpf(z) ** ((1 - mp.mpf(mu)) / 2) * _bessel_i(mu - 1, 2 * mp.sqrt(mp.mpf(z)))
         rel = abs((mp.mpf(res.value) - ref) / ref)
         assert rel < 5e-13, f"mu={mu} z={z}: rel dev {float(rel):.2e}"
+    _check_mp_value(res, wright_series(WrightParams(1.0, mu), z,
+                                       PrecisionConfig(120)))
 
 
 # -- summation control ----------------------------------------------------
@@ -57,22 +67,27 @@ def test_bessel_reduction(mu, z):
 GRID = [(-0.25, 1.0), (1.0, 1.20), (0.50, 0.80), (1.50, 0.50), (2.0, 1.0)]
 
 
-@pytest.mark.parametrize("lam,a", GRID)
+# (1, 1) lies on the coalescence curve a*(1) = 1
+@pytest.mark.parametrize("lam,a", GRID + [(1.0, 1.0)])
 @pytest.mark.parametrize("sign", [Sign.MINUS, Sign.PLUS])
 def test_precision_doubling_stability(lam, a, sign):
-    """+20 working digits must not move the double-rounded value."""
+    """+20 working digits must not move the double-rounded value, and
+    the mp value agrees with a 120-digit one to the digits reported."""
     args = ScaledArgs(lam, a, 40.0, sign)
-    v1 = float(mp_scaled_value(args, PrecisionConfig(60)))
-    v2 = float(mp_scaled_value(args, PrecisionConfig(80)))
+    fn = w_minus if sign is Sign.MINUS else w_plus
+    res = fn(args, PrecisionConfig(60))
+    v1 = float(res.mp_value)
+    v2 = float(fn(args, PrecisionConfig(80)).mp_value)
     assert v1 == pytest.approx(v2, rel=1e-14)
+    _check_mp_value(res, fn(args, PrecisionConfig(120)))
 
 
 def test_tiny_sum_keeps_relative_accuracy():
     # the bare series here sums to ~1e-59 while its peak term is ~1e-38;
     # the stop rule has to scale with the partial sums, not any fixed floor
     args = ScaledArgs(-0.25, 1.0, 40.0, Sign.MINUS)
-    v60 = mp_scaled_value(args, PrecisionConfig(60))
-    v100 = mp_scaled_value(args, PrecisionConfig(100))
+    v60 = w_minus(args, PrecisionConfig(60)).mp_value
+    v100 = w_minus(args, PrecisionConfig(100)).mp_value
     with mp.workdps(50):
         assert abs(v60 - v100) / abs(v100) < mp.mpf(10) ** (-40)
 
@@ -90,14 +105,12 @@ def test_precision_loss_raises_with_surviving_count():
     assert exc.value.surviving_digits <= 0
 
 
-def test_mp_scaled_value_reports_total_cancellation():
-    # w_minus and the full-precision reference share one digit rule; a
-    # 400-digit sum loses 100.09 digits here, so 60 - 100.09 survive
+def test_w_minus_reports_total_cancellation():
+    # a 400-digit sum loses 100.09 digits here, so 60 - 100.09 survive
     args = ScaledArgs(-0.9, 1.0, 100.0, Sign.MINUS)
-    for fn in (w_minus, mp_scaled_value):
-        with pytest.raises(PrecisionLoss) as exc:
-            fn(args, PrecisionConfig(60))
-        assert exc.value.surviving_digits == -40
+    with pytest.raises(PrecisionLoss) as exc:
+        w_minus(args, PrecisionConfig(60))
+    assert exc.value.surviving_digits == -40
 
 
 def test_low_precision_flag_under_heavy_cancellation():
@@ -495,9 +508,10 @@ def test_digits_capped_by_the_tail_past_the_stop(lam, a, x, sign, most):
     # near lam = -1 the terms after the stop add up to many times the
     # last one; the 60-digit sum is off by more than 10^-60
     args = ScaledArgs(lam, a, x, sign)
-    res = (w_minus if sign is Sign.MINUS else w_plus)(args)
-    v60 = mp_scaled_value(args, PrecisionConfig(60))
-    v100 = mp_scaled_value(args, PrecisionConfig(100))
+    fn = w_minus if sign is Sign.MINUS else w_plus
+    res = fn(args)
+    v60 = res.mp_value
+    v100 = fn(args, PrecisionConfig(100)).mp_value
     with mp.workdps(120):
         correct = -mp.log10(abs(v60 - v100) / abs(v100))
     assert res.significant_digits <= min(most, correct)

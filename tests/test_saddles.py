@@ -24,9 +24,8 @@ from wrightasym.saddles import (
     Regime,
     SaddleKind,
     Terminus,
-    _chain_member,
     brentq,
-    complex_saddle_chain,
+    chain_member,
     contour,
     double_saddle_curve,
     double_saddle_point,
@@ -177,7 +176,7 @@ def _cycling_saddles():
     ph = Phase(1.5, 0.5, Sign.MINUS)
     yield ph, solve_complex_pair(ph).location
     ph = Phase(3.0, 0.2, Sign.PLUS)
-    yield ph, complex_saddle_chain(ph, 1)[0].location
+    yield ph, chain_member(ph, 1).location
     ph = Phase(6.0, 0.2, Sign.PLUS)
     yield ph, solve_real_saddle(ph).location
 
@@ -429,7 +428,7 @@ def test_complex_pair_residuals_random():
 def test_chain_imaginary_windows():
     for lam in (2.0, 3.0, 6.0):
         ph = Phase(lam, 0.2, Sign.PLUS)
-        chain = complex_saddle_chain(ph, 4)
+        chain = [chain_member(ph, k) for k in range(1, 5)]
         y1 = chain[0].location.imag
         assert math.pi / lam - 1e-9 <= y1 < 3 * math.pi / lam
         for k in (2, 3, 4):
@@ -443,8 +442,7 @@ def test_chain_imaginary_windows():
 def test_chain_lam_one_boundary_saddle():
     # degenerate case: u_1 = i pi - arcsinh(a), exactly on Im u = pi
     ph = Phase(1.0, 0.5, Sign.PLUS)
-    chain = complex_saddle_chain(ph, 1)
-    u = chain[0].location
+    u = chain_member(ph, 1).location
     assert abs(u.imag - math.pi) < 1e-9
     assert abs(u.real + math.asinh(0.5)) < 1e-9
 
@@ -512,22 +510,22 @@ def test_stokes_boundary_ignores_a_spurious_scan_root():
 def test_chain_level_slope_is_minus_im_u(lam, a, k):
     # h' = 0 at u_k, so d h(u_k)/da = dh/da = -u_k
     da = 1e-5 * a
-    up, down = (_chain_member(Phase(lam, b, Sign.PLUS), k).phase_value.imag
+    up, down = (chain_member(Phase(lam, b, Sign.PLUS), k).phase_value.imag
                 for b in (a + da, a - da))
-    im_u = _chain_member(Phase(lam, a, Sign.PLUS), k).location.imag
+    im_u = chain_member(Phase(lam, a, Sign.PLUS), k).location.imag
     assert (up - down) / (2 * da) == pytest.approx(-im_u, rel=1e-8)
 
 
 def test_fig4_and_the_boundary_guard_solve_few_chain_members(monkeypatch):
     calls = 0
-    member = saddles._chain_member
+    member = saddles.chain_member
 
     def counted(phase, k):
         nonlocal calls
         calls += 1
         return member(phase, k)
 
-    monkeypatch.setattr(saddles, "_chain_member", counted)
+    monkeypatch.setattr(saddles, "chain_member", counted)
     assert tables.compute_fig4().passed
     # every (lam, a, pair) once: brentq's end levels are the bisection's,
     # and the pinned cell is the sweep's row

@@ -13,7 +13,10 @@ chain, which perfbench's random lam never reach), then wright_series at
 unscaled points whose z has a mantissa of 1 or 2 bits (the oracle's
 z^n/n! is renormalised after every division by n).  Last it runs the CLI,
 each command as text and with `--json`: `wright table <spec>` for every
-table spec; `wright expand` with `--order 3` and with optimal truncation
+table spec; `wright eval` at the T1-T5 points, at (-0.9, 1, 100, minus),
+whose cancellation is refused, at (3, 5, 800, minus) and (0.5, 2, 2000,
+plus), which underflow doubles, and at (1, 0.5, 3000, plus), which
+overflows them; `wright expand` with `--order 3` and with optimal truncation
 at the T1-T5 points, at one point within 1e-6 of the coalescence curve
 and, with `--include-subdominant`, at (6, 0.2, 40, plus); and `wright
 saddles` (minus) at lam = 2 on the curve a*, 1e-9 either side of it
@@ -77,6 +80,10 @@ CHAIN_A = 0.5
 # two with Gamma poles
 UNSCALED = ((-0.5, 0.5, -3.0), (-0.5, 1.0, 2.0), (0.3, 1.0, 2.0),
             (1.7, 0.5, -1.0), (-0.55, 2.0, 0.5))
+# `wright eval` points past the T1-T5 ones: a sum refused for its
+# cancellation, two values under the double range and one over it
+EVAL_EDGES = ((-0.9, 1.0, 100.0, "minus"), (3.0, 5.0, 800.0, "minus"),
+              (0.5, 2.0, 2000.0, "plus"), (1.0, 0.5, 3000.0, "plus"))
 # bits of the working precision the reprs are printed at: above every
 # mantissa the package makes (50-60 digits are about 170-200 bits)
 REPR_BITS = 256
@@ -126,6 +133,9 @@ def _cli_argvs() -> list[list[str]]:
 
     curve = double_saddle_curve(2.0)
     argvs = [["table", spec.value] for spec in TableSpec]
+    for lam, a, x, sign in _table_points() + list(EVAL_EDGES):
+        argvs.append(["eval", "--lambda", repr(lam), "--a", repr(a),
+                      "--x", repr(x), "--sign", sign])
     expand = [(lam, a, x, sign, ()) for lam, a, x, sign in _table_points()]
     expand += [(2.0, curve * (1.0 + 1e-9), 40.0, "minus", ()),
                (6.0, 0.2, 40.0, "plus", ("--include-subdominant",))]
