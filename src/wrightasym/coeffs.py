@@ -38,7 +38,7 @@ forms live here: the tests keep them as independent references.
 from __future__ import annotations
 
 import math
-from operator import mul
+from operator import add, mul
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
@@ -71,6 +71,12 @@ def _exact(x) -> tuple[int, int, int]:
         return a << (ea - e), b << (eb - e), e
     n, e = _binary(x)
     return n, 0, e
+
+
+def _make(parts: list):
+    """An mpf from [re] or an mpc from [re, im], raw mpfs."""
+    return (mp.make_mpf(parts[0]) if len(parts) == 1
+            else mp.make_mpc(tuple(parts)))
 
 
 def _binary(x) -> tuple[int, int]:
@@ -144,24 +150,25 @@ def _real_betas(cp, cq, cl, m: int, n: int, fb: int, r: int) -> list:
 
 def _complex_betas(cp, cq, cl, m: int, n: int, fb: int, r: int) -> list:
     """_real_betas at a complex saddle: every series, cp and cq as (re,
-    im) pairs of ints, each complex dot product as four real ones."""
+    im) pairs of ints and each series' re + im kept beside it, so that a
+    complex dot product takes three real ones (Gauss; TAOCP 4.6.4)."""
     (pr, pi), (qr, qi) = cp, cq
     f2 = 2 * fb
     er, fr = _series_start(cl, m, fb, r)
     ei, fi = [0] * (m + 1), [0] * (m + 1)
-    br, bi = [1 << (fb + r)], [0]
+    es, fs = er[:], fr[:]
+    br, bi, bs = [1 << (fb + r)], [0], [1 << (fb + r)]
     solve = f2 + r * (m - 1)
 
-    def cdot(xr, xi, yr, yi):
-        return (sum(map(mul, xr, reversed(yr)))
-                - sum(map(mul, xi, reversed(yi))),
-                sum(map(mul, xr, reversed(yi)))
-                + sum(map(mul, xi, reversed(yr))))
+    def cdot(yr, yi, ys):
+        p1 = sum(map(mul, br, reversed(yr)))
+        p2 = sum(map(mul, bi, reversed(yi)))
+        return p1 - p2, sum(map(mul, bs, reversed(ys))) - p1 - p2
 
     for k in range(2, n + 1):
         top = k + m - 1
-        ser, sei = cdot(br, bi, er, ei)
-        sfr, sfi = cdot(br, bi, fr, fi)
+        ser, sei = cdot(er, ei, es)
+        sfr, sfi = cdot(fr, fi, fs)
         xr = pr * ser - pi * sei - qr * sfr + qi * sfi
         xi = pr * sei + pi * ser - qr * sfi - qi * sfr
         kr = _rz(-k * xr, solve, top)
@@ -189,8 +196,12 @@ def _complex_betas(cp, cq, cl, m: int, n: int, fb: int, r: int) -> list:
             ei[j] += _rz(di, s)
             fr[j] += _rz(hr, s)
             fi[j] += _rz(hi, s)
+        # orders k..top are the ones just appended or updated
+        es[k:] = map(add, er[k:], ei[k:])
+        fs[k:] = map(add, fr[k:], fi[k:])
         br.append(kr)
         bi.append(ki)
+        bs.append(kr + ki)
     return [br, bi]
 
 
@@ -307,8 +318,7 @@ def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
             xs = [from_rational(x, k << s, wp, round_nearest) if s >= 0
                   else from_rational(x << -s, k, wp, round_nearest)
                   for x in v]
-            out.append(mp.make_mpf(xs[0]) if len(xs) == 1
-                       else mp.make_mpc(tuple(xs)))
+            out.append(_make(xs))
         else:
             xs = [x / (k << s) if s >= 0 else (x << -s) / k for x in v]
             out.append(xs[0] if len(xs) == 1 else complex(*xs))
@@ -342,14 +352,19 @@ def simple_coeffs_mp(phase: Phase, u0, order: int) -> list:
     A_k = (-1)^k (2k+1) b_(2k+1) / b_1 from the m = 2 reversion, which in
     the normalized coefficients (b_1^2 = -1/h'') is (2k+1) beta_(2k+1) /
     h''(u0)^k: no square-root branch enters, and at a real saddle every
-    A_k is an mpf.  Raises DegenerateSaddle where |h''(u0)| < 1e-10.
+    A_k is an mpf.  h''(u0)^k is an exact running power, rounded once.
+    Raises DegenerateSaddle where |h''(u0)| < 1e-10.
     """
     parts, fb, r, h2 = _fixed_betas(phase, u0, 2, 2 * order + 1)
+    hr, hi, e = _exact(h2)
+    pr, pi = 1, 0
     out = []
     for k in range(order + 1):
         # (2k+1) beta_(2k+1) exactly, then one rounding in the quotient
         j = 2 * k + 1
-        num = [from_man_exp(v[j - 1], -fb - r * j) for v in parts]
-        num = mp.make_mpf(num[0]) if len(num) == 1 else mp.make_mpc(tuple(num))
-        out.append(num / h2 ** k)
+        num = _make([from_man_exp(v[j - 1], -fb - r * j) for v in parts])
+        pw = [from_man_exp(x, e * k, mp.mp.prec, round_nearest)
+              for x in (pr, pi)[:len(parts)]]
+        out.append(num / _make(pw))
+        pr, pi = pr * hr - pi * hi, pr * hi + pi * hr
     return out

@@ -32,7 +32,9 @@ twelve leading digits cancel, leaving about 38.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from itertools import accumulate
 
 import mpmath as mp
 
@@ -42,6 +44,7 @@ from .saddles import Phase, Regime, contour, double_saddle_curve, \
     polish_saddle, u_star
 
 _PREC_DPS = 50
+_EXACT_ADD = functools.partial(mp.fadd, exact=True)
 # the highest order a series is computed to: the reach of the optimal
 # rule and the largest fixed truncation k
 _MAX_ORDER = 40
@@ -121,18 +124,18 @@ class ExpansionResult:
     series holds each contributory saddle's SaddleSeries, the primary one
     first.  terms (rounded to complex doubles) and coefficients (the A_k,
     or on the double route the B_k) are views of the primary series, and
-    truncation_index is where it was actually cut (inclusive).
-    mp_partial_sums[k] is the extended-precision value with the primary
-    series cut at k instead, for k = 0 .. truncation_index, so one call
-    serves a whole fixed-k error study; mp_value, the last of them, is the
-    result, and value its double rounding.  mp_components carries the
-    per-saddle contributions I_j in saddle order (for the single-saddle
-    routes just the value itself) and components their doubles,
-    component_truncations their individual cut points and
-    truncation_reasons why each was cut there: "fixed" (the policy's k),
-    "minimum" (the smallest term) or "capped" (the optimal rule landed on
-    the last computed term, so the minimum may lie beyond it), and
-    exponent = x * Re h(u0) locates the overall scale.
+    truncation_index is where it was actually cut (inclusive).  mp_value
+    is the extended-precision result, and value its double rounding.
+    mp_partial_sums[k] is the value with the primary series cut at k
+    instead, for k = 0 .. truncation_index, so one call serves a whole
+    fixed-k error study; it is built on first read, and its last entry is
+    mp_value.  mp_components carries the per-saddle contributions I_j in
+    saddle order (for the single-saddle routes just the value itself) and
+    components their doubles, component_truncations their individual cut
+    points and truncation_reasons why each was cut there: "fixed" (the
+    policy's k), "minimum" (the smallest term) or "capped" (the optimal
+    rule landed on the last computed term, so the minimum may lie beyond
+    it), and exponent = x * Re h(u0) locates the overall scale.
     """
 
     series: tuple[SaddleSeries, ...]
@@ -140,9 +143,11 @@ class ExpansionResult:
     exponent: float
     component_truncations: tuple[int, ...]
     truncation_reasons: tuple[str, ...]
-    mp_partial_sums: tuple
+    mp_value: object
     mp_components: tuple
     route: str
+    # how many components after the primary one the value adds
+    _kept: int = 0
 
     @property
     def terms(self) -> tuple[complex, ...]:
@@ -156,9 +161,12 @@ class ExpansionResult:
     def truncation_index(self) -> int:
         return self.component_truncations[0]
 
-    @property
-    def mp_value(self):
-        return self.mp_partial_sums[-1]
+    @functools.cached_property
+    def mp_partial_sums(self) -> tuple:
+        s, added = self.series[0], self.mp_components[1:1 + self._kept]
+        sums = accumulate(s.mp_terms[:self.truncation_index + 1], _EXACT_ADD)
+        with mp.workdps(_PREC_DPS):
+            return tuple(sum(added, _component(s, acc)) for acc in sums)
 
     @property
     def value(self) -> float:
@@ -169,39 +177,40 @@ class ExpansionResult:
         return tuple(float(c) for c in self.mp_components)
 
 
+def _component(s: SaddleSeries, acc):
+    """pref * acc, acc an exact sum of s's terms rounded once, and twice
+    its real part for a complex location."""
+    v = s.pref * (+acc)
+    return 2 * mp.re(v) if s.location.imag != 0 else v
+
+
 def _assemble(series, x: float, trunc: TruncationPolicy, route: str,
               kept: int = 0) -> ExpansionResult:
     """A route's result from its saddles' series, the primary one first:
     that one cut by the policy (its k, or the smallest term), every other
     at its smallest term.  A component is pref * sum_{j<=k} t_j, twice the
-    real part for a complex location, each prefix one exact running sum
-    rounded once; partial sum k is the primary component cut at k plus the
-    first `kept` other components."""
-    cut = []  # (k, reason, sums) per series
+    real part for a complex location, the sum exact and rounded once; the
+    value is the primary component plus the first `kept` other ones."""
+    cut = []  # (k, reason, component) per series
     for j, s in enumerate(series):
         if j == 0 and trunc.mode is TruncationMode.FIXED:
             k, why = trunc.k, "fixed"
         else:
             k = optimal_truncation([abs(t) for t in s.mp_terms])
             why = "capped" if k == len(s.mp_terms) - 1 else "minimum"
-        sums, acc = [], mp.mpf(0)
-        for i, t in enumerate(s.mp_terms[:k + 1]):
-            acc = mp.fadd(acc, t, exact=True)
-            if j == 0 or i == k:
-                v = s.pref * (+acc)
-                sums.append(2 * mp.re(v) if s.location.imag != 0 else v)
-        cut.append((k, why, sums))
-    cuts, reasons, sums = zip(*cut)
-    added = [s[-1] for s in sums[1:1 + kept]]
+        acc = functools.reduce(_EXACT_ADD, s.mp_terms[:k + 1])
+        cut.append((k, why, _component(s, acc)))
+    cuts, reasons, comps = zip(*cut)
     return ExpansionResult(
         series=tuple(series),
         truncation_mode=trunc.mode,
         exponent=float(x * mp.re(series[0].h0)),
         component_truncations=cuts,
         truncation_reasons=reasons,
-        mp_partial_sums=tuple(sum(added, p) for p in sums[0]),
-        mp_components=tuple(s[-1] for s in sums),
+        mp_value=sum(comps[1:1 + kept], comps[0]),
+        mp_components=tuple(comps),
         route=route,
+        _kept=kept,
     )
 
 

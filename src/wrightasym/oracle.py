@@ -406,8 +406,8 @@ def _tail_digits(series_sum, est, n_last):
         return 0
     top = max(tail)
     log2_tail = top + math.log2(math.fsum(2.0 ** (e - top) for e in tail))
-    return max(0, int((float(mp.log(abs(series_sum), 2)) - log2_tail)
-                      / _LOG2_10))
+    _, man, exp, _ = series_sum._mpf_
+    return max(0, int((exp + math.log2(man) - log2_tail) / _LOG2_10))
 
 
 def _finish(value_mp, series_sum, peak_mag, n_last, last_mag, pre,

@@ -5,7 +5,8 @@ the high orders against an independent Lagrange inversion kept here:
 J.C.P. Miller powers of the Taylor series of
 w(t) = (m (h(u0) - h(u0 + t)))^(1/m), O(n^3).  The integer engine is
 also held to the mpmath engine it replaced (fdot_engine.py) run at 80
-digits.
+digits, the complex recurrence to the four-product one it replaced
+(four_products.py).
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import random
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp
 
 import fdot_engine
+import four_products
 from closed_forms import b_polynomials, closed_form_A
 from wrightasym import coeffs
 from wrightasym.core import DomainError, Sign
@@ -356,6 +359,47 @@ def test_engine_matches_80_digit_engine(case):
     ph, location = list(_engine_cases())[case]
     new, old = _errors_against_80_digits(ph, location)
     assert new <= 2 * old, (new, old)
+
+
+@pytest.mark.parametrize("case", [1, 3, 4],
+                         ids=["conjugate", "chain1", "chain2"])
+@pytest.mark.parametrize("order", [6, 40])
+def test_three_product_recurrence_matches_four_products(monkeypatch, case,
+                                                        order):
+    # the engine's runs at n = 13 and n = 81 (the pilot's too) give the
+    # four-product recurrence's ints on the same (cp, cq, cl, fb, r)
+    runs = []
+    complex_betas = coeffs._complex_betas
+
+    def recorded(*args):
+        runs.append((args, complex_betas(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(coeffs, "_complex_betas", recorded)
+    ph, location = list(_engine_cases())[case]
+    _engine_A(ph, location, order)
+    assert 2 * order + 1 in {args[4] for args, _ in runs}
+    for args, got in runs:
+        assert got == four_products.complex_betas(*args), args[3:]
+
+
+@pytest.mark.parametrize("case", range(5), ids=["real", "conjugate",
+                                                "lam<0", "chain1", "chain2"])
+def test_running_power_matches_mpmath_power(case):
+    # h''^k as one exact power rounded once is mpmath's own h2 ** k, so
+    # every A_k is the quotient (2k+1) beta_(2k+1) / h2 ** k bit for bit
+    ph, location = list(_engine_cases())[case]
+    with mp.workdps(50):
+        u0, _, _ = polish_saddle(ph, location)
+        got = simple_coeffs_mp(ph, u0, 40)
+        parts, fb, r, h2 = coeffs._fixed_betas(ph, u0, 2, 81)
+        for k, a_k in enumerate(got):
+            j = 2 * k + 1
+            num = [from_man_exp(v[j - 1], -fb - r * j) for v in parts]
+            num = (mp.make_mpf(num[0]) if len(num) == 1
+                   else mp.make_mpc(tuple(num)))
+            want = num / h2 ** k
+            assert type(a_k) is type(want) and a_k == want, k
 
 
 def test_engine_reruns_at_a_larger_scale(monkeypatch):

@@ -243,6 +243,19 @@ def test_partial_sums_are_the_shorter_cuts(point, sign):
     assert opt.value == float(opt.mp_partial_sums[-1])
 
 
+def test_partial_sums_are_built_on_first_read_at_the_working_precision():
+    # only the value at the cut is formed eagerly; the partial sums, read
+    # at a caller's lower precision, still end on mp_value bit for bit
+    res = expand_plus(ScaledArgs(6.0, 0.2, 40.0, Sign.PLUS),
+                      TruncationPolicy.optimal(), include_subdominant=True)
+    assert len(res.mp_components) == 3
+    assert "mp_partial_sums" not in vars(res)
+    with mp.workdps(15):
+        sums = res.mp_partial_sums
+    assert len(sums) == res.truncation_index + 1
+    assert sums[-1] == res.mp_value
+
+
 @pytest.mark.parametrize("trunc", [TruncationPolicy.fixed(5),
                                    TruncationPolicy.optimal()],
                          ids=["fixed", "optimal"])
