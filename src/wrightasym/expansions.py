@@ -17,10 +17,12 @@ contour crosses (saddles.contour) and names the route after its regime:
 The body builds the double-saddle series, or else one SaddleSeries per
 contributory saddle (location, h0, prefactor, terms and coefficients,
 uncut), and hands them to one assembly, which cuts, folds conjugate
-pairs into twice the real part and sums.  The result keeps those series,
-the value and the value at every shorter cut (the partial sums), so
-callers can study the error behaviour from one call rather than just
-consume a number.  Both entries work at one extended precision, 50
+pairs into twice the real part and sums.  The result keeps those
+series, the value and the value at every shorter cut (the partial sums),
+so callers can study the error behaviour from one call rather than just
+consume a number; a subdominant last chain pair that the value leaves
+out is polished at the call, but its series is built only when a caller
+reads the components.  Both entries work at one extended precision, 50
 digits: e^(x h0) reaches 1e12 and beyond, where double rounding alone
 would swamp the small differences (oracle minus expansion) these
 expansions are judged by; the deep tail of a series reaches relative
@@ -33,13 +35,15 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import mpmath as mp
 
 from .core import ScaledArgs, Sign
-from .coeffs import simple_coeffs_mp, double_saddle_coeffs
+from .coeffs import DegenerateSaddle, double_saddle_coeffs, \
+    simple_coeffs_mp
 from .saddles import Phase, Regime, contour, double_saddle_curve, \
     polish_saddle, u_star
 
@@ -135,36 +139,67 @@ class ExpansionResult:
     points and truncation_reasons why each was cut there: "fixed" (the
     policy's k), "minimum" (the smallest term) or "capped" (the optimal
     rule landed on the last computed term, so the minimum may lie beyond
-    it), and exponent = x * Re h(u0) locates the overall scale.
+    it), and exponent = x * Re h(u0) locates the overall scale.  A chain
+    pair the value leaves out (the subdominant last one) is still listed
+    in series, the components, component_truncations and
+    truncation_reasons; its series is built on the first read of any of
+    them, once, at the working precision.
     """
 
-    series: tuple[SaddleSeries, ...]
     truncation_mode: TruncationMode
     exponent: float
-    component_truncations: tuple[int, ...]
-    truncation_reasons: tuple[str, ...]
     mp_value: object
-    mp_components: tuple
     route: str
-    # how many components after the primary one the value adds
-    _kept: int = 0
+    # (series, cut, reason, component) of each saddle the value adds, the
+    # primary one first
+    _cuts: tuple
+    # builds the series of the saddle left out of the value, if any; two
+    # results of one call compare equal whether or not it has run
+    _left_out: Callable[[], SaddleSeries] | None = field(default=None,
+                                                         compare=False)
+
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        """(series, cuts, reasons, components), the left-out saddle's
+        built and cut at the working precision."""
+        cuts = self._cuts
+        if self._left_out is not None:
+            with mp.workdps(_PREC_DPS):
+                cuts += (_cut(self._left_out()),)
+        return tuple(zip(*cuts))
+
+    @property
+    def series(self) -> tuple[SaddleSeries, ...]:
+        return self._columns[0]
+
+    @property
+    def component_truncations(self) -> tuple[int, ...]:
+        return self._columns[1]
+
+    @property
+    def truncation_reasons(self) -> tuple[str, ...]:
+        return self._columns[2]
+
+    @property
+    def mp_components(self) -> tuple:
+        return self._columns[3]
 
     @property
     def terms(self) -> tuple[complex, ...]:
-        return tuple(complex(t) for t in self.series[0].mp_terms)
+        return tuple(complex(t) for t in self._cuts[0][0].mp_terms)
 
     @property
     def coefficients(self) -> tuple:
-        return self.series[0].coefficients
+        return self._cuts[0][0].coefficients
 
     @property
     def truncation_index(self) -> int:
-        return self.component_truncations[0]
+        return self._cuts[0][1]
 
     @functools.cached_property
     def mp_partial_sums(self) -> tuple:
-        s, added = self.series[0], self.mp_components[1:1 + self._kept]
-        sums = accumulate(s.mp_terms[:self.truncation_index + 1], _EXACT_ADD)
+        (s, k, _, _), added = self._cuts[0], [c[3] for c in self._cuts[1:]]
+        sums = accumulate(s.mp_terms[:k + 1], _EXACT_ADD)
         with mp.workdps(_PREC_DPS):
             return tuple(sum(added, _component(s, acc)) for acc in sums)
 
@@ -184,47 +219,63 @@ def _component(s: SaddleSeries, acc):
     return 2 * mp.re(v) if s.location.imag != 0 else v
 
 
+def _cut(s: SaddleSeries, k: int | None = None) -> tuple:
+    """(s, k, reason, component): s cut at k, or at its smallest term when
+    k is None.  The component is pref * sum_{j<=k} t_j, twice the real
+    part for a complex location, the sum exact and rounded once."""
+    if k is not None:
+        why = "fixed"
+    else:
+        k = optimal_truncation([abs(t) for t in s.mp_terms])
+        why = "capped" if k == len(s.mp_terms) - 1 else "minimum"
+    acc = functools.reduce(_EXACT_ADD, s.mp_terms[:k + 1])
+    return s, k, why, _component(s, acc)
+
+
 def _assemble(series, x: float, trunc: TruncationPolicy, route: str,
-              kept: int = 0) -> ExpansionResult:
-    """A route's result from its saddles' series, the primary one first:
-    that one cut by the policy (its k, or the smallest term), every other
-    at its smallest term.  A component is pref * sum_{j<=k} t_j, twice the
-    real part for a complex location, the sum exact and rounded once; the
-    value is the primary component plus the first `kept` other ones."""
-    cut = []  # (k, reason, component) per series
-    for j, s in enumerate(series):
-        if j == 0 and trunc.mode is TruncationMode.FIXED:
-            k, why = trunc.k, "fixed"
-        else:
-            k = optimal_truncation([abs(t) for t in s.mp_terms])
-            why = "capped" if k == len(s.mp_terms) - 1 else "minimum"
-        acc = functools.reduce(_EXACT_ADD, s.mp_terms[:k + 1])
-        cut.append((k, why, _component(s, acc)))
-    cuts, reasons, comps = zip(*cut)
+              left_out: Callable[[], SaddleSeries] | None = None
+              ) -> ExpansionResult:
+    """A route's result from the series of the saddles its value adds, the
+    primary one first: that one cut by the policy (its k, or the smallest
+    term), every other at its smallest term, and the value their sum.
+    left_out builds the series of a further saddle the result lists but
+    the value leaves out; it runs on first read."""
+    k0 = trunc.k if trunc.mode is TruncationMode.FIXED else None
+    cuts = tuple(_cut(s, None if j else k0) for j, s in enumerate(series))
+    comps = [c[3] for c in cuts]
     return ExpansionResult(
-        series=tuple(series),
         truncation_mode=trunc.mode,
         exponent=float(x * mp.re(series[0].h0)),
-        component_truncations=cuts,
-        truncation_reasons=reasons,
-        mp_value=sum(comps[1:1 + kept], comps[0]),
-        mp_components=tuple(comps),
+        mp_value=sum(comps[1:], comps[0]),
         route=route,
-        _kept=kept,
+        _cuts=cuts,
+        _left_out=left_out,
     )
 
 
 def _saddle_series(phase: Phase, location: complex, x: float,
-                   order: int) -> SaddleSeries:
+                   order: int) -> Callable[[], SaddleSeries]:
     """One simple-saddle series to A_order at working precision:
 
         e^(x h0) / sqrt(2 pi x h0'') * sum_k (-1)^k (1/2)_k A_k / (x/2)^k
 
     with the location Newton-polished first (principal square root for
-    a complex saddle).
+    a complex saddle).  The polish and the refusal of a degenerate saddle
+    run at the call; the series is built by the function returned, which
+    the caller runs at the working precision.
     """
-    xm = mp.mpf(x)
     um, h0, h2 = polish_saddle(phase, location)
+    if abs(h2) < 1e-10:
+        raise DegenerateSaddle(f"|h^(2)(u0)| = {float(abs(h2)):.2e}: "
+                               f"saddle is (numerically) of higher order")
+    return functools.partial(_build_series, phase, location, um, h0, h2, x,
+                             order)
+
+
+def _build_series(phase: Phase, location: complex, um, h0, h2, x: float,
+                  order: int) -> SaddleSeries:
+    """_saddle_series's series, from the polished saddle um, h0, h2."""
+    xm = mp.mpf(x)
     coeff = simple_coeffs_mp(phase, um, order)
     # r = (-1)^k (1/2)_k / (x/2)^k as one running product
     terms, r, hx = [], mp.mpf(1), -xm / 2
@@ -272,25 +323,35 @@ def _double_series(lam: float, x: float, order: int) -> SaddleSeries:
 def _expand(sign: Sign, args: ScaledArgs, trunc: TruncationPolicy,
             include_subdominant: bool, max_order: int) -> ExpansionResult:
     """Both entries' body: the series of the saddles args' contour
-    crosses, assembled under the route its regime names."""
+    crosses, assembled under the route its regime names.  A subdominant
+    last pair the value leaves out is polished here and built on first
+    read."""
     if args.sign is not sign:
         raise WrongRegime(f"{sign.value}-phase route called with "
                           f"{args.sign.value}-sign arguments")
+    if not 0 <= max_order <= _MAX_ORDER:
+        raise ValueError("max_order must be nonnegative" if max_order < 0
+                         else f"max_order must be at most {_MAX_ORDER}")
     lam, a, x = args.lam, args.a, args.x
     c = contour(lam, a, args.sign)
     order = trunc.k if trunc.mode is TruncationMode.FIXED else max_order
     kept = len(c.saddles) - 1
     if c.last_pair_subdominant and not include_subdominant:
         kept -= 1
+    series, left_out = [], None
     with mp.workdps(_PREC_DPS):
         if c.regime is Regime.DOUBLE:
-            series = [_double_series(lam, x, order)]
+            series.append(_double_series(lam, x, order))
         else:
             phase = Phase(lam, a, args.sign)
-            series = [_saddle_series(phase, sadl.location, x,
-                                     max_order if j else order)
-                      for j, sadl in enumerate(c.saddles)]
-        return _assemble(series, x, trunc, _ROUTES[c.regime], kept)
+            for j, sadl in enumerate(c.saddles):
+                build = _saddle_series(phase, sadl.location, x,
+                                       max_order if j else order)
+                if j <= kept:
+                    series.append(build())
+                else:
+                    left_out = build
+        return _assemble(series, x, trunc, _ROUTES[c.regime], left_out)
 
 
 def expand_minus_auto(args: ScaledArgs,
@@ -329,6 +390,10 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
     partial sum k is I_0 cut at k plus the same pair values.  When the
     last pair is subdominant (Re h(u_N) < 0, exponentially small against
     I_0) it is reported in components but left out of the value unless
-    include_subdominant is set.
+    include_subdominant is set; left out, its series is built on the
+    first read of the components (or of series, their cuts or reasons),
+    so a caller of the value alone never pays for it.  max_order, the
+    order the pair series (and an optimal I_0) are computed to, must lie
+    in 0..40; anything else is refused with ValueError.
     """
     return _expand(Sign.PLUS, args, trunc, include_subdominant, max_order)

@@ -38,6 +38,7 @@ from .saddles import (
     NoBoundary,
     ConvergenceFailure,
     brentq,
+    contour,
     double_saddle_curve,
     stokes_boundary,
 )
@@ -208,7 +209,8 @@ def compute_t3(precision: int = 60) -> TableReport:
 def compute_t4(precision: int = 60) -> TableReport:
     """Plus-phase mixed truncation at x=20: I_0 cut at the row k,
     subsidiary pairs at their own optimal cut, subdominant final pair
-    neglected; plus the contributory-pair count itself."""
+    neglected (and so never built); plus the contributory-pair count
+    itself, N, taken from the contour."""
     prec = PrecisionConfig(decimal_digits=precision)
     x = X_DEFAULT_CHAIN_TABLE
     cells: list[CellCheck] = []
@@ -216,8 +218,8 @@ def compute_t4(precision: int = 60) -> TableReport:
         row = f"lam={trow.lam:g} a={trow.a:g}"
         args = ScaledArgs(trow.lam, trow.a, x, Sign.PLUS)
         res = expand_plus(args, TruncationPolicy.fixed(5), max_order=34)
-        n_pairs = float(len(res.mp_components) - 1)
-        cells.append(CellCheck(row, "N", n_pairs, float(trow.n_pairs),
+        n_pairs = len(contour(trow.lam, trow.a, Sign.PLUS).saddles) - 1
+        cells.append(CellCheck(row, "N", float(n_pairs), float(trow.n_pairs),
                                float(trow.n_pairs), 0.5, False))
         cells += _error_cells(row, res, w_plus(args, prec).mp_value,
                               enumerate(trow.errors), _CHAIN_ERRTOL,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 
 import mpmath as mp
@@ -213,6 +214,95 @@ def test_cold_chain_call_solves_each_member_once(monkeypatch, lam, n_pairs):
                       TruncationPolicy.fixed(3))
     assert len(res.components) == n_pairs + 1
     assert calls == n_pairs + 1
+
+
+def _count_engine_runs(monkeypatch) -> Counter:
+    calls = Counter()
+    engine = expansions.simple_coeffs_mp
+
+    def counted(*args):
+        calls["engine"] += 1
+        return engine(*args)
+
+    monkeypatch.setattr(expansions, "simple_coeffs_mp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("trunc", [TruncationPolicy.fixed(3),
+                                   TruncationPolicy.optimal()],
+                         ids=["fixed", "optimal"])
+def test_left_out_pair_is_built_on_first_read_once(monkeypatch, trunc):
+    # (6, 0.2, 40): I_0 and I_1 make the value, the subdominant I_2 is
+    # listed but left out, so its series waits for a read that needs it
+    calls = _count_engine_runs(monkeypatch)
+    res = expand_plus(ScaledArgs(6.0, 0.2, 40.0, Sign.PLUS), trunc)
+    assert calls["engine"] == 2
+    assert res.mp_partial_sums[-1] == res.mp_value
+    assert len(res.terms) == len(res.coefficients) > res.truncation_index
+    assert calls["engine"] == 2
+    assert len(res.components) == 3
+    assert calls["engine"] == 3
+    for name in ("series", "mp_components", "components",
+                 "component_truncations", "truncation_reasons"):
+        assert len(getattr(res, name)) == 3, name
+    assert calls["engine"] == 3
+
+
+def test_result_pickles_before_the_left_out_pair_is_built():
+    # the deferred build holds no closure, so a result still crosses a
+    # process boundary with its pair unbuilt
+    res = expand_plus(ScaledArgs(6.0, 0.2, 40.0, Sign.PLUS),
+                      TruncationPolicy.fixed(3))
+    copy = pickle.loads(pickle.dumps(res))
+    assert copy == res
+    assert copy.mp_components == res.mp_components
+
+
+def test_t4_builds_no_left_out_pair(monkeypatch):
+    # rows N = 0, 1, 2: I_0 in each, I_1 of the N = 2 row; both last
+    # pairs are subdominant and neglected, and N comes from the contour
+    calls = _count_engine_runs(monkeypatch)
+    report = compute_t4()
+    assert calls["engine"] == 4
+    assert [c.computed for c in report.cells if c.label == "N"] \
+        == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("dps", [15, 80])
+@pytest.mark.parametrize("name", ["mp_components", "components", "series"])
+def test_left_out_pair_is_built_at_the_working_precision(name, dps):
+    # a first read at the caller's precision gives, bit for bit, what the
+    # call builds eagerly when the pair is included in the value
+    args = ScaledArgs(6.0, 0.2, 40.0, Sign.PLUS)
+    trunc = TruncationPolicy.fixed(5)
+    eager = expand_plus(args, trunc, include_subdominant=True)
+    res = expand_plus(args, trunc)
+    with mp.workdps(dps):
+        first = getattr(res, name)
+    assert first == getattr(eager, name)
+    assert getattr(res, name) == first
+
+
+@pytest.mark.parametrize("point", [(3.0, 0.2), (6.0, 0.2), (1.0, 0.5)],
+                         ids=["left-out-pair", "kept-pair", "no-pair"])
+def test_max_order_is_checked_at_the_call(monkeypatch, point):
+    calls = 0
+    classify = expansions.contour
+
+    def counted(lam, a, sign):
+        nonlocal calls
+        calls += 1
+        return classify(lam, a, sign)
+
+    monkeypatch.setattr(expansions, "contour", counted)
+    args = ScaledArgs(*point, 20.0, Sign.PLUS)
+    for bad, why in ((-1, "nonnegative"), (41, "at most 40")):
+        with pytest.raises(ValueError, match=f"max_order must be {why}"):
+            expand_plus(args, TruncationPolicy.fixed(3), max_order=bad)
+    assert calls == 0
+    for good in (34, 40):
+        res = expand_plus(args, TruncationPolicy.fixed(3), max_order=good)
+        assert all(k <= good for k in res.component_truncations)
 
 
 _PARTIAL_POINTS = [
