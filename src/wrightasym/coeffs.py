@@ -27,17 +27,24 @@ bits.  Each beta is rounded once to u0's arithmetic, an mpf or mpc at
 the working precision or a double; _saddle_betas states the error
 budget.
 
-The A_k come from Newton-polishing the saddle at the working precision
-(saddles.polish_saddle) and running simple_coeffs_mp there; the B_k from
-the cubic engine in floats at the float u*, since the double-saddle
-series rounds them to double anyway.  A saddle whose m-th derivative
-vanishes (|h^(m)| < 1e-10) is refused with DegenerateSaddle.  No closed
-forms live here: the tests keep them as independent references.
+The engine is resumable (_Betas): the recurrence is a generator whose
+frame holds the series, so a caller extends it order by order and pays
+only for the orders it reads, while fb and r, sized from the most
+orders the caller may ask for, keep every order's ints those of a
+one-shot run.  The A_k come from Newton-polishing the saddle at the
+working precision (saddles.polish_saddle, which also hands over the P
+and Q it evaluated there) and running simple_coeffs_mp, or its
+resumable form SimpleCoeffs, there; the B_k from the cubic engine in
+floats at the float u*, since the double-saddle series rounds them to
+double anyway.  A saddle whose m-th derivative vanishes (|h^(m)| <
+1e-10) is refused with DegenerateSaddle.  No closed forms live here:
+the tests keep them as independent references.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import count
 from operator import add, mul
 
 import mpmath as mp
@@ -117,15 +124,18 @@ def _series_start(cl, m: int, fb: int, r: int) -> tuple[list, list]:
              for j in range(m + 1)])
 
 
-def _real_betas(cp, cq, cl, m: int, n: int, fb: int, r: int) -> list:
-    """[k beta_k], k = 1..n, in units of 2^-(fb + r k), at a real saddle:
-    cp = P/lead, cq = lam Q/lead and cl = -lam in units of 2^-fb, m = 2
-    or 3."""
+def _real_betas(cp, cq, cl, m: int, fb: int, r: int, ib: list):
+    """Appends k beta_k to the empty list ib, in units of 2^-(fb + r k),
+    one order k = 1, 2, ... per step, at a real saddle: cp = P/lead, cq =
+    lam Q/lead and cl = -lam in units of 2^-fb, m = 2 or 3.  A generator:
+    its frame holds the series, so each step resumes where the last one
+    left off."""
     f2 = 2 * fb
     e, f = _series_start(cl, m, fb, r)
-    ib = [1 << (fb + r)]
+    ib.append(1 << (fb + r))
     solve = f2 + r * (m - 1)
-    for k in range(2, n + 1):
+    yield
+    for k in count(2):
         top = k + m - 1
         se = sum(map(mul, ib, reversed(e)))
         sf = sum(map(mul, ib, reversed(f)))
@@ -145,19 +155,23 @@ def _real_betas(cp, cq, cl, m: int, n: int, fb: int, r: int) -> list:
             e[k + o] += _rz(de, s)
             f[k + o] += _rz(df, s)
         ib.append(kb)
-    return [ib]
+        yield
 
 
-def _complex_betas(cp, cq, cl, m: int, n: int, fb: int, r: int) -> list:
-    """_real_betas at a complex saddle: every series, cp and cq as (re,
-    im) pairs of ints and each series' re + im kept beside it, so that a
-    complex dot product takes three real ones (Gauss; TAOCP 4.6.4)."""
+def _complex_betas(cp, cq, cl, m: int, fb: int, r: int, br: list,
+                   bi: list):
+    """_real_betas at a complex saddle, appending to br and bi: every
+    series, cp and cq as (re, im) pairs of ints and each series' re + im
+    kept beside it, so that a complex dot product takes three real ones
+    (Gauss; TAOCP 4.6.4)."""
     (pr, pi), (qr, qi) = cp, cq
     f2 = 2 * fb
     er, fr = _series_start(cl, m, fb, r)
     ei, fi = [0] * (m + 1), [0] * (m + 1)
     es, fs = er[:], fr[:]
-    br, bi, bs = [1 << (fb + r)], [0], [1 << (fb + r)]
+    br.append(1 << (fb + r))
+    bi.append(0)
+    bs = br[:]
     solve = f2 + r * (m - 1)
 
     def cdot(yr, yi, ys):
@@ -165,7 +179,8 @@ def _complex_betas(cp, cq, cl, m: int, n: int, fb: int, r: int) -> list:
         p2 = sum(map(mul, bi, reversed(yi)))
         return p1 - p2, sum(map(mul, bs, reversed(ys))) - p1 - p2
 
-    for k in range(2, n + 1):
+    yield
+    for k in count(2):
         top = k + m - 1
         ser, sei = cdot(er, ei, es)
         sfr, sfi = cdot(fr, fi, fs)
@@ -202,61 +217,108 @@ def _complex_betas(cp, cq, cl, m: int, n: int, fb: int, r: int) -> list:
         br.append(kr)
         bi.append(ki)
         bs.append(kr + ki)
-    return [br, bi]
+        yield
+
+
+class _Betas:
+    """The engine at one saddle, resumable: k beta_k for k = 1..len(self),
+    in units of 2^-(fb + r k), as one int list at a real u0 and (re, im)
+    lists at a complex one (parts), and h^(m)(u0) in u0's arithmetic
+    (hm); _saddle_betas states the method.
+
+    fb and r are sized from cap, the most orders a caller may ask for, so
+    the ints of every order are those of a one-shot run to cap: extend
+    adds orders, and rescale checks the bits of those computed.  pq, if
+    given, is Phase.parts(u0) as the caller has it (the polish evaluates
+    it at the saddle it returns).
+    """
+
+    def __init__(self, phase: Phase, u0, m: int, cap: int,
+                 pq: tuple | None = None) -> None:
+        lam, _, p, q = pq or phase.parts(u0)
+        to_mp = type(u0) is mp.mpf or type(u0) is mp.mpc
+        cplx = type(u0) is mp.mpc or type(u0) is complex
+        self._wp = mp.mp.prec if to_mp else 53
+        # (m-1)! P, (m-1)! lam Q and h^(m) = P + (-lam)^m Q exactly; h^(m)
+        # rounded once to u0's arithmetic
+        ln, le = _binary(lam)
+        (pr, pi, pe), (qr, qi, qe) = _exact(p), _exact(q)
+        fm, c = math.factorial(m - 1), (-ln) ** m
+        pa, lq = (fm * pr, fm * pi, pe), (fm * ln * qr, fm * ln * qi,
+                                          qe + le)
+        e0 = min(pe, qe + m * le)
+        sp, sq = pe - e0, qe + m * le - e0
+        hx = ((pr << sp) + (c * qr << sq), (pi << sp) + (c * qi << sq), e0)
+        if to_mp:
+            hm = [from_man_exp(x, e0, self._wp, round_nearest)
+                  for x in hx[:2]]
+            hm = mp.make_mpc(tuple(hm)) if cplx else mp.make_mpf(hm[0])
+        else:
+            hm = [math.ldexp(float(x), e0) for x in hx[:2]]
+            hm = complex(*hm) if cplx else hm[0]
+        if abs(hm) < 1e-10:
+            raise DegenerateSaddle(f"|h^({m})(u0)| = {float(abs(hm)):.2e}: "
+                                   f"saddle is (numerically) of higher "
+                                   f"order")
+        self.hm = hm
+        recur = _complex_betas if cplx else _real_betas
+
+        def run(fb: int, r: int) -> tuple:
+            # P/lead and lam Q/lead, lead = h^(m)/(m-1)!, and -lam
+            cp, cq = _fixed_ratio(pa, hx, fb), _fixed_ratio(lq, hx, fb)
+            cl = (-ln << (fb + le) if fb + le >= 0
+                  else _rz(-ln, -(fb + le)))
+            if not cplx:
+                cp, cq = cp[0], cq[0]
+            cols = ([], []) if cplx else ([],)
+            return cols, recur(cp, cq, cl, m, fb, r, *cols)
+
+        self._run = run
+        self.r = 0
+        if cap > _PILOT:
+            # the pilot's last k beta_k against its unit gives log2 of the
+            # betas' rise per order; r undoes it, rounding a fall up so
+            # that it is overcorrected rather than left to eat the guard
+            # bits
+            (pilot, *_), steps = run(_PILOT_BITS, 0)
+            for _ in range(_PILOT):
+                next(steps)
+            top = max(map(int.bit_length, pilot[-2:]))
+            self.r = -((top - _PILOT_BITS) // (_PILOT - 1))
+        self.fb = self._wp + _GUARD + _SLACK * min(cap, _PILOT)
+        self.parts, self._steps = run(self.fb, self.r)
+
+    def __len__(self) -> int:
+        return len(self.parts[0])
+
+    def extend(self, n: int) -> None:
+        """Orders through n."""
+        for _ in range(n - len(self.parts[0])):
+            next(self._steps)
+
+    def rescale(self) -> bool:
+        """If some beta so far keeps fewer than wp + _GUARD bits (the
+        larger of it and its neighbour counting, so an isolated zero beta
+        does not), raises fb by the shortfall, runs those orders again and
+        returns True."""
+        bits = [max(map(int.bit_length, v)) for v in zip(*self.parts)]
+        short = self._wp + _GUARD - min(map(max, bits, bits[1:]),
+                                        default=bits[0])
+        if short <= 0:
+            return False
+        n = len(self)
+        self.fb += short
+        self.parts, self._steps = self._run(self.fb, self.r)
+        self.extend(n)
+        return True
 
 
 def _fixed_betas(phase: Phase, u0, m: int, n: int) -> tuple:
-    """(parts, fb, r, hm): k beta_k for k = 1..n in units of 2^-(fb + r k),
-    as one int list at a real u0 and (re, im) lists at a complex one, and
-    h^(m)(u0) in u0's arithmetic; _saddle_betas states the method."""
-    lam, _, p, q = phase.parts(u0)
-    to_mp = type(u0) is mp.mpf or type(u0) is mp.mpc
-    cplx = type(u0) is mp.mpc or type(u0) is complex
-    wp = mp.mp.prec if to_mp else 53
-    # (m-1)! P, (m-1)! lam Q and h^(m) = P + (-lam)^m Q exactly; h^(m)
-    # rounded once to u0's arithmetic
-    ln, le = _binary(lam)
-    (pr, pi, pe), (qr, qi, qe) = _exact(p), _exact(q)
-    fm, c = math.factorial(m - 1), (-ln) ** m
-    pa, lq = (fm * pr, fm * pi, pe), (fm * ln * qr, fm * ln * qi, qe + le)
-    e0 = min(pe, qe + m * le)
-    sp, sq = pe - e0, qe + m * le - e0
-    hx = ((pr << sp) + (c * qr << sq), (pi << sp) + (c * qi << sq), e0)
-    if to_mp:
-        hm = [from_man_exp(x, e0, wp, round_nearest) for x in hx[:2]]
-        hm = mp.make_mpc(tuple(hm)) if cplx else mp.make_mpf(hm[0])
-    else:
-        hm = [math.ldexp(float(x), e0) for x in hx[:2]]
-        hm = complex(*hm) if cplx else hm[0]
-    if abs(hm) < 1e-10:
-        raise DegenerateSaddle(f"|h^({m})(u0)| = {float(abs(hm)):.2e}: "
-                               f"saddle is (numerically) of higher order")
-    recur = _complex_betas if cplx else _real_betas
-
-    def run(nn: int, fb: int, r: int) -> list:
-        # P/lead and lam Q/lead, lead = h^(m)/(m-1)!, and -lam
-        cp, cq = _fixed_ratio(pa, hx, fb), _fixed_ratio(lq, hx, fb)
-        cl = -ln << (fb + le) if fb + le >= 0 else _rz(-ln, -(fb + le))
-        if not cplx:
-            cp, cq = cp[0], cq[0]
-        return recur(cp, cq, cl, m, nn, fb, r)
-
-    r = 0
-    if n > _PILOT:
-        # the pilot's last k beta_k against its unit gives log2 of the
-        # betas' rise per order; r undoes it, rounding a fall up so that
-        # it is overcorrected rather than left to eat the guard bits
-        top = max(map(int.bit_length, run(_PILOT, _PILOT_BITS, 0)[0][-2:]))
-        r = -((top - _PILOT_BITS) // (_PILOT - 1))
-    fb = wp + _GUARD + _SLACK * min(n, _PILOT)
-    parts = run(n, fb, r)
-    # bits of each beta, the larger of it and its neighbour counting
-    bits = [max(map(int.bit_length, v)) for v in zip(*parts)]
-    short = wp + _GUARD - min(map(max, bits, bits[1:]), default=bits[0])
-    if short > 0:
-        fb += short
-        parts = run(n, fb, r)
-    return parts, fb, r, hm
+    """(parts, fb, r, hm) of _Betas run to n in one go."""
+    b = _Betas(phase, u0, m, n)
+    b.extend(n)
+    b.rescale()
+    return b.parts, b.fb, b.r, b.hm
 
 
 def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
@@ -344,7 +406,68 @@ def double_saddle_coeffs(lam: float, order: int) -> list[float]:
     return [(k + 1) * bk * 2.0 ** (2 * k / 3) for k, bk in enumerate(beta)]
 
 
-def simple_coeffs_mp(phase: Phase, u0, order: int) -> list:
+class SimpleCoeffs:
+    """A_0, A_1, ..., A_cap at one simple saddle, as they are asked for:
+    the resumable form of simple_coeffs_mp.  log2 and upto extend the
+    engine without checking its bits; rescale checks them, and where it
+    re-runs the engine at a larger scale, the A_k given before are void.
+    checked does both, so its A_k are simple_coeffs_mp's bit for bit
+    (sized from cap, the engine's ints are a one-shot run's).  pq, if
+    given, is Phase.parts(u0) (polish_saddle(parts=True)).  Raises
+    DegenerateSaddle where |h''(u0)| < 1e-10.
+    """
+
+    def __init__(self, phase: Phase, u0, cap: int,
+                 pq: tuple | None = None) -> None:
+        self._betas = _Betas(phase, u0, 2, 2 * cap + 1, pq)
+        h2 = self._betas.hm
+        self._h2x = _exact(h2)
+        self._log2h2 = math.log2(abs(complex(h2)))
+        self._a, self._pw = [], (1, 0)
+
+    def log2(self, k: int) -> float | None:
+        """e with e - 1 <= log2 |A_k| < e + 1/2, read off the bits of
+        (2k+1) beta_(2k+1); None where A_k = 0."""
+        b, n = self._betas, 2 * k + 1
+        b.extend(n)
+        bits = max([v[n - 1].bit_length() for v in b.parts])
+        return bits - b.fb - b.r * n - k * self._log2h2 if bits else None
+
+    def upto(self, k: int) -> list:
+        """[A_0, ..., A_k]."""
+        out, b = self._a, self._betas
+        b.extend(2 * k + 1)
+        hr, hi, e = self._h2x
+        pr, pi = self._pw
+        for j in range(len(out), k + 1):
+            # (2j+1) beta_(2j+1) exactly, then one rounding in the
+            # quotient by h''^j, an exact running power rounded once
+            n = 2 * j + 1
+            num = _make([from_man_exp(v[n - 1], -b.fb - b.r * n)
+                         for v in b.parts])
+            pw = [from_man_exp(x, e * j, mp.mp.prec, round_nearest)
+                  for x in (pr, pi)[:len(b.parts)]]
+            out.append(num / _make(pw))
+            pr, pi = pr * hr - pi * hi, pr * hi + pi * hr
+        self._pw = pr, pi
+        return out[:k + 1]
+
+    def rescale(self) -> bool:
+        """_Betas.rescale on the orders so far; True if it re-ran them."""
+        if not self._betas.rescale():
+            return False
+        self._a, self._pw = [], (1, 0)
+        return True
+
+    def checked(self, k: int) -> list:
+        """[A_0, ..., A_k], the bits of the orders behind them checked."""
+        self._betas.extend(2 * k + 1)
+        self.rescale()
+        return self.upto(k)
+
+
+def simple_coeffs_mp(phase: Phase, u0, order: int,
+                     pq: tuple | None = None) -> list:
     """A_0..A_order at working mpmath precision; u0 is an mp location
     (polish it first).  Used where the expansion value itself must carry
     far more than double precision.
@@ -353,18 +476,7 @@ def simple_coeffs_mp(phase: Phase, u0, order: int) -> list:
     the normalized coefficients (b_1^2 = -1/h'') is (2k+1) beta_(2k+1) /
     h''(u0)^k: no square-root branch enters, and at a real saddle every
     A_k is an mpf.  h''(u0)^k is an exact running power, rounded once.
-    Raises DegenerateSaddle where |h''(u0)| < 1e-10.
+    pq, if given, is Phase.parts(u0).  Raises DegenerateSaddle where
+    |h''(u0)| < 1e-10.
     """
-    parts, fb, r, h2 = _fixed_betas(phase, u0, 2, 2 * order + 1)
-    hr, hi, e = _exact(h2)
-    pr, pi = 1, 0
-    out = []
-    for k in range(order + 1):
-        # (2k+1) beta_(2k+1) exactly, then one rounding in the quotient
-        j = 2 * k + 1
-        num = _make([from_man_exp(v[j - 1], -fb - r * j) for v in parts])
-        pw = [from_man_exp(x, e * k, mp.mp.prec, round_nearest)
-              for x in (pr, pi)[:len(parts)]]
-        out.append(num / _make(pw))
-        pr, pi = pr * hr - pi * hi, pr * hi + pi * hr
-    return out
+    return SimpleCoeffs(phase, u0, order, pq).checked(order)

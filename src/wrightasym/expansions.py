@@ -17,7 +17,12 @@ contour crosses (saddles.contour) and names the route after its regime:
 The body builds the double-saddle series, or else one SaddleSeries per
 contributory saddle (location, h0, prefactor, terms and coefficients,
 uncut), and hands them to one assembly, which cuts, folds conjugate
-pairs into twice the real part and sums.  The result keeps those
+pairs into twice the real part and sums.  A simple-saddle series the
+optimal rule cuts is built term by term on the resumable coefficient
+engine (coeffs.SimpleCoeffs), and only until its terms have risen well
+past their least one or fallen below the working precision
+(_least_terms); a fixed cut and the double saddle compute their orders
+in one go.  The result keeps those
 series, the value and the value at every shorter cut (the partial sums),
 so callers can study the error behaviour from one call rather than just
 consume a number; a subdominant last chain pair that the value leaves
@@ -35,23 +40,31 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, count
 
 import mpmath as mp
 
 from .core import ScaledArgs, Sign
-from .coeffs import DegenerateSaddle, double_saddle_coeffs, \
+from .coeffs import DegenerateSaddle, SimpleCoeffs, double_saddle_coeffs, \
     simple_coeffs_mp
 from .saddles import Phase, Regime, contour, double_saddle_curve, \
     polish_saddle, u_star
 
 _PREC_DPS = 50
 _EXACT_ADD = functools.partial(mp.fadd, exact=True)
-# the highest order a series is computed to: the reach of the optimal
+# the highest order a series is computed to: the cap of the optimal
 # rule and the largest fixed truncation k
 _MAX_ORDER = 40
+# an optimal series stops at its least term once the two latest terms'
+# binary exponents, as _least_terms estimates them, lie this many above
+# the least one's (over 10 decades apart), and at the working precision
+# once two consecutive terms lie this many bits more than the working
+# precision below their partial sums (over 8 more, real or complex)
+_RISE = 35
+_TINY = 10
 _ROUTES = {Regime.SINGLE_REAL: "real-saddle", Regime.TWO_REAL: "real-saddle",
            Regime.CONJUGATE_PAIR: "conjugate-pair",
            Regime.DOUBLE: "double-saddle", Regime.CHAIN: "chain"}
@@ -111,7 +124,8 @@ class SaddleSeries:
     adds the complex conjugate.  h0 is h(u0) at the polished saddle, pref
     the prefactor and mp_terms the series terms after it is pulled out,
     built from coefficients (the A_k, or the B_k at the double saddle),
-    k = 0 .. len(mp_terms) - 1.
+    k = 0 .. len(mp_terms) - 1: to the fixed k, or for a simple-saddle
+    series the optimal rule cuts, to where it stopped (_least_terms).
     """
 
     location: complex
@@ -119,6 +133,9 @@ class SaddleSeries:
     pref: object
     mp_terms: tuple
     coefficients: tuple
+    # "precision" where a series built term by term stopped because its
+    # last two terms fell below the working precision (_least_terms)
+    _stop: str | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -127,7 +144,8 @@ class ExpansionResult:
 
     series holds each contributory saddle's SaddleSeries, the primary one
     first.  terms (rounded to complex doubles) and coefficients (the A_k,
-    or on the double route the B_k) are views of the primary series, and
+    or on the double route the B_k) are views of the primary series,
+    which an optimal call builds only until its rule stops, and
     truncation_index is where it was actually cut (inclusive).  mp_value
     is the extended-precision result, and value its double rounding.
     mp_partial_sums[k] is the value with the primary series cut at k
@@ -137,13 +155,16 @@ class ExpansionResult:
     saddle order (for the single-saddle routes just the value itself) and
     components their doubles, component_truncations their individual cut
     points and truncation_reasons why each was cut there: "fixed" (the
-    policy's k), "minimum" (the smallest term) or "capped" (the optimal
-    rule landed on the last computed term, so the minimum may lie beyond
-    it), and exponent = x * Re h(u0) locates the overall scale.  A chain
-    pair the value leaves out (the subdominant last one) is still listed
-    in series, the components, component_truncations and
+    policy's k), "minimum" (the smallest term), "precision" (the last
+    computed term: it and the one before lie below the working precision
+    of the partial sum) or "capped" (the optimal rule landed on the last
+    term the order cap allows, so the minimum may lie beyond it), and
+    exponent = x * Re h(u0) locates the overall scale.  A chain pair the
+    value leaves out (the subdominant last one) is still listed in
+    series, the components, component_truncations and
     truncation_reasons; its series is built on the first read of any of
-    them, once, at the working precision.
+    them, once, at the working precision, and mp_summands lists the
+    components as the value adds them without building it.
     """
 
     truncation_mode: TruncationMode
@@ -183,6 +204,14 @@ class ExpansionResult:
     @property
     def mp_components(self) -> tuple:
         return self._columns[3]
+
+    @property
+    def mp_summands(self) -> tuple:
+        """What mp_value sums, one entry per saddle listed in series: the
+        mp_components, except that a pair the value leaves out adds 0 and
+        is not built."""
+        left = (mp.mpf(0),) if self._left_out is not None else ()
+        return tuple(c[3] for c in self._cuts) + left
 
     @property
     def terms(self) -> tuple[complex, ...]:
@@ -225,6 +254,8 @@ def _cut(s: SaddleSeries, k: int | None = None) -> tuple:
     part for a complex location, the sum exact and rounded once."""
     if k is not None:
         why = "fixed"
+    elif s._stop == "precision":
+        k, why = len(s.mp_terms) - 1, s._stop
     else:
         k = optimal_truncation([abs(t) for t in s.mp_terms])
         why = "capped" if k == len(s.mp_terms) - 1 else "minimum"
@@ -254,36 +285,119 @@ def _assemble(series, x: float, trunc: TruncationPolicy, route: str,
 
 
 def _saddle_series(phase: Phase, location: complex, x: float,
-                   order: int) -> Callable[[], SaddleSeries]:
-    """One simple-saddle series to A_order at working precision:
+                   order: int, optimal: bool) -> Callable[[], SaddleSeries]:
+    """One simple-saddle series at working precision:
 
         e^(x h0) / sqrt(2 pi x h0'') * sum_k (-1)^k (1/2)_k A_k / (x/2)^k
 
     with the location Newton-polished first (principal square root for
-    a complex saddle).  The polish and the refusal of a degenerate saddle
-    run at the call; the series is built by the function returned, which
-    the caller runs at the working precision.
+    a complex saddle); to A_order, or with optimal set term by term with
+    order the cap (_least_terms).  The polish and the refusal of a
+    degenerate saddle run at the call; the series is built by the
+    function returned, which the caller runs at the working precision.
     """
-    um, h0, h2 = polish_saddle(phase, location)
+    um, h0, h2, pq = polish_saddle(phase, location, parts=True)
     if abs(h2) < 1e-10:
         raise DegenerateSaddle(f"|h^(2)(u0)| = {float(abs(h2)):.2e}: "
                                f"saddle is (numerically) of higher order")
-    return functools.partial(_build_series, phase, location, um, h0, h2, x,
-                             order)
+    return functools.partial(_build_series, phase, location, um, h0, h2,
+                             pq, x, order, optimal)
 
 
-def _build_series(phase: Phase, location: complex, um, h0, h2, x: float,
-                  order: int) -> SaddleSeries:
-    """_saddle_series's series, from the polished saddle um, h0, h2."""
+def _build_series(phase: Phase, location: complex, um, h0, h2, pq,
+                  x: float, order: int, optimal: bool) -> SaddleSeries:
+    """_saddle_series's series, from the polished saddle um, h0, h2 and
+    pq = Phase.parts(um)."""
     xm = mp.mpf(x)
-    coeff = simple_coeffs_mp(phase, um, order)
-    # r = (-1)^k (1/2)_k / (x/2)^k as one running product
-    terms, r, hx = [], mp.mpf(1), -xm / 2
-    for k, ak in enumerate(coeff):
-        terms.append(r * ak)
-        r = r * (k + 0.5) / hx
+    if optimal:
+        coeff, terms, stop = _least_terms(SimpleCoeffs(phase, um, order,
+                                                       pq), xm, order)
+    else:
+        coeff = simple_coeffs_mp(phase, um, order, pq)
+        terms = [r * a for r, a in zip(_ratios(xm), coeff)]
+        stop = None
     pref = mp.e ** (xm * h0) / mp.sqrt(2 * mp.pi * xm * h2)
-    return SaddleSeries(location, h0, pref, tuple(terms), tuple(coeff))
+    return SaddleSeries(location, h0, pref, tuple(terms), tuple(coeff),
+                        stop)
+
+
+def _ratios(xm):
+    """(-1)^k (1/2)_k / (x/2)^k, k = 0, 1, ..., as one running product."""
+    r, hx = mp.mpf(1), -xm / 2
+    for k in count():
+        yield r
+        r = r * (k + 0.5) / hx
+
+
+def _mag(v) -> int | None:
+    """e with 2^(e-1) <= max(|Re v|, |Im v|) < 2^e; None for v = 0."""
+    if type(v) is mp.mpc:
+        (_, m, e, bc), (_, mi, ei, bci) = v._mpc_
+        if mi and (not m or ei + bci > e + bc):
+            return ei + bci
+    else:
+        _, m, e, bc = v._mpf_
+    return e + bc if m else None
+
+
+def _least_terms(coeffs: SimpleCoeffs, xm, cap: int) -> tuple:
+    """(A_0..A_n, t_0..t_n, stop) of a series the optimal rule cuts: the
+    engine is extended one A_k at a time, and the series ends at the
+    first n at which
+
+    - the two latest terms both lie _RISE binary orders above the least
+      nonzero term so far, so the least term is behind (stop None); or
+    - the two latest terms both lie wp + _TINY bits below their partial
+      sums, wp the working precision, so no later term can move the
+      value (stop "precision"); or
+    - n = cap (stop None).
+
+    The first test takes log2 |t_k| as l_k + SimpleCoeffs.log2(k), l_k
+    the float log2 of |t_k / A_k|, which is at most 1 above it and under
+    1/2 below it; _RISE = 35 leaves over 2^33.5 > 1e10.  The A_k and the
+    terms are formed once the series stops, as for a fixed cut, unless
+    a term may be within reach of the second test: from there on each is
+    formed as it comes, with the exact partial sum the test compares it
+    with.  If the engine then re-runs the orders used at a larger scale
+    (SimpleCoeffs.rescale), the series is built again.
+    """
+    wp, x = mp.mp.prec, float(xm)
+    floor = wp + _TINY
+    # a term is formed once it may lie floor bits below its partial sum,
+    # which is under (cap + 1) times the largest term
+    reach = floor - (cap + 1).bit_length() - 3
+    ratios = _ratios(xm)
+    terms, stop, tiny = None, None, False
+    lr, low, top, prev = 0.0, None, None, None
+    for k in range(cap + 1):
+        la = coeffs.log2(k)
+        m = None if la is None else lr + la
+        lr += math.log2((2 * k + 1) / x)
+        if m is not None:
+            low = m if low is None else min(low, m)
+            top = m if top is None else max(top, m)
+        if terms is None and (m is None or m <= top - reach):
+            terms = [r * a for a, r in zip(coeffs.upto(k), ratios)]
+            acc = functools.reduce(_EXACT_ADD, terms)
+        elif terms is not None:
+            terms.append(next(ratios) * coeffs.upto(k)[k])
+            acc = _EXACT_ADD(acc, terms[-1])
+        if terms is not None:
+            mt, sm = _mag(terms[-1]), _mag(acc)
+            was = tiny
+            tiny = mt is None or sm is not None and mt <= sm - floor
+            if was and tiny:
+                stop = "precision"
+                break
+        if None not in (m, prev) and min(m, prev) >= low + _RISE:
+            break
+        prev = m
+    if coeffs.rescale():
+        return _least_terms(coeffs, xm, cap)
+    coeff = coeffs.upto(k)
+    if terms is None:
+        terms = [r * a for a, r in zip(coeff, ratios)]
+    return coeff, terms, stop
 
 
 def _double_series(lam: float, x: float, order: int) -> SaddleSeries:
@@ -306,8 +420,8 @@ def _double_series(lam: float, x: float, order: int) -> SaddleSeries:
     # g[k % 3] = Gamma((k+1)/3) / (H x/3)^(k/3), carried from k to k + 3
     # by Gamma(s + 1) = s Gamma(s); the sine is sqrt(3)/2 times 1, 1, 0,
     # -1, -1, 0 as k runs through 0..5 (mod 6)
-    g = [mp.gamma(mp.mpf(1) / 3), mp.gamma(mp.mpf(2) / 3) / root]
-    sine = mp.sqrt(3) / 2
+    g13, g23, sine, c23, pi3 = _double_constants(mp.mp.prec)
+    g = [g13, g23 / root]
     terms = []
     for k, bk in enumerate(coeffs):
         if k % 3 == 2:
@@ -315,9 +429,17 @@ def _double_series(lam: float, x: float, order: int) -> SaddleSeries:
             continue
         terms.append(mp.mpf(bk) * g[k % 3] * (sine if k % 6 < 2 else -sine))
         g[k % 3] = g[k % 3] * (k + 1) / (3 * hx3)
-    pref = (mp.mpf(2) ** (mp.mpf(2) / 3) * mp.e ** (xm * h0)
-            / (3 * mp.pi * root))
+    pref = c23 * mp.e ** (xm * h0) / (pi3 * root)
     return SaddleSeries(complex(u0), h0, pref, tuple(terms), tuple(coeffs))
+
+
+@functools.cache
+def _double_constants(prec: int) -> tuple:
+    """Gamma(1/3), Gamma(2/3), sqrt(3)/2, 2^(2/3) and 3 pi at prec bits,
+    as _double_series uses them."""
+    with mp.workprec(prec):
+        return (mp.gamma(mp.mpf(1) / 3), mp.gamma(mp.mpf(2) / 3),
+                mp.sqrt(3) / 2, mp.mpf(2) ** (mp.mpf(2) / 3), 3 * mp.pi)
 
 
 def _expand(sign: Sign, args: ScaledArgs, trunc: TruncationPolicy,
@@ -334,7 +456,8 @@ def _expand(sign: Sign, args: ScaledArgs, trunc: TruncationPolicy,
                          else f"max_order must be at most {_MAX_ORDER}")
     lam, a, x = args.lam, args.a, args.x
     c = contour(lam, a, args.sign)
-    order = trunc.k if trunc.mode is TruncationMode.FIXED else max_order
+    fixed = trunc.mode is TruncationMode.FIXED
+    order = trunc.k if fixed else max_order
     kept = len(c.saddles) - 1
     if c.last_pair_subdominant and not include_subdominant:
         kept -= 1
@@ -345,8 +468,11 @@ def _expand(sign: Sign, args: ScaledArgs, trunc: TruncationPolicy,
         else:
             phase = Phase(lam, a, args.sign)
             for j, sadl in enumerate(c.saddles):
+                # the primary series to the policy's k, every other one
+                # (and an optimal primary one) term by term to max_order
                 build = _saddle_series(phase, sadl.location, x,
-                                       max_order if j else order)
+                                       max_order if j else order,
+                                       bool(j) or not fixed)
                 if j <= kept:
                     series.append(build())
                 else:
@@ -392,8 +518,10 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
     I_0) it is reported in components but left out of the value unless
     include_subdominant is set; left out, its series is built on the
     first read of the components (or of series, their cuts or reasons),
-    so a caller of the value alone never pays for it.  max_order, the
-    order the pair series (and an optimal I_0) are computed to, must lie
-    in 0..40; anything else is refused with ValueError.
+    so a caller of the value alone never pays for it.  max_order caps the
+    order of the pair series (and of an optimal I_0): each is built term
+    by term only until its optimal rule stops, at its least term, at the
+    working precision or at the cap.  It must lie in 0..40; anything else
+    is refused with ValueError.
     """
     return _expand(Sign.PLUS, args, trunc, include_subdominant, max_order)

@@ -85,10 +85,11 @@ class Phase:
         exp = cmath.exp if t is complex else math.exp
         return self.lam, self.a, 0.5 * exp(u), self._half * exp(-self.lam * u)
 
-    def derivs(self, u, n: int) -> list:
-        """[h(u), h'(u), ..., h^(n)(u)] from one evaluation of parts(u):
-        h = P + Q - a u and h^(k) = P + (-lam)^k Q, less a for k = 1."""
-        lam, a, p, q = self.parts(u)
+    def derivs(self, u, n: int, parts: tuple | None = None) -> list:
+        """[h(u), h'(u), ..., h^(n)(u)] from one evaluation of parts(u),
+        or from parts where the caller has it: h = P + Q - a u and h^(k) =
+        P + (-lam)^k Q, less a for k = 1."""
+        lam, a, p, q = parts or self.parts(u)
         out = [p + q - a * u]
         if n:
             out.append(p - lam * q - a)
@@ -185,16 +186,17 @@ def _sup(v):
 
 def _newton_polish(phase: Phase, u, steps: int = 4):
     """Up to `steps` Newton steps on h' = 0, in u's own arithmetic;
-    returns u and [h, h', h''] there.  The iteration ends where the next
-    step would leave u unchanged, or, in mpmath, move it by at most
-    _POLISH_ULPS ulp: there u can cycle in its last bits (by 4e-52 to
-    2e-51 at 50 digits at (1.5, 0.5, -)), so every later step would only
-    cost an evaluation."""
+    returns u, [h, h', h''] there and the Phase.parts(u) they came from.
+    The iteration ends where the next step would leave u unchanged, or,
+    in mpmath, move it by at most _POLISH_ULPS ulp: there u can cycle in
+    its last bits (by 4e-52 to 2e-51 at 50 digits at (1.5, 0.5, -)), so
+    every later step would only cost an evaluation."""
     # sizes in the larger of |Re| and |Im| (no square root); u moves by
     # far less than itself, so the tolerance is set once
     tol = (_POLISH_ULPS * mp.eps * _sup(u)
            if type(u) is mp.mpf or type(u) is mp.mpc else -1.0)
-    d = phase.derivs(u, 2)
+    parts = phase.parts(u)
+    d = phase.derivs(u, 2, parts)
     for _ in range(steps):
         if not d[2]:
             break
@@ -204,8 +206,9 @@ def _newton_polish(phase: Phase, u, steps: int = 4):
         v = u - step
         if v == u:
             break
-        u, d = v, phase.derivs(v, 2)
-    return u, d
+        u, parts = v, phase.parts(v)
+        d = phase.derivs(v, 2, parts)
+    return u, d, parts
 
 
 def u_star(lam):
@@ -358,8 +361,8 @@ def solve_real_saddle(phase: Phase):
     f = phase.dh
 
     def simple(root) -> Saddle:
-        return _make_saddle(*_newton_polish(phase, root), 0,
-                            SaddleKind.REAL_SIMPLE)
+        u, d, _ = _newton_polish(phase, root)
+        return _make_saddle(u, d, 0, SaddleKind.REAL_SIMPLE)
 
     if phase.sign is Sign.PLUS:
         # monotone increasing from -a (at -inf on the lam>0 side) to +inf
@@ -396,10 +399,11 @@ def solve_real_saddle(phase: Phase):
     return simple(left), simple(right)
 
 
-def polish_saddle(phase: Phase, location: complex):
+def polish_saddle(phase: Phase, location: complex, parts: bool = False):
     """Newton-polish a double-precision saddle location at the working
     mpmath precision; returns (u0, h(u0), h''(u0)), in mpf when the
-    location is real and in mpc otherwise.
+    location is real and in mpc otherwise, and with parts set also
+    Phase.parts(u0), which the coefficient engine takes as it is.
 
     The location must actually be stationary for this phase: a point
     with |h'| above 1e-10 of the local derivative scale (for instance a
@@ -412,8 +416,8 @@ def polish_saddle(phase: Phase, location: complex):
             f"location {location} is not a stationary point of this phase "
             f"(|h'| = {abs(grad):.2e})")
     u = mp.mpc(location) if location.imag != 0 else mp.mpf(location.real)
-    u, (h0, _, h2) = _newton_polish(phase, u, _POLISH_STEPS)
-    return u, h0, h2
+    u, (h0, _, h2), pq = _newton_polish(phase, u, _POLISH_STEPS)
+    return (u, h0, h2, pq) if parts else (u, h0, h2)
 
 
 def _complex_newton(phase: Phase, seed: complex, steps: int = 120) -> tuple | None:

@@ -38,7 +38,6 @@ from .saddles import (
     NoBoundary,
     ConvergenceFailure,
     brentq,
-    contour,
     double_saddle_curve,
     stokes_boundary,
 )
@@ -210,7 +209,7 @@ def compute_t4(precision: int = 60) -> TableReport:
     """Plus-phase mixed truncation at x=20: I_0 cut at the row k,
     subsidiary pairs at their own optimal cut, subdominant final pair
     neglected (and so never built); plus the contributory-pair count
-    itself, N, taken from the contour."""
+    itself, N, the pairs the expansion's contour listed."""
     prec = PrecisionConfig(decimal_digits=precision)
     x = X_DEFAULT_CHAIN_TABLE
     cells: list[CellCheck] = []
@@ -218,7 +217,7 @@ def compute_t4(precision: int = 60) -> TableReport:
         row = f"lam={trow.lam:g} a={trow.a:g}"
         args = ScaledArgs(trow.lam, trow.a, x, Sign.PLUS)
         res = expand_plus(args, TruncationPolicy.fixed(5), max_order=34)
-        n_pairs = len(contour(trow.lam, trow.a, Sign.PLUS).saddles) - 1
+        n_pairs = len(res.mp_summands) - 1
         cells.append(CellCheck(row, "N", float(n_pairs), float(trow.n_pairs),
                                float(trow.n_pairs), 0.5, False))
         cells += _error_cells(row, res, w_plus(args, prec).mp_value,
@@ -240,12 +239,16 @@ def compute_t5(precision: int = 60) -> TableReport:
         args = ScaledArgs(trow.lam, trow.a, trow.x, Sign.PLUS)
         ref = w_plus(args, prec)
         res = expand_plus(args, TruncationPolicy.optimal())
+        i0, i1 = res.mp_summands[:2]
         with mp.workdps(_DIFF_DPS):
-            delta_w = float(ref.mp_value - res.mp_components[0])
+            delta_w = float(ref.mp_value - i0)
+        # I_1 adds 0 to the value only where it is the subdominant pair
+        # the value leaves out; only then is its series built, here
+        i1 = float(i1 or res.mp_components[1])
         for label, column, computed, printed, tol in (
                 ("W", "w", ref.value, trow.w, _SIG7),
                 ("Delta W", "delta_w", delta_w, trow.delta_w, _SIG3),
-                ("I_1", "i1", res.components[1], trow.i1, _SIG3)):
+                ("I_1", "i1", i1, trow.i1, _SIG3)):
             cells.append(_cell(row, label, computed, printed, tol,
                                ("t5", trow.lam, trow.x, column)))
     return TableReport(TableSpec.T5, cells)

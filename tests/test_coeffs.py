@@ -12,6 +12,7 @@ digits, the complex recurrence to the four-product one it replaced
 from __future__ import annotations
 
 import cmath
+import hashlib
 import random
 
 import mpmath as mp
@@ -366,21 +367,22 @@ def test_engine_matches_80_digit_engine(case):
 @pytest.mark.parametrize("order", [6, 40])
 def test_three_product_recurrence_matches_four_products(monkeypatch, case,
                                                         order):
-    # the engine's runs at n = 13 and n = 81 (the pilot's too) give the
+    # the engine's runs to n = 13 and n = 81 (the pilot's too) give the
     # four-product recurrence's ints on the same (cp, cq, cl, fb, r)
     runs = []
     complex_betas = coeffs._complex_betas
 
     def recorded(*args):
-        runs.append((args, complex_betas(*args)))
-        return runs[-1][1]
+        runs.append(args)
+        return complex_betas(*args)
 
     monkeypatch.setattr(coeffs, "_complex_betas", recorded)
     ph, location = list(_engine_cases())[case]
     _engine_A(ph, location, order)
-    assert 2 * order + 1 in {args[4] for args, _ in runs}
-    for args, got in runs:
-        assert got == four_products.complex_betas(*args), args[3:]
+    assert 2 * order + 1 in {len(br) for *_, br, bi in runs}
+    for cp, cq, cl, m, fb, r, br, bi in runs:
+        want = four_products.complex_betas(cp, cq, cl, m, len(br), fb, r)
+        assert [br, bi] == want, (m, fb, r)
 
 
 @pytest.mark.parametrize("case", range(5), ids=["real", "conjugate",
@@ -400,6 +402,50 @@ def test_running_power_matches_mpmath_power(case):
                    else mp.make_mpc(tuple(num)))
             want = num / h2 ** k
             assert type(a_k) is type(want) and a_k == want, k
+
+
+# sha256 of repr((fb, r, [ints of each part])) from the one-shot
+# _fixed_betas(ph, u0, 2, n) that ran the engine before it was resumable,
+# at the five _engine_cases polished at 50 digits
+_ONE_SHOT = {(0, 13): "82c79b9d2fdcfc73", (0, 81): "4e188d8dc5c78d40",
+             (1, 13): "57a4a1a2cf3d3fa4", (1, 81): "0d20d4151307849b",
+             (2, 13): "fa2d20650e2c7f85", (2, 81): "19ffdc0d50ba43d5",
+             (3, 13): "1ea7c1186d528518", (3, 81): "815a12729596a449",
+             (4, 13): "b31c2f8381efc233", (4, 81): "f3b34ae3358c7e8e"}
+
+
+@pytest.mark.parametrize("n", [13, 81])
+@pytest.mark.parametrize("case", range(5), ids=["real", "conjugate",
+                                                "lam<0", "chain1", "chain2"])
+def test_resumable_engine_is_the_one_shot_run_at_every_order(case, n):
+    # sized from its cap, the engine extended one order at a time holds,
+    # at every order, the ints the one-shot run to the cap ends with
+    ph, location = list(_engine_cases())[case]
+    with mp.workdps(50):
+        u0, _, _, parts = polish_saddle(ph, location, parts=True)
+        parts_, fb, r, _ = coeffs._fixed_betas(ph, u0, 2, n)
+        digest = hashlib.sha256(repr((fb, r, [list(p) for p in parts_]))
+                                .encode()).hexdigest()[:16]
+        assert digest == _ONE_SHOT[case, n]
+        engine = coeffs._Betas(ph, u0, 2, n, parts)
+        for k in range(1, n + 1):
+            engine.extend(k)
+            assert (engine.fb, engine.r) == (fb, r)
+            assert [p[:k] for p in engine.parts] == [p[:k] for p in parts_]
+        assert not engine.rescale()
+
+
+def test_simple_coeffs_resume_to_the_one_shot_values():
+    # A_k read one at a time, then checked, are simple_coeffs_mp's
+    ph, location = list(_engine_cases())[1]
+    with mp.workdps(50):
+        u0, _, _ = polish_saddle(ph, location)
+        want = simple_coeffs_mp(ph, u0, 40)
+        got = coeffs.SimpleCoeffs(ph, u0, 40)
+        logs = [got.log2(k) for k in range(41)]
+        assert got.checked(40) == want
+        for k, (a, e) in enumerate(zip(want, logs)):
+            assert e - 1 <= mp.log(abs(a), 2) < e + 0.5, k
 
 
 def test_engine_reruns_at_a_larger_scale(monkeypatch):

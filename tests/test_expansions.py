@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pickle
+import random
 from collections import Counter
+from itertools import accumulate
 
 import mpmath as mp
 import pytest
 
 from closed_forms import b4
+import wrightasym.coeffs as coeffs
 import wrightasym.expansions as expansions
 import wrightasym.saddles as saddles
 import wrightasym.tables as tables
@@ -22,9 +25,9 @@ from wrightasym.expansions import (
     optimal_truncation,
 )
 from wrightasym.reference import TableSpec
-from wrightasym.saddles import Regime, contour, double_saddle_curve
+from wrightasym.saddles import Phase, Regime, contour, double_saddle_curve
 from wrightasym.tables import compute_t1, compute_t2, compute_t3, \
-    compute_t4, compute_table
+    compute_t4, compute_t5, compute_table
 
 
 # -- truncation choice ----------------------------------------------------
@@ -217,14 +220,16 @@ def test_cold_chain_call_solves_each_member_once(monkeypatch, lam, n_pairs):
 
 
 def _count_engine_runs(monkeypatch) -> Counter:
+    # one coefficient engine per series, whether it comes from the
+    # one-shot simple_coeffs_mp or is extended term by term
     calls = Counter()
-    engine = expansions.simple_coeffs_mp
 
-    def counted(*args):
-        calls["engine"] += 1
-        return engine(*args)
+    class Counted(coeffs._Betas):
+        def __init__(self, *args):
+            calls["engine"] += 1
+            super().__init__(*args)
 
-    monkeypatch.setattr(expansions, "simple_coeffs_mp", counted)
+    monkeypatch.setattr(coeffs, "_Betas", Counted)
     return calls
 
 
@@ -256,6 +261,31 @@ def test_result_pickles_before_the_left_out_pair_is_built():
     copy = pickle.loads(pickle.dumps(res))
     assert copy == res
     assert copy.mp_components == res.mp_components
+
+
+def test_t4_solves_each_contour_once(monkeypatch):
+    # N is the count of pairs the expansion's own contour listed
+    calls = Counter()
+    for mod in (expansions, tables):
+        if hasattr(mod, "contour"):
+            solve = getattr(mod, "contour")
+
+            def counted(*args, solve=solve):
+                calls["contour"] += 1
+                return solve(*args)
+
+            monkeypatch.setattr(mod, "contour", counted)
+    compute_t4()
+    assert calls["contour"] == 3
+
+
+def test_t5_builds_only_the_pairs_it_reads(monkeypatch):
+    # I_0 and I_1 per row: at lam = 3 I_1 is the subdominant pair the
+    # value leaves out, built for its cell; at lam = 6 that is I_2, which
+    # no cell reads
+    calls = _count_engine_runs(monkeypatch)
+    assert compute_t5().cells
+    assert calls["engine"] == 2 * 9
 
 
 def test_t4_builds_no_left_out_pair(monkeypatch):
@@ -505,3 +535,102 @@ def test_minus_log_scale_is_the_leading_term(lam, a, x):
         assert abs(res.mp_value) <= lead
     assert saddles.minus_log_scale(lam, a, x) == pytest.approx(
         float(mp.log(lead)), abs=1e-9)
+
+
+# -- where an optimal series stops ----------------------------------------
+
+def _full_series(lam, a, x, sign, location):
+    """The series at one saddle built to order 40, uncut, at 50 digits."""
+    with mp.workdps(50):
+        return expansions._saddle_series(Phase(lam, a, sign), location, x,
+                                         40, False)()
+
+
+def test_optimal_cut_is_the_least_term_of_the_series_to_40():
+    # a series stopped early is a prefix of the one built to 40, and
+    # its cut, stopped at the least term or run to the cap, is that
+    # series' own least term; one stopped at the working precision is
+    # within an ulp of that series' value cut at its least term
+    rng = random.Random(2023)
+    points, reasons = 0, Counter()
+    while points < 300:
+        lam, a = rng.uniform(-0.9, 6.0), rng.uniform(0.1, 2.5)
+        x, sign = rng.uniform(10.0, 400.0), rng.choice(list(Sign))
+        entry = expand_minus_auto if sign is Sign.MINUS else expand_plus
+        try:
+            res = entry(ScaledArgs(lam, a, x, sign),
+                        TruncationPolicy.optimal())
+            cols = zip(res.series, res.component_truncations,
+                       res.truncation_reasons, res.mp_components)
+        except (saddles.ConvergenceFailure, saddles.OnStokesBoundary):
+            continue
+        points += 1
+        if res.route == "double-saddle":
+            continue
+        for s, k, why, comp in cols:
+            full = _full_series(lam, a, x, sign, s.location)
+            n = len(s.mp_terms)
+            assert full.mp_terms[:n] == s.mp_terms, (lam, a, x, sign)
+            assert full.coefficients[:n] == s.coefficients
+            with mp.workdps(50):
+                least = expansions._cut(full)
+                ulp = mp.eps * abs(least[3])
+            if why == "precision":
+                assert abs(comp - least[3]) <= ulp, (lam, a, x, sign)
+            else:
+                assert k == least[1], (lam, a, x, sign, why)
+            reasons[why] += 1
+    # 80 minimum, 104 precision and 140 capped cuts
+    assert min(reasons.values()) >= 50 and len(reasons) == 3
+
+
+def test_near_curve_optimal_call_runs_the_engine_to_12_orders(monkeypatch):
+    # the near-curve point of perfbench's expand-optimal at seed 101 cuts
+    # at k = 0; its terms have risen 10 decades by k = 5
+    engines = []
+
+    class Recorded(coeffs._Betas):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(coeffs, "_Betas", Recorded)
+    res = expand_minus_auto(ScaledArgs(1.5672051158070401,
+                                       1.1625755735705992,
+                                       38.946464104572215, Sign.MINUS),
+                            TruncationPolicy.optimal())
+    assert res.truncation_reasons == ("minimum",)
+    assert res.truncation_index == 0
+    assert len(engines) == 1 and len(engines[0]) <= 12
+
+
+@pytest.mark.parametrize("point", [(1.7, 0.9, Sign.MINUS),
+                                   (0.3, 1.3, Sign.MINUS),
+                                   (2.6, 0.25, Sign.PLUS),
+                                   (2.0, 0.5, Sign.MINUS)],
+                         ids=["conjugate", "real", "chain", "conjugate2"])
+@pytest.mark.parametrize("x", [300.0, 1000.0, 3000.0])
+def test_large_x_stops_at_the_working_precision(point, x):
+    # no call is capped where its terms reach 2^-(wp+8) of their partial
+    # sum within 40 orders; a call stopped there is within one ulp of
+    # the same call summed to order 40
+    lam, a, sign = point
+    entry = expand_minus_auto if sign is Sign.MINUS else expand_plus
+    args = ScaledArgs(lam, a, x, sign)
+    res = entry(args, TruncationPolicy.optimal())
+    full = entry(args, TruncationPolicy.fixed(40))
+    for s, why in zip(res.series, res.truncation_reasons):
+        if why != "capped":
+            continue
+        with mp.workdps(50):
+            terms = _full_series(lam, a, x, sign, s.location).mp_terms
+            sums = list(accumulate(terms))
+            floor = mp.mpf(2) ** -(mp.mp.prec + 8)
+            below = [abs(t) < floor * abs(p) for t, p in zip(terms, sums)]
+        assert not any(map(min, below, below[1:])), (point, x)
+    if "precision" in res.truncation_reasons:
+        with mp.workdps(50):
+            assert abs(res.mp_value - full.mp_value) \
+                <= mp.eps * abs(full.mp_value)
+    assert res.truncation_reasons[0] == ("capped" if (lam, x) in (
+        (1.7, 300.0), (1.7, 1000.0), (2.0, 300.0)) else "precision")

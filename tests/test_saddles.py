@@ -146,9 +146,9 @@ def _count_mp_derivs(monkeypatch) -> dict:
     calls = {"mp": 0}
     derivs = Phase.derivs
 
-    def counted(self, v, n):
+    def counted(self, v, n, parts=None):
         calls["mp"] += type(v) in (mp.mpf, mp.mpc)
-        return derivs(self, v, n)
+        return derivs(self, v, n, parts)
 
     monkeypatch.setattr(Phase, "derivs", counted)
     return calls

@@ -3,15 +3,20 @@
     python3 tools/bench_pairs.py --out BENCH_16.json --parent HEAD \
         --seeds 101-110 --what "..." --claim "..."
 
-Run from the root of a checkout.  The parent commit is exported with
-`git archive` into a temporary directory.  Then, for each seed and each
-workload in BENCHMARK.json, the benchmark's command (`perfbench/run.py`,
-with BENCHMARK.json's run length as --seconds) runs once on the parent
-and once on the working tree (one pair per seed).  The side that runs first
-alternates from seed to seed: the parent on even pairs, the working tree
-on odd ones.  Each run's exit code and last output line (the JSON object
-run.py prints) are kept, and the record ends with the median and the
-interquartile distance of every end-to-end metric per workload and side.
+Run from the root of a checkout.  Both sides run from fresh exports, so
+that they start alike: the parent commit is exported with `git archive`
+into a temporary directory, and the working tree's tracked files (new
+files count once they are staged with `git add`) into another, through
+the commit `git stash create` makes of them (HEAD itself when nothing is
+changed); the working tree and the stash list are left as they are.
+Then, for each seed and each workload in BENCHMARK.json, the benchmark's
+command (`perfbench/run.py`, with BENCHMARK.json's run length as
+--seconds) runs once on the parent and once on the change (one pair per
+seed).  The side that runs first alternates from seed to seed: the parent
+on even pairs, the change on odd ones.  Each run's exit code and last
+output line (the JSON object run.py prints) are kept, the record names
+both sides' commits, and it ends with the median and the interquartile
+distance of every end-to-end metric per workload and side.
 
 --parent names the commit the working tree is compared with: HEAD while
 the change is uncommitted, HEAD~1 once it is committed.
@@ -55,6 +60,14 @@ def _export(rev: str, dest: Path) -> str:
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return commit
+
+
+def _export_worktree(dest: Path) -> str:
+    """Unpack the working tree's tracked files into dest; returns the id
+    of the commit that holds them."""
+    stash = subprocess.run(["git", "stash", "create"], cwd=ROOT, check=True,
+                           capture_output=True, text=True).stdout.strip()
+    return _export(stash or "HEAD", dest)
 
 
 def _run(root: Path, workload: str, seed: int) -> dict:
@@ -112,15 +125,17 @@ def main() -> int:
     args = ap.parse_args()
     runs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        parent_root = Path(tmp)
-        commit = _export(args.parent, parent_root)
+        roots = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        for root in roots.values():
+            root.mkdir()
+        commit = _export(args.parent, roots["parent"])
+        change = _export_worktree(roots["change"])
         for pair, seed in enumerate(_seeds(args.seeds)):
             order = ("parent", "change") if pair % 2 == 0 else ("change",
                                                                 "parent")
             for workload in WORKLOADS:
                 for side in order:
-                    root = parent_root if side == "parent" else ROOT
-                    run = _run(root, workload, seed)
+                    run = _run(roots[side], workload, seed)
                     runs.append({"side": side, "workload": workload,
                                  "seed": seed, "pair": pair,
                                  "ran_first": side == order[0], **run})
@@ -133,6 +148,7 @@ def main() -> int:
         "what": args.what,
         "command": " ".join(COMMAND),
         "parent_commit": commit,
+        "change_commit": change,
         "machine": _machine(),
         "claim": args.claim,
         "runs": runs,
