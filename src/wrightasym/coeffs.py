@@ -7,38 +7,24 @@ same role.  Integrating termwise over the inverted series t(w) gives the
 coefficient sequence A_k at a simple saddle and B_k, scaled by
 H = 2 h'''(u0), at the double saddle.
 
-Both come from one engine.  It solves for the normalized coefficients
-beta_k = b_k / b_1^k of t = sum_k beta_k s^k in s = b_1 w, for which the
-differentiated substitution reads t'(s) h'(u0 + t) = s^(m-1)
-h^(m)(u0)/(m-1)! with m = 2 or 3 and beta_1 = 1.  The phase is a sum of
-two exponentials, so each new beta_k solves one linear equation whose
-known part is two convolutions against the series of e^t and e^(-lam t);
-the same two sums extend those series by one order.  The series to order
-n costs O(n^2).  The recurrence goes order by order and never sees the
-large parameter, so it runs on exact Python integers in fixed point,
-whatever u0's arithmetic (Brent and Zimmermann, Modern Computer
-Arithmetic, ch. 3): order j in units of 2^-(F + r j), the rescale 2^r of
-s levelling the betas' geometric rise or fall, each convolution a sum of
-exact integer products shifted once, one int list per series at a real
-saddle or on the coalescence curve and (re, im) lists at a complex one.
-F is sized from the call: the working precision (53 bits for a float
-u0) plus a 32-bit guard, raised and run again where a beta keeps fewer
-bits.  Each beta is rounded once to u0's arithmetic, an mpf or mpc at
-the working precision or a double; _saddle_betas states the error
-budget.
-
-The engine is resumable (_Betas): the recurrence is a generator whose
-frame holds the series, so a caller extends it order by order and pays
-only for the orders it reads, while fb and r, sized from the most
-orders the caller may ask for, keep every order's ints those of a
-one-shot run.  The A_k come from Newton-polishing the saddle at the
-working precision (saddles.polish_saddle, which also hands over the P
-and Q it evaluated there) and running simple_coeffs_mp, or its
-resumable form SimpleCoeffs, there; the B_k from the cubic engine in
-floats at the float u*, since the double-saddle series rounds them to
-double anyway.  A saddle whose m-th derivative vanishes (|h^(m)| <
-1e-10) is refused with DegenerateSaddle.  No closed forms live here:
-the tests keep them as independent references.
+Both come from one engine, _Betas, which states the method and its
+error budget: the normalized coefficients beta_k of t(w), each solving
+one linear equation whose known part is two convolutions against the
+series of e^t and e^(-lam t), O(n^2) to order n, on exact Python
+integers in fixed point whatever u0's arithmetic (Brent and Zimmermann,
+Modern Computer Arithmetic, ch. 3).  It is resumable: the recurrence is
+a generator whose frame holds the series, so a caller pays only for the
+orders it reads, and sized from the most orders the caller may ask for,
+every order's ints are those of a one-shot run.  SaddleCoeffs reads one
+series' coefficients off it, one order at a time or all at once: the A_k
+at a simple saddle Newton-polished at the working precision
+(saddles.polish_saddle, which also hands over the P and Q it evaluated
+there), the B_k in floats at the float u*, since the double-saddle
+series rounds them to double anyway; simple_coeffs_mp and
+double_saddle_coeffs are its one-shot forms.  A saddle whose m-th
+derivative vanishes (|h^(m)| < 1e-10) is refused with DegenerateSaddle.
+No closed forms live here: the tests keep them as independent
+references.
 """
 
 from __future__ import annotations
@@ -48,7 +34,7 @@ from itertools import count
 from operator import add, mul
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .core import DomainError, Sign
 from .saddles import Phase, double_saddle_curve, u_star
@@ -224,13 +210,55 @@ class _Betas:
     """The engine at one saddle, resumable: k beta_k for k = 1..len(self),
     in units of 2^-(fb + r k), as one int list at a real u0 and (re, im)
     lists at a complex one (parts), and h^(m)(u0) in u0's arithmetic
-    (hm); _saddle_betas states the method.
+    (hm).  t = sum_k beta_k s^k solves h(u0) - h(u0 + t) = w^m/m in the
+    normalized variable s = b_1 w, so beta_k = b_k / b_1^k and beta_1 = 1.
 
-    fb and r are sized from cap, the most orders a caller may ask for, so
-    the ints of every order are those of a one-shot run to cap: extend
-    adds orders, and rescale checks the bits of those computed.  pq, if
-    given, is Phase.parts(u0) as the caller has it (the polish evaluates
-    it at the saddle it returns).
+    In s the differentiated substitution reads
+
+        t'(s) h'(u0 + t) = s^(m-1) h^(m)(u0)/(m-1)!,
+
+    with h'(u0 + t) = P (E - 1) - lam Q (F - 1), E = e^t, F = e^(-lam t),
+    P = e^(u0)/2 and Q = sign e^(-lam u0)/2 from Phase.parts.  The
+    order-k equation is linear in beta_k with weight lead (k+m-1), lead =
+    h^(m)(u0)/(m-1)!; its other part is two convolutions, sum i beta_i
+    e_(k+m-1-i) and sum i beta_i f_(k+m-1-i).  The same two sums are
+    (k+m-1) e_(k+m-1) and -(k+m-1) f_(k+m-1)/lam with beta_k still 0, from
+    E' = t' E and F' = -lam t' F.  Once beta_k is solved, beta_k s^k
+    multiplies E by e^(beta_k s^k), so e_(k+o) gains beta_k e_o for o <
+    m (and beta_k^2/2 where o = k), and likewise F: O(m) each.  So each
+    order costs two dot products, and the series to order n O(n^2) in
+    all.
+
+    The recurrence runs on Python ints in fixed point (_real_betas, and
+    _complex_betas on (re, im) lists at a complex saddle).  P, Q and lam
+    are binary fractions, so lam Q and lead are formed from them exactly,
+    and P/lead and lam Q/lead are rounded to units of 2^-F (fb in the
+    code).  A value of order j is kept in units of 2^-(F + r j), which
+    rescales s by 2^r: r comes from a pilot run of the first 12 orders at
+    112 bits and levels the betas' geometric rise or fall, which spans
+    2^-180..2^800 over 81 orders at the saddles measured.  Error budget:
+    - every dot product is exact, and every stored value is rounded once
+      (a shift, with a division by an order folded in) toward zero, so it
+      is off by under one unit from the recurrence on the values before
+      it; those units carry into later orders;
+    - F starts at wp + 32 + 3 min(cap, 12) bits, wp the working precision
+      (53 for floats).  If some beta keeps fewer than wp + 32 bits (the
+      larger of it and its neighbour counting, so an isolated zero beta
+      does not), rescale runs the orders again at F raised by the
+      shortfall;
+    - SaddleCoeffs rounds what it reads off the ints once: an A_k in its
+      quotient by h''^k, a beta to a double before the B_k are formed.
+    Rounding toward zero commutes with negation, so a beta that vanishes
+    by symmetry (every other one on the curve at lam = 1) is exactly 0.
+    Measured at 50 digits at the five saddles of
+    test_engine_matches_80_digit_engine, beta_1..beta_81 are within
+    1.3e-51 (half an ulp) of the fdot engine of tests/fdot_engine.py run
+    at 120 digits on the same P, Q and lam, so what the A_k keep is set by
+    the rounding of u0, P, Q and h'', not by the recurrence.
+
+    Sized from cap, the most orders a caller may ask for, every order's
+    ints are a one-shot run's: extend adds orders, rescale checks their
+    bits.  pq, if given, is Phase.parts(u0).
     """
 
     def __init__(self, phase: Phase, u0, m: int, cap: int,
@@ -313,138 +341,72 @@ class _Betas:
         return True
 
 
-def _fixed_betas(phase: Phase, u0, m: int, n: int) -> tuple:
-    """(parts, fb, r, hm) of _Betas run to n in one go."""
-    b = _Betas(phase, u0, m, n)
-    b.extend(n)
-    b.rescale()
-    return b.parts, b.fb, b.r, b.hm
+class SaddleCoeffs:
+    """The coefficients of one saddle's series, as they are asked for:
+    A_0, A_1, ..., A_cap at a simple saddle (m = 2), mpmath numbers at the
+    working precision, u0 an mp location (polish it first); B_0, B_1,
+    ..., B_cap at the double saddle (m = 3), doubles, u0 the float u*.
 
+    A_k = (-1)^k (2k+1) b_(2k+1) / b_1 from the m = 2 reversion, which in
+    the normalized coefficients (b_1^2 = -1/h'') is (2k+1) beta_(2k+1) /
+    h''(u0)^k: no square-root branch enters, and at a real saddle every
+    A_k is an mpf.  h''(u0)^k is an exact running power, rounded once.
 
-def _saddle_betas(phase: Phase, u0, m: int, n: int) -> tuple[list, object]:
-    """beta_1..beta_n and h^(m)(u0), rounded to u0's arithmetic, mpmath at
-    the working precision for an mpf or mpc and floats for a float: t =
-    sum_k beta_k s^k solves h(u0) - h(u0 + t) = w^m/m in the normalized
-    variable s = b_1 w, so beta_k = b_k / b_1^k and beta_1 = 1.
+    B_k = (k+1) b_(k+1) (H^(1/3) e^(-i pi/3))^(k+1) / 2^(2/3), H = 2
+    h'''(u0), where the principal cube root b_1 = (2/h''')^(1/3)
+    e^(i pi/3) carries the contour orientation.  In the normalized
+    coefficients b_(k+1) = beta_(k+1) b_1^(k+1) that is B_k = (k+1)
+    beta_(k+1) 2^(2k/3): real throughout, with no rotation to take back
+    out.
 
-    In s the differentiated substitution reads
-
-        t'(s) h'(u0 + t) = s^(m-1) h^(m)(u0)/(m-1)!,
-
-    with h'(u0 + t) = P (E - 1) - lam Q (F - 1), E = e^t, F = e^(-lam t),
-    P = e^(u0)/2 and Q = sign e^(-lam u0)/2 from Phase.parts.  The
-    order-k equation is linear in beta_k with weight lead (k+m-1), lead =
-    h^(m)(u0)/(m-1)!; its other part is two convolutions, sum i beta_i
-    e_(k+m-1-i) and sum i beta_i f_(k+m-1-i).  The same two sums are
-    (k+m-1) e_(k+m-1) and -(k+m-1) f_(k+m-1)/lam with beta_k still 0, from
-    E' = t' E and F' = -lam t' F.  Once beta_k is solved, beta_k s^k
-    multiplies E by e^(beta_k s^k), so e_(k+o) gains beta_k e_o for o <
-    m (and beta_k^2/2 where o = k), and likewise F: O(m) each.  So each
-    order costs two dot products, and the series to order n O(n^2) in
-    all.
-
-    The recurrence runs on Python ints in fixed point (_real_betas, and
-    _complex_betas on (re, im) lists at a complex saddle).  P, Q and lam
-    are binary fractions, so lam Q and lead are formed from them exactly,
-    and P/lead and lam Q/lead are rounded to units of 2^-F (fb in the
-    code).  A value of
-    order j is kept in units of 2^-(F + r j), which rescales s by 2^r: r
-    comes from a pilot run of the first 12 orders at 112 bits and levels
-    the betas' geometric rise or fall, which spans 2^-180..2^800 over 81
-    orders at the saddles measured.  Error budget:
-    - every dot product is exact, and every stored value is rounded once
-      (a shift, with a division by an order folded in) toward zero, so it
-      is off by under one unit from the recurrence on the values before
-      it; those units carry into later orders;
-    - F starts at wp + 32 + 3 min(n, 12) bits, wp the working precision
-      (53 for floats).  If some beta keeps fewer than wp + 32 bits (the
-      larger of it and its neighbour counting, so an isolated zero beta
-      does not), the run is repeated once at F raised by the shortfall;
-    - each beta is then rounded once, to an mpf or mpc at wp or to a
-      double.
-    Rounding toward zero commutes with negation, so a beta that vanishes
-    by symmetry (every other one on the curve at lam = 1) is exactly 0.
-    Measured at 50 digits at the five saddles of
-    test_engine_matches_80_digit_engine, beta_1..beta_81 are within
-    1.3e-51 (half an ulp) of the fdot engine of tests/fdot_engine.py run
-    at 120 digits on the same P, Q and lam, so what the A_k keep is set by
-    the rounding of u0, P, Q and h'', not by the recurrence.
-    """
-    parts, fb, r, hm = _fixed_betas(phase, u0, m, n)
-    to_mp = type(u0) is mp.mpf or type(u0) is mp.mpc
-    wp = mp.mp.prec
-    out = []
-    for k, v in enumerate(zip(*parts), 1):
-        s = fb + r * k
-        if to_mp:
-            xs = [from_rational(x, k << s, wp, round_nearest) if s >= 0
-                  else from_rational(x << -s, k, wp, round_nearest)
-                  for x in v]
-            out.append(_make(xs))
-        else:
-            xs = [x / (k << s) if s >= 0 else (x << -s) / k for x in v]
-            out.append(xs[0] if len(xs) == 1 else complex(*xs))
-    return out, hm
-
-
-def double_saddle_coeffs(lam: float, order: int) -> list[float]:
-    """B_0..B_order for the double-saddle series on the coalescence curve,
-    from the cubic (m = 3) engine run in floats at the float u*.
-
-    B_k = (k+1) b_(k+1) (H^(1/3) e^(-i pi/3))^(k+1) / 2^(2/3), where the
-    principal cube root b_1 = (2/h''')^(1/3) e^(i pi/3) carries the contour
-    orientation.  In the normalized coefficients b_(k+1) = beta_(k+1)
-    b_1^(k+1) that is B_k = (k+1) beta_(k+1) 2^(2k/3): real throughout,
-    with no rotation to take back out.
-    """
-    if lam <= 0.0:
-        raise DomainError("double-saddle coefficients require lam > 0")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
-    beta, _ = _saddle_betas(phase, u_star(lam), 3, order + 1)
-    return [(k + 1) * bk * 2.0 ** (2 * k / 3) for k, bk in enumerate(beta)]
-
-
-class SimpleCoeffs:
-    """A_0, A_1, ..., A_cap at one simple saddle, as they are asked for:
-    the resumable form of simple_coeffs_mp.  log2 and upto extend the
-    engine without checking its bits; rescale checks them, and where it
-    re-runs the engine at a larger scale, the A_k given before are void.
-    checked does both, so its A_k are simple_coeffs_mp's bit for bit
-    (sized from cap, the engine's ints are a one-shot run's).  pq, if
-    given, is Phase.parts(u0) (polish_saddle(parts=True)).  Raises
-    DegenerateSaddle where |h''(u0)| < 1e-10.
+    log2 and upto extend the engine (_Betas) unchecked; rescale checks
+    its bits, and where it re-runs it at a larger scale, the c_k given
+    before are void; checked does both.  pq, if given, is Phase.parts(u0)
+    (polish_saddle(parts=True)).  Raises DegenerateSaddle where
+    |h^(m)(u0)| < 1e-10.
     """
 
-    def __init__(self, phase: Phase, u0, cap: int,
+    def __init__(self, phase: Phase, u0, m: int, cap: int,
                  pq: tuple | None = None) -> None:
-        self._betas = _Betas(phase, u0, 2, 2 * cap + 1, pq)
-        h2 = self._betas.hm
-        self._h2x = _exact(h2)
-        self._log2h2 = math.log2(abs(complex(h2)))
-        self._a, self._pw = [], (1, 0)
+        # c_k is read off n beta_n, n = step k + 1: A_k off the odd betas
+        # (the even ones integrate to 0 on the Gaussian), B_k off all
+        self._step = 2 if m == 2 else 1
+        self._betas = _Betas(phase, u0, m, self._step * cap + 1, pq)
+        hm = self._betas.hm
+        self._hx = _exact(hm)
+        # log2 |c_k| = log2 |n beta_n| - k lh
+        self._lh = math.log2(abs(complex(hm))) if m == 2 else -2 / 3
+        self._c, self._pw = [], (1, 0)
 
     def log2(self, k: int) -> float | None:
-        """e with e - 1 <= log2 |A_k| < e + 1/2, read off the bits of
-        (2k+1) beta_(2k+1); None where A_k = 0."""
-        b, n = self._betas, 2 * k + 1
-        b.extend(n)
-        bits = max([v[n - 1].bit_length() for v in b.parts])
-        return bits - b.fb - b.r * n - k * self._log2h2 if bits else None
+        """e with e - 1 <= log2 |c_k| < e + 1/2, read off the bits of
+        n beta_n; None where c_k = 0."""
+        b, n = self._betas, self._step * k + 1
+        parts = b.parts
+        if len(parts[0]) < n:
+            b.extend(n)
+        bits = parts[0][n - 1].bit_length()
+        if len(parts) == 2:
+            bits = max(bits, parts[1][n - 1].bit_length())
+        return bits - b.fb - b.r * n - k * self._lh if bits else None
 
     def upto(self, k: int) -> list:
-        """[A_0, ..., A_k]."""
-        out, b = self._a, self._betas
-        b.extend(2 * k + 1)
-        hr, hi, e = self._h2x
+        """[c_0, ..., c_k]."""
+        out, b, step = self._c, self._betas, self._step
+        b.extend(step * k + 1)
+        hr, hi, e = self._hx
         pr, pi = self._pw
         for j in range(len(out), k + 1):
-            # (2j+1) beta_(2j+1) exactly, then one rounding in the
-            # quotient by h''^j, an exact running power rounded once
-            n = 2 * j + 1
-            num = _make([from_man_exp(v[n - 1], -b.fb - b.r * n)
-                         for v in b.parts])
+            n, s = step * j + 1, b.fb + b.r * (step * j + 1)
+            if step == 1:
+                # beta_n rounded once to a double, then B_j in floats
+                x = b.parts[0][j]
+                beta = x / (n << s) if s >= 0 else (x << -s) / n
+                out.append(n * beta * 2.0 ** (2 * j / 3))
+                continue
+            # n beta_n exactly, then one rounding in the quotient by
+            # h''^j, an exact running power rounded once
+            num = _make([from_man_exp(v[n - 1], -s) for v in b.parts])
             pw = [from_man_exp(x, e * j, mp.mp.prec, round_nearest)
                   for x in (pr, pi)[:len(b.parts)]]
             out.append(num / _make(pw))
@@ -456,27 +418,29 @@ class SimpleCoeffs:
         """_Betas.rescale on the orders so far; True if it re-ran them."""
         if not self._betas.rescale():
             return False
-        self._a, self._pw = [], (1, 0)
+        self._c, self._pw = [], (1, 0)
         return True
 
     def checked(self, k: int) -> list:
-        """[A_0, ..., A_k], the bits of the orders behind them checked."""
-        self._betas.extend(2 * k + 1)
+        """[c_0, ..., c_k], the bits of the orders behind them checked."""
+        self._betas.extend(self._step * k + 1)
         self.rescale()
         return self.upto(k)
 
 
 def simple_coeffs_mp(phase: Phase, u0, order: int,
                      pq: tuple | None = None) -> list:
-    """A_0..A_order at working mpmath precision; u0 is an mp location
-    (polish it first).  Used where the expansion value itself must carry
-    far more than double precision.
+    """A_0..A_order at the working mpmath precision (SaddleCoeffs, m = 2)
+    at an mp location u0 (polish it first), pq as SaddleCoeffs takes it."""
+    return SaddleCoeffs(phase, u0, 2, order, pq).checked(order)
 
-    A_k = (-1)^k (2k+1) b_(2k+1) / b_1 from the m = 2 reversion, which in
-    the normalized coefficients (b_1^2 = -1/h'') is (2k+1) beta_(2k+1) /
-    h''(u0)^k: no square-root branch enters, and at a real saddle every
-    A_k is an mpf.  h''(u0)^k is an exact running power, rounded once.
-    pq, if given, is Phase.parts(u0).  Raises DegenerateSaddle where
-    |h''(u0)| < 1e-10.
-    """
-    return SimpleCoeffs(phase, u0, order, pq).checked(order)
+
+def double_saddle_coeffs(lam: float, order: int) -> list[float]:
+    """B_0..B_order for the double-saddle series on the coalescence curve
+    (SaddleCoeffs, m = 3, at the float u*)."""
+    if lam <= 0.0:
+        raise DomainError("double-saddle coefficients require lam > 0")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
+    return SaddleCoeffs(phase, u_star(lam), 3, order).checked(order)

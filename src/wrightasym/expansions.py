@@ -14,26 +14,27 @@ contour crosses (saddles.contour) and names the route after its regime:
   expand_plus        plus sign: the real saddle plus the contributory
                      complex-pair chain
 
-The body builds the double-saddle series, or else one SaddleSeries per
-contributory saddle (location, h0, prefactor, terms and coefficients,
-uncut), and hands them to one assembly, which cuts, folds conjugate
-pairs into twice the real part and sums.  A simple-saddle series the
-optimal rule cuts is built term by term on the resumable coefficient
-engine (coeffs.SimpleCoeffs), and only until its terms have risen well
-past their least one or fallen below the working precision
-(_least_terms); a fixed cut and the double saddle compute their orders
-in one go.  The result keeps those
-series, the value and the value at every shorter cut (the partial sums),
-so callers can study the error behaviour from one call rather than just
-consume a number; a subdominant last chain pair that the value leaves
-out is polished at the call, but its series is built only when a caller
-reads the components.  Both entries work at one extended precision, 50
-digits: e^(x h0) reaches 1e12 and beyond, where double rounding alone
-would swamp the small differences (oracle minus expansion) these
-expansions are judged by; the deep tail of a series reaches relative
-errors near 1e-13, where double-precision noise in A_4, A_5 already
-shows; and the plus-phase value feeds differences (W - I_0) in which
-twelve leading digits cancel, leaving about 38.
+The body builds one SaddleSeries per contributory saddle (location, h0,
+prefactor, terms and coefficients, and where the series is cut and why),
+the double-saddle one on that route, and hands them to one assembly,
+which sums each to its cut, folds conjugate pairs into twice the real
+part and adds them up.  Every series comes from one builder (_series)
+over the resumable coefficient engine (coeffs.SaddleCoeffs), whatever
+its saddle or policy: a route supplies only the prefactor and the
+factors of its terms.  A fixed series runs the engine to its k; an
+optimal one is built term by term, and only until its terms have risen
+well past their least one or fallen below the working precision.  The
+result keeps those series, the value and the value at every shorter cut
+(the partial sums), so callers can study the error behaviour from one
+call rather than just consume a number; a subdominant last chain pair
+that the value leaves out is polished at the call, but its series is
+built only when a caller reads the components.  Both entries work at one
+extended precision, 50 digits: e^(x h0) reaches 1e12 and beyond, where
+double rounding alone would swamp the small differences (oracle minus
+expansion) these expansions are judged by; the deep tail of a series
+reaches relative errors near 1e-13, where double-precision noise in A_4,
+A_5 already shows; and the plus-phase value feeds differences (W - I_0)
+in which twelve leading digits cancel, leaving about 38.
 """
 
 from __future__ import annotations
@@ -43,25 +44,27 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
+from operator import mul
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, \
+    round_nearest
 
 from .core import ScaledArgs, Sign
-from .coeffs import DegenerateSaddle, SimpleCoeffs, double_saddle_coeffs, \
-    simple_coeffs_mp
+from .coeffs import DegenerateSaddle, SaddleCoeffs
 from .saddles import Phase, Regime, contour, double_saddle_curve, \
     polish_saddle, u_star
 
 _PREC_DPS = 50
-_EXACT_ADD = functools.partial(mp.fadd, exact=True)
+_ZERO = mp.mpf(0)
 # the highest order a series is computed to: the cap of the optimal
 # rule and the largest fixed truncation k
 _MAX_ORDER = 40
 # an optimal series stops at its least term once the two latest terms'
-# binary exponents, as _least_terms estimates them, lie this many above
-# the least one's (over 10 decades apart), and at the working precision
-# once two consecutive terms lie this many bits more than the working
+# binary exponents, as _series estimates them, lie this many above the
+# least one's (over 10 decades apart), and at the working precision once
+# two consecutive nonzero terms lie this many bits more than the working
 # precision below their partial sums (over 8 more, real or complex)
 _RISE = 35
 _TINY = 10
@@ -117,15 +120,20 @@ def optimal_truncation(magnitudes) -> int:
 
 @dataclass(frozen=True)
 class SaddleSeries:
-    """One contributory saddle's series, uncut.
+    """One contributory saddle's series and where it is cut.
 
     location is the double-precision saddle the route solved; a complex
     location is the upper member of a conjugate pair, whose mirror saddle
     adds the complex conjugate.  h0 is h(u0) at the polished saddle, pref
     the prefactor and mp_terms the series terms after it is pulled out,
     built from coefficients (the A_k, or the B_k at the double saddle),
-    k = 0 .. len(mp_terms) - 1: to the fixed k, or for a simple-saddle
-    series the optimal rule cuts, to where it stopped (_least_terms).
+    k = 0 .. len(mp_terms) - 1, to the fixed k or where the optimal rule
+    stopped (_series), and cut and reason where it is cut and why:
+    "fixed" (the policy's k), "minimum" (the smallest term), "precision"
+    (the last computed term: it and the nonzero one before lie below the
+    working precision of the partial sum) or "capped" (the optimal rule
+    landed on the last term the order cap allows, so the minimum may lie
+    beyond it).
     """
 
     location: complex
@@ -133,9 +141,8 @@ class SaddleSeries:
     pref: object
     mp_terms: tuple
     coefficients: tuple
-    # "precision" where a series built term by term stopped because its
-    # last two terms fell below the working precision (_least_terms)
-    _stop: str | None = field(default=None, repr=False)
+    cut: int = field(repr=False)
+    reason: str = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -153,15 +160,11 @@ class ExpansionResult:
     fixed-k error study; it is built on first read, and its last entry is
     mp_value.  mp_components carries the per-saddle contributions I_j in
     saddle order (for the single-saddle routes just the value itself) and
-    components their doubles, component_truncations their individual cut
-    points and truncation_reasons why each was cut there: "fixed" (the
-    policy's k), "minimum" (the smallest term), "precision" (the last
-    computed term: it and the one before lie below the working precision
-    of the partial sum) or "capped" (the optimal rule landed on the last
-    term the order cap allows, so the minimum may lie beyond it), and
-    exponent = x * Re h(u0) locates the overall scale.  A chain pair the
-    value leaves out (the subdominant last one) is still listed in
-    series, the components, component_truncations and
+    components their doubles, component_truncations and
+    truncation_reasons each series' own cut and reason (SaddleSeries), and
+    exponent = x * Re h(u0) locates the overall scale.  A chain
+    pair the value leaves out (the subdominant last one) is still listed
+    in series, the components, component_truncations and
     truncation_reasons; its series is built on the first read of any of
     them, once, at the working precision, and mp_summands lists the
     components as the value adds them without building it.
@@ -171,8 +174,7 @@ class ExpansionResult:
     exponent: float
     mp_value: object
     route: str
-    # (series, cut, reason, component) of each saddle the value adds, the
-    # primary one first
+    # (series, component) per saddle the value adds, the primary first
     _cuts: tuple
     # builds the series of the saddle left out of the value, if any; two
     # results of one call compare equal whether or not it has run
@@ -181,8 +183,8 @@ class ExpansionResult:
 
     @functools.cached_property
     def _columns(self) -> tuple:
-        """(series, cuts, reasons, components), the left-out saddle's
-        built and cut at the working precision."""
+        """(series, components), the left-out saddle's built and cut at
+        the working precision."""
         cuts = self._cuts
         if self._left_out is not None:
             with mp.workdps(_PREC_DPS):
@@ -195,15 +197,15 @@ class ExpansionResult:
 
     @property
     def component_truncations(self) -> tuple[int, ...]:
-        return self._columns[1]
+        return tuple(s.cut for s in self.series)
 
     @property
     def truncation_reasons(self) -> tuple[str, ...]:
-        return self._columns[2]
+        return tuple(s.reason for s in self.series)
 
     @property
     def mp_components(self) -> tuple:
-        return self._columns[3]
+        return self._columns[1]
 
     @property
     def mp_summands(self) -> tuple:
@@ -211,7 +213,7 @@ class ExpansionResult:
         mp_components, except that a pair the value leaves out adds 0 and
         is not built."""
         left = (mp.mpf(0),) if self._left_out is not None else ()
-        return tuple(c[3] for c in self._cuts) + left
+        return tuple(c for _, c in self._cuts) + left
 
     @property
     def terms(self) -> tuple[complex, ...]:
@@ -223,12 +225,12 @@ class ExpansionResult:
 
     @property
     def truncation_index(self) -> int:
-        return self._cuts[0][1]
+        return self._cuts[0][0].cut
 
     @functools.cached_property
     def mp_partial_sums(self) -> tuple:
-        (s, k, _, _), added = self._cuts[0], [c[3] for c in self._cuts[1:]]
-        sums = accumulate(s.mp_terms[:k + 1], _EXACT_ADD)
+        (s, _), added = self._cuts[0], [c for _, c in self._cuts[1:]]
+        sums = accumulate(s.mp_terms[:s.cut + 1], _exact_add)
         with mp.workdps(_PREC_DPS):
             return tuple(sum(added, _component(s, acc)) for acc in sums)
 
@@ -241,6 +243,14 @@ class ExpansionResult:
         return tuple(float(c) for c in self.mp_components)
 
 
+def _exact_add(u, v):
+    """mp.fadd(u, v, exact=True) for u, v both mpf or both mpc."""
+    if type(u) is mp.mpc:
+        (a, b), (c, d) = u._mpc_, v._mpc_
+        return mp.make_mpc((mpf_add(a, c), mpf_add(b, d)))
+    return mp.make_mpf(mpf_add(u._mpf_, v._mpf_))
+
+
 def _component(s: SaddleSeries, acc):
     """pref * acc, acc an exact sum of s's terms rounded once, and twice
     its real part for a complex location."""
@@ -248,32 +258,23 @@ def _component(s: SaddleSeries, acc):
     return 2 * mp.re(v) if s.location.imag != 0 else v
 
 
-def _cut(s: SaddleSeries, k: int | None = None) -> tuple:
-    """(s, k, reason, component): s cut at k, or at its smallest term when
-    k is None.  The component is pref * sum_{j<=k} t_j, twice the real
-    part for a complex location, the sum exact and rounded once."""
-    if k is not None:
-        why = "fixed"
-    elif s._stop == "precision":
-        k, why = len(s.mp_terms) - 1, s._stop
-    else:
-        k = optimal_truncation([abs(t) for t in s.mp_terms])
-        why = "capped" if k == len(s.mp_terms) - 1 else "minimum"
-    acc = functools.reduce(_EXACT_ADD, s.mp_terms[:k + 1])
-    return s, k, why, _component(s, acc)
+def _cut(s: SaddleSeries) -> tuple:
+    """(s, component): the component is pref * sum_{j<=s.cut} t_j, twice
+    the real part for a complex location, the sum exact and rounded
+    once."""
+    return s, _component(s, functools.reduce(_exact_add,
+                                             s.mp_terms[:s.cut + 1]))
 
 
 def _assemble(series, x: float, trunc: TruncationPolicy, route: str,
               left_out: Callable[[], SaddleSeries] | None = None
               ) -> ExpansionResult:
     """A route's result from the series of the saddles its value adds, the
-    primary one first: that one cut by the policy (its k, or the smallest
-    term), every other at its smallest term, and the value their sum.
-    left_out builds the series of a further saddle the result lists but
-    the value leaves out; it runs on first read."""
-    k0 = trunc.k if trunc.mode is TruncationMode.FIXED else None
-    cuts = tuple(_cut(s, None if j else k0) for j, s in enumerate(series))
-    comps = [c[3] for c in cuts]
+    primary one first, each cut where it records, and the value their
+    sum.  left_out builds the series of a further saddle the result lists
+    but the value leaves out; it runs on first read."""
+    cuts = tuple(map(_cut, series))
+    comps = [c for _, c in cuts]
     return ExpansionResult(
         truncation_mode=trunc.mode,
         exponent=float(x * mp.re(series[0].h0)),
@@ -291,10 +292,9 @@ def _saddle_series(phase: Phase, location: complex, x: float,
         e^(x h0) / sqrt(2 pi x h0'') * sum_k (-1)^k (1/2)_k A_k / (x/2)^k
 
     with the location Newton-polished first (principal square root for
-    a complex saddle); to A_order, or with optimal set term by term with
-    order the cap (_least_terms).  The polish and the refusal of a
-    degenerate saddle run at the call; the series is built by the
-    function returned, which the caller runs at the working precision.
+    a complex saddle); to A_order, or cut by the optimal rule (_series).
+    The polish and the refusal of a degenerate saddle run at the call;
+    the function returned builds the series, at the working precision.
     """
     um, h0, h2, pq = polish_saddle(phase, location, parts=True)
     if abs(h2) < 1e-10:
@@ -306,27 +306,25 @@ def _saddle_series(phase: Phase, location: complex, x: float,
 
 def _build_series(phase: Phase, location: complex, um, h0, h2, pq,
                   x: float, order: int, optimal: bool) -> SaddleSeries:
-    """_saddle_series's series, from the polished saddle um, h0, h2 and
-    pq = Phase.parts(um)."""
+    """_saddle_series's series at the polished saddle um, h0, h2, pq."""
     xm = mp.mpf(x)
-    if optimal:
-        coeff, terms, stop = _least_terms(SimpleCoeffs(phase, um, order,
-                                                       pq), xm, order)
-    else:
-        coeff = simple_coeffs_mp(phase, um, order, pq)
-        terms = [r * a for r, a in zip(_ratios(xm), coeff)]
-        stop = None
+    built = _series(SaddleCoeffs(phase, um, 2, order, pq), _ratios(xm),
+                    order, optimal)
     pref = mp.e ** (xm * h0) / mp.sqrt(2 * mp.pi * xm * h2)
-    return SaddleSeries(location, h0, pref, tuple(terms), tuple(coeff),
-                        stop)
+    return SaddleSeries(location, h0, pref, *built)
 
 
 def _ratios(xm):
-    """(-1)^k (1/2)_k / (x/2)^k, k = 0, 1, ..., as one running product."""
-    r, hx = mp.mpf(1), -xm / 2
+    """((r_k,), log2 |r_k|) for r_k = (-1)^k (1/2)_k / (x/2)^k, k = 0, 1,
+    ...: r_(k+1) = r_k (k + 1/2) / (-x/2), both steps rounded, on raw
+    mpfs (no operator dispatch), and its log2 as a float sum."""
+    prec, x = mp.mp.prec, float(xm)
+    r, hx, lr = mp.mpf(1)._mpf_, (-xm / 2)._mpf_, 0.0
     for k in count():
-        yield r
-        r = r * (k + 0.5) / hx
+        yield (mp.make_mpf(r),), lr
+        r = mpf_div(mpf_mul(r, from_man_exp(2 * k + 1, -1), prec,
+                            round_nearest), hx, prec, round_nearest)
+        lr += math.log2((2 * k + 1) / x)
 
 
 def _mag(v) -> int | None:
@@ -340,69 +338,115 @@ def _mag(v) -> int | None:
     return e + bc if m else None
 
 
-def _least_terms(coeffs: SimpleCoeffs, xm, cap: int) -> tuple:
-    """(A_0..A_n, t_0..t_n, stop) of a series the optimal rule cuts: the
-    engine is extended one A_k at a time, and the series ends at the
-    first n at which
+def _sizes(terms) -> list[int]:
+    """Exact ints ordered as the moduli of a series' terms: |t| 2^-e0, or
+    |t|^2 2^(-2 e0) if complex, e0 the least exponent of their parts."""
+    if type(terms[0]) is mp.mpc:
+        raw = [p for t in terms for p in t._mpc_]
+    else:
+        raw = [t._mpf_ for t in terms]
+    e0 = min([e for _, m, e, _ in raw if m], default=0)
+    flat = [m << (e - e0) if m else 0 for _, m, e, _ in raw]
+    if len(flat) == len(terms):
+        return flat
+    return [a * a + b * b for a, b in zip(flat[::2], flat[1::2])]
 
-    - the two latest terms both lie _RISE binary orders above the least
-      nonzero term so far, so the least term is behind (stop None); or
-    - the two latest terms both lie wp + _TINY bits below their partial
-      sums, wp the working precision, so no later term can move the
-      value (stop "precision"); or
-    - n = cap (stop None).
 
-    The first test takes log2 |t_k| as l_k + SimpleCoeffs.log2(k), l_k
-    the float log2 of |t_k / A_k|, which is at most 1 above it and under
-    1/2 below it; _RISE = 35 leaves over 2^33.5 > 1e10.  The A_k and the
-    terms are formed once the series stops, as for a fixed cut, unless
-    a term may be within reach of the second test: from there on each is
-    formed as it comes, with the exact partial sum the test compares it
-    with.  If the engine then re-runs the orders used at a larger scale
-    (SimpleCoeffs.rescale), the series is built again.
+def _term(c, f):
+    """c times the factors f, left to right; an exact 0 for f None."""
+    return _ZERO if f is None else functools.reduce(mul, f, c)
+
+
+def _series(coeffs: SaddleCoeffs, ratios, cap: int,
+            optimal: bool) -> tuple:
+    """(terms, coefficients, cut, reason) of one saddle's series, as
+    SaddleSeries takes them: t_k = c_k f_k, c_k from coeffs and (f_k,
+    l_k) the k-th item of ratios, f_k a tuple of factors (_term) and l_k
+    a float log2 of their product, both None where it is 0.  A fixed
+    series ends at k = cap ("fixed"); an optimal one is built one c_k at
+    a time and ends at the first n at which
+    - the two latest terms lie _RISE binary orders above the least so far
+      (cut there, "minimum"; l_k + SaddleCoeffs.log2(k) is at most 1
+      above log2 |t_k| and under 1/2 below, so 35 leaves 2^33.5 > 1e10);
+    - two consecutive nonzero terms lie wp + _TINY bits below their
+      partial sums, wp the working precision (cut at n, "precision"); or
+    - n = cap (cut at the least term, "capped" if that is t_n).
+    The terms are formed once it stops, unless one may come within reach
+    of the second test: from there on each comes with the exact partial
+    sum the test reads.  An exact zero term neither counts toward that
+    test nor starts the forming.  Where the engine re-runs the orders
+    used at a larger scale (SaddleCoeffs.rescale), it is built again.
     """
-    wp, x = mp.mp.prec, float(xm)
-    floor = wp + _TINY
+    if not optimal:
+        coeff = coeffs.checked(cap)
+        return (tuple(_term(c, f) for c, (f, _) in zip(coeff, ratios)),
+                tuple(coeff), cap, "fixed")
+    floor = mp.mp.prec + _TINY
     # a term is formed once it may lie floor bits below its partial sum,
     # which is under (cap + 1) times the largest term
     reach = floor - (cap + 1).bit_length() - 3
-    ratios = _ratios(xm)
-    terms, stop, tiny = None, None, False
-    lr, low, top, prev = 0.0, None, None, None
-    for k in range(cap + 1):
-        la = coeffs.log2(k)
-        m = None if la is None else lr + la
-        lr += math.log2((2 * k + 1) / x)
+    seen, terms, why, tiny = [], None, None, False
+    low, top, prev = math.inf, -math.inf, None
+    for k, item in zip(range(cap + 1), ratios):
+        seen.append(item)
+        f, lr = item
+        m = None if lr is None else coeffs.log2(k)
         if m is not None:
-            low = m if low is None else min(low, m)
-            top = m if top is None else max(top, m)
-        if terms is None and (m is None or m <= top - reach):
-            terms = [r * a for a, r in zip(coeffs.upto(k), ratios)]
-            acc = functools.reduce(_EXACT_ADD, terms)
-        elif terms is not None:
-            terms.append(next(ratios) * coeffs.upto(k)[k])
-            acc = _EXACT_ADD(acc, terms[-1])
+            m += lr
+            if m < low:
+                low = m
+            if m > top:
+                top = m
         if terms is not None:
-            mt, sm = _mag(terms[-1]), _mag(acc)
-            was = tiny
-            tiny = mt is None or sm is not None and mt <= sm - floor
+            terms.append(_term(coeffs.upto(k)[k], f))
+            acc = _exact_add(acc, terms[-1])
+        elif m is not None and m <= top - reach:
+            terms = [_term(c, g) for c, (g, _) in zip(coeffs.upto(k), seen)]
+            acc = functools.reduce(_exact_add, terms)
+        if terms is not None and (mt := _mag(terms[-1])) is not None:
+            sm = _mag(acc)
+            was, tiny = tiny, sm is not None and mt <= sm - floor
             if was and tiny:
-                stop = "precision"
+                why = "precision"
                 break
-        if None not in (m, prev) and min(m, prev) >= low + _RISE:
+        if m is not None and prev is not None and min(m, prev) >= low + _RISE:
             break
         prev = m
     if coeffs.rescale():
-        return _least_terms(coeffs, xm, cap)
+        return _series(coeffs, chain(seen, ratios), cap, optimal)
     coeff = coeffs.upto(k)
     if terms is None:
-        terms = [r * a for a, r in zip(coeff, ratios)]
-    return coeff, terms, stop
+        terms = [_term(c, g) for c, (g, _) in zip(coeff, seen)]
+    if why is None:
+        cut = optimal_truncation(_sizes(terms))
+        why = "capped" if cut == k else "minimum"
+    else:
+        cut = k
+    return tuple(terms), tuple(coeff), cut, why
 
 
-def _double_series(lam: float, x: float, order: int) -> SaddleSeries:
-    """The double-saddle series to B_order at working precision, on the
-    coalescence curve a = a*(lam):
+def _double_ratios(hx3, g, sine):
+    """The double-saddle factors for _series: Gamma((k+1)/3)/(H x/3)^(k/3)
+    from g at k = 0, 1 and hx3 = H x/3, then the sine, sqrt(3)/2 times 1,
+    1, 0, -1, -1, 0 for k = 0..5 (mod 6), multiplying B_k in that order."""
+    g, d, signed = list(g), 3 * hx3, (sine, -sine)
+    lg = [math.log2(abs(float(v) * float(sine))) for v in g]
+    step = math.log2(float(d))
+    for k in count():
+        j = k % 3
+        if j == 2:
+            yield None, None
+            continue
+        yield (g[j], signed[k % 6 > 1]), lg[j]
+        # Gamma(s + 1) = s Gamma(s) carries g from k to k + 3
+        g[j] = g[j] * (k + 1) / d
+        lg[j] += math.log2(k + 1) - step
+
+
+def _double_series(lam: float, x: float, order: int,
+                   optimal: bool) -> SaddleSeries:
+    """The double-saddle series at working precision, on the coalescence
+    curve a = a*(lam), to B_order or cut by the optimal rule (_series):
 
         2^(2/3) e^(x h0) / (3 pi) * sum_k B_k Gamma((k+1)/3)
                                     * sin(pi (k+1)/3) / (H x/3)^((k+1)/3)
@@ -410,27 +454,18 @@ def _double_series(lam: float, x: float, order: int) -> SaddleSeries:
     with H = 2 h'''(u0).  The sine kills every k = 2 (mod 3) term, so those
     appear as exact zeros in the term list.
     """
-    coeffs = double_saddle_coeffs(lam, order)
-    xm = mp.mpf(x)
     phase = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
+    coeffs = SaddleCoeffs(phase, u_star(lam), 3, order)
+    xm = mp.mpf(x)
     u0 = u_star(mp.mpf(lam))
     h0, _, _, h3 = phase.derivs(u0, 3)
     hx3 = 2 * h3 * xm / 3
     root = mp.cbrt(hx3)
-    # g[k % 3] = Gamma((k+1)/3) / (H x/3)^(k/3), carried from k to k + 3
-    # by Gamma(s + 1) = s Gamma(s); the sine is sqrt(3)/2 times 1, 1, 0,
-    # -1, -1, 0 as k runs through 0..5 (mod 6)
     g13, g23, sine, c23, pi3 = _double_constants(mp.mp.prec)
-    g = [g13, g23 / root]
-    terms = []
-    for k, bk in enumerate(coeffs):
-        if k % 3 == 2:
-            terms.append(mp.mpf(0))
-            continue
-        terms.append(mp.mpf(bk) * g[k % 3] * (sine if k % 6 < 2 else -sine))
-        g[k % 3] = g[k % 3] * (k + 1) / (3 * hx3)
+    built = _series(coeffs, _double_ratios(hx3, (g13, g23 / root), sine),
+                    order, optimal)
     pref = c23 * mp.e ** (xm * h0) / (pi3 * root)
-    return SaddleSeries(complex(u0), h0, pref, tuple(terms), tuple(coeffs))
+    return SaddleSeries(complex(u0), h0, pref, *built)
 
 
 @functools.cache
@@ -464,7 +499,7 @@ def _expand(sign: Sign, args: ScaledArgs, trunc: TruncationPolicy,
     series, left_out = [], None
     with mp.workdps(_PREC_DPS):
         if c.regime is Regime.DOUBLE:
-            series.append(_double_series(lam, x, order))
+            series.append(_double_series(lam, x, order, not fixed))
         else:
             phase = Phase(lam, a, args.sign)
             for j, sadl in enumerate(c.saddles):

@@ -18,7 +18,7 @@ import mpmath as mp
 
 def saddle_betas(phase, u0, m: int, n: int) -> tuple[list, object]:
     """beta_1..beta_n and h^(m)(u0) for an mpf or mpc u0, as
-    coeffs._saddle_betas defines them."""
+    coeffs._Betas defines them."""
     lam, _, p, q = phase.parts(u0)
     lq = lam * q
     hm = p + (-lam) ** m * q

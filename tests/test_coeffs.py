@@ -17,7 +17,7 @@ import random
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 import fdot_engine
 import four_products
@@ -25,7 +25,6 @@ from closed_forms import b_polynomials, closed_form_A
 from wrightasym import coeffs
 from wrightasym.core import DomainError, Sign
 from wrightasym.coeffs import (
-    _saddle_betas,
     DegenerateSaddle,
     double_saddle_coeffs,
     simple_coeffs_mp,
@@ -46,6 +45,31 @@ def _real_case(lam, factor):
     ph = Phase(lam, a, Sign.MINUS)
     lo, hi = solve_real_saddle(ph)
     return ph, hi
+
+
+def _one_shot(phase, u0, m, n):
+    """(parts, fb, r, h^(m)(u0)) of the engine run to order n in one go,
+    its bits checked, as simple_coeffs_mp runs it."""
+    b = coeffs._Betas(phase, u0, m, n)
+    b.extend(n)
+    b.rescale()
+    return b.parts, b.fb, b.r, b.hm
+
+
+def _betas(phase, u0, m, n):
+    """beta_1..beta_n and h^(m)(u0), each beta rounded once from the
+    engine's ints to the working precision: the engine read at any m and
+    precision, which the double route reads at m = 3 in floats only."""
+    parts, fb, r, hm = _one_shot(phase, u0, m, n)
+    out = []
+    for k, v in enumerate(zip(*parts), 1):
+        s = fb + r * k
+        xs = [from_rational(x, k << s, mp.mp.prec, round_nearest) if s >= 0
+              else from_rational(x << -s, k, mp.mp.prec, round_nearest)
+              for x in v]
+        out.append(mp.make_mpf(xs[0]) if len(xs) == 1
+                   else mp.make_mpc(tuple(xs)))
+    return out, hm
 
 
 def _engine_A(ph, location, order):
@@ -210,7 +234,7 @@ def _lagrange_b(phase, u0, m, js):
 def _cubic_b(phase, u0, n):
     """b_1..b_n of the cubic substitution from the normalized engine:
     b_k = beta_k b_1^k, b_1 the principal root of b_1^3 = -2/h^(3)(u0)."""
-    beta, h3 = _saddle_betas(phase, u0, 3, n)
+    beta, h3 = _betas(phase, u0, 3, n)
     b1 = mp.root(-2 / h3, 3)
     return [bk * b1 ** k for k, bk in enumerate(beta, 1)]
 
@@ -312,9 +336,8 @@ def test_engine_cost_and_real_arithmetic(monkeypatch):
     lam = 1.7
     with mp.workdps(40):
         lm = mp.mpf(lam)
-        beta, h3 = _saddle_betas(Phase(lam, double_saddle_curve(lam),
-                                       Sign.MINUS),
-                                 2 * mp.log(lm) / (1 + lm), 3, 41)
+        beta, h3 = _betas(Phase(lam, double_saddle_curve(lam), Sign.MINUS),
+                          2 * mp.log(lm) / (1 + lm), 3, 41)
     assert calls == {"fdot": 0, "complex": 0}
     assert len(beta) == 41 and type(h3) is mp.mpf
     assert all(type(c) is mp.mpf for c in beta)
@@ -394,7 +417,7 @@ def test_running_power_matches_mpmath_power(case):
     with mp.workdps(50):
         u0, _, _ = polish_saddle(ph, location)
         got = simple_coeffs_mp(ph, u0, 40)
-        parts, fb, r, h2 = coeffs._fixed_betas(ph, u0, 2, 81)
+        parts, fb, r, h2 = _one_shot(ph, u0, 2, 81)
         for k, a_k in enumerate(got):
             j = 2 * k + 1
             num = [from_man_exp(v[j - 1], -fb - r * j) for v in parts]
@@ -404,8 +427,8 @@ def test_running_power_matches_mpmath_power(case):
             assert type(a_k) is type(want) and a_k == want, k
 
 
-# sha256 of repr((fb, r, [ints of each part])) from the one-shot
-# _fixed_betas(ph, u0, 2, n) that ran the engine before it was resumable,
+# sha256 of repr((fb, r, [ints of each part])) from the one-shot run
+# (_one_shot(ph, u0, 2, n)) of the engine before it was resumable,
 # at the five _engine_cases polished at 50 digits
 _ONE_SHOT = {(0, 13): "82c79b9d2fdcfc73", (0, 81): "4e188d8dc5c78d40",
              (1, 13): "57a4a1a2cf3d3fa4", (1, 81): "0d20d4151307849b",
@@ -423,7 +446,7 @@ def test_resumable_engine_is_the_one_shot_run_at_every_order(case, n):
     ph, location = list(_engine_cases())[case]
     with mp.workdps(50):
         u0, _, _, parts = polish_saddle(ph, location, parts=True)
-        parts_, fb, r, _ = coeffs._fixed_betas(ph, u0, 2, n)
+        parts_, fb, r, _ = _one_shot(ph, u0, 2, n)
         digest = hashlib.sha256(repr((fb, r, [list(p) for p in parts_]))
                                 .encode()).hexdigest()[:16]
         assert digest == _ONE_SHOT[case, n]
@@ -441,7 +464,7 @@ def test_simple_coeffs_resume_to_the_one_shot_values():
     with mp.workdps(50):
         u0, _, _ = polish_saddle(ph, location)
         want = simple_coeffs_mp(ph, u0, 40)
-        got = coeffs.SimpleCoeffs(ph, u0, 40)
+        got = coeffs.SaddleCoeffs(ph, u0, 2, 40)
         logs = [got.log2(k) for k in range(41)]
         assert got.checked(40) == want
         for k, (a, e) in enumerate(zip(want, logs)):
@@ -478,7 +501,7 @@ def test_float_b_engine_matches_60_digit_engine_to_order_40(lam):
     ph = Phase(lam, double_saddle_curve(lam), Sign.MINUS)
     with mp.workdps(60):
         lm = mp.mpf(lam)
-        beta, _ = _saddle_betas(ph, 2 * mp.log(lm) / (1 + lm), 3, 41)
+        beta, _ = _betas(ph, 2 * mp.log(lm) / (1 + lm), 3, 41)
         for k, (b, bk) in enumerate(zip(got, beta)):
             want = (k + 1) * bk * mp.cbrt(4) ** k
             assert abs(b - want) <= 2e-12 * abs(want), (k, b, want)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import pickle
 import random
 from collections import Counter
@@ -433,18 +435,19 @@ def test_t1_t2_polish_and_run_the_engine_once_per_row(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("polish_saddle", "simple_coeffs_mp", "solve_real_saddle",
-                 "solve_complex_pair"):
+    for name in ("polish_saddle", "solve_real_saddle", "solve_complex_pair"):
         for mod in (expansions, tables, saddles):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name,
                                     counting(name, getattr(mod, name)))
+    engines = _count_engine_runs(monkeypatch)
     for compute, rows, solver in ((compute_t1, 3, "solve_real_saddle"),
                                   (compute_t2, 1, "solve_complex_pair")):
         calls.clear()
+        engines.clear()
         assert compute().passed
-        assert calls == {"polish_saddle": rows, "simple_coeffs_mp": rows,
-                         solver: 2 * rows}
+        assert calls == {"polish_saddle": rows, solver: 2 * rows}
+        assert engines == {"engine": rows}
 
 
 def test_exponent_reported():
@@ -486,15 +489,20 @@ def test_parameter_plane_landmarks():
 
 def test_b4_erratum_reproduces_tabulated_t3(monkeypatch):
     # the tabulated k=4/6 cells were computed with 826 for the 836 in
-    # both the lam and lam^3 terms of B_4; put the slip back
-    engine = expansions.double_saddle_coeffs
+    # both the lam and lam^3 terms of B_4; put the slip back into the
+    # B_k the double route reads
+    class Slipped(coeffs.SaddleCoeffs):
+        def __init__(self, phase, u0, m, cap, pq=None):
+            super().__init__(phase, u0, m, cap, pq)
+            self.lam = phase.lam if m == 3 else None
 
-    def slipped(lam, order):
-        b = engine(lam, order)
-        b[4] = b4(lam, 826.0)
-        return b
+        def upto(self, k):
+            b = super().upto(k)
+            if self.lam is not None and k >= 4:
+                b[4] = b4(self.lam, 826.0)
+            return b
 
-    monkeypatch.setattr(expansions, "double_saddle_coeffs", slipped)
+    monkeypatch.setattr(expansions, "SaddleCoeffs", Slipped)
     cells = [c for c in compute_t3().cells
              if c.label in ("err k=4", "err k=6")]
     assert len(cells) == 6
@@ -539,18 +547,42 @@ def test_minus_log_scale_is_the_leading_term(lam, a, x):
 
 # -- where an optimal series stops ----------------------------------------
 
-def _full_series(lam, a, x, sign, location):
-    """The series at one saddle built to order 40, uncut, at 50 digits."""
+def _full_series(lam, a, x, sign, location, route=None):
+    """The series at one saddle (at the double saddle on that route)
+    built to order 40 and cut there, at 50 digits."""
     with mp.workdps(50):
+        if route == "double-saddle":
+            return expansions._double_series(lam, x, 40, False)
         return expansions._saddle_series(Phase(lam, a, sign), location, x,
                                          40, False)()
 
 
+def _check_cuts(lam, a, x, sign, res, reasons):
+    """Every series of res is a prefix of the one built to 40, and its
+    cut, stopped at the least term or run to the cap, is that series' own
+    least term; one stopped at the working precision is within an ulp of
+    that series' value cut at its least term."""
+    cols = zip(res.series, res.component_truncations,
+               res.truncation_reasons, res.mp_components)
+    for s, k, why, comp in cols:
+        full = _full_series(lam, a, x, sign, s.location, res.route)
+        n = len(s.mp_terms)
+        assert full.mp_terms[:n] == s.mp_terms, (lam, a, x, sign)
+        assert full.coefficients[:n] == s.coefficients
+        with mp.workdps(50):
+            at = optimal_truncation([abs(t) for t in full.mp_terms])
+            _, least = expansions._cut(dataclasses.replace(full, cut=at))
+            ulp = mp.eps * abs(least)
+        if why == "precision":
+            assert abs(comp - least) <= ulp, (lam, a, x, sign)
+        else:
+            assert k == at, (lam, a, x, sign, why)
+        reasons[why] += 1
+
+
 def test_optimal_cut_is_the_least_term_of_the_series_to_40():
-    # a series stopped early is a prefix of the one built to 40, and
-    # its cut, stopped at the least term or run to the cap, is that
-    # series' own least term; one stopped at the working precision is
-    # within an ulp of that series' value cut at its least term
+    # _check_cuts at a seeded sweep, then at double-saddle points, which
+    # the sweep all but never lands on
     rng = random.Random(2023)
     points, reasons = 0, Counter()
     while points < 300:
@@ -560,28 +592,22 @@ def test_optimal_cut_is_the_least_term_of_the_series_to_40():
         try:
             res = entry(ScaledArgs(lam, a, x, sign),
                         TruncationPolicy.optimal())
-            cols = zip(res.series, res.component_truncations,
-                       res.truncation_reasons, res.mp_components)
+            res.series  # builds a left-out pair, which may fail too
         except (saddles.ConvergenceFailure, saddles.OnStokesBoundary):
             continue
         points += 1
-        if res.route == "double-saddle":
-            continue
-        for s, k, why, comp in cols:
-            full = _full_series(lam, a, x, sign, s.location)
-            n = len(s.mp_terms)
-            assert full.mp_terms[:n] == s.mp_terms, (lam, a, x, sign)
-            assert full.coefficients[:n] == s.coefficients
-            with mp.workdps(50):
-                least = expansions._cut(full)
-                ulp = mp.eps * abs(least[3])
-            if why == "precision":
-                assert abs(comp - least[3]) <= ulp, (lam, a, x, sign)
-            else:
-                assert k == least[1], (lam, a, x, sign, why)
-            reasons[why] += 1
+        _check_cuts(lam, a, x, sign, res, reasons)
     # 80 minimum, 104 precision and 140 capped cuts
     assert min(reasons.values()) >= 50 and len(reasons) == 3
+    double = Counter()
+    for lam, x in ((0.5, 250.0), (1.0, 40.0), (1.7, 200.0), (3.0, 315.0),
+                   (6.0, 20.0), (2.0, 3000.0)):
+        a = double_saddle_curve(lam)
+        res = expand_minus_auto(ScaledArgs(lam, a, x, Sign.MINUS),
+                                TruncationPolicy.optimal())
+        assert res.route == "double-saddle"
+        _check_cuts(lam, a, x, Sign.MINUS, res, double)
+    assert sum(double.values()) == 6
 
 
 def test_near_curve_optimal_call_runs_the_engine_to_12_orders(monkeypatch):
@@ -634,3 +660,85 @@ def test_large_x_stops_at_the_working_precision(point, x):
                 <= mp.eps * abs(full.mp_value)
     assert res.truncation_reasons[0] == ("capped" if (lam, x) in (
         (1.7, 300.0), (1.7, 1000.0), (2.0, 300.0)) else "precision")
+
+
+def test_exact_zero_terms_neither_stop_nor_start_the_forming(monkeypatch):
+    # on the curve at lam = 1, B_1 = B_3 = 0 and the sine kills term 2,
+    # so terms 1..3 are exact zeros: they are no sign of the working
+    # precision, and no reason to form the terms before the series stops;
+    # there W-(1, 1; x) = J_x(x)
+    upto = coeffs.SaddleCoeffs.upto
+    calls = 0
+
+    def counted(self, k):
+        nonlocal calls
+        calls += 1
+        return upto(self, k)
+
+    monkeypatch.setattr(coeffs.SaddleCoeffs, "upto", counted)
+    args = ScaledArgs(1.0, double_saddle_curve(1.0), 40.0, Sign.MINUS)
+    res = expand_minus_auto(args, TruncationPolicy.optimal())
+    assert res.route == "double-saddle"
+    assert res.terms[1:4] == (0, 0, 0) and res.terms[4] != 0
+    assert res.truncation_reasons == ("capped",)
+    assert res.truncation_index == 40
+    assert calls == 1
+    assert res.value == pytest.approx(float(mp.besselj(40, 40)), rel=1e-12)
+    # where the terms do fall below the working precision, the stop rests
+    # on two nonzero terms, and the cut is the last of them
+    args = ScaledArgs(1.0, double_saddle_curve(1.0), 1e5, Sign.MINUS)
+    res = expand_minus_auto(args, TruncationPolicy.optimal())
+    full = expand_minus_auto(args, TruncationPolicy.fixed(40))
+    assert res.truncation_reasons == ("precision",)
+    nonzero = [k for k, t in enumerate(res.terms) if t != 0]
+    assert nonzero[-1] == res.truncation_index == 36
+    with mp.workdps(50):
+        assert abs(res.mp_value - full.mp_value) <= mp.eps * abs(full.mp_value)
+
+
+# -- a sweep over the point kinds of perfbench ----------------------------
+
+def _kind_point(kind: str, rng: random.Random) -> tuple:
+    """(lam, a, sign) of one point of a perfbench point kind
+    (perfbench/points.py), with no stratification."""
+    if kind == "real-neg":
+        return rng.uniform(-0.95, 0.0), rng.uniform(0.2, 1.2), Sign.MINUS
+    if kind.startswith("chain"):
+        lam, a = {"chain0": ((-0.99, 2.0), (0.5, 1.2)),
+                  "chain1": ((2.0, 3.5), (0.15, 0.3)),
+                  "chain2": ((5.0, 6.0), (0.15, 0.3))}[kind]
+        return rng.uniform(*lam), rng.uniform(*a), Sign.PLUS
+    lam = rng.uniform(0.1, 6.0)
+    a = double_saddle_curve(lam)
+    factor = {"real": 1.0 + rng.uniform(0.3, 1.0),
+              "conjugate": 1.0 - rng.uniform(0.3, 0.8),
+              "double": 1.0,
+              "near-curve": 1.0 + rng.choice((-1, 1))
+              * 10.0 ** rng.uniform(-6.0, -1.0)}[kind]
+    return lam, a * factor, Sign.MINUS
+
+
+def test_every_call_over_the_point_kinds_is_finite_or_a_package_error():
+    # x in [20, 400], fixed k = 0..6 and optimal, both signs: a value is
+    # finite, and whatever is raised is one of the package's own errors
+    rng = random.Random(42)
+    kinds = ("real-neg", "real", "conjugate", "double", "near-curve",
+             "chain0", "chain1", "chain2")
+    policies = [TruncationPolicy.fixed(k) for k in range(7)]
+    policies.append(TruncationPolicy.optimal())
+    outcomes = Counter()
+    for kind in kinds * 8:
+        lam, a, sign = _kind_point(kind, rng)
+        x = math.exp(rng.uniform(math.log(20.0), math.log(400.0)))
+        entry = expand_minus_auto if sign is Sign.MINUS else expand_plus
+        for trunc in policies:
+            try:
+                value = entry(ScaledArgs(lam, a, x, sign), trunc).value
+            except Exception as err:
+                assert type(err).__module__.startswith("wrightasym."), \
+                    (kind, lam, a, x, trunc, err)
+                outcomes[type(err).__name__] += 1
+                continue
+            assert math.isfinite(value), (kind, lam, a, x, trunc, value)
+            outcomes["value"] += 1
+    assert outcomes["value"] >= 400, outcomes

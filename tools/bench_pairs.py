@@ -14,9 +14,12 @@ command (`perfbench/run.py`, with BENCHMARK.json's run length as
 --seconds) runs once on the parent and once on the change (one pair per
 seed).  The side that runs first alternates from seed to seed: the parent
 on even pairs, the change on odd ones.  Each run's exit code and last
-output line (the JSON object run.py prints) are kept, the record names
-both sides' commits, and it ends with the median and the interquartile
-distance of every end-to-end metric per workload and side.
+output line (the JSON object run.py prints) are kept, and for a run that
+exits with a nonzero code also its `CHECK FAILED` lines and the last
+lines of its stderr, so that the record says why it failed; the record
+names both sides' commits, and it ends with the median and the
+interquartile distance of every end-to-end metric per workload and side.
+The exit code is 1 if any run exited with a nonzero code.
 
 --parent names the commit the working tree is compared with: HEAD while
 the change is uncommitted, HEAD~1 once it is committed.
@@ -42,6 +45,8 @@ WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 METRICS = [m["name"] for m in SPEC["end_to_end"]]
 COMMAND = [*SPEC["command"], "--workload", "<workload>", "--seed", "<seed>",
            "--seconds", f"{SPEC['run_seconds']:g}"]
+# lines of stderr kept from a run that exits with a nonzero code
+STDERR_TAIL = 20
 
 
 def _seeds(text: str) -> list[int]:
@@ -79,7 +84,12 @@ def _run(root: Path, workload: str, seed: int) -> dict:
         final = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         final = None
-    return {"exit": proc.returncode, "final_line": final}
+    out = {"exit": proc.returncode, "final_line": final}
+    if proc.returncode:
+        out["check_failed"] = [ln.strip() for ln in lines
+                               if "CHECK FAILED" in ln]
+        out["stderr_tail"] = proc.stderr.splitlines()[-STDERR_TAIL:]
+    return out
 
 
 def _spread(values: list[float]) -> dict:
