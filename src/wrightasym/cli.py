@@ -5,9 +5,11 @@ expand (steepest-descent expansion with fixed or optimal truncation),
 saddles (saddle inventory, chain members, descent-path tracing), and
 table (recompute a reference table and compare cell by cell).
 
-Exit codes: 0 success, 2 domain error or a value outside the double
-range, 3 precision loss (fewer than 16 significant digits survive),
-4 wrong regime or a parameter-plane boundary, 5 reference-table mismatch.
+Exit codes: 0 success, 1 a solver, path tracer or summation that did
+not converge, 2 domain error or a value outside the double range,
+3 precision loss (fewer than 16 significant digits survive), 4 wrong
+regime or a parameter-plane boundary, 5 reference-table mismatch.  One
+table (_EXIT_CODES) maps the package's errors to them for every command.
 
 CSV outputs start with a '#' header block (command, version, precision,
 parameters), use 9-significant-digit scientific notation and LF line
@@ -17,6 +19,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -40,6 +43,15 @@ EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
 EXIT_REGIME = 4
 EXIT_TABLE = 5
+# the exit code of each package error a command body may raise
+_EXIT_CODES = {
+    PrecisionLoss: EXIT_PRECISION,
+    WrongRegime: EXIT_REGIME, NoRealSaddle: EXIT_REGIME,
+    OnStokesBoundary: EXIT_REGIME, DegenerateSaddle: EXIT_REGIME,
+    NoBoundary: EXIT_REGIME,
+    DomainError: EXIT_DOMAIN,
+    ConvergenceFailure: 1, NoConvergence: 1, StepFailure: 1,
+}
 
 
 def _sci(v: float) -> str:
@@ -49,6 +61,19 @@ def _sci(v: float) -> str:
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     raise SystemExit(code)
+
+
+def _exit_codes(command):
+    """command with every error _EXIT_CODES names reported and turned
+    into its exit code."""
+    @functools.wraps(command)
+    def body(**kwargs):
+        try:
+            return command(**kwargs)
+        except tuple(_EXIT_CODES) as e:
+            _fail(next(code for cls, code in _EXIT_CODES.items()
+                       if isinstance(e, cls)), str(e))
+    return body
 
 
 def _write_csv(path: str, header: list[str], columns: tuple[str, ...],
@@ -109,20 +134,13 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True, help="JSON to stdout.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write a CSV record to this path.")
+@_exit_codes
 def cmd_eval(lam, a, x, sign, precision, as_json, out):
     """Evaluate the scaled function by its convergent series."""
-    try:
-        args = ScaledArgs(lam, a, x, _parse_sign(sign))
-        prec = PrecisionConfig(decimal_digits=precision)
-    except DomainError as e:
-        _fail(EXIT_DOMAIN, str(e))
+    args = ScaledArgs(lam, a, x, _parse_sign(sign))
+    prec = PrecisionConfig(decimal_digits=precision)
     fn = w_minus if args.sign is Sign.MINUS else w_plus
-    try:
-        res = fn(args, prec)
-    except PrecisionLoss as e:
-        _fail(EXIT_PRECISION, str(e))
-    except NoConvergence as e:
-        _fail(1, str(e))
+    res = fn(args, prec)
     if flushed := _flushed(res):
         _fail(EXIT_DOMAIN, f"the value {flushed} double precision")
     tag = "W-" if args.sign is Sign.MINUS else "W+"
@@ -170,32 +188,22 @@ def cmd_eval(lam, a, x, sign, precision, as_json, out):
               help="Oracle digits for the accuracy report.")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_exit_codes
 def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
                precision, as_json, out):
     """Steepest-descent expansion, with an accuracy report against the
     series oracle."""
     if order is not None and optimal:
         _fail(EXIT_DOMAIN, "--order and --optimal are mutually exclusive")
-    try:
-        trunc = (TruncationPolicy.optimal() if order is None
-                 else TruncationPolicy.fixed(order))
-        args = ScaledArgs(lam, a, x, _parse_sign(sign))
-        prec = PrecisionConfig(decimal_digits=precision)
-    except ValueError as e:
-        _fail(EXIT_DOMAIN, str(e))
-    try:
-        if args.sign is Sign.MINUS:
-            res = expand_minus_auto(args, trunc)
-        else:
-            res = expand_plus(args, trunc,
-                              include_subdominant=include_subdominant)
-    except (WrongRegime, NoRealSaddle, OnStokesBoundary,
-            DegenerateSaddle) as e:
-        _fail(EXIT_REGIME, str(e))
-    except DomainError as e:
-        _fail(EXIT_DOMAIN, str(e))
-    except (ConvergenceFailure, NoConvergence) as e:
-        _fail(1, str(e))
+    trunc = (TruncationPolicy.optimal() if order is None
+             else TruncationPolicy.fixed(order))
+    args = ScaledArgs(lam, a, x, _parse_sign(sign))
+    prec = PrecisionConfig(decimal_digits=precision)
+    if args.sign is Sign.MINUS:
+        res = expand_minus_auto(args, trunc)
+    else:
+        res = expand_plus(args, trunc,
+                          include_subdominant=include_subdominant)
 
     if flushed := _flushed(res):
         _fail(EXIT_DOMAIN, f"the value {flushed} double precision "
@@ -284,29 +292,22 @@ def _echo_saddle(s, tag: str = "") -> None:
               help="Trace steepest descent paths from the listed saddles.")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_exit_codes
 def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
     """Saddle inventory for one parameter point."""
     payload: dict = {"lam": lam, "a": a, "sign": sign}
-    listed = []
-    try:
-        phase = Phase(lam, a, _parse_sign(sign))
-        c = contour(lam, a, phase.sign)
-        listed = [s for s in (c.off_contour, *c.saddles) if s is not None]
-        if phase.sign is Sign.MINUS:
-            payload["regime"] = c.regime.value
-        else:
-            n_pairs = len(c.saddles) - 1
-            payload["n_pairs"] = n_pairs
-            payload["last_pair_subdominant"] = c.last_pair_subdominant
-            # the counted members are listed already; solve only the rest
-            listed += [chain_member(phase, k)
-                       for k in range(n_pairs + 1, chain_n + 1)]
-    except DomainError as e:
-        _fail(EXIT_DOMAIN, str(e))
-    except (OnStokesBoundary, NoRealSaddle) as e:
-        _fail(EXIT_REGIME, str(e))
-    except ConvergenceFailure as e:
-        _fail(1, str(e))
+    phase = Phase(lam, a, _parse_sign(sign))
+    c = contour(lam, a, phase.sign)
+    listed = [s for s in (c.off_contour, *c.saddles) if s is not None]
+    if phase.sign is Sign.MINUS:
+        payload["regime"] = c.regime.value
+    else:
+        n_pairs = len(c.saddles) - 1
+        payload["n_pairs"] = n_pairs
+        payload["last_pair_subdominant"] = c.last_pair_subdominant
+        # the counted members are listed already; solve only the rest
+        listed += [chain_member(phase, k)
+                   for k in range(n_pairs + 1, chain_n + 1)]
 
     traces = []
     if trace:
@@ -317,11 +318,7 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
                         if s.kind is SaddleKind.COMPLEX_PAIR
                         else (PathBranch.UPPER_RIGHT,))
             for br in branches:
-                try:
-                    outc = trace_descent_path(phase, s, br)
-                except StepFailure as e:
-                    _fail(1, str(e))
-                traces.append((s, br, outc))
+                traces.append((s, br, trace_descent_path(phase, s, br)))
 
     if as_json:
         payload["saddles"] = [_saddle_row(s) for s in listed]
@@ -387,19 +384,13 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
 @click.option("--precision", type=int, default=60, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_exit_codes
 def cmd_table(spec, precision, as_json, out):
     """Recompute a reference table and compare against its pinned values.
 
     Exits 5 when any cell deviates beyond tolerance."""
     tspec = TableSpec(spec)
-    try:
-        report = compute_table(tspec, precision)
-    except (OnStokesBoundary, NoBoundary) as e:
-        _fail(EXIT_REGIME, str(e))
-    except DomainError as e:
-        _fail(EXIT_DOMAIN, str(e))
-    except (ConvergenceFailure, NoConvergence, StepFailure) as e:
-        _fail(1, str(e))
+    report = compute_table(tspec, precision)
 
     if as_json:
         _emit_json({

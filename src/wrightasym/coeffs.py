@@ -362,7 +362,7 @@ class SaddleCoeffs:
     log2 and upto extend the engine (_Betas) unchecked; rescale checks
     its bits, and where it re-runs it at a larger scale, the c_k given
     before are void; checked does both.  pq, if given, is Phase.parts(u0)
-    (polish_saddle(parts=True)).  Raises DegenerateSaddle where
+    (as polish_saddle returns it).  Raises DegenerateSaddle where
     |h^(m)(u0)| < 1e-10.
     """
 
@@ -428,11 +428,10 @@ class SaddleCoeffs:
         return self.upto(k)
 
 
-def simple_coeffs_mp(phase: Phase, u0, order: int,
-                     pq: tuple | None = None) -> list:
+def simple_coeffs_mp(phase: Phase, u0, order: int) -> list:
     """A_0..A_order at the working mpmath precision (SaddleCoeffs, m = 2)
-    at an mp location u0 (polish it first), pq as SaddleCoeffs takes it."""
-    return SaddleCoeffs(phase, u0, 2, order, pq).checked(order)
+    at an mp location u0 (polish it first)."""
+    return SaddleCoeffs(phase, u0, 2, order).checked(order)
 
 
 def double_saddle_coeffs(lam: float, order: int) -> list[float]:

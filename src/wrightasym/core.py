@@ -73,12 +73,6 @@ class ScaledArgs:
     def nu(self) -> float:
         return self.a * self.x
 
-    @property
-    def z(self) -> float:
-        """Argument handed to the unscaled series: -(x/2)^(lam+1) or +(x/2)^(lam+1)."""
-        mag = (self.x / 2.0) ** (self.lam + 1.0)
-        return -mag if self.sign is Sign.MINUS else mag
-
 
 @dataclass
 class EvalResult:

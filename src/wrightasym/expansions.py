@@ -27,14 +27,14 @@ well past their least one or fallen below the working precision.  The
 result keeps those series, the value and the value at every shorter cut
 (the partial sums), so callers can study the error behaviour from one
 call rather than just consume a number; a subdominant last chain pair
-that the value leaves out is polished at the call, but its series is
-built only when a caller reads the components.  Both entries work at one
-extended precision, 50 digits: e^(x h0) reaches 1e12 and beyond, where
-double rounding alone would swamp the small differences (oracle minus
-expansion) these expansions are judged by; the deep tail of a series
-reaches relative errors near 1e-13, where double-precision noise in A_4,
-A_5 already shows; and the plus-phase value feeds differences (W - I_0)
-in which twelve leading digits cancel, leaving about 38.
+that the value leaves out is polished and built only when a caller
+reads the components.  Both entries work at one extended precision, 50
+digits: e^(x h0) reaches 1e12 and beyond, where double rounding alone
+would swamp the small differences (oracle minus expansion) these
+expansions are judged by; the deep tail of a series reaches relative
+errors near 1e-13, where double-precision noise in A_4, A_5 already
+shows; and the plus-phase value feeds differences (W - I_0) in which
+twelve leading digits cancel, leaving about 38.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, \
     round_nearest
 
-from .core import ScaledArgs, Sign
-from .coeffs import DegenerateSaddle, SaddleCoeffs
+from .core import DomainError, ScaledArgs, Sign
+from .coeffs import SaddleCoeffs
 from .saddles import Phase, Regime, contour, double_saddle_curve, \
     polish_saddle, u_star
 
@@ -90,9 +90,9 @@ class TruncationPolicy:
     @classmethod
     def fixed(cls, k: int) -> "TruncationPolicy":
         if k < 0:
-            raise ValueError("truncation order must be nonnegative")
+            raise DomainError("truncation order must be nonnegative")
         if k > _MAX_ORDER:
-            raise ValueError(f"truncation order must be at most {_MAX_ORDER}")
+            raise DomainError(f"truncation order must be at most {_MAX_ORDER}")
         return cls(TruncationMode.FIXED, k)
 
     @classmethod
@@ -165,8 +165,9 @@ class ExpansionResult:
     exponent = x * Re h(u0) locates the overall scale.  A chain
     pair the value leaves out (the subdominant last one) is still listed
     in series, the components, component_truncations and
-    truncation_reasons; its series is built on the first read of any of
-    them, once, at the working precision, and mp_summands lists the
+    truncation_reasons; its saddle is polished and its series built on
+    the first read of any of them, once, at the working precision (a
+    degenerate saddle refuses that read), and mp_summands lists the
     components as the value adds them without building it.
     """
 
@@ -286,27 +287,16 @@ def _assemble(series, x: float, trunc: TruncationPolicy, route: str,
 
 
 def _saddle_series(phase: Phase, location: complex, x: float,
-                   order: int, optimal: bool) -> Callable[[], SaddleSeries]:
+                   order: int, optimal: bool) -> SaddleSeries:
     """One simple-saddle series at working precision:
 
         e^(x h0) / sqrt(2 pi x h0'') * sum_k (-1)^k (1/2)_k A_k / (x/2)^k
 
     with the location Newton-polished first (principal square root for
     a complex saddle); to A_order, or cut by the optimal rule (_series).
-    The polish and the refusal of a degenerate saddle run at the call;
-    the function returned builds the series, at the working precision.
+    A degenerate saddle is refused by SaddleCoeffs (DegenerateSaddle).
     """
-    um, h0, h2, pq = polish_saddle(phase, location, parts=True)
-    if abs(h2) < 1e-10:
-        raise DegenerateSaddle(f"|h^(2)(u0)| = {float(abs(h2)):.2e}: "
-                               f"saddle is (numerically) of higher order")
-    return functools.partial(_build_series, phase, location, um, h0, h2,
-                             pq, x, order, optimal)
-
-
-def _build_series(phase: Phase, location: complex, um, h0, h2, pq,
-                  x: float, order: int, optimal: bool) -> SaddleSeries:
-    """_saddle_series's series at the polished saddle um, h0, h2, pq."""
+    um, h0, h2, pq = polish_saddle(phase, location)
     xm = mp.mpf(x)
     built = _series(SaddleCoeffs(phase, um, 2, order, pq), _ratios(xm),
                     order, optimal)
@@ -481,8 +471,8 @@ def _expand(sign: Sign, args: ScaledArgs, trunc: TruncationPolicy,
             include_subdominant: bool, max_order: int) -> ExpansionResult:
     """Both entries' body: the series of the saddles args' contour
     crosses, assembled under the route its regime names.  A subdominant
-    last pair the value leaves out is polished here and built on first
-    read."""
+    last pair the value leaves out is polished and built on first read
+    (and refused there, if degenerate)."""
     if args.sign is not sign:
         raise WrongRegime(f"{sign.value}-phase route called with "
                           f"{args.sign.value}-sign arguments")
@@ -505,9 +495,10 @@ def _expand(sign: Sign, args: ScaledArgs, trunc: TruncationPolicy,
             for j, sadl in enumerate(c.saddles):
                 # the primary series to the policy's k, every other one
                 # (and an optimal primary one) term by term to max_order
-                build = _saddle_series(phase, sadl.location, x,
-                                       max_order if j else order,
-                                       bool(j) or not fixed)
+                build = functools.partial(_saddle_series, phase,
+                                          sadl.location, x,
+                                          max_order if j else order,
+                                          bool(j) or not fixed)
                 if j <= kept:
                     series.append(build())
                 else:
@@ -551,12 +542,13 @@ def expand_plus(args: ScaledArgs, trunc: TruncationPolicy,
     partial sum k is I_0 cut at k plus the same pair values.  When the
     last pair is subdominant (Re h(u_N) < 0, exponentially small against
     I_0) it is reported in components but left out of the value unless
-    include_subdominant is set; left out, its series is built on the
-    first read of the components (or of series, their cuts or reasons),
-    so a caller of the value alone never pays for it.  max_order caps the
-    order of the pair series (and of an optimal I_0): each is built term
-    by term only until its optimal rule stops, at its least term, at the
-    working precision or at the cap.  It must lie in 0..40; anything else
-    is refused with ValueError.
+    include_subdominant is set; left out, its saddle is polished and its
+    series built on the first read of the components (or of series,
+    their cuts or reasons), so a caller of the value alone never pays for
+    it, and a degenerate one refuses that read, not the call.  max_order
+    caps the order of the pair series (and of an optimal I_0): each is
+    built term by term only until its optimal rule stops, at its least
+    term, at the working precision or at the cap.  It must lie in 0..40;
+    anything else is refused with ValueError.
     """
     return _expand(Sign.PLUS, args, trunc, include_subdominant, max_order)

@@ -82,6 +82,9 @@ _CHAIN_GUARD = 64
 _ACC_GUARD = 64
 # bits of slack in the proof that a series cannot settle
 _PROOF_SLACK = 4
+# the term budget: a series that has not settled within _MAX_TERMS terms
+# is refused with NoConvergence (the error budgets assume at most 10^5)
+_MAX_TERMS = 100000
 # a minus-axis sum is refused unsummed when the saddle estimate puts its
 # cancellation at D + _REFUSE_MARGIN decimal digits or more (D requested):
 # the post-sum rule refuses every measured loss above D - 1, and the
@@ -118,25 +121,20 @@ class PrecisionLoss(RuntimeError):
 class PrecisionConfig:
     """Working precision for oracle summations.
 
-    decimal_digits is the target precision of the result (minimum 30);
-    max_terms bounds the summation length.
+    decimal_digits is the target precision of the result (minimum 30).
     """
 
     decimal_digits: int = 60
-    max_terms: int = 100000
 
     def __post_init__(self) -> None:
         if self.decimal_digits < 30:
             raise DomainError(
                 f"decimal_digits must be at least 30, got {self.decimal_digits}"
             )
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be positive")
 
 
-def _unsettled(prec: PrecisionConfig) -> NoConvergence:
-    return NoConvergence(
-        f"series did not settle within {prec.max_terms} terms")
+def _unsettled() -> NoConvergence:
+    return NoConvergence(f"series did not settle within {_MAX_TERMS} terms")
 
 
 def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
@@ -144,13 +142,13 @@ def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
 
     log2|t_n| = n log2|z| - (lgamma(n+1) + lgamma(lam*n + mu))/ln 2, with
     a pole of Gamma counted as -inf, is estimated until the tail lies
-    wp + _TAIL_BITS under its maximum, or up to max_terms.  Returns the
+    wp + _TAIL_BITS under its maximum, or up to _MAX_TERMS.  Returns the
     bits for n = 0, 1, ... (later terms get wp), the predicted log2 of
     the peak term and the estimates themselves (None for a term near a
     pole, which doubles cannot resolve and which keeps wp).
 
     Raises NoConvergence when the estimates prove that the loop cannot
-    settle: every term n < max_terms stays above 10^-(D+10) (n+1) times
+    settle: every term n < _MAX_TERMS stays above 10^-(D+10) (n+1) times
     the largest term so far, and (n+1) times that term bounds every
     partial sum so far, so the stop rule never fires.
     """
@@ -163,7 +161,7 @@ def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
     top = -math.inf
     settles = False
     try:
-        for n in range(prec.max_terms):
+        for n in range(_MAX_TERMS):
             arg = lam_f * n + mu_f
             if arg < 0.5 and (abs(arg - round(arg))
                               <= _POLE_TOL * (abs(lam_f) * n + abs(mu_f) + 1)):
@@ -184,7 +182,7 @@ def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
                     break
         else:
             if not settles and top > -math.inf:
-                raise _unsettled(prec)
+                raise _unsettled()
         bits = [wp if e is None or top - e < _TAPER_BELOW
                 else max(_TAPER_FLOOR, wp - int(top - e) + _TAPER_GUARD)
                 for e in est]
@@ -367,8 +365,8 @@ def _sum_terms(z, lam_zero, wp, rnd, prec: PrecisionConfig, rgammas):
         if not pole and n > peak and tm * ten < maxps:
             break
         n += 1
-        if n >= prec.max_terms:
-            raise _unsettled(prec)
+        if n >= _MAX_TERMS:
+            raise _unsettled()
         # c_n = c_(n-1) |z| / n, renormalised to width bits; 32 spare bits
         # keep the quotient above width bits for n < 2^32, so its floor
         # costs less than the renormalisation

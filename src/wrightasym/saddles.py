@@ -399,11 +399,11 @@ def solve_real_saddle(phase: Phase):
     return simple(left), simple(right)
 
 
-def polish_saddle(phase: Phase, location: complex, parts: bool = False):
+def polish_saddle(phase: Phase, location: complex):
     """Newton-polish a double-precision saddle location at the working
-    mpmath precision; returns (u0, h(u0), h''(u0)), in mpf when the
-    location is real and in mpc otherwise, and with parts set also
-    Phase.parts(u0), which the coefficient engine takes as it is.
+    mpmath precision; returns (u0, h(u0), h''(u0), Phase.parts(u0)), in
+    mpf when the location is real and in mpc otherwise, the parts as
+    the coefficient engine takes them.
 
     The location must actually be stationary for this phase: a point
     with |h'| above 1e-10 of the local derivative scale (for instance a
@@ -417,14 +417,15 @@ def polish_saddle(phase: Phase, location: complex, parts: bool = False):
             f"(|h'| = {abs(grad):.2e})")
     u = mp.mpc(location) if location.imag != 0 else mp.mpf(location.real)
     u, (h0, _, h2), pq = _newton_polish(phase, u, _POLISH_STEPS)
-    return (u, h0, h2, pq) if parts else (u, h0, h2)
+    return u, h0, h2, pq
 
 
-def _complex_newton(phase: Phase, seed: complex, steps: int = 120) -> tuple | None:
-    """Newton on h' = 0 from seed: (u, [h, h', h''] at u), or None."""
+def _complex_newton(phase: Phase, seed: complex) -> tuple | None:
+    """Up to 120 Newton steps on h' = 0 from seed: (u, [h, h', h''] at
+    u), or None."""
     u = seed
     try:
-        for _ in range(steps):
+        for _ in range(120):
             _, d, dd = phase.derivs(u, 2)
             if dd == 0:
                 return None
@@ -557,9 +558,13 @@ def _pick_ray(saddle: Saddle, branch: PathBranch) -> complex:
 
 
 def _known_saddles(phase: Phase) -> list[Saddle]:
-    """Saddles a descent path might run into, for connection detection."""
+    """Saddles a descent path might run into, for connection detection:
+    on the plus axis the real saddle and, for lam > 0 (as in contour),
+    the first chain members."""
     if phase.sign is Sign.PLUS:
         known = [solve_real_saddle(phase)]
+        if phase.lam <= 0.0:
+            return known
         # chain members up to one strip above the endpoint valley matter
         kmax = max(1, int((phase.lam + 3.0) / 2.0) + 1)
         try:

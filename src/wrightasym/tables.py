@@ -18,7 +18,8 @@ import mpmath as mp
 
 from .core import ScaledArgs, Sign
 from .oracle import PrecisionConfig, w_minus, w_plus
-from .expansions import TruncationPolicy, expand_minus_auto, expand_plus
+from .expansions import _PREC_DPS, TruncationPolicy, expand_minus_auto, \
+    expand_plus
 from .reference import (
     CORRECTIONS,
     CURVE_MAX_A,
@@ -111,8 +112,8 @@ def _cell(row: str, label: str, computed: float, printed: float,
 
 def relative_error(v, w_ref) -> float:
     """err = |V - W| / |V| of an expansion value v against the oracle's
-    w_ref, formed at the expansions' working precision of 50 digits."""
-    with mp.workdps(50):
+    w_ref, formed at the expansions' working precision."""
+    with mp.workdps(_PREC_DPS):
         return float(abs(v - w_ref) / abs(v))
 
 
@@ -254,8 +255,9 @@ def compute_t5(precision: int = 60) -> TableReport:
     return TableReport(TableSpec.T5, cells)
 
 
-def compute_fig2(n_points: int = 241) -> TableReport:
-    """Coalescence-curve sweep a*(lam) with its maximum pinned.
+def compute_fig2() -> TableReport:
+    """Coalescence-curve sweep a*(lam) at 241 log-spaced points on
+    [0.02, 50], with its maximum pinned.
 
     The maximum is where d ln a*/dlam vanishes, which reduces to
     1 + lam - 2 lam ln lam = 0: its one root on [1, 4] comes from brentq
@@ -263,8 +265,8 @@ def compute_fig2(n_points: int = 241) -> TableReport:
     """
     lo, hi = 0.02, 50.0
     rows = []
-    for i in range(n_points):
-        lam = lo * (hi / lo) ** (i / (n_points - 1.0))
+    for i in range(241):
+        lam = lo * (hi / lo) ** (i / 240.0)
         rows.append((lam, double_saddle_curve(lam)))
     lam_max = brentq(lambda t: 1.0 + t - 2.0 * t * math.log(t), 1.0, 4.0,
                      xtol=5e-324)
@@ -279,20 +281,20 @@ def compute_fig2(n_points: int = 241) -> TableReport:
                        sweep_columns=("lam", "a"), sweep_rows=rows)
 
 
-def compute_fig4(lam_step: float = 0.5) -> TableReport:
+def compute_fig4() -> TableReport:
     """Contour-change boundary sweep a_j(lam) for the first two chain
-    pairs, with the first-pair crossing at lam=2 pinned."""
+    pairs, lam = 1, 1.5, ..., 8, with the first-pair crossing at lam=2
+    pinned."""
     rows = []
     for pair in (1, 2):
-        lam = 1.0
-        while lam <= 8.0 + 1e-9:
+        for i in range(15):
+            lam = 1.0 + 0.5 * i
             try:
                 rows.append((float(pair), lam, stokes_boundary(lam, pair)))
             except (NoBoundary, ConvergenceFailure):
                 pass
-            lam += lam_step
     a_cross = {(p, lam): a for p, lam, a in rows}.get((1.0, 2.0))
-    if a_cross is None:  # the sweep missed the pinned cell
+    if a_cross is None:  # raise what the sweep passed over there
         a_cross = stokes_boundary(2.0, 1)
     cells = [CellCheck("pair 1", "a at lam=2", a_cross,
                        STOKES_PAIR1_AT_LAM2, STOKES_PAIR1_AT_LAM2,

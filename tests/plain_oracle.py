@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import mpmath as mp
 
+from wrightasym import oracle
 from wrightasym.oracle import _STOP_MARGIN, NoConvergence, PrecisionConfig
 
 
 def plain_sum_series(lam, mu, z, prec: PrecisionConfig, pre=None):
-    """(sum, peak_mag, n_last, last_term_mag), as _sum_series returns;
+    """(sum, peak_mag, n_last, last_term_mag), as _sum_series returns,
+    within the kernel's term budget oracle._MAX_TERMS, read at the call;
     pre, the kernel's pre-pass, is not used."""
     s = mp.mpf(0)
     pw = mp.mpf(1)
@@ -48,7 +50,7 @@ def plain_sum_series(lam, mu, z, prec: PrecisionConfig, pre=None):
         n += 1
         pw *= z
         fact *= n
-        if n >= prec.max_terms:
+        if n >= oracle._MAX_TERMS:
             raise NoConvergence(
-                f"series did not settle within {prec.max_terms} terms"
+                f"series did not settle within {oracle._MAX_TERMS} terms"
             )

@@ -158,7 +158,7 @@ def test_acceptance_5_difference_table(verdict):
 
 
 def test_acceptance_6_parameter_plane_landmarks(verdict):
-    cells = compute_fig2(n_points=9).cells + compute_fig4(lam_step=8.0).cells
+    cells = compute_fig2().cells + compute_fig4().cells
     failures = [f"{c.row} {c.label}: dev {c.deviation:.2e} > {c.tol:.0e}"
                 for c in cells if not c.ok]
     _finish(verdict, 6, "curve maximum and first contour-change crossing",
@@ -202,7 +202,7 @@ def test_acceptance_7_property_suites(verdict, t1_timed, t2_report,
                 ph = Phase(lam, a, Sign.MINUS)
                 sadl = solve_real_saddle(ph)[1]
             with mp.workdps(50):
-                u0, _, _ = polish_saddle(ph, sadl.location)
+                u0, _, _, _ = polish_saddle(ph, sadl.location)
                 engine = simple_coeffs_mp(ph, u0, 3)
             closed = closed_form_A(ph, sadl.location)
             for k in range(4):

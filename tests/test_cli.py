@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import wrightasym.cli as cli
 from wrightasym.cli import main
-from wrightasym.saddles import stokes_boundary
+from wrightasym.coeffs import DegenerateSaddle
+from wrightasym.core import DomainError
+from wrightasym.expansions import WrongRegime
+from wrightasym.oracle import NoConvergence, PrecisionLoss
+from wrightasym.saddles import ConvergenceFailure, NoBoundary, \
+    NoRealSaddle, OnStokesBoundary, StepFailure, stokes_boundary
 
 
 @pytest.fixture()
@@ -431,6 +438,88 @@ def test_table_mismatch_exits_5(runner, monkeypatch):
     res = _run(runner, "table", "t1")
     assert res.exit_code == 5
     assert "FAIL" in res.output
+
+
+# -- exit codes -------------------------------------------------------------
+
+# what the module docstring documents for eval, expand and saddles (5 is
+# the table check's own)
+_DOCUMENTED = {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("lam,a", [(-0.5, 0.666), (0.0, 1.0)])
+def test_saddles_trace_on_the_plus_axis_at_lam_at_most_0(runner, lam, a):
+    # no chain to run into: the path from the real saddle goes right
+    res = _run(runner, "saddles", "--lambda", repr(lam), "--a", repr(a),
+               "--sign", "plus", "--trace", "--json")
+    assert res.exit_code == 0
+    [path] = json.loads(res.output)["traces"]
+    assert (path["saddle_index"], path["terminus"]) \
+        == (0, "infinity_plus_pi")
+
+
+def test_seeded_sweep_ends_every_run_with_a_documented_exit_code(runner):
+    # 50 seeded points over lam in (-0.99, 8], either sign, through eval,
+    # expand and saddles --trace, and the two lam <= 0 plus points above:
+    # no run may end in an exception the commands do not map
+    rng = random.Random(43)
+    points = [(-0.5, 0.666, 40.0, "plus"), (0.0, 1.0, 40.0, "plus")]
+    for _ in range(50):
+        points.append((rng.uniform(-0.99, 8.0), rng.uniform(0.05, 4.0),
+                       10 ** rng.uniform(0.0, 2.5),
+                       rng.choice(["plus", "minus"])))
+    codes = set()
+    for lam, a, x, sign in points:
+        point = ["--lambda", repr(lam), "--a", repr(a), "--sign", sign]
+        for argv in (["eval", *point, "--x", repr(x)],
+                     ["expand", *point, "--x", repr(x)],
+                     ["saddles", *point, "--trace"]):
+            res = runner.invoke(main, argv)
+            assert res.exception is None \
+                or isinstance(res.exception, SystemExit), (argv, res.output)
+            assert res.exit_code in _DOCUMENTED, argv
+            codes.add(res.exit_code)
+    # among them a cancelled minus sum (3) and a first chain member the
+    # Newton ladder misses at (0.93, 3.73, plus) (1)
+    assert {0, 1, 3} <= codes
+
+
+# each command's argv and the package function its body calls first
+_COMMANDS = {
+    "eval": (["eval", "--lambda", "1.5", "--a", "0.5", "--x", "40",
+              "--sign", "minus"], "w_minus"),
+    "expand": (["expand", "--lambda", "1.5", "--a", "0.5", "--x", "40",
+                "--sign", "minus", "--order", "3"], "expand_minus_auto"),
+    "saddles": (["saddles", "--lambda", "1.5", "--a", "0.5",
+                 "--sign", "minus"], "contour"),
+    "table": (["table", "t1"], "compute_table"),
+}
+
+
+@pytest.mark.parametrize("error,code", [
+    (PrecisionLoss(0), 3),
+    (WrongRegime("wrong regime"), 4),
+    (NoRealSaddle("no real saddle"), 4),
+    (OnStokesBoundary("on a boundary"), 4),
+    (DegenerateSaddle("degenerate"), 4),
+    (NoBoundary("no boundary"), 4),
+    (DomainError("out of domain"), 2),
+    (ConvergenceFailure("not located"), 1),
+    (NoConvergence("not settled"), 1),
+    (StepFailure("stalled"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_every_command_maps_each_package_error_to_its_exit_code(
+        runner, monkeypatch, command, error, code):
+    argv, callee = _COMMANDS[command]
+
+    def raising(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, callee, raising)
+    res = _run(runner, *argv)
+    assert res.exit_code == code
+    assert res.output == f"error: {error}\n"
 
 
 # -- run-time dependencies --------------------------------------------------

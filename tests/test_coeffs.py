@@ -76,7 +76,7 @@ def _engine_A(ph, location, order):
     """A_0..A_order the one way the package makes them: the polished
     saddle, then the coefficient engine, at 50 digits."""
     with mp.workdps(50):
-        u0, _, _ = polish_saddle(ph, location)
+        u0, _, _, _ = polish_saddle(ph, location)
         return simple_coeffs_mp(ph, u0, order)
 
 
@@ -136,7 +136,7 @@ def test_a_real_at_real_saddles():
     for lam, factor in ((0.7, 1.5), (2.0, 1.2), (4.0, 2.0)):
         ph, saddle = _real_case(lam, factor)
         with mp.workdps(50):
-            u0, h0, h2 = polish_saddle(ph, saddle.location)
+            u0, h0, h2, _ = polish_saddle(ph, saddle.location)
         assert all(type(v) is mp.mpf for v in (u0, h0, h2))
         coeffs = _engine_A(ph, saddle.location, 5)
         assert coeffs[0] == 1
@@ -364,7 +364,7 @@ def _errors_against_80_digits(ph, location):
     both 50-digit runs start from the 80-digit polished saddle rounded to
     50 digits."""
     with mp.workdps(80):
-        u80, _, _ = polish_saddle(ph, location)
+        u80, _, _, _ = polish_saddle(ph, location)
         want = fdot_engine.simple_coeffs(ph, u80, 40)
     with mp.workdps(50):
         u = +u80
@@ -415,7 +415,7 @@ def test_running_power_matches_mpmath_power(case):
     # every A_k is the quotient (2k+1) beta_(2k+1) / h2 ** k bit for bit
     ph, location = list(_engine_cases())[case]
     with mp.workdps(50):
-        u0, _, _ = polish_saddle(ph, location)
+        u0, _, _, _ = polish_saddle(ph, location)
         got = simple_coeffs_mp(ph, u0, 40)
         parts, fb, r, h2 = _one_shot(ph, u0, 2, 81)
         for k, a_k in enumerate(got):
@@ -445,7 +445,7 @@ def test_resumable_engine_is_the_one_shot_run_at_every_order(case, n):
     # at every order, the ints the one-shot run to the cap ends with
     ph, location = list(_engine_cases())[case]
     with mp.workdps(50):
-        u0, _, _, parts = polish_saddle(ph, location, parts=True)
+        u0, _, _, parts = polish_saddle(ph, location)
         parts_, fb, r, _ = _one_shot(ph, u0, 2, n)
         digest = hashlib.sha256(repr((fb, r, [list(p) for p in parts_]))
                                 .encode()).hexdigest()[:16]
@@ -462,7 +462,7 @@ def test_simple_coeffs_resume_to_the_one_shot_values():
     # A_k read one at a time, then checked, are simple_coeffs_mp's
     ph, location = list(_engine_cases())[1]
     with mp.workdps(50):
-        u0, _, _ = polish_saddle(ph, location)
+        u0, _, _, _ = polish_saddle(ph, location)
         want = simple_coeffs_mp(ph, u0, 40)
         got = coeffs.SaddleCoeffs(ph, u0, 2, 40)
         logs = [got.log2(k) for k in range(41)]

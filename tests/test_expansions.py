@@ -300,6 +300,58 @@ def test_t4_builds_no_left_out_pair(monkeypatch):
         == [0.0, 1.0, 2.0]
 
 
+def _count_polishes(monkeypatch):
+    calls = Counter()
+    polish = expansions.polish_saddle
+
+    def counted(*args):
+        calls["polish"] += 1
+        return polish(*args)
+
+    monkeypatch.setattr(expansions, "polish_saddle", counted)
+    return calls
+
+
+@pytest.mark.parametrize("compute,polishes", [(compute_t4, 4),
+                                              (compute_t5, 18)],
+                         ids=["t4", "t5"])
+def test_tables_polish_only_the_saddles_they_build(monkeypatch, compute,
+                                                   polishes):
+    # a left-out pair is polished with its series, on first read: T4
+    # reads neither of its two, T5 three of its six (the lam = 3 rows'
+    # I_1, not the lam = 6 rows' I_2); 6 and 21 when polished at the call
+    calls = _count_polishes(monkeypatch)
+    engines = _count_engine_runs(monkeypatch)
+    assert compute().cells
+    assert calls["polish"] == engines["engine"] == polishes
+
+
+def test_left_out_pair_refuses_the_read_that_builds_it(monkeypatch):
+    # (6, 0.2, 40): a polish that raises at the subdominant I_2 leaves
+    # the value and its partial sums, and refuses each read of I_2
+    args = ScaledArgs(6.0, 0.2, 40.0, Sign.PLUS)
+    trunc = TruncationPolicy.fixed(3)
+    want = expand_plus(args, trunc)
+    last = contour(6.0, 0.2, Sign.PLUS).saddles[-1].location
+    polish = expansions.polish_saddle
+
+    def degenerate(phase, location):
+        if location == last:
+            raise coeffs.DegenerateSaddle("|h^(2)(u0)| = 0.00e+00")
+        return polish(phase, location)
+
+    monkeypatch.setattr(expansions, "polish_saddle", degenerate)
+    res = expand_plus(args, trunc)
+    assert res.mp_value == want.mp_value
+    assert res.mp_partial_sums == want.mp_partial_sums
+    assert res.mp_summands == want.mp_summands
+    for name in ("components", "series", "truncation_reasons"):
+        with pytest.raises(coeffs.DegenerateSaddle):
+            getattr(res, name)
+    with pytest.raises(coeffs.DegenerateSaddle):
+        expand_plus(args, trunc, include_subdominant=True)
+
+
 @pytest.mark.parametrize("dps", [15, 80])
 @pytest.mark.parametrize("name", ["mp_components", "components", "series"])
 def test_left_out_pair_is_built_at_the_working_precision(name, dps):
@@ -554,7 +606,7 @@ def _full_series(lam, a, x, sign, location, route=None):
         if route == "double-saddle":
             return expansions._double_series(lam, x, 40, False)
         return expansions._saddle_series(Phase(lam, a, sign), location, x,
-                                         40, False)()
+                                         40, False)
 
 
 def _check_cuts(lam, a, x, sign, res, reasons):

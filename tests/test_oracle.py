@@ -92,10 +92,10 @@ def test_tiny_sum_keeps_relative_accuracy():
         assert abs(v60 - v100) / abs(v100) < mp.mpf(10) ** (-40)
 
 
-def test_no_convergence_on_tiny_budget():
+def test_no_convergence_on_tiny_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_TERMS", 5)
     with pytest.raises(NoConvergence):
-        wright_series(WrightParams(0.5, 1.0), 5.0,
-                      PrecisionConfig(30, max_terms=5))
+        wright_series(WrightParams(0.5, 1.0), 5.0, PrecisionConfig(30))
 
 
 def test_precision_loss_raises_with_surviving_count():
@@ -170,12 +170,12 @@ def test_gamma_poles_do_not_end_the_sum(z):
 
 @pytest.mark.parametrize("lam,mu,want", [(0.5, 0.0, 0.0), (0.5, -1.0, 0.0),
                                           (0.5, 3.0, 0.5)])
-def test_zero_argument_is_the_first_term(lam, mu, want):
+def test_zero_argument_is_the_first_term(monkeypatch, lam, mu, want):
     # at z = 0 only the n = 0 term 1/Gamma(mu) is left, and a pole of
     # Gamma(mu) makes the value an exact 0 with no cancellation; a budget
     # of 5 terms would run out if the sum went on past n = 0
-    res = wright_series(WrightParams(lam, mu), 0.0,
-                        PrecisionConfig(max_terms=5))
+    monkeypatch.setattr(oracle, "_MAX_TERMS", 5)
+    res = wright_series(WrightParams(lam, mu), 0.0)
     assert res.value == want
     assert res.truncation_index == 0
     assert not res.low_precision
@@ -291,9 +291,10 @@ def test_kernel_matches_plain_loop_unscaled(monkeypatch, lam, mu, z):
 def test_kernel_settles_or_refuses_as_the_plain_loop(monkeypatch, budget):
     # the loop stops at n = 40, so the budget runs out well before the
     # stop (refused by the pre-pass), just before it, and not at all
+    monkeypatch.setattr(oracle, "_MAX_TERMS", budget)
     got, want = _kernel_and_plain(monkeypatch, wright_series,
                                   WrightParams(0.5, 1.0), 5.0,
-                                  PrecisionConfig(30, max_terms=budget))
+                                  PrecisionConfig(30))
     assert got == want
 
 
@@ -347,13 +348,14 @@ def _count_rgamma(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("call", [
-    lambda: wright_series(WrightParams(0.5, 1.0), 5.0,
-                          PrecisionConfig(30, max_terms=5)),
-    lambda: w_plus(ScaledArgs(0.5, 1.0, 1e6, Sign.PLUS),
-                   PrecisionConfig(max_terms=3000)),
+@pytest.mark.parametrize("budget,call", [
+    (5, lambda: wright_series(WrightParams(0.5, 1.0), 5.0,
+                              PrecisionConfig(30))),
+    (3000, lambda: w_plus(ScaledArgs(0.5, 1.0, 1e6, Sign.PLUS))),
 ], ids=["tiny-budget", "huge-x"])
-def test_unsettling_series_refused_before_any_gamma(monkeypatch, call):
+def test_unsettling_series_refused_before_any_gamma(monkeypatch, budget,
+                                                    call):
+    monkeypatch.setattr(oracle, "_MAX_TERMS", budget)
     calls = _count_rgamma(monkeypatch)
     with pytest.raises(NoConvergence, match="did not settle within"):
         call()
@@ -364,13 +366,16 @@ def test_settling_series_is_summed(monkeypatch):
     # one term more than the stop needs: the pre-pass must not refuse
     args = ScaledArgs(3.0, 0.2, 40.0, Sign.PLUS)
     n_last = w_plus(args).truncation_index
-    res = w_plus(args, PrecisionConfig(max_terms=n_last + 1))
+    monkeypatch.setattr(oracle, "_MAX_TERMS", n_last + 1)
+    res = w_plus(args)
     assert res.truncation_index == n_last
+    monkeypatch.undo()
     # lam = 3.1 is no integer over a power of two <= 8: one rgamma a term
     args = ScaledArgs(3.1, 0.2, 40.0, Sign.PLUS)
     n_last = w_plus(args).truncation_index
+    monkeypatch.setattr(oracle, "_MAX_TERMS", n_last + 1)
     calls = _count_rgamma(monkeypatch)
-    res = w_plus(args, PrecisionConfig(max_terms=n_last + 1))
+    res = w_plus(args)
     assert res.truncation_index == n_last
     assert len(calls) == n_last + 1
 
