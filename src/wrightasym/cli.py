@@ -381,16 +381,15 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
 
 @main.command("table")
 @click.argument("spec", type=click.Choice([t.value for t in TableSpec]))
-@click.option("--precision", type=int, default=60, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_exit_codes
-def cmd_table(spec, precision, as_json, out):
+def cmd_table(spec, as_json, out):
     """Recompute a reference table and compare against its pinned values.
 
     Exits 5 when any cell deviates beyond tolerance."""
     tspec = TableSpec(spec)
-    report = compute_table(tspec, precision)
+    report = compute_table(tspec)
 
     if as_json:
         _emit_json({
@@ -422,7 +421,8 @@ def cmd_table(spec, precision, as_json, out):
         click.echo("PASS" if report.passed else "FAIL")
 
     if out:
-        header = _header(f"table {tspec.value}", precision, {})
+        header = _header(f"table {tspec.value}",
+                         PrecisionConfig().decimal_digits, {})
         if report.sweep_rows is not None:
             for c in report.cells:
                 header.append(f"landmark {c.row} {c.label}: "

@@ -7,22 +7,22 @@ same role.  Integrating termwise over the inverted series t(w) gives the
 coefficient sequence A_k at a simple saddle and B_k, scaled by
 H = 2 h'''(u0), at the double saddle.
 
-Both come from one engine, _Betas, which states the method and its
-error budget: the normalized coefficients beta_k of t(w), each solving
-one linear equation whose known part is two convolutions against the
-series of e^t and e^(-lam t), O(n^2) to order n, on exact Python
+Both come from one engine, SaddleCoeffs, which states the method and
+its error budget: the normalized coefficients beta_k of t(w), each
+solving one linear equation whose known part is two convolutions against
+the series of e^t and e^(-lam t), O(n^2) to order n, on exact Python
 integers in fixed point whatever u0's arithmetic (Brent and Zimmermann,
 Modern Computer Arithmetic, ch. 3).  It is resumable: the recurrence is
 a generator whose frame holds the series, so a caller pays only for the
 orders it reads, and sized from the most orders the caller may ask for,
-every order's ints are those of a one-shot run.  SaddleCoeffs reads one
-series' coefficients off it, one order at a time or all at once: the A_k
-at a simple saddle Newton-polished at the working precision
+every order's ints are those of a one-shot run.  It reads one series'
+coefficients off them, one order at a time or all at once: the A_k at a
+simple saddle Newton-polished at the working precision
 (saddles.polish_saddle, which also hands over the P and Q it evaluated
 there), the B_k in floats at the float u*, since the double-saddle
-series rounds them to double anyway; simple_coeffs_mp and
-double_saddle_coeffs are its one-shot forms.  A saddle whose m-th
-derivative vanishes (|h^(m)| < 1e-10) is refused with DegenerateSaddle.
+series rounds them to double anyway; double_saddle_coeffs is its
+one-shot form for the B_k.  A saddle whose m-th derivative vanishes
+(|h^(m)| < 1e-10) is refused with DegenerateSaddle.
 No closed forms live here: the tests keep them as independent
 references.
 """
@@ -149,7 +149,9 @@ def _complex_betas(cp, cq, cl, m: int, fb: int, r: int, br: list,
     """_real_betas at a complex saddle, appending to br and bi: every
     series, cp and cq as (re, im) pairs of ints and each series' re + im
     kept beside it, so that a complex dot product takes three real ones
-    (Gauss; TAOCP 4.6.4)."""
+    (Gauss; TAOCP 4.6.4).  Every complex saddle is simple (m = 2; the
+    double route runs m = 3 at the real u* only), so the square that
+    _real_betas adds at o = k never enters."""
     (pr, pi), (qr, qi) = cp, cq
     f2 = 2 * fb
     er, fr = _series_start(cl, m, fb, r)
@@ -185,18 +187,11 @@ def _complex_betas(cp, cq, cl, m: int, fb: int, r: int, br: list,
             di = b_r * ei[o] + b_i * er[o]
             hr = g_r * fr[o] - g_i * fi[o]
             hi = g_r * fi[o] + g_i * fr[o]
-            s = fb
-            if o == k:
-                dr = 2 * dr + b_r * b_r - b_i * b_i
-                di = 2 * (di + b_r * b_i)
-                hr = 2 * hr + g_r * g_r - g_i * g_i
-                hi = 2 * (hi + g_r * g_i)
-                s += 1
             j = k + o
-            er[j] += _rz(dr, s)
-            ei[j] += _rz(di, s)
-            fr[j] += _rz(hr, s)
-            fi[j] += _rz(hi, s)
+            er[j] += _rz(dr, fb)
+            ei[j] += _rz(di, fb)
+            fr[j] += _rz(hr, fb)
+            fi[j] += _rz(hi, fb)
         # orders k..top are the ones just appended or updated
         es[k:] = map(add, er[k:], ei[k:])
         fs[k:] = map(add, fr[k:], fi[k:])
@@ -206,8 +201,13 @@ def _complex_betas(cp, cq, cl, m: int, fb: int, r: int, br: list,
         yield
 
 
-class _Betas:
-    """The engine at one saddle, resumable: k beta_k for k = 1..len(self),
+class SaddleCoeffs:
+    """The coefficients of one saddle's series, as they are asked for:
+    A_0, A_1, ..., A_cap at a simple saddle (m = 2), mpmath numbers at the
+    working precision, u0 an mp location (polish it first); B_0, B_1,
+    ..., B_cap at the double saddle (m = 3), doubles, u0 the float u*.
+
+    Both are read off one engine, resumable: k beta_k for k = 1..len(self),
     in units of 2^-(fb + r k), as one int list at a real u0 and (re, im)
     lists at a complex one (parts), and h^(m)(u0) in u0's arithmetic
     (hm).  t = sum_k beta_k s^k solves h(u0) - h(u0 + t) = w^m/m in the
@@ -241,13 +241,13 @@ class _Betas:
       (a shift, with a division by an order folded in) toward zero, so it
       is off by under one unit from the recurrence on the values before
       it; those units carry into later orders;
-    - F starts at wp + 32 + 3 min(cap, 12) bits, wp the working precision
-      (53 for floats).  If some beta keeps fewer than wp + 32 bits (the
-      larger of it and its neighbour counting, so an isolated zero beta
-      does not), rescale runs the orders again at F raised by the
-      shortfall;
-    - SaddleCoeffs rounds what it reads off the ints once: an A_k in its
-      quotient by h''^k, a beta to a double before the B_k are formed.
+    - F starts at wp + 32 + 3 min(n, 12) bits, wp the working precision
+      (53 for floats) and n = step cap + 1 the most betas the c_k up to
+      cap read.  If some beta keeps fewer than wp + 32 bits (the larger
+      of it and its neighbour counting, so an isolated zero beta does
+      not), rescale runs the orders again at F raised by the shortfall;
+    - what is read off the ints is rounded once: an A_k in its quotient
+      by h''^k, a beta to a double before the B_k are formed.
     Rounding toward zero commutes with negation, so a beta that vanishes
     by symmetry (every other one on the curve at lam = 1) is exactly 0.
     Measured at 50 digits at the five saddles of
@@ -256,9 +256,24 @@ class _Betas:
     at 120 digits on the same P, Q and lam, so what the A_k keep is set by
     the rounding of u0, P, Q and h'', not by the recurrence.
 
-    Sized from cap, the most orders a caller may ask for, every order's
-    ints are a one-shot run's: extend adds orders, rescale checks their
-    bits.  pq, if given, is Phase.parts(u0).
+    A_k = (-1)^k (2k+1) b_(2k+1) / b_1 from the m = 2 reversion, which in
+    the normalized coefficients (b_1^2 = -1/h'') is (2k+1) beta_(2k+1) /
+    h''(u0)^k: no square-root branch enters, and at a real saddle every
+    A_k is an mpf.  h''(u0)^k is an exact running power, rounded once.
+
+    B_k = (k+1) b_(k+1) (H^(1/3) e^(-i pi/3))^(k+1) / 2^(2/3), H = 2
+    h'''(u0), where the principal cube root b_1 = (2/h''')^(1/3)
+    e^(i pi/3) carries the contour orientation.  In the normalized
+    coefficients b_(k+1) = beta_(k+1) b_1^(k+1) that is B_k = (k+1)
+    beta_(k+1) 2^(2k/3): real throughout, with no rotation to take back
+    out.
+
+    Sized from cap, every order's ints are a one-shot run's.  log2 and
+    upto extend the engine unchecked; rescale checks its bits, and where
+    it re-runs it at a larger scale, the c_k given before are void;
+    checked does both.  pq, if given, is Phase.parts(u0) (as
+    polish_saddle returns it).  Raises DegenerateSaddle where
+    |h^(m)(u0)| < 1e-10.
     """
 
     def __init__(self, phase: Phase, u0, m: int, cap: int,
@@ -302,8 +317,12 @@ class _Betas:
             return cols, recur(cp, cq, cl, m, fb, r, *cols)
 
         self._run = run
+        # c_k is read off n beta_n, n = step k + 1: A_k off the odd betas
+        # (the even ones integrate to 0 on the Gaussian), B_k off all
+        self._step = 2 if m == 2 else 1
+        n = self._step * cap + 1
         self.r = 0
-        if cap > _PILOT:
+        if n > _PILOT:
             # the pilot's last k beta_k against its unit gives log2 of the
             # betas' rise per order; r undoes it, rounding a fall up so
             # that it is overcorrected rather than left to eat the guard
@@ -313,22 +332,63 @@ class _Betas:
                 next(steps)
             top = max(map(int.bit_length, pilot[-2:]))
             self.r = -((top - _PILOT_BITS) // (_PILOT - 1))
-        self.fb = self._wp + _GUARD + _SLACK * min(cap, _PILOT)
+        self.fb = self._wp + _GUARD + _SLACK * min(n, _PILOT)
         self.parts, self._steps = run(self.fb, self.r)
+        # at m = 2, h''^k is an exact running power of the rounded h''
+        self._hx = _exact(hm)
+        # log2 |c_k| = log2 |n beta_n| - k lh
+        self._lh = math.log2(abs(complex(hm))) if m == 2 else -2 / 3
+        self._c, self._pw = [], (1, 0)
 
     def __len__(self) -> int:
         return len(self.parts[0])
 
     def extend(self, n: int) -> None:
-        """Orders through n."""
+        """Betas through order n."""
         for _ in range(n - len(self.parts[0])):
             next(self._steps)
+
+    def log2(self, k: int) -> float | None:
+        """e with e - 1 <= log2 |c_k| < e + 1/2, read off the bits of
+        n beta_n; None where c_k = 0."""
+        n, parts = self._step * k + 1, self.parts
+        if len(parts[0]) < n:
+            self.extend(n)
+        bits = parts[0][n - 1].bit_length()
+        if len(parts) == 2:
+            bits = max(bits, parts[1][n - 1].bit_length())
+        return bits - self.fb - self.r * n - k * self._lh if bits else None
+
+    def upto(self, k: int) -> list:
+        """[c_0, ..., c_k]."""
+        out, step, parts = self._c, self._step, self.parts
+        self.extend(step * k + 1)
+        hr, hi, e = self._hx
+        pr, pi = self._pw
+        for j in range(len(out), k + 1):
+            n = step * j + 1
+            s = self.fb + self.r * n
+            if step == 1:
+                # beta_n rounded once to a double, then B_j in floats
+                x = parts[0][j]
+                beta = x / (n << s) if s >= 0 else (x << -s) / n
+                out.append(n * beta * 2.0 ** (2 * j / 3))
+                continue
+            # n beta_n exactly, then one rounding in the quotient by
+            # h''^j, an exact running power rounded once
+            num = _make([from_man_exp(v[n - 1], -s) for v in parts])
+            pw = [from_man_exp(x, e * j, mp.mp.prec, round_nearest)
+                  for x in (pr, pi)[:len(parts)]]
+            out.append(num / _make(pw))
+            pr, pi = pr * hr - pi * hi, pr * hi + pi * hr
+        self._pw = pr, pi
+        return out[:k + 1]
 
     def rescale(self) -> bool:
         """If some beta so far keeps fewer than wp + _GUARD bits (the
         larger of it and its neighbour counting, so an isolated zero beta
-        does not), raises fb by the shortfall, runs those orders again and
-        returns True."""
+        does not), raises fb by the shortfall, runs those orders again,
+        voids the c_k given before and returns True."""
         bits = [max(map(int.bit_length, v)) for v in zip(*self.parts)]
         short = self._wp + _GUARD - min(map(max, bits, bits[1:]),
                                         default=bits[0])
@@ -338,100 +398,14 @@ class _Betas:
         self.fb += short
         self.parts, self._steps = self._run(self.fb, self.r)
         self.extend(n)
-        return True
-
-
-class SaddleCoeffs:
-    """The coefficients of one saddle's series, as they are asked for:
-    A_0, A_1, ..., A_cap at a simple saddle (m = 2), mpmath numbers at the
-    working precision, u0 an mp location (polish it first); B_0, B_1,
-    ..., B_cap at the double saddle (m = 3), doubles, u0 the float u*.
-
-    A_k = (-1)^k (2k+1) b_(2k+1) / b_1 from the m = 2 reversion, which in
-    the normalized coefficients (b_1^2 = -1/h'') is (2k+1) beta_(2k+1) /
-    h''(u0)^k: no square-root branch enters, and at a real saddle every
-    A_k is an mpf.  h''(u0)^k is an exact running power, rounded once.
-
-    B_k = (k+1) b_(k+1) (H^(1/3) e^(-i pi/3))^(k+1) / 2^(2/3), H = 2
-    h'''(u0), where the principal cube root b_1 = (2/h''')^(1/3)
-    e^(i pi/3) carries the contour orientation.  In the normalized
-    coefficients b_(k+1) = beta_(k+1) b_1^(k+1) that is B_k = (k+1)
-    beta_(k+1) 2^(2k/3): real throughout, with no rotation to take back
-    out.
-
-    log2 and upto extend the engine (_Betas) unchecked; rescale checks
-    its bits, and where it re-runs it at a larger scale, the c_k given
-    before are void; checked does both.  pq, if given, is Phase.parts(u0)
-    (as polish_saddle returns it).  Raises DegenerateSaddle where
-    |h^(m)(u0)| < 1e-10.
-    """
-
-    def __init__(self, phase: Phase, u0, m: int, cap: int,
-                 pq: tuple | None = None) -> None:
-        # c_k is read off n beta_n, n = step k + 1: A_k off the odd betas
-        # (the even ones integrate to 0 on the Gaussian), B_k off all
-        self._step = 2 if m == 2 else 1
-        self._betas = _Betas(phase, u0, m, self._step * cap + 1, pq)
-        hm = self._betas.hm
-        self._hx = _exact(hm)
-        # log2 |c_k| = log2 |n beta_n| - k lh
-        self._lh = math.log2(abs(complex(hm))) if m == 2 else -2 / 3
-        self._c, self._pw = [], (1, 0)
-
-    def log2(self, k: int) -> float | None:
-        """e with e - 1 <= log2 |c_k| < e + 1/2, read off the bits of
-        n beta_n; None where c_k = 0."""
-        b, n = self._betas, self._step * k + 1
-        parts = b.parts
-        if len(parts[0]) < n:
-            b.extend(n)
-        bits = parts[0][n - 1].bit_length()
-        if len(parts) == 2:
-            bits = max(bits, parts[1][n - 1].bit_length())
-        return bits - b.fb - b.r * n - k * self._lh if bits else None
-
-    def upto(self, k: int) -> list:
-        """[c_0, ..., c_k]."""
-        out, b, step = self._c, self._betas, self._step
-        b.extend(step * k + 1)
-        hr, hi, e = self._hx
-        pr, pi = self._pw
-        for j in range(len(out), k + 1):
-            n, s = step * j + 1, b.fb + b.r * (step * j + 1)
-            if step == 1:
-                # beta_n rounded once to a double, then B_j in floats
-                x = b.parts[0][j]
-                beta = x / (n << s) if s >= 0 else (x << -s) / n
-                out.append(n * beta * 2.0 ** (2 * j / 3))
-                continue
-            # n beta_n exactly, then one rounding in the quotient by
-            # h''^j, an exact running power rounded once
-            num = _make([from_man_exp(v[n - 1], -s) for v in b.parts])
-            pw = [from_man_exp(x, e * j, mp.mp.prec, round_nearest)
-                  for x in (pr, pi)[:len(b.parts)]]
-            out.append(num / _make(pw))
-            pr, pi = pr * hr - pi * hi, pr * hi + pi * hr
-        self._pw = pr, pi
-        return out[:k + 1]
-
-    def rescale(self) -> bool:
-        """_Betas.rescale on the orders so far; True if it re-ran them."""
-        if not self._betas.rescale():
-            return False
         self._c, self._pw = [], (1, 0)
         return True
 
     def checked(self, k: int) -> list:
         """[c_0, ..., c_k], the bits of the orders behind them checked."""
-        self._betas.extend(self._step * k + 1)
+        self.extend(self._step * k + 1)
         self.rescale()
         return self.upto(k)
-
-
-def simple_coeffs_mp(phase: Phase, u0, order: int) -> list:
-    """A_0..A_order at the working mpmath precision (SaddleCoeffs, m = 2)
-    at an mp location u0 (polish it first)."""
-    return SaddleCoeffs(phase, u0, 2, order).checked(order)
 
 
 def double_saddle_coeffs(lam: float, order: int) -> list[float]:

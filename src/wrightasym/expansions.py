@@ -15,13 +15,13 @@ contour crosses (saddles.contour) and names the route after its regime:
                      complex-pair chain
 
 The body builds one SaddleSeries per contributory saddle (location, h0,
-prefactor, terms and coefficients, and where the series is cut and why),
-the double-saddle one on that route, and hands them to one assembly,
-which sums each to its cut, folds conjugate pairs into twice the real
-part and adds them up.  Every series comes from one builder (_series)
-over the resumable coefficient engine (coeffs.SaddleCoeffs), whatever
-its saddle or policy: a route supplies only the prefactor and the
-factors of its terms.  A fixed series runs the engine to its k; an
+prefactor, terms and coefficients, where the series is cut and why, and
+the component it adds: its terms summed to the cut, twice the real part
+for a conjugate pair), the double-saddle one on that route, and the
+value is the sum of their components.  Every series comes from one
+builder (_series) over the resumable coefficient engine
+(coeffs.SaddleCoeffs), whatever its saddle or policy: a route supplies
+only the prefactor and the factors of its terms.  A fixed series runs the engine to its k; an
 optimal one is built term by term, and only until its terms have risen
 well past their least one or fallen below the working precision.  The
 result keeps those series, the value and the value at every shorter cut
@@ -133,7 +133,9 @@ class SaddleSeries:
     (the last computed term: it and the nonzero one before lie below the
     working precision of the partial sum) or "capped" (the optimal rule
     landed on the last term the order cap allows, so the minimum may lie
-    beyond it).
+    beyond it).  component is what the series adds: pref * sum_{j<=cut}
+    t_j, the sum exact and rounded once, twice its real part for a
+    complex location, formed at the precision the series is built at.
     """
 
     location: complex
@@ -143,6 +145,11 @@ class SaddleSeries:
     coefficients: tuple
     cut: int = field(repr=False)
     reason: str = field(repr=False)
+    component: object = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        acc = functools.reduce(_exact_add, self.mp_terms[:self.cut + 1])
+        object.__setattr__(self, "component", _component(self, acc))
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,8 @@ class ExpansionResult:
     instead, for k = 0 .. truncation_index, so one call serves a whole
     fixed-k error study; it is built on first read, and its last entry is
     mp_value.  mp_components carries the per-saddle contributions I_j in
-    saddle order (for the single-saddle routes just the value itself) and
+    saddle order, each series' component (for the single-saddle routes
+    just the value itself), and
     components their doubles, component_truncations and
     truncation_reasons each series' own cut and reason (SaddleSeries), and
     exponent = x * Re h(u0) locates the overall scale.  A chain
@@ -175,26 +183,21 @@ class ExpansionResult:
     exponent: float
     mp_value: object
     route: str
-    # (series, component) per saddle the value adds, the primary first
-    _cuts: tuple
+    # the SaddleSeries the value adds, the primary first
+    _added: tuple
     # builds the series of the saddle left out of the value, if any; two
     # results of one call compare equal whether or not it has run
     _left_out: Callable[[], SaddleSeries] | None = field(default=None,
                                                          compare=False)
 
     @functools.cached_property
-    def _columns(self) -> tuple:
-        """(series, components), the left-out saddle's built and cut at
-        the working precision."""
-        cuts = self._cuts
-        if self._left_out is not None:
-            with mp.workdps(_PREC_DPS):
-                cuts += (_cut(self._left_out()),)
-        return tuple(zip(*cuts))
-
-    @property
     def series(self) -> tuple[SaddleSeries, ...]:
-        return self._columns[0]
+        """The series the value adds, then the left-out saddle's, built
+        and cut at the working precision."""
+        if self._left_out is None:
+            return self._added
+        with mp.workdps(_PREC_DPS):
+            return self._added + (self._left_out(),)
 
     @property
     def component_truncations(self) -> tuple[int, ...]:
@@ -206,7 +209,7 @@ class ExpansionResult:
 
     @property
     def mp_components(self) -> tuple:
-        return self._columns[1]
+        return tuple(s.component for s in self.series)
 
     @property
     def mp_summands(self) -> tuple:
@@ -214,23 +217,24 @@ class ExpansionResult:
         mp_components, except that a pair the value leaves out adds 0 and
         is not built."""
         left = (mp.mpf(0),) if self._left_out is not None else ()
-        return tuple(c for _, c in self._cuts) + left
+        return tuple(s.component for s in self._added) + left
 
     @property
     def terms(self) -> tuple[complex, ...]:
-        return tuple(complex(t) for t in self._cuts[0][0].mp_terms)
+        return tuple(complex(t) for t in self._added[0].mp_terms)
 
     @property
     def coefficients(self) -> tuple:
-        return self._cuts[0][0].coefficients
+        return self._added[0].coefficients
 
     @property
     def truncation_index(self) -> int:
-        return self._cuts[0][0].cut
+        return self._added[0].cut
 
     @functools.cached_property
     def mp_partial_sums(self) -> tuple:
-        (s, _), added = self._cuts[0], [c for _, c in self._cuts[1:]]
+        s, *rest = self._added
+        added = [r.component for r in rest]
         sums = accumulate(s.mp_terms[:s.cut + 1], _exact_add)
         with mp.workdps(_PREC_DPS):
             return tuple(sum(added, _component(s, acc)) for acc in sums)
@@ -257,33 +261,6 @@ def _component(s: SaddleSeries, acc):
     its real part for a complex location."""
     v = s.pref * (+acc)
     return 2 * mp.re(v) if s.location.imag != 0 else v
-
-
-def _cut(s: SaddleSeries) -> tuple:
-    """(s, component): the component is pref * sum_{j<=s.cut} t_j, twice
-    the real part for a complex location, the sum exact and rounded
-    once."""
-    return s, _component(s, functools.reduce(_exact_add,
-                                             s.mp_terms[:s.cut + 1]))
-
-
-def _assemble(series, x: float, trunc: TruncationPolicy, route: str,
-              left_out: Callable[[], SaddleSeries] | None = None
-              ) -> ExpansionResult:
-    """A route's result from the series of the saddles its value adds, the
-    primary one first, each cut where it records, and the value their
-    sum.  left_out builds the series of a further saddle the result lists
-    but the value leaves out; it runs on first read."""
-    cuts = tuple(map(_cut, series))
-    comps = [c for _, c in cuts]
-    return ExpansionResult(
-        truncation_mode=trunc.mode,
-        exponent=float(x * mp.re(series[0].h0)),
-        mp_value=sum(comps[1:], comps[0]),
-        route=route,
-        _cuts=cuts,
-        _left_out=left_out,
-    )
 
 
 def _saddle_series(phase: Phase, location: complex, x: float,
@@ -470,9 +447,9 @@ def _double_constants(prec: int) -> tuple:
 def _expand(sign: Sign, args: ScaledArgs, trunc: TruncationPolicy,
             include_subdominant: bool, max_order: int) -> ExpansionResult:
     """Both entries' body: the series of the saddles args' contour
-    crosses, assembled under the route its regime names.  A subdominant
-    last pair the value leaves out is polished and built on first read
-    (and refused there, if degenerate)."""
+    crosses, their components summed under the route its regime names.
+    A subdominant last pair the value leaves out is polished and built on
+    first read (and refused there, if degenerate)."""
     if args.sign is not sign:
         raise WrongRegime(f"{sign.value}-phase route called with "
                           f"{args.sign.value}-sign arguments")
@@ -503,7 +480,15 @@ def _expand(sign: Sign, args: ScaledArgs, trunc: TruncationPolicy,
                     series.append(build())
                 else:
                     left_out = build
-        return _assemble(series, x, trunc, _ROUTES[c.regime], left_out)
+        comps = [s.component for s in series]
+        return ExpansionResult(
+            truncation_mode=trunc.mode,
+            exponent=float(x * mp.re(series[0].h0)),
+            mp_value=sum(comps[1:], comps[0]),
+            route=_ROUTES[c.regime],
+            _added=tuple(series),
+            _left_out=left_out,
+        )
 
 
 def expand_minus_auto(args: ScaledArgs,

@@ -5,8 +5,9 @@ for one table and returns a TableReport of per-cell checks: computed
 value, the tabulated figure, the check target (which differs from the
 tabulated figure only on adjudicated cells, see reference.CORRECTIONS),
 and the tolerance.  The CLI renders these; the test suite asserts on
-them.  Relative errors are always normalized by the expansion value,
-err = |V - W| / |V|, matching the tabulated convention.
+them.  The oracle runs at its default precision, 60 digits.  Relative
+errors are always normalized by the expansion value, err = |V - W| /
+|V|, matching the tabulated convention.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .core import ScaledArgs, Sign
-from .oracle import PrecisionConfig, w_minus, w_plus
+from .oracle import w_minus, w_plus
 from .expansions import _PREC_DPS, TruncationPolicy, expand_minus_auto, \
     expand_plus
 from .reference import (
@@ -128,10 +129,9 @@ def _error_cells(row: str, res, w_ref, printed, tol: float,
             for k, pe in printed]
 
 
-def compute_t1(precision: int = 60) -> TableReport:
+def compute_t1() -> TableReport:
     """Real-saddle route: saddle location, A_1..A_5, error decay at x=40
     for the three tabulated (lam, a) pairs."""
-    prec = PrecisionConfig(decimal_digits=precision)
     x = X_DEFAULT_ERROR_TABLES
     cells: list[CellCheck] = []
     for case in T1_CASES:
@@ -146,16 +146,15 @@ def compute_t1(precision: int = 60) -> TableReport:
             # one unit in the last printed place (6-decimal mantissas)
             cells.append(CellCheck(row, f"A_{k}", ak, pk, pk,
                                    1.0001 * case.coeff_ulps[k - 1], False))
-        cells += _error_cells(row, res, w_minus(args, prec).mp_value,
+        cells += _error_cells(row, res, w_minus(args).mp_value,
                               enumerate(case.errors), _ERRTOL,
                               ("t1", case.lam))
     return TableReport(TableSpec.T1, cells)
 
 
-def compute_t2(precision: int = 60) -> TableReport:
+def compute_t2() -> TableReport:
     """Conjugate-pair route at (1.5, 0.5): saddle, complex A_1..A_5,
     error decay at x=40."""
-    prec = PrecisionConfig(decimal_digits=precision)
     case = T2_CASE
     x = X_DEFAULT_ERROR_TABLES
     row = f"lam={case.lam:g} a={case.a:g}"
@@ -175,23 +174,22 @@ def compute_t2(precision: int = 60) -> TableReport:
                                1.0001e-8, False))
         cells.append(CellCheck(row, f"Im A_{k}", ak.imag, pk.imag, pk.imag,
                                1.0001e-8, False))
-    cells += _error_cells(row, res, w_minus(args, prec).mp_value,
+    cells += _error_cells(row, res, w_minus(args).mp_value,
                           enumerate(case.errors), _ERRTOL, ("t2", case.lam))
     return TableReport(TableSpec.T2, cells)
 
 
-def compute_t3(precision: int = 60) -> TableReport:
+def compute_t3() -> TableReport:
     """Double-saddle route on the coalescence curve, x=40, truncations
     k in {0,1,3,4,6}; at lam=1 the k=0,1,3 partial sums coincide because
     B_1 = B_3 = 0 there (and the k=2 term is structurally zero)."""
-    prec = PrecisionConfig(decimal_digits=precision)
     x = X_DEFAULT_ERROR_TABLES
     cells: list[CellCheck] = []
     for lam in sorted(T3_ERRORS):
         row = f"lam={lam:g}"
         a = double_saddle_curve(lam)
         args = ScaledArgs(lam, a, x, Sign.MINUS)
-        w_ref = w_minus(args, prec).mp_value
+        w_ref = w_minus(args).mp_value
         res = expand_minus_auto(args, TruncationPolicy.fixed(max(T3_COLUMNS)))
         errs = dict(zip(T3_COLUMNS, _error_cells(
             row, res, w_ref, ((k, T3_ERRORS[lam][k]) for k in T3_COLUMNS),
@@ -206,12 +204,11 @@ def compute_t3(precision: int = 60) -> TableReport:
     return TableReport(TableSpec.T3, cells)
 
 
-def compute_t4(precision: int = 60) -> TableReport:
+def compute_t4() -> TableReport:
     """Plus-phase mixed truncation at x=20: I_0 cut at the row k,
     subsidiary pairs at their own optimal cut, subdominant final pair
     neglected (and so never built); plus the contributory-pair count
     itself, N, the pairs the expansion's contour listed."""
-    prec = PrecisionConfig(decimal_digits=precision)
     x = X_DEFAULT_CHAIN_TABLE
     cells: list[CellCheck] = []
     for trow in T4_ROWS:
@@ -221,24 +218,23 @@ def compute_t4(precision: int = 60) -> TableReport:
         n_pairs = len(res.mp_summands) - 1
         cells.append(CellCheck(row, "N", float(n_pairs), float(trow.n_pairs),
                                float(trow.n_pairs), 0.5, False))
-        cells += _error_cells(row, res, w_plus(args, prec).mp_value,
+        cells += _error_cells(row, res, w_plus(args).mp_value,
                               enumerate(trow.errors), _CHAIN_ERRTOL,
                               ("t4", trow.lam))
     return TableReport(TableSpec.T4, cells)
 
 
-def compute_t5(precision: int = 60) -> TableReport:
+def compute_t5() -> TableReport:
     """Difference measurements: oracle W to 7 figures, Delta W = W - I_0
     (optimal truncation) and the first-pair value I_1, both to 3 figures.
 
     Delta W is formed at extended precision: at x=40 the leading twelve
     digits of W and I_0 cancel."""
-    prec = PrecisionConfig(decimal_digits=max(precision, _DIFF_DPS))
     cells: list[CellCheck] = []
     for trow in T5_ROWS:
         row = f"lam={trow.lam:g} x={trow.x:g}"
         args = ScaledArgs(trow.lam, trow.a, trow.x, Sign.PLUS)
-        ref = w_plus(args, prec)
+        ref = w_plus(args)
         res = expand_plus(args, TruncationPolicy.optimal())
         i0, i1 = res.mp_summands[:2]
         with mp.workdps(_DIFF_DPS):
@@ -309,10 +305,10 @@ _COMPUTE = {
     TableSpec.T3: compute_t3,
     TableSpec.T4: compute_t4,
     TableSpec.T5: compute_t5,
-    TableSpec.FIG2_CURVE: lambda precision: compute_fig2(),
-    TableSpec.FIG4_CURVES: lambda precision: compute_fig4(),
+    TableSpec.FIG2_CURVE: compute_fig2,
+    TableSpec.FIG4_CURVES: compute_fig4,
 }
 
 
-def compute_table(spec: TableSpec, precision: int = 60) -> TableReport:
-    return _COMPUTE[spec](precision)
+def compute_table(spec: TableSpec) -> TableReport:
+    return _COMPUTE[spec]()

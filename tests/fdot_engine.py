@@ -18,7 +18,7 @@ import mpmath as mp
 
 def saddle_betas(phase, u0, m: int, n: int) -> tuple[list, object]:
     """beta_1..beta_n and h^(m)(u0) for an mpf or mpc u0, as
-    coeffs._Betas defines them."""
+    coeffs.SaddleCoeffs defines them."""
     lam, _, p, q = phase.parts(u0)
     lq = lam * q
     hm = p + (-lam) ** m * q
@@ -50,7 +50,7 @@ def saddle_betas(phase, u0, m: int, n: int) -> tuple[list, object]:
 
 
 def simple_coeffs(phase, u0, order: int) -> list:
-    """A_0..A_order from saddle_betas, as coeffs.simple_coeffs_mp defines
-    them: A_k = (2k+1) beta_(2k+1) / h''(u0)^k."""
+    """A_0..A_order from saddle_betas, as coeffs.SaddleCoeffs defines
+    them at m = 2: A_k = (2k+1) beta_(2k+1) / h''(u0)^k."""
     beta, h2 = saddle_betas(phase, u0, 2, 2 * order + 1)
     return [(2 * k + 1) * beta[2 * k] / h2 ** k for k in range(order + 1)]

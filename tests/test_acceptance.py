@@ -21,7 +21,7 @@ import pytest
 from mpmath import mp
 
 from closed_forms import b_polynomials, closed_form_A
-from wrightasym.coeffs import double_saddle_coeffs, simple_coeffs_mp
+from wrightasym.coeffs import SaddleCoeffs, double_saddle_coeffs
 from wrightasym.core import ScaledArgs, Sign, WrightParams
 from wrightasym.oracle import PrecisionConfig, w_minus, w_plus, wright_series
 from wrightasym.saddles import (
@@ -203,7 +203,7 @@ def test_acceptance_7_property_suites(verdict, t1_timed, t2_report,
                 sadl = solve_real_saddle(ph)[1]
             with mp.workdps(50):
                 u0, _, _, _ = polish_saddle(ph, sadl.location)
-                engine = simple_coeffs_mp(ph, u0, 3)
+                engine = SaddleCoeffs(ph, u0, 2, 3).checked(3)
             closed = closed_form_A(ph, sadl.location)
             for k in range(4):
                 dev = abs(complex(engine[k]) - closed[k])

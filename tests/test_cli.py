@@ -400,12 +400,6 @@ def test_table_t1_passes(runner):
     assert "max deviation" in res.output
 
 
-def test_table_precision_below_floor_exits_2(runner):
-    res = _run(runner, "table", "t1", "--precision", "3")
-    assert res.exit_code == 2
-    assert "error: decimal_digits must be at least 30" in res.output
-
-
 def test_table_csv_and_json(runner, tmp_path):
     p = tmp_path / "t2.csv"
     res = _run(runner, "table", "t2", "--json", "--out", str(p))
@@ -434,7 +428,7 @@ def test_table_mismatch_exits_5(runner, monkeypatch):
     bad = TableReport(TableSpec.T1, [CellCheck(
         "row", "label", computed=2.0, printed=1.0, target=1.0,
         tol=1e-6, relative=True)])
-    monkeypatch.setattr(cli_mod, "compute_table", lambda spec, prec: bad)
+    monkeypatch.setattr(cli_mod, "compute_table", lambda spec: bad)
     res = _run(runner, "table", "t1")
     assert res.exit_code == 5
     assert "FAIL" in res.output

@@ -26,8 +26,8 @@ from wrightasym import coeffs
 from wrightasym.core import DomainError, Sign
 from wrightasym.coeffs import (
     DegenerateSaddle,
+    SaddleCoeffs,
     double_saddle_coeffs,
-    simple_coeffs_mp,
 )
 from wrightasym.saddles import (
     Phase,
@@ -48,9 +48,10 @@ def _real_case(lam, factor):
 
 
 def _one_shot(phase, u0, m, n):
-    """(parts, fb, r, h^(m)(u0)) of the engine run to order n in one go,
-    its bits checked, as simple_coeffs_mp runs it."""
-    b = coeffs._Betas(phase, u0, m, n)
+    """(parts, fb, r, h^(m)(u0)) of the engine run to beta_n in one go,
+    its bits checked, as SaddleCoeffs.checked runs it; n = 2 cap + 1 at
+    m = 2 and cap + 1 at m = 3, cap the last c_k."""
+    b = SaddleCoeffs(phase, u0, m, (n - 1) // (2 if m == 2 else 1))
     b.extend(n)
     b.rescale()
     return b.parts, b.fb, b.r, b.hm
@@ -77,7 +78,7 @@ def _engine_A(ph, location, order):
     saddle, then the coefficient engine, at 50 digits."""
     with mp.workdps(50):
         u0, _, _, _ = polish_saddle(ph, location)
-        return simple_coeffs_mp(ph, u0, order)
+        return SaddleCoeffs(ph, u0, 2, order).checked(order)
 
 
 # -- phase derivatives and the saddle polish -----------------------------
@@ -160,7 +161,7 @@ def test_degenerate_saddle_refused():
     with pytest.raises(DegenerateSaddle):
         closed_form_A(ph, u0)
     with mp.workdps(50), pytest.raises(DegenerateSaddle):
-        simple_coeffs_mp(ph, mp.mpf(u0.real), 3)
+        SaddleCoeffs(ph, mp.mpf(u0.real), 2, 3).checked(3)
 
 
 # -- double-saddle B_k ----------------------------------------------------
@@ -260,7 +261,7 @@ def test_simple_coeffs_match_lagrange_inversion_to_order_15(case):
     ph, u = list(_high_order_cases())[case]
     with mp.workdps(60):
         u0 = _polished(ph, u)
-        got = simple_coeffs_mp(ph, u0, 15)
+        got = SaddleCoeffs(ph, u0, 2, 15).checked(15)
         b = _lagrange_b(ph, u0, 2, range(1, 32))
         for k in range(16):
             want = (-1) ** k * (2 * k + 1) * b[2 * k] / b[0]
@@ -287,7 +288,7 @@ def test_simple_coeffs_match_lagrange_inversion_at_orders_20_to_40(case):
     orders = (20, 30, 40)
     with mp.workdps(60):
         u0 = _polished(ph, u)
-        got = simple_coeffs_mp(ph, u0, 40)
+        got = SaddleCoeffs(ph, u0, 2, 40).checked(40)
         b1, *bs = _lagrange_b(ph, u0, 2, [1] + [2 * k + 1 for k in orders])
         for k, b in zip(orders, bs):
             want = (-1) ** k * (2 * k + 1) * b / b1
@@ -330,7 +331,7 @@ def test_engine_cost_and_real_arithmetic(monkeypatch):
     ph = Phase(1.0, 1.2, Sign.MINUS)
     with mp.workdps(50):
         u0 = _polished(ph, mp.mpf(solve_real_saddle(ph)[1].location.real))
-        a_k = simple_coeffs_mp(ph, u0, 40)
+        a_k = SaddleCoeffs(ph, u0, 2, 40).checked(40)
     assert calls == {"fdot": 0, "complex": 0}
     assert all(type(c) is mp.mpf for c in a_k)
     lam = 1.7
@@ -368,7 +369,7 @@ def _errors_against_80_digits(ph, location):
         want = fdot_engine.simple_coeffs(ph, u80, 40)
     with mp.workdps(50):
         u = +u80
-        got = simple_coeffs_mp(ph, u, 40)
+        got = SaddleCoeffs(ph, u, 2, 40).checked(40)
         old = fdot_engine.simple_coeffs(ph, u, 40)
     with mp.workdps(80):
         return tuple(max(abs(a - w) / abs(w) for a, w in zip(run, want))
@@ -416,7 +417,7 @@ def test_running_power_matches_mpmath_power(case):
     ph, location = list(_engine_cases())[case]
     with mp.workdps(50):
         u0, _, _, _ = polish_saddle(ph, location)
-        got = simple_coeffs_mp(ph, u0, 40)
+        got = SaddleCoeffs(ph, u0, 2, 40).checked(40)
         parts, fb, r, h2 = _one_shot(ph, u0, 2, 81)
         for k, a_k in enumerate(got):
             j = 2 * k + 1
@@ -450,7 +451,7 @@ def test_resumable_engine_is_the_one_shot_run_at_every_order(case, n):
         digest = hashlib.sha256(repr((fb, r, [list(p) for p in parts_]))
                                 .encode()).hexdigest()[:16]
         assert digest == _ONE_SHOT[case, n]
-        engine = coeffs._Betas(ph, u0, 2, n, parts)
+        engine = SaddleCoeffs(ph, u0, 2, (n - 1) // 2, parts)
         for k in range(1, n + 1):
             engine.extend(k)
             assert (engine.fb, engine.r) == (fb, r)
@@ -459,12 +460,12 @@ def test_resumable_engine_is_the_one_shot_run_at_every_order(case, n):
 
 
 def test_simple_coeffs_resume_to_the_one_shot_values():
-    # A_k read one at a time, then checked, are simple_coeffs_mp's
+    # A_k read one at a time, then checked, are the one-shot checked(40)
     ph, location = list(_engine_cases())[1]
     with mp.workdps(50):
         u0, _, _, _ = polish_saddle(ph, location)
-        want = simple_coeffs_mp(ph, u0, 40)
-        got = coeffs.SaddleCoeffs(ph, u0, 2, 40)
+        want = SaddleCoeffs(ph, u0, 2, 40).checked(40)
+        got = SaddleCoeffs(ph, u0, 2, 40)
         logs = [got.log2(k) for k in range(41)]
         assert got.checked(40) == want
         for k, (a, e) in enumerate(zip(want, logs)):

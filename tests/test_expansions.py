@@ -222,16 +222,16 @@ def test_cold_chain_call_solves_each_member_once(monkeypatch, lam, n_pairs):
 
 
 def _count_engine_runs(monkeypatch) -> Counter:
-    # one coefficient engine per series, whether it comes from the
-    # one-shot simple_coeffs_mp or is extended term by term
+    # one coefficient engine per series, whether it is run to a fixed k
+    # or extended term by term
     calls = Counter()
+    init = coeffs.SaddleCoeffs.__init__
 
-    class Counted(coeffs._Betas):
-        def __init__(self, *args):
-            calls["engine"] += 1
-            super().__init__(*args)
+    def counted(self, *args):
+        calls["engine"] += 1
+        init(self, *args)
 
-    monkeypatch.setattr(coeffs, "_Betas", Counted)
+    monkeypatch.setattr(coeffs.SaddleCoeffs, "__init__", counted)
     return calls
 
 
@@ -524,7 +524,6 @@ def test_plus_chain_table_reproduces():
     assert report.passed, [(c.row, c.label) for c in report.cells if not c.ok]
 
 
-@pytest.mark.slow
 def test_difference_table_reproduces():
     report = compute_table(TableSpec.T5)
     assert report.passed, [(c.row, c.label) for c in report.cells if not c.ok]
@@ -623,7 +622,7 @@ def _check_cuts(lam, a, x, sign, res, reasons):
         assert full.coefficients[:n] == s.coefficients
         with mp.workdps(50):
             at = optimal_truncation([abs(t) for t in full.mp_terms])
-            _, least = expansions._cut(dataclasses.replace(full, cut=at))
+            least = dataclasses.replace(full, cut=at).component
             ulp = mp.eps * abs(least)
         if why == "precision":
             assert abs(comp - least) <= ulp, (lam, a, x, sign)
@@ -666,13 +665,13 @@ def test_near_curve_optimal_call_runs_the_engine_to_12_orders(monkeypatch):
     # the near-curve point of perfbench's expand-optimal at seed 101 cuts
     # at k = 0; its terms have risen 10 decades by k = 5
     engines = []
+    init = coeffs.SaddleCoeffs.__init__
 
-    class Recorded(coeffs._Betas):
-        def __init__(self, *args):
-            super().__init__(*args)
-            engines.append(self)
+    def recorded(self, *args):
+        init(self, *args)
+        engines.append(self)
 
-    monkeypatch.setattr(coeffs, "_Betas", Recorded)
+    monkeypatch.setattr(coeffs.SaddleCoeffs, "__init__", recorded)
     res = expand_minus_auto(ScaledArgs(1.5672051158070401,
                                        1.1625755735705992,
                                        38.946464104572215, Sign.MINUS),
@@ -680,6 +679,34 @@ def test_near_curve_optimal_call_runs_the_engine_to_12_orders(monkeypatch):
     assert res.truncation_reasons == ("minimum",)
     assert res.truncation_index == 0
     assert len(engines) == 1 and len(engines[0]) <= 12
+
+
+def test_optimal_series_is_built_again_after_the_engine_reruns(monkeypatch):
+    # with no pilot and no headroom the engine at (-0.25, 1, -) keeps too
+    # few bits (test_coeffs' test_engine_reruns_at_a_larger_scale): the
+    # optimal series re-runs it at the larger scale and is built again,
+    # to the bit the series of the engine's own sizing (terms formed
+    # before the re-run and kept would differ in their last bits)
+    args = ScaledArgs(-0.25, 1.0, 40.0, Sign.MINUS)
+    want = expand_minus_auto(args, TruncationPolicy.optimal())
+    runs = 0
+    real_betas = coeffs._real_betas
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return real_betas(*args)
+
+    monkeypatch.setattr(coeffs, "_real_betas", counted)
+    monkeypatch.setattr(coeffs, "_PILOT", 100)
+    monkeypatch.setattr(coeffs, "_SLACK", 0)
+    res = expand_minus_auto(args, TruncationPolicy.optimal())
+    assert runs == 2
+    assert (res.truncation_index, res.truncation_reasons) \
+        == (want.truncation_index, want.truncation_reasons) \
+        == (40, ("capped",))
+    assert res.mp_value == want.mp_value
+    assert res.series == want.series
 
 
 @pytest.mark.parametrize("point", [(1.7, 0.9, Sign.MINUS),

@@ -336,6 +336,33 @@ def test_kernel_sum_within_bound_of_higher_precision(lam, a, x, sign):
         assert abs(s - ref) <= mp.mpf(10) ** -70 * peak
 
 
+def test_distrusted_peak_is_summed_again_at_full_precision(monkeypatch):
+    # a tapered sum whose peak falls any amount short of the predicted
+    # one is summed again with every 1/Gamma at full precision: that is
+    # the sum with no taper at all
+    args = ScaledArgs(0.3, 1.3, 200.0, Sign.PLUS)
+    monkeypatch.setattr(oracle, "_TAPER_BELOW", 10 ** 9)
+    want = w_plus(args)
+    monkeypatch.undo()
+    runs, tapered = 0, []
+    sum_terms, rgammas = oracle._sum_terms, oracle._rgamma_tapered
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return sum_terms(*args)
+
+    def recorded(lam, mu, wp, rnd, bits):
+        tapered.append(min(bits, default=wp) < wp)
+        return rgammas(lam, mu, wp, rnd, bits)
+
+    monkeypatch.setattr(oracle, "_sum_terms", counted)
+    monkeypatch.setattr(oracle, "_rgamma_tapered", recorded)
+    monkeypatch.setattr(oracle, "_PEAK_SLACK", -10 ** 6)
+    assert w_plus(args) == want
+    assert runs == 2 and tapered == [True, False]
+
+
 def _count_rgamma(monkeypatch):
     calls = []
     real = oracle.mpf_rgamma
