@@ -31,8 +31,8 @@ from .core import DomainError, ScaledArgs, Sign
 from .oracle import NoConvergence, PrecisionConfig, PrecisionLoss, \
     w_minus, w_plus
 from .coeffs import DegenerateSaddle
-from .expansions import TruncationMode, TruncationPolicy, WrongRegime, \
-    expand_minus_auto, expand_plus
+from .expansions import TruncationPolicy, WrongRegime, expand_minus_auto, \
+    expand_plus
 from .reference import TableSpec
 from .saddles import ConvergenceFailure, NoBoundary, NoRealSaddle, \
     OnStokesBoundary, PathBranch, Phase, SaddleKind, StepFailure, \
@@ -129,7 +129,8 @@ def main() -> None:
 @click.option("--x", type=float, required=True, help="Argument x > 0.")
 @click.option("--sign", type=click.Choice(["plus", "minus"]), required=True,
               help="Sign of the series argument.")
-@click.option("--precision", type=int, default=60, show_default=True,
+@click.option("--precision", type=int,
+              default=PrecisionConfig().decimal_digits, show_default=True,
               help="Working decimal digits for the summation.")
 @click.option("--json", "as_json", is_flag=True, help="JSON to stdout.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -184,7 +185,8 @@ def cmd_eval(lam, a, x, sign, precision, as_json, out):
 @click.option("--include-subdominant", is_flag=True,
               help="Keep an exponentially subdominant final pair in the "
                    "value instead of only reporting it.")
-@click.option("--precision", type=int, default=60, show_default=True,
+@click.option("--precision", type=int,
+              default=PrecisionConfig().decimal_digits, show_default=True,
               help="Oracle digits for the accuracy report.")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -237,8 +239,7 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
                        f"a = {double_saddle_curve(lam):.12g}")
         click.echo(f"value = {_sci(res.value)}   "
                    f"(exponent x*h0 = {res.exponent:.6f})")
-        mode = ("optimal" if res.truncation_mode is TruncationMode.OPTIMAL
-                else "fixed")
+        mode = res.truncation_mode.value
         reason = res.truncation_reasons[0]
         if reason != mode:
             mode = f"{mode}: {reason}"
@@ -266,6 +267,7 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
 
 
 def _saddle_row(s) -> dict:
+    """One listed saddle, as --json prints it and --out writes it."""
     return {
         "index": s.index,
         "kind": s.kind.value,
@@ -320,8 +322,9 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
             for br in branches:
                 traces.append((s, br, trace_descent_path(phase, s, br)))
 
+    saddle_rows = [_saddle_row(s) for s in listed]
     if as_json:
-        payload["saddles"] = [_saddle_row(s) for s in listed]
+        payload["saddles"] = saddle_rows
         if trace:
             payload["traces"] = [{
                 "saddle_index": s.index,
@@ -369,13 +372,9 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
                 out,
                 _header("saddles", None,
                         {"lam": lam, "a": a, "sign": sign}),
-                ("index", "kind", "re_u", "im_u", "re_h", "im_h",
-                 "re_h2", "im_h2"),
-                [(str(s.index), s.kind.value,
-                  _sci(s.location.real), _sci(s.location.imag),
-                  _sci(s.phase_value.real), _sci(s.phase_value.imag),
-                  _sci(s.second_derivative.real),
-                  _sci(s.second_derivative.imag)) for s in listed],
+                tuple(saddle_rows[0]),
+                [tuple(_sci(v) if isinstance(v, float) else str(v)
+                       for v in row.values()) for row in saddle_rows],
             )
 
 

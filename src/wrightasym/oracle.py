@@ -10,7 +10,10 @@ precision and its double rounding.  The series
 converges for every finite z when lam > -1, but for the negative-argument
 scaled variant the terms alternate and cancellation can eat a large part of
 the working precision, which is why the summation tracks the peak term
-magnitude and reports how many digits survived.
+magnitude and reports how many digits survived.  The two scaled
+entries, w_minus and w_plus, are one body (_scaled) that checks the
+arguments' sign, and wright_series shares everything past the parameters
+with it.
 
 The summation loop works on Python integers.  A pre-pass in doubles
 estimates log2 of every term first, and it refuses at once a series that
@@ -137,8 +140,9 @@ def _unsettled() -> NoConvergence:
     return NoConvergence(f"series did not settle within {_MAX_TERMS} terms")
 
 
-def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
-    """Pre-pass in doubles: the bits each term's 1/Gamma is evaluated at.
+def _gamma_bits(lam, mu, z, prec: PrecisionConfig):
+    """Pre-pass in doubles over mpf arguments at the working precision:
+    the bits each term's 1/Gamma is evaluated at.
 
     log2|t_n| = n log2|z| - (lgamma(n+1) + lgamma(lam*n + mu))/ln 2, with
     a pole of Gamma counted as -inf, is estimated until the tail lies
@@ -152,6 +156,8 @@ def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
     the largest term so far, and (n+1) times that term bounds every
     partial sum so far, so the stop rule never fires.
     """
+    wp, rnd = mp.mp.prec, round_nearest  # what mpf arithmetic uses
+    lam, mu, z = lam._mpf_, mu._mpf_, z._mpf_
     lam_f, mu_f = to_float(lam), to_float(mu)
     if z == fzero or not (math.isfinite(lam_f) and math.isfinite(mu_f)):
         return [], -math.inf, []
@@ -189,12 +195,6 @@ def _gamma_bits(lam, mu, z, wp, rnd, prec: PrecisionConfig):
     except (OverflowError, ValueError):
         return [], -math.inf, []
     return bits, top, est
-
-
-def _prepass(lam, mu, z, prec: PrecisionConfig):
-    """_gamma_bits for mpf arguments at the working precision."""
-    return _gamma_bits(lam._mpf_, mu._mpf_, z._mpf_, mp.mp.prec,
-                       round_nearest, prec)
 
 
 def _ratio_step(lam):
@@ -429,7 +429,7 @@ def wright_series(params: WrightParams, z: float,
     """Evaluate W_{lam,mu}(z) by direct summation."""
     with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
         lam, mu, zm = mp.mpf(params.lam), mp.mpf(params.mu), mp.mpf(z)
-        pre = _prepass(lam, mu, zm, prec)
+        pre = _gamma_bits(lam, mu, zm, prec)
         s, peakm, n, last = _sum_series(lam, mu, zm, prec, pre)
         return _finish(s, s, peakm, n, last, pre, prec)
 
@@ -446,24 +446,28 @@ def _predicted_loss(args: ScaledArgs, top: float) -> float | None:
     return (top - (ln_w - args.nu * math.log(args.x / 2)) / _LN2) / _LOG2_10
 
 
-def _scaled(args: ScaledArgs, prec: PrecisionConfig) -> EvalResult:
-    """Scaled value of either sign at the working precision; nu = a*x and
-    z = +-(x/2)^(lam+1) are formed in mp arithmetic so no double rounding
-    enters the parameters.
+def _scaled(args: ScaledArgs, prec: PrecisionConfig,
+            sign: Sign) -> EvalResult:
+    """Scaled value at the working precision, for arguments of the given
+    sign; nu = a*x and z = +-(x/2)^(lam+1) are formed in mp arithmetic so
+    no double rounding enters the parameters.
 
     A minus-axis sum whose predicted cancellation (_predicted_loss) is at
     least decimal_digits + _REFUSE_MARGIN is refused with PrecisionLoss
     before any term is formed.
     """
+    if args.sign is not sign:
+        raise DomainError(f"w_{sign.value} requires "
+                          f"sign={sign.value.title()}")
     with mp.workdps(prec.decimal_digits + _GUARD_DIGITS):
         lm, am, xm = mp.mpf(args.lam), mp.mpf(args.a), mp.mpf(args.x)
         nu = am * xm
         mu = nu + 1
         z = (xm / 2) ** (lm + 1)
-        if args.sign is Sign.MINUS:
+        if sign is Sign.MINUS:
             z = -z
-        pre = _prepass(lm, mu, z, prec)
-        if args.sign is Sign.MINUS:
+        pre = _gamma_bits(lm, mu, z, prec)
+        if sign is Sign.MINUS:
             loss = _predicted_loss(args, pre[1])
             if (loss is not None and prec.decimal_digits + _REFUSE_MARGIN
                     <= loss < math.inf):
@@ -475,15 +479,11 @@ def _scaled(args: ScaledArgs, prec: PrecisionConfig) -> EvalResult:
 def w_minus(args: ScaledArgs,
             prec: PrecisionConfig = PrecisionConfig()) -> EvalResult:
     """Negative-argument scaled Wright function (alternating series)."""
-    if args.sign is not Sign.MINUS:
-        raise DomainError("w_minus requires sign=Minus")
-    return _scaled(args, prec)
+    return _scaled(args, prec, Sign.MINUS)
 
 
 def w_plus(args: ScaledArgs,
            prec: PrecisionConfig = PrecisionConfig()) -> EvalResult:
     """Positive-argument scaled Wright function (same-sign terms, so the
     summation is essentially cancellation-free)."""
-    if args.sign is not Sign.PLUS:
-        raise DomainError("w_plus requires sign=Plus")
-    return _scaled(args, prec)
+    return _scaled(args, prec, Sign.PLUS)

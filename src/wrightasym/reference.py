@@ -6,6 +6,8 @@ pair, T2 conjugate pair, T3 double saddle), mixed-truncation errors for
 the plus-phase chain (T4), difference measurements W - I_0 against the
 first-pair contribution (T5), and the two parameter-plane curve families
 (coalescence curve, contour-change boundaries) with their landmarks.
+T1 and T2 share one case type, SimpleSaddleCase, whose figures are
+complex for T2.
 
 A handful of tabulated figures are provably inconsistent with the
 high-precision series evaluation: a slipped digit in a closed-form
@@ -35,27 +37,20 @@ class TableSpec(enum.Enum):
 
 @dataclass(frozen=True)
 class SimpleSaddleCase:
-    """One real-saddle error-table row set: saddle to 8 decimals,
-    A_1..A_5 with six-decimal mantissas, relative errors for k = 0..5.
+    """One simple-saddle error-table case: the saddle to 8 decimals,
+    A_1..A_5 and relative errors for k = 0..5.  u0 and the A_k are real
+    for a real saddle (T1) and complex for a conjugate pair (T2).
 
-    coeff_ulps holds the unit in the last printed place of each A_k; a
-    computed value counts as matching when it sits within one such unit
-    (covers both round-half edges and truncated display)."""
+    coeff_ulps holds the unit in the last printed place of each A_k (of
+    each part, when complex); a computed value counts as matching when
+    it sits within one such unit (covers both round-half edges and
+    truncated display)."""
 
     lam: float
     a: float
-    u0: float
-    coeffs: tuple[float, ...]
+    u0: float | complex
+    coeffs: tuple[float | complex, ...]
     coeff_ulps: tuple[float, ...]
-    errors: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ComplexSaddleCase:
-    lam: float
-    a: float
-    saddle: complex
-    coeffs: tuple[complex, ...]
     errors: tuple[float, ...]
 
 
@@ -90,7 +85,6 @@ class Correction:
 
 X_DEFAULT_ERROR_TABLES = 40.0
 X_DEFAULT_CHAIN_TABLE = 20.0
-X_VALUES_DIFFERENCE_TABLE = (20.0, 30.0, 40.0)
 
 T1_CASES = (
     SimpleSaddleCase(
@@ -117,12 +111,15 @@ T1_CASES = (
     ),
 )
 
-T2_CASE = ComplexSaddleCase(
+# the A_k to 8 decimals; the table truncates some round-half digits
+# rather than rounding them
+T2_CASE = SimpleSaddleCase(
     lam=1.50, a=0.50,
-    saddle=0.24834557 + 0.90919096j,
+    u0=0.24834557 + 0.90919096j,
     coeffs=(0.00929936 + 0.19815193j, -0.08194718 + 0.01105633j,
             -0.00729013 - 0.04233881j, 0.02361754 - 0.00432441j,
             0.00253174 + 0.01363033j),
+    coeff_ulps=(1e-8,) * 5,
     errors=(6.233e-3, 1.157e-4, 1.416e-5, 5.787e-7, 1.840e-7, 1.014e-8),
 )
 

@@ -322,23 +322,17 @@ def brentq(f, a: float, b: float, xtol: float,
         f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def _bracket_right(f, lo: float) -> tuple[float, float]:
-    """Expand right from lo until f changes sign; f(lo) must be <= 0."""
-    hi = lo + 1.0
+def _bracket(f, start: float, step: int) -> tuple[float, float]:
+    """Walk from start, right for step = +1 and left for step = -1, until
+    f turns positive; f(start) must be <= 0.  Returns the ascending
+    bracket."""
+    end = start + step
     for _ in range(200):
-        if f(hi) > 0.0:
-            return lo, hi
-        hi += max(1.0, 0.5 * abs(hi))
-    raise ConvergenceFailure("no sign change found expanding right")
-
-
-def _bracket_left(f, hi: float) -> tuple[float, float]:
-    lo = hi - 1.0
-    for _ in range(200):
-        if f(lo) > 0.0:
-            return lo, hi
-        lo -= max(1.0, 0.5 * abs(lo))
-    raise ConvergenceFailure("no sign change found expanding left")
+        if f(end) > 0.0:
+            return (start, end) if step > 0 else (end, start)
+        end += step * max(1.0, 0.5 * abs(end))
+    raise ConvergenceFailure("no sign change found expanding "
+                             + ("right" if step > 0 else "left"))
 
 
 def solve_real_saddle(phase: Phase):
@@ -380,7 +374,7 @@ def solve_real_saddle(phase: Phase):
         if lam == 0.0:
             root = math.log(2.0 * a)
         else:
-            lo, hi = _bracket_right(f, u_star(lam))
+            lo, hi = _bracket(f, u_star(lam), 1)
             root = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
         return simple(root)
 
@@ -394,8 +388,8 @@ def solve_real_saddle(phase: Phase):
     if f_min > -_RESIDUAL_TOL * scale:
         d = double_saddle_point(lam)
         return d, d
-    right = brentq(f, *_bracket_right(f, us), xtol=1e-14, rtol=8.9e-16)
-    left = brentq(f, *_bracket_left(f, us), xtol=1e-14, rtol=8.9e-16)
+    right = brentq(f, *_bracket(f, us, 1), xtol=1e-14, rtol=8.9e-16)
+    left = brentq(f, *_bracket(f, us, -1), xtol=1e-14, rtol=8.9e-16)
     return simple(left), simple(right)
 
 

@@ -4,10 +4,13 @@ Each compute_* function reruns the full pipeline (oracle plus expansion)
 for one table and returns a TableReport of per-cell checks: computed
 value, the tabulated figure, the check target (which differs from the
 tabulated figure only on adjudicated cells, see reference.CORRECTIONS),
-and the tolerance.  The CLI renders these; the test suite asserts on
-them.  The oracle runs at its default precision, 60 digits.  Relative
-errors are always normalized by the expansion value, err = |V - W| /
-|V|, matching the tabulated convention.
+and the tolerance.  T1 (a real saddle) and T2 (a conjugate pair) are
+one study of the simple-saddle route and share one reproduction; a
+complex figure of T2 is checked as its real and imaginary parts.  The
+CLI renders these; the test suite asserts on them.  The oracle runs at
+its default precision, 60 digits.  Relative errors are always
+normalized by the expansion value, err = |V - W| / |V|, matching the
+tabulated convention.
 """
 
 from __future__ import annotations
@@ -129,54 +132,42 @@ def _error_cells(row: str, res, w_ref, printed, tol: float,
             for k, pe in printed]
 
 
-def compute_t1() -> TableReport:
-    """Real-saddle route: saddle location, A_1..A_5, error decay at x=40
-    for the three tabulated (lam, a) pairs."""
+def _simple_saddle_table(spec: TableSpec, cases) -> TableReport:
+    """Simple-saddle route at x=40, per tabulated (lam, a) case: the
+    saddle to 8 decimals, A_1..A_5 to one unit in the last printed place
+    and the error decay of the fixed-k series.  A complex figure is
+    checked as its "Re" and "Im" parts."""
     x = X_DEFAULT_ERROR_TABLES
     cells: list[CellCheck] = []
-    for case in T1_CASES:
+    for case in cases:
         row = f"lam={case.lam:g} a={case.a:g}"
         args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
         res = expand_minus_auto(args, TruncationPolicy.fixed(5))
-        cells.append(CellCheck(row, "u0", res.series[0].location.real,
-                               case.u0, case.u0, _DECIMALS8, False))
-        for k in range(1, 6):
-            ak = float(res.coefficients[k])
-            pk = case.coeffs[k - 1]
-            # one unit in the last printed place (6-decimal mantissas)
-            cells.append(CellCheck(row, f"A_{k}", ak, pk, pk,
-                                   1.0001 * case.coeff_ulps[k - 1], False))
+        figures = [("u0", res.series[0].location, case.u0, _DECIMALS8)]
+        figures += [(f"A_{k}", res.coefficients[k], case.coeffs[k - 1],
+                     1.0001 * case.coeff_ulps[k - 1]) for k in range(1, 6)]
+        for label, computed, printed, tol in figures:
+            computed = complex(computed)
+            parts = ([(f"Re {label}", computed.real, printed.real),
+                      (f"Im {label}", computed.imag, printed.imag)]
+                     if isinstance(printed, complex)
+                     else [(label, computed.real, printed)])
+            cells += [CellCheck(row, lb, c, p, p, tol, False)
+                      for lb, c, p in parts]
         cells += _error_cells(row, res, w_minus(args).mp_value,
                               enumerate(case.errors), _ERRTOL,
-                              ("t1", case.lam))
-    return TableReport(TableSpec.T1, cells)
+                              (spec.value, case.lam))
+    return TableReport(spec, cells)
+
+
+def compute_t1() -> TableReport:
+    """Real-saddle route at the three tabulated (lam, a) pairs."""
+    return _simple_saddle_table(TableSpec.T1, T1_CASES)
 
 
 def compute_t2() -> TableReport:
-    """Conjugate-pair route at (1.5, 0.5): saddle, complex A_1..A_5,
-    error decay at x=40."""
-    case = T2_CASE
-    x = X_DEFAULT_ERROR_TABLES
-    row = f"lam={case.lam:g} a={case.a:g}"
-    args = ScaledArgs(case.lam, case.a, x, Sign.MINUS)
-    res = expand_minus_auto(args, TruncationPolicy.fixed(5))
-    u0 = res.series[0].location
-    cells = [CellCheck(row, "Re u0", u0.real, case.saddle.real,
-                       case.saddle.real, _DECIMALS8, False),
-             CellCheck(row, "Im u0", u0.imag, case.saddle.imag,
-                       case.saddle.imag, _DECIMALS8, False)]
-    for k in range(1, 6):
-        ak = complex(res.coefficients[k])
-        pk = case.coeffs[k - 1]
-        # one unit in the 8th printed decimal; the table truncates some
-        # round-half digits rather than rounding them
-        cells.append(CellCheck(row, f"Re A_{k}", ak.real, pk.real, pk.real,
-                               1.0001e-8, False))
-        cells.append(CellCheck(row, f"Im A_{k}", ak.imag, pk.imag, pk.imag,
-                               1.0001e-8, False))
-    cells += _error_cells(row, res, w_minus(args).mp_value,
-                          enumerate(case.errors), _ERRTOL, ("t2", case.lam))
-    return TableReport(TableSpec.T2, cells)
+    """Conjugate-pair route at (1.5, 0.5): complex saddle and A_k."""
+    return _simple_saddle_table(TableSpec.T2, (T2_CASE,))
 
 
 def compute_t3() -> TableReport:

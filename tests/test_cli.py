@@ -391,6 +391,41 @@ def test_saddles_trace_csv(runner, tmp_path):
             float(v)
 
 
+_SADDLE_COLUMNS = "index,kind,re_u,im_u,re_h,im_h,re_h2,im_h2"
+
+
+@pytest.mark.parametrize("argv,header,rows", [
+    # the off-contour saddle is listed first
+    (("--lambda", "1", "--a", "1.2", "--sign", "minus"),
+     ["lam=1.0", "a=1.2", "sign=minus"],
+     ["0,real_simple,-6.22362504e-01,0.00000000e+00,8.35100464e-02,"
+      "0.00000000e+00,-6.63324958e-01,0.00000000e+00",
+      "0,real_simple,6.22362504e-01,0.00000000e+00,-8.35100464e-02,"
+      "0.00000000e+00,6.63324958e-01,0.00000000e+00"]),
+    (("--lambda", "6", "--a", "0.2", "--sign", "plus", "--chain", "4"),
+     ["lam=6.0", "a=0.2", "sign=plus"],
+     ["0,real_simple,3.05822778e-01,0.00000000e+00,6.97518082e-01,"
+      "0.00000000e+00,3.55209582e+00,0.00000000e+00",
+      "1,complex_pair,2.81812083e-01,8.58010811e-01,4.15950238e-01,"
+      "4.13376444e-01,1.83387593e+00,3.50987164e+00",
+      "2,complex_pair,2.42151672e-01,1.75461902e+00,-2.17605155e-01,"
+      "3.79714867e-01,-2.01504892e+00,4.38383202e+00",
+      "3,complex_pair,2.19004591e-01,2.67687803e+00,-7.26280071e-01,"
+      "-2.09936425e-01,-5.09487492e+00,1.95263509e+00",
+      "4,complex_pair,2.19004591e-01,3.60630728e+00,-7.26280071e-01,"
+      "-1.04670064e+00,-5.09487492e+00,-1.95263509e+00"]),
+])
+def test_saddles_csv_pinned(runner, tmp_path, argv, header, rows):
+    p = tmp_path / "saddles.csv"
+    res = _run(runner, "saddles", *argv, "--out", str(p))
+    assert res.exit_code == 0
+    assert p.read_bytes().decode() == "".join(
+        line + "\n" for line in ("# wright saddles",
+                                 f"# version {cli.__version__}",
+                                 *(f"# {h}" for h in header),
+                                 _SADDLE_COLUMNS, *rows))
+
+
 # -- table ----------------------------------------------------------------
 
 def test_table_t1_passes(runner):
@@ -398,6 +433,18 @@ def test_table_t1_passes(runner):
     assert res.exit_code == 0
     assert res.output.rstrip().endswith("PASS")
     assert "max deviation" in res.output
+
+
+def test_table_text_prints_the_correction_note(runner):
+    res = _run(runner, "table", "t3")
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    i = next(i for i, ln in enumerate(lines) if "lam=1 " in ln
+             and "err k=4 " in ln)
+    assert lines[i + 1] == (
+        "       note: tabulated with a slipped digit in the quartic "
+        "closed-form coefficient (826 for 836); target is the "
+        "proven-coefficient value")
 
 
 def test_table_csv_and_json(runner, tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from plain_oracle import plain_sum_series
 from wrightasym import oracle, saddles
-from wrightasym.core import ScaledArgs, Sign, WrightParams
+from wrightasym.core import DomainError, ScaledArgs, Sign, WrightParams
 from wrightasym.oracle import (
     NoConvergence,
     PrecisionConfig,
@@ -141,9 +141,9 @@ def test_w_plus_positive_on_sample_grid():
 
 
 def test_scaled_wrappers_check_sign():
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match=r"^w_minus requires sign=Minus$"):
         w_minus(ScaledArgs(0.5, 1.0, 10.0, Sign.PLUS))
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match=r"^w_plus requires sign=Plus$"):
         w_plus(ScaledArgs(0.5, 1.0, 10.0, Sign.MINUS))
 
 
@@ -318,7 +318,7 @@ def _bare_sum(fn, lam, a, x, sign, digits):
         mu = mp.mpf(a) * xm + 1
         z = (xm / 2) ** (lm + 1) * (-1 if sign is Sign.MINUS else 1)
         prec = PrecisionConfig(digits)
-        return fn(lm, mu, z, prec, oracle._prepass(lm, mu, z, prec))
+        return fn(lm, mu, z, prec, oracle._gamma_bits(lm, mu, z, prec))
 
 
 @pytest.mark.parametrize("lam,a,x,sign", [
@@ -453,8 +453,9 @@ def _loss(lam, a, x, digits):
         loss = float(mp.log10(peak / abs(s)))
     with mp.workdps(digits + oracle._GUARD_DIGITS):
         lm, xm = mp.mpf(lam), mp.mpf(x)
-        top = oracle._prepass(lm, mp.mpf(a) * xm + 1, -(xm / 2) ** (lm + 1),
-                              PrecisionConfig(digits))[1]
+        top = oracle._gamma_bits(lm, mp.mpf(a) * xm + 1,
+                                 -(xm / 2) ** (lm + 1),
+                                 PrecisionConfig(digits))[1]
     return loss, top
 
 

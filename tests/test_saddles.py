@@ -123,6 +123,23 @@ def test_minus_two_real_ordering_and_convexity():
         assert _residual_ok(ph, lo.location) and _residual_ok(ph, hi.location)
 
 
+@pytest.mark.parametrize("step,points,where", [
+    (1, [1.0, 2.0, 3.0, 4.5, 6.75], "right"),
+    (-1, [-1.0, -2.0, -3.0, -4.5, -6.75], "left")])
+def test_bracket_gives_up_after_200_points(step, points, where):
+    # f never turns positive: the walk takes steps of max(1, |end|/2)
+    seen = []
+
+    def f(u):
+        seen.append(u)
+        return -1.0
+
+    with pytest.raises(ConvergenceFailure,
+                       match=f"^no sign change found expanding {where}$"):
+        saddles._bracket(f, 0.0, step)
+    assert seen[:5] == points and len(seen) == 200
+
+
 def test_minus_no_real_saddle_below_curve():
     with pytest.raises(NoRealSaddle):
         solve_real_saddle(Phase(1.5, 0.5, Sign.MINUS))

@@ -22,13 +22,16 @@ and, with `--include-subdominant`, at (6, 0.2, 40, plus); and `wright
 saddles` (minus) at lam = 2 on the curve a*, 1e-9 either side of it
 (inside the 1e-6 band where the minus contour is the double saddle) and
 at a*(1 -+ 2e-6) (just outside it), with `--trace` at (1, 1.2) and
-(1.5, 0.5), and (plus) at (6, 0.2) with `--chain 4`.  Both trees take
-their inputs from this checkout's perfbench/, which is only read.
+(1.5, 0.5), and (plus) at (6, 0.2) with `--chain 4`.  Every command takes
+`--out`, so each command line runs once more with `--out` and the bytes
+of the file it writes are one more result attribute (so `saddles --trace
+--out` writes the traced paths).  Both trees take their inputs from this
+checkout's perfbench/, which is only read.
 
 Each result is dumped as the repr of every public, non-callable attribute,
 with mpmath numbers printed to enough digits to tell any two apart; an
-exception as its type and message; a CLI run as its exit code and
-output.  Differences are counted in three classes, and the first of each
+exception as its type and message; a CLI run as its exit code, its
+output and its `--out` file (None where it wrote none).  Differences are counted in three classes, and the first of each
 is reported with both sides:
 
 - outcome: a value on one side and an exception on the other, or two
@@ -186,11 +189,17 @@ def _dump(tree: Path, seeds: list[int], path: Path) -> None:
             call(f"wright_series {lam} {mu} {z}",
                  lambda: wright_series(WrightParams(lam, mu), z))
         cli = CliRunner()
-        for argv in _cli_argvs():
-            res = cli.invoke(main, argv)
-            emit("wright " + " ".join(argv),
-                 {"attrs": {"exit_code": repr(res.exit_code),
-                            "output": res.output}})
+        with tempfile.TemporaryDirectory(prefix="same_outputs_out_") as tmp:
+            out = Path(tmp) / "out.csv"
+            for argv in _cli_argvs():
+                res = cli.invoke(main, argv)
+                cli.invoke(main, [*argv, "--out", str(out)])
+                written = out.read_bytes().decode() if out.exists() else None
+                out.unlink(missing_ok=True)
+                emit("wright " + " ".join(argv),
+                     {"attrs": {"exit_code": repr(res.exit_code),
+                                "output": res.output,
+                                "out_file": repr(written)}})
 
 
 CLASSES = ("outcome", "message", "attribute")
