@@ -3,13 +3,15 @@
 Four subcommands: eval (convergent series at controlled precision),
 expand (steepest-descent expansion with fixed or optimal truncation),
 saddles (saddle inventory, chain members, descent-path tracing), and
-table (recompute a reference table and compare cell by cell).
+table (recompute a reference table and compare cell by cell).  The
+parser is argparse; no option may be abbreviated.
 
 Exit codes: 0 success, 1 a solver, path tracer or summation that did
-not converge, 2 domain error or a value outside the double range,
-3 precision loss (fewer than 16 significant digits survive), 4 wrong
-regime or a parameter-plane boundary, 5 reference-table mismatch.  One
-table (_EXIT_CODES) maps the package's errors to them for every command.
+not converge, 2 a usage error, a domain error or a value outside the
+double range, 3 precision loss (fewer than 16 significant digits
+survive), 4 wrong regime or a parameter-plane boundary, 5 reference-table
+mismatch.  One table (_EXIT_CODES) maps the package's errors to them for
+every command.
 
 CSV outputs start with a '#' header block (command, version, precision,
 parameters), use 9-significant-digit scientific notation and LF line
@@ -19,11 +21,13 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import math
+import os
+import re
+import sys
 
-import click
 import mpmath as mp
 
 from . import __version__
@@ -58,22 +62,11 @@ def _sci(v: float) -> str:
     return f"{v:.8e}"
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+def _exit(code: int, line: str) -> None:
+    # stdout first, so that one stream taking both keeps the lines in order
+    sys.stdout.flush()
+    print(line, file=sys.stderr)
     raise SystemExit(code)
-
-
-def _exit_codes(command):
-    """command with every error _EXIT_CODES names reported and turned
-    into its exit code."""
-    @functools.wraps(command)
-    def body(**kwargs):
-        try:
-            return command(**kwargs)
-        except tuple(_EXIT_CODES) as e:
-            _fail(next(code for cls, code in _EXIT_CODES.items()
-                       if isinstance(e, cls)), str(e))
-    return body
 
 
 def _write_csv(path: str, header: list[str], columns: tuple[str, ...],
@@ -89,7 +82,7 @@ def _write_csv(path: str, header: list[str], columns: tuple[str, ...],
 
 
 def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _header(subcommand: str, precision: int | None,
@@ -102,10 +95,6 @@ def _header(subcommand: str, precision: int | None,
     return lines
 
 
-def _parse_sign(sign: str) -> Sign:
-    return Sign.MINUS if sign == "minus" else Sign.PLUS
-
-
 def _flushed(res) -> str | None:
     """Whether the double rounding of a result loses its finite, nonzero
     mp_value: "overflows", "underflows" or None."""
@@ -114,36 +103,14 @@ def _flushed(res) -> str | None:
     return "underflows" if res.value == 0 and res.mp_value != 0 else None
 
 
-@click.group()
-@click.version_option(__version__, prog_name="wright")
-def main() -> None:
-    """Scaled Wright functions: series evaluation, steepest-descent
-    expansions, saddle geometry, reference-table checks."""
-
-
-@main.command("eval")
-@click.option("--lambda", "lam", type=float, required=True,
-              help="Shape parameter, lambda > -1.")
-@click.option("--a", type=float, required=True,
-              help="Order-scaling ratio a = nu/x > 0.")
-@click.option("--x", type=float, required=True, help="Argument x > 0.")
-@click.option("--sign", type=click.Choice(["plus", "minus"]), required=True,
-              help="Sign of the series argument.")
-@click.option("--precision", type=int,
-              default=PrecisionConfig().decimal_digits, show_default=True,
-              help="Working decimal digits for the summation.")
-@click.option("--json", "as_json", is_flag=True, help="JSON to stdout.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write a CSV record to this path.")
-@_exit_codes
 def cmd_eval(lam, a, x, sign, precision, as_json, out):
     """Evaluate the scaled function by its convergent series."""
-    args = ScaledArgs(lam, a, x, _parse_sign(sign))
+    args = ScaledArgs(lam, a, x, Sign(sign))
     prec = PrecisionConfig(decimal_digits=precision)
     fn = w_minus if args.sign is Sign.MINUS else w_plus
     res = fn(args, prec)
     if flushed := _flushed(res):
-        _fail(EXIT_DOMAIN, f"the value {flushed} double precision")
+        _exit(EXIT_DOMAIN, f"error: the value {flushed} double precision")
     tag = "W-" if args.sign is Sign.MINUS else "W+"
     if as_json:
         _emit_json({
@@ -155,9 +122,9 @@ def cmd_eval(lam, a, x, sign, precision, as_json, out):
             "low_precision": res.low_precision,
         })
     else:
-        click.echo(f"{tag}(lam={lam:g}, a={a:g}; x={x:g}) = {_sci(res.value)}")
-        click.echo(f"terms summed: {res.truncation_index + 1}, "
-                   f"surviving digits: {res.significant_digits}")
+        print(f"{tag}(lam={lam:g}, a={a:g}; x={x:g}) = {_sci(res.value)}")
+        print(f"terms summed: {res.truncation_index + 1}, "
+              f"surviving digits: {res.significant_digits}")
     if out:
         _write_csv(
             out,
@@ -168,38 +135,17 @@ def cmd_eval(lam, a, x, sign, precision, as_json, out):
               str(res.truncation_index + 1))],
         )
     if res.low_precision:
-        click.echo(f"warning: only {res.significant_digits} digits survive "
-                   f"cancellation; raise --precision", err=True)
-        raise SystemExit(EXIT_PRECISION)
+        _exit(EXIT_PRECISION, f"warning: only {res.significant_digits} "
+              "digits survive cancellation; raise --precision")
 
 
-@main.command("expand")
-@click.option("--lambda", "lam", type=float, required=True)
-@click.option("--a", type=float, required=True)
-@click.option("--x", type=float, required=True)
-@click.option("--sign", type=click.Choice(["plus", "minus"]), required=True)
-@click.option("--order", "-k", type=int, default=None,
-              help="Fixed truncation index for the primary series.")
-@click.option("--optimal", is_flag=True,
-              help="Cut at the smallest term (default when no --order).")
-@click.option("--include-subdominant", is_flag=True,
-              help="Keep an exponentially subdominant final pair in the "
-                   "value instead of only reporting it.")
-@click.option("--precision", type=int,
-              default=PrecisionConfig().decimal_digits, show_default=True,
-              help="Oracle digits for the accuracy report.")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_exit_codes
 def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
                precision, as_json, out):
     """Steepest-descent expansion, with an accuracy report against the
     series oracle."""
-    if order is not None and optimal:
-        _fail(EXIT_DOMAIN, "--order and --optimal are mutually exclusive")
     trunc = (TruncationPolicy.optimal() if order is None
              else TruncationPolicy.fixed(order))
-    args = ScaledArgs(lam, a, x, _parse_sign(sign))
+    args = ScaledArgs(lam, a, x, Sign(sign))
     prec = PrecisionConfig(decimal_digits=precision)
     if args.sign is Sign.MINUS:
         res = expand_minus_auto(args, trunc)
@@ -208,7 +154,7 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
                           include_subdominant=include_subdominant)
 
     if flushed := _flushed(res):
-        _fail(EXIT_DOMAIN, f"the value {flushed} double precision "
+        _exit(EXIT_DOMAIN, f"error: the value {flushed} double precision "
                            f"(exponent x*h0 = {res.exponent:.6g})")
     rel_err = None
     oracle = w_minus if args.sign is Sign.MINUS else w_plus
@@ -233,23 +179,23 @@ def cmd_expand(lam, a, x, sign, order, optimal, include_subdominant,
             "relative_error": rel_err,
         })
     else:
-        click.echo(f"route: {res.route}")
+        print(f"route: {res.route}")
         if res.route == "double-saddle":
-            click.echo(f"evaluated on the coalescence curve "
-                       f"a = {double_saddle_curve(lam):.12g}")
-        click.echo(f"value = {_sci(res.value)}   "
-                   f"(exponent x*h0 = {res.exponent:.6f})")
+            print(f"evaluated on the coalescence curve "
+                  f"a = {double_saddle_curve(lam):.12g}")
+        print(f"value = {_sci(res.value)}   "
+              f"(exponent x*h0 = {res.exponent:.6f})")
         mode = res.truncation_mode.value
         reason = res.truncation_reasons[0]
         if reason != mode:
             mode = f"{mode}: {reason}"
-        click.echo(f"truncation: k = {res.truncation_index} ({mode})")
+        print(f"truncation: k = {res.truncation_index} ({mode})")
         if len(res.components) > 1:
             for j, (c, kc, why) in enumerate(zip(res.components,
                                                  res.component_truncations,
                                                  res.truncation_reasons)):
-                click.echo(f"  I_{j} = {_sci(c)}   (k = {kc}, {why})")
-        click.echo(f"relative error vs series: {rel_text}")
+                print(f"  I_{j} = {_sci(c)}   (k = {kc}, {why})")
+        print(f"relative error vs series: {rel_text}")
     if out:
         _write_csv(
             out,
@@ -278,27 +224,10 @@ def _saddle_row(s) -> dict:
     }
 
 
-def _echo_saddle(s, tag: str = "") -> None:
-    loc = f"{s.location.real:.8f} {s.location.imag:+.8f}i"
-    click.echo(f"  u = {loc}   h = {s.phase_value.real:+.8f} "
-               f"{s.phase_value.imag:+.8f}i   [{s.kind.value}]{tag}")
-
-
-@main.command("saddles")
-@click.option("--lambda", "lam", type=float, required=True)
-@click.option("--a", type=float, required=True)
-@click.option("--sign", type=click.Choice(["plus", "minus"]), required=True)
-@click.option("--chain", "chain_n", type=int, default=0,
-              help="Also list the first N complex-chain pairs (plus sign).")
-@click.option("--trace", is_flag=True,
-              help="Trace steepest descent paths from the listed saddles.")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_exit_codes
 def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
     """Saddle inventory for one parameter point."""
     payload: dict = {"lam": lam, "a": a, "sign": sign}
-    phase = Phase(lam, a, _parse_sign(sign))
+    phase = Phase(lam, a, Sign(sign))
     c = contour(lam, a, phase.sign)
     listed = [s for s in (c.off_contour, *c.saddles) if s is not None]
     if phase.sign is Sign.MINUS:
@@ -337,30 +266,31 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
         _emit_json(payload)
     else:
         if "regime" in payload:
-            click.echo(f"regime: {payload['regime']}")
+            print(f"regime: {payload['regime']}")
         else:
             sub = (" (last pair subdominant)"
                    if payload.get("last_pair_subdominant") else "")
-            click.echo(f"contributory pairs: N = {payload['n_pairs']}{sub}")
+            print(f"contributory pairs: N = {payload['n_pairs']}{sub}")
         for s in listed:
-            _echo_saddle(s)
+            print(f"  u = {s.location.real:.8f} {s.location.imag:+.8f}i   "
+                  f"h = {s.phase_value.real:+.8f} {s.phase_value.imag:+.8f}i"
+                  f"   [{s.kind.value}]")
         for s, br, outc in traces:
             where = outc.terminus.value
             if outc.strip_index is not None:
                 where += f" (strip {outc.strip_index})"
             if outc.hit_index is not None:
                 where += f" (saddle {outc.hit_index})"
-            click.echo(f"  path from u_{s.index} [{br.value}]: {where}")
+            print(f"  path from u_{s.index} [{br.value}]: {where}")
 
     if out:
+        header = _header("saddles trace" if trace else "saddles", None,
+                         {"lam": lam, "a": a, "sign": sign})
         if trace:
             rows = []
-            header = _header("saddles trace", None,
-                             {"lam": lam, "a": a, "sign": sign})
             for s, br, outc in traces:
                 header.append(f"path saddle={s.index} branch={br.value} "
                               f"terminus={outc.terminus.value}")
-            for s, br, outc in traces:
                 rows.append(f"# saddle={s.index} branch={br.value}")
                 for u in outc.samples:
                     hval = phase.h(u)
@@ -368,31 +298,20 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
                                  _sci(hval.real), _sci(hval.imag)))
             _write_csv(out, header, ("re_u", "im_u", "re_h", "im_h"), rows)
         else:
-            _write_csv(
-                out,
-                _header("saddles", None,
-                        {"lam": lam, "a": a, "sign": sign}),
-                tuple(saddle_rows[0]),
-                [tuple(_sci(v) if isinstance(v, float) else str(v)
-                       for v in row.values()) for row in saddle_rows],
-            )
+            _write_csv(out, header, tuple(saddle_rows[0]),
+                       [tuple(_sci(v) if isinstance(v, float) else str(v)
+                              for v in row.values()) for row in saddle_rows])
 
 
-@main.command("table")
-@click.argument("spec", type=click.Choice([t.value for t in TableSpec]))
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_exit_codes
 def cmd_table(spec, as_json, out):
     """Recompute a reference table and compare against its pinned values.
 
     Exits 5 when any cell deviates beyond tolerance."""
-    tspec = TableSpec(spec)
-    report = compute_table(tspec)
+    report = compute_table(TableSpec(spec))
 
     if as_json:
         _emit_json({
-            "table": tspec.value,
+            "table": spec,
             "passed": report.passed,
             "cells": [{
                 "row": c.row, "label": c.label,
@@ -408,20 +327,19 @@ def cmd_table(spec, as_json, out):
         for c in report.cells:
             mark = "ok " if c.ok else "FAIL"
             kind = "rel" if c.relative else "abs"
-            click.echo(f"[{mark}] {c.row:<22} {c.label:<18} "
-                       f"computed {_sci(c.computed)}  target {_sci(c.target)}"
-                       f"  dev {c.deviation:.2e} ({kind} tol {c.tol:.0e})")
+            print(f"[{mark}] {c.row:<22} {c.label:<18} "
+                  f"computed {_sci(c.computed)}  target {_sci(c.target)}"
+                  f"  dev {c.deviation:.2e} ({kind} tol {c.tol:.0e})")
             if c.note:
-                click.echo(f"       note: {c.note}")
+                print(f"       note: {c.note}")
         worst = report.worst
         if worst is not None:
-            click.echo(f"max deviation: {worst.deviation:.2e} at "
-                       f"{worst.row} / {worst.label}")
-        click.echo("PASS" if report.passed else "FAIL")
+            print(f"max deviation: {worst.deviation:.2e} at "
+                  f"{worst.row} / {worst.label}")
+        print("PASS" if report.passed else "FAIL")
 
     if out:
-        header = _header(f"table {tspec.value}",
-                         PrecisionConfig().decimal_digits, {})
+        header = _header(f"table {spec}", PrecisionConfig().decimal_digits, {})
         if report.sweep_rows is not None:
             for c in report.cells:
                 header.append(f"landmark {c.row} {c.label}: "
@@ -442,6 +360,86 @@ def cmd_table(spec, as_json, out):
 
     if not report.passed:
         raise SystemExit(EXIT_TABLE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated option, and takes a negative
+    number in exponent notation ("-1e-3") after an option for its value,
+    as argparse does from Python 3.13 on."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+def _out_path(path: str) -> str:
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    return path
+
+
+def _parser() -> argparse.ArgumentParser:
+    point = _Parser(add_help=False)
+    point.add_argument("--lambda", dest="lam", type=float, required=True,
+                       help="Shape parameter, lambda > -1.")
+    point.add_argument("--a", type=float, required=True,
+                       help="Order-scaling ratio a = nu/x > 0.")
+    point.add_argument("--sign", choices=["plus", "minus"], required=True,
+                       help="Sign of the series argument.")
+    series = _Parser(add_help=False)
+    series.add_argument("--x", type=float, required=True,
+                        help="Argument x > 0.")
+    series.add_argument("--precision", type=int,
+                        default=PrecisionConfig().decimal_digits,
+                        help="Oracle working digits (default: %(default)s).")
+    output = _Parser(add_help=False)
+    output.add_argument("--json", dest="as_json", action="store_true",
+                        help="JSON to stdout.")
+    output.add_argument("--out", type=_out_path,
+                        help="Write a CSV record to this path.")
+
+    parser = _Parser(prog="wright", description=main.__doc__)
+    parser.add_argument("--version", action="version",
+                        version=f"wright, version {__version__}")
+    commands = parser.add_subparsers(metavar="command", required=True)
+
+    def command(name, run, *parents):
+        sub = commands.add_parser(name, parents=[*parents, output],
+                                  help=run.__doc__.partition(".")[0],
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    command("eval", cmd_eval, point, series)
+    expand = command("expand", cmd_expand, point, series)
+    order = expand.add_mutually_exclusive_group()
+    order.add_argument("--order", "-k", type=int,
+                       help="Fixed truncation index for the primary series.")
+    order.add_argument("--optimal", action="store_true",
+                       help="Cut at the least term (default without --order).")
+    expand.add_argument("--include-subdominant", action="store_true",
+                        help="Keep an exponentially subdominant final pair "
+                             "in the value instead of only reporting it.")
+    saddles = command("saddles", cmd_saddles, point)
+    saddles.add_argument("--chain", dest="chain_n", type=int, default=0,
+                         help="Also list the first N chain pairs (plus sign).")
+    saddles.add_argument("--trace", action="store_true",
+                         help="Trace descent paths from the listed saddles.")
+    command("table", cmd_table).add_argument(
+        "spec", choices=[t.value for t in TableSpec])
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Scaled Wright functions: series evaluation, steepest-descent
+    expansions, saddle geometry, reference-table checks."""
+    options = vars(_parser().parse_args(argv))
+    run = options.pop("run")
+    try:
+        run(**options)
+    except tuple(_EXIT_CODES) as e:
+        _exit(next(code for cls, code in _EXIT_CODES.items()
+                   if isinstance(e, cls)), f"error: {e}")
 
 
 if __name__ == "__main__":

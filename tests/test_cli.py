@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import wrightasym.cli as cli
 from wrightasym.cli import main
@@ -22,9 +24,36 @@ from wrightasym.saddles import ConvergenceFailure, NoBoundary, \
     NoRealSaddle, OnStokesBoundary, StepFailure, stokes_boundary
 
 
+@dataclass
+class _Result:
+    exit_code: int
+    output: str
+    exception: BaseException | None
+
+
+class _Runner:
+    """main(argv) in this process, with its stdout and stderr captured
+    into one buffer, as a terminal shows both."""
+
+    def invoke(self, main, argv, catch_exceptions=True):
+        buf = io.StringIO()
+        code, exception = 0, None
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+            try:
+                main(argv)
+            except SystemExit as e:
+                code = e.code or 0
+                exception = e if code else None
+            except Exception as e:
+                if not catch_exceptions:
+                    raise
+                code, exception = 1, e
+        return _Result(code, buf.getvalue(), exception)
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return _Runner()
 
 
 def _run(runner, *argv):
@@ -481,6 +510,72 @@ def test_table_mismatch_exits_5(runner, monkeypatch):
     assert "FAIL" in res.output
 
 
+# -- input contract ---------------------------------------------------------
+
+_EVAL_POINT = ("--lambda", "1.5", "--a", "0.5", "--x", "40", "--sign", "minus")
+
+
+def test_version(runner):
+    res = _run(runner, "--version")
+    assert res.exit_code == 0
+    assert res.output == f"wright, version {cli.__version__}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param((), id="no-subcommand"),
+    pytest.param(("eval", *_EVAL_POINT[2:]), id="missing-lambda"),
+    pytest.param(("eval", "--lambda", "x", *_EVAL_POINT[2:]),
+                 id="lambda-not-a-float"),
+    pytest.param(("table", "t9"), id="no-such-table"),
+    # an option is spelled out in full, never abbreviated
+    pytest.param(("expand", *_EVAL_POINT, "--prec", "40"),
+                 id="abbreviated-option"),
+])
+def test_usage_errors_exit_2(runner, argv):
+    assert _run(runner, *argv).exit_code == 2
+
+
+def test_out_naming_a_directory_exits_2_and_writes_nothing(runner, tmp_path):
+    res = _run(runner, "eval", *_EVAL_POINT, "--out", str(tmp_path))
+    assert res.exit_code == 2
+    assert "W-(" not in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lam", ["-0.5", "-5e-1", "-.5", "-5E-1"])
+def test_a_negative_value_in_exponent_notation_is_a_value(runner, lam):
+    res = _run(runner, "eval", "--lambda", lam, "--a", "1", "--x", "40",
+               "--sign", "minus")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[0] \
+        == "W-(lam=-0.5, a=1; x=40) = 4.51720408e-10"
+
+
+def _wright(*argv, stderr=subprocess.PIPE):
+    # stdout block-buffered, as it is by default into a pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "wrightasym.cli", *argv],
+                          env=env, stdout=subprocess.PIPE, stderr=stderr,
+                          text=True)
+
+
+def test_the_module_runs_as_a_program():
+    res = _wright("eval", "--lambda", "-2", "--a", "1", "--x", "10",
+                  "--sign", "minus")
+    assert (res.returncode, res.stdout, res.stderr) \
+        == (2, "", "error: lam must exceed -1, got -2.0\n")
+    res = _wright("table", "fig2-curve")
+    assert res.returncode == 0
+    assert res.stdout.endswith("\nPASS\n")
+    # one stream taking stdout and stderr gets the lines in written order
+    res = _wright("eval", *_EVAL_POINT[:4], "--x", "80", *_EVAL_POINT[6:],
+                  "--precision", "30", stderr=subprocess.STDOUT)
+    assert res.returncode == 3
+    assert [line.split()[0] for line in res.stdout.splitlines()] \
+        == ["W-(lam=1.5,", "terms", "warning:"]
+
+
 # -- exit codes -------------------------------------------------------------
 
 # what the module docstring documents for eval, expand and saddles (5 is
@@ -586,12 +681,13 @@ oracle.w_minus(ScaledArgs(1.0, 1.5, 24.0, Sign.MINUS))
 oracle.w_plus(ScaledArgs(1.0, 1.5, 24.0, Sign.PLUS))
 for spec in TableSpec:
     compute_table(spec)
-print(sorted({"scipy", "numpy"} & set(sys.modules)))
+print(sorted({"scipy", "numpy", "click"} & set(sys.modules)))
 """
 
 
 def test_no_route_or_table_imports_scipy_or_numpy():
-    # a lazy import would put its cost inside a timed operation
+    # a lazy import would put its cost inside a timed operation; click is
+    # no dependency at all
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", _EVERY_ROUTE_AND_TABLE],

@@ -31,8 +31,12 @@ checkout's perfbench/, which is only read.
 Each result is dumped as the repr of every public, non-callable attribute,
 with mpmath numbers printed to enough digits to tell any two apart; an
 exception as its type and message; a CLI run as its exit code, its
-output and its `--out` file (None where it wrote none).  Differences are counted in three classes, and the first of each
-is reported with both sides:
+output (stdout and stderr in one) and its `--out` file (None where it
+wrote none).  The CLI runs in-process: a tree whose `main` is a click
+group (before the CLI moved to argparse) through click's CliRunner,
+imported only then; any other tree as `main(argv)` with both streams
+captured.  Differences are counted in three classes, and the first of
+each is reported with both sides:
 
 - outcome: a value on one side and an exception on the other, or two
   exceptions of different types;
@@ -57,6 +61,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -64,7 +70,6 @@ import tempfile
 from pathlib import Path
 
 import mpmath as mp
-from click.testing import CliRunner
 
 from bench_pairs import _export, _seeds
 
@@ -158,6 +163,25 @@ def _cli_argvs() -> list[list[str]]:
     return [argv + fmt for argv in argvs for fmt in ([], ["--json"])]
 
 
+def _invoke(main, argv: list[str]) -> tuple[int, str]:
+    """Exit code and output (stdout and stderr in one, as CliRunner
+    gives them) of one `wright` command line."""
+    if hasattr(main, "make_context"):
+        from click.testing import CliRunner
+        res = CliRunner().invoke(main, argv)
+        return res.exit_code, res.output
+    buf = io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        try:
+            main(argv)
+        except SystemExit as e:
+            code = e.code or 0
+        except Exception:  # CliRunner's exit code for an uncaught error
+            code = 1
+    return code, buf.getvalue()
+
+
 def _dump(tree: Path, seeds: list[int], path: Path) -> None:
     """Run every operation on the package of `tree`; one JSON line per
     result, written to path."""
@@ -188,17 +212,16 @@ def _dump(tree: Path, seeds: list[int], path: Path) -> None:
         for lam, mu, z in UNSCALED:
             call(f"wright_series {lam} {mu} {z}",
                  lambda: wright_series(WrightParams(lam, mu), z))
-        cli = CliRunner()
         with tempfile.TemporaryDirectory(prefix="same_outputs_out_") as tmp:
             out = Path(tmp) / "out.csv"
             for argv in _cli_argvs():
-                res = cli.invoke(main, argv)
-                cli.invoke(main, [*argv, "--out", str(out)])
+                code, output = _invoke(main, argv)
+                _invoke(main, [*argv, "--out", str(out)])
                 written = out.read_bytes().decode() if out.exists() else None
                 out.unlink(missing_ok=True)
                 emit("wright " + " ".join(argv),
-                     {"attrs": {"exit_code": repr(res.exit_code),
-                                "output": res.output,
+                     {"attrs": {"exit_code": repr(code),
+                                "output": output,
                                 "out_file": repr(written)}})
 
 
