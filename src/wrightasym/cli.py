@@ -260,7 +260,6 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
                 "branch": br.value,
                 "terminus": outc.terminus.value,
                 "strip_index": outc.strip_index,
-                "hit_index": outc.hit_index,
                 "samples": len(outc.samples),
             } for s, br, outc in traces]
         _emit_json(payload)
@@ -279,8 +278,6 @@ def cmd_saddles(lam, a, sign, chain_n, trace, as_json, out):
             where = outc.terminus.value
             if outc.strip_index is not None:
                 where += f" (strip {outc.strip_index})"
-            if outc.hit_index is not None:
-                where += f" (saddle {outc.hit_index})"
             print(f"  path from u_{s.index} [{br.value}]: {where}")
 
     if out:

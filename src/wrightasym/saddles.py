@@ -14,8 +14,9 @@ asymptotic expansion, so alongside the root-finding (in doubles, with an
 mpmath Newton polish for the expansions) this module carries the
 descent-path tracer, `contour` (the contributory saddles of either phase),
 and the parameter-plane boundaries where the saddle configuration
-changes.  Real roots come from `brentq`, a port of scipy's Brent method,
-so that the package needs no scipy (and no numpy) at run time.
+changes.  Every real root comes from `newton_root`: Newton's method on
+a derivative the caller has at hand (h'' beside h'), kept inside a
+sign-change bracket.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import cmath
 import enum
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -184,30 +184,27 @@ def _sup(v):
     return max(abs(v.real), abs(v.imag)) if type(v) is mp.mpc else abs(v)
 
 
-def _newton_polish(phase: Phase, u, steps: int = 4):
-    """Up to `steps` Newton steps on h' = 0, in u's own arithmetic;
+def _newton_polish(phase: Phase, u):
+    """Up to _POLISH_STEPS Newton steps on h' = 0 from an mpf or mpc u;
     returns u, [h, h', h''] there and the Phase.parts(u) they came from.
-    The iteration ends where the next step would leave u unchanged, or,
-    in mpmath, move it by at most _POLISH_ULPS ulp: there u can cycle in
-    its last bits (by 4e-52 to 2e-51 at 50 digits at (1.5, 0.5, -)), so
-    every later step would only cost an evaluation."""
+    The iteration ends where the next step would move u by at most
+    _POLISH_ULPS ulp: there u can cycle in its last bits (by 4e-52 to
+    2e-51 at 50 digits at (1.5, 0.5, -)), so every later step would only
+    cost an evaluation."""
     # sizes in the larger of |Re| and |Im| (no square root); u moves by
     # far less than itself, so the tolerance is set once
-    tol = (_POLISH_ULPS * mp.eps * _sup(u)
-           if type(u) is mp.mpf or type(u) is mp.mpc else -1.0)
+    tol = _POLISH_ULPS * mp.eps * _sup(u)
     parts = phase.parts(u)
     d = phase.derivs(u, 2, parts)
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         if not d[2]:
             break
         step = d[1] / d[2]
         if _sup(step) <= tol:
             break
-        v = u - step
-        if v == u:
-            break
-        u, parts = v, phase.parts(v)
-        d = phase.derivs(v, 2, parts)
+        u = u - step
+        parts = phase.parts(u)
+        d = phase.derivs(u, 2, parts)
     return u, d, parts
 
 
@@ -242,84 +239,48 @@ def double_saddle_point(lam: float) -> Saddle:
     )
 
 
-_BRENT_RTOL = 4 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
+_ROOT_STEPS = 100
 
 
-def brentq(f, a: float, b: float, xtol: float,
-           rtol: float = _BRENT_RTOL) -> float:
-    """A root of f in [a, b] by Brent's method: a step-for-step port of
-    scipy.optimize.brentq (scipy's brentq.c), so it returns the same
-    double.
-
-    f(a) and f(b) must differ in sign bit (an exact zero at either end is
-    returned at once).  Each step takes an inverse-quadratic or secant step
-    when that stays well inside the bracket, and bisects otherwise; it
-    stops on f = 0 or once half the bracket is below
-    delta = (xtol + rtol*|x|)/2.  Raises ValueError on a NaN value of f or
-    a same-sign bracket, and RuntimeError after _BRENT_MAXITER steps
-    without convergence, with scipy's messages.
+def newton_root(fd, lo: float, hi: float, xtol: float = 0.0) -> float:
+    """A root of f in [lo, hi], where fd(x) gives (f(x), f'(x)), by
+    Newton's method kept inside the shrinking sign-change bracket (rtsafe,
+    Numerical Recipes 9.4).  It starts at the secant point of the ends,
+    bisects where a Newton step would not land strictly inside, and
+    returns an exact zero (an end's too), or x once a step moves it by at
+    most xtol (so for xtol = 0, once a step leaves it unchanged).  Raises
+    ValueError on a NaN f or a same-sign bracket, and ConvergenceFailure
+    after _ROOT_STEPS steps.
     """
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if fx != fx:
-            raise ValueError(
-                f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    def signbit(v: float) -> bool:
-        return math.copysign(1.0, v) < 0.0
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if signbit(fpre) == signbit(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and signbit(fpre) != signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    flo, fhi = fd(lo)[0], fd(hi)[0]
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    lo_negative = flo < 0.0
+    if flo != flo or fhi != fhi or lo_negative == (fhi < 0.0):
+        raise ValueError(
+            f"f does not change sign on [{lo}, {hi}]: {flo}, {fhi}")
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(_ROOT_STEPS):
+        f, df = fd(x)
+        if f != f:
+            raise ValueError(f"f is NaN at x={x}")
+        if f == 0.0:
+            return x
+        if (f < 0.0) == lo_negative:
+            lo = x
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(
-        f"Failed to converge after {_BRENT_MAXITER} iterations.")
+            hi = x
+        new = x - f / df if df else math.nan
+        if not (lo < new < hi or abs(new - x) <= xtol):
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= xtol:
+            return new
+        x = new
+    raise ConvergenceFailure(
+        f"no root within xtol={xtol} after {_ROOT_STEPS} steps "
+        f"in [{lo}, {hi}]")
 
 
 def _bracket(f, start: float, step: int) -> tuple[float, float]:
@@ -348,15 +309,18 @@ def solve_real_saddle(phase: Phase):
     (NoRealSaddle).  On the curve itself both entries collapse onto the
     double point.
 
-    Each root is bracketed by a sign change of h', located by brentq and
-    Newton-polished in doubles.
+    Each root is bracketed by a sign change of h' and located by
+    newton_root on (h', h'').
     """
     lam, a = phase.lam, phase.a
     f = phase.dh
 
-    def simple(root) -> Saddle:
-        u, d, _ = _newton_polish(phase, root)
-        return _make_saddle(u, d, 0, SaddleKind.REAL_SIMPLE)
+    def fd(u: float) -> list:
+        return phase.derivs(u, 2)[1:]
+
+    def simple(root: float) -> Saddle:
+        return _make_saddle(root, phase.derivs(root, 2), 0,
+                            SaddleKind.REAL_SIMPLE)
 
     if phase.sign is Sign.PLUS:
         # monotone increasing from -a (at -inf on the lam>0 side) to +inf
@@ -366,7 +330,7 @@ def solve_real_saddle(phase: Phase):
             lo -= 1.0
         while f(hi) < 0.0:
             hi += 1.0
-        return simple(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+        return simple(newton_root(fd, lo, hi))
 
     # minus phase
     if lam <= 0.0:
@@ -374,8 +338,7 @@ def solve_real_saddle(phase: Phase):
         if lam == 0.0:
             root = math.log(2.0 * a)
         else:
-            lo, hi = _bracket(f, u_star(lam), 1)
-            root = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+            root = newton_root(fd, *_bracket(f, u_star(lam), 1))
         return simple(root)
 
     us = u_star(lam)
@@ -388,8 +351,8 @@ def solve_real_saddle(phase: Phase):
     if f_min > -_RESIDUAL_TOL * scale:
         d = double_saddle_point(lam)
         return d, d
-    right = brentq(f, *_bracket(f, us, 1), xtol=1e-14, rtol=8.9e-16)
-    left = brentq(f, *_bracket(f, us, -1), xtol=1e-14, rtol=8.9e-16)
+    right = newton_root(fd, *_bracket(f, us, 1))
+    left = newton_root(fd, *_bracket(f, us, -1))
     return simple(left), simple(right)
 
 
@@ -410,7 +373,7 @@ def polish_saddle(phase: Phase, location: complex):
             f"location {location} is not a stationary point of this phase "
             f"(|h'| = {abs(grad):.2e})")
     u = mp.mpc(location) if location.imag != 0 else mp.mpf(location.real)
-    u, (h0, _, h2), pq = _newton_polish(phase, u, _POLISH_STEPS)
+    u, (h0, _, h2), pq = _newton_polish(phase, u)
     return u, h0, h2, pq
 
 
@@ -435,6 +398,18 @@ def _complex_newton(phase: Phase, seed: complex) -> tuple | None:
     return None
 
 
+def _ladder_saddle(phase: Phase, base: complex, shifts: tuple, window,
+                   index: int, what: str) -> Saddle:
+    """The first root _complex_newton reaches from base + shift, shift by
+    shift in order, with Im u > 0 and window(Im u); ConvergenceFailure,
+    saying what was not found, when none does."""
+    for shift in shifts:
+        found = _complex_newton(phase, base + shift)
+        if found is not None and found[0].imag > 0 and window(found[0].imag):
+            return _make_saddle(*found, index, SaddleKind.COMPLEX_PAIR)
+    raise ConvergenceFailure(f"{what} for lam={phase.lam}, a={phase.a}")
+
+
 def solve_complex_pair(phase: Phase) -> Saddle:
     """Minus phase below the coalescence curve: the conjugate saddle pair,
     returned through its upper-half member (0 < Im u < pi).
@@ -450,13 +425,10 @@ def solve_complex_pair(phase: Phase) -> Saddle:
     if a >= double_saddle_curve(lam) - 1e-13:
         raise DomainError(
             "parameters on or above the coalescence curve have real saddles")
-    us = u_star(lam)
-    for off in (0.3, 0.5, 0.7, 0.9, 1.2, 1.6, 2.1, 2.7):
-        found = _complex_newton(phase, complex(us, off))
-        if found is not None and 1e-9 < found[0].imag < math.pi:
-            return _make_saddle(*found, 0, SaddleKind.COMPLEX_PAIR)
-    raise ConvergenceFailure(
-        f"conjugate pair not located for lam={lam}, a={a}")
+    return _ladder_saddle(phase, complex(u_star(lam), 0.0),
+                          (0.3j, 0.5j, 0.7j, 0.9j, 1.2j, 1.6j, 2.1j, 2.7j),
+                          lambda y: 1e-9 < y < math.pi, 0,
+                          "conjugate pair not located")
 
 
 # ln(2^(2/3) Gamma(1/3) sin(pi/3) / (3 pi)): the double-saddle series'
@@ -499,21 +471,17 @@ def chain_member(phase: Phase, k: int) -> Saddle:
     if lam <= 0.0:
         raise DomainError("chain saddles require lam > 0")
     y_est = (2 * k - 1) * math.pi / lam
-    for xr in (0.0, 0.1, 0.2, 0.3, 0.5, -0.1, 0.8, 1.2):
-        found = _complex_newton(phase, complex(xr, y_est))
-        if found is None or found[0].imag <= 0:
-            continue
-        cand = found[0]
-        if k == 1:
-            # closed lower edge: at lam = 1 the first saddle sits
-            # exactly on Im u = pi/lam (u = i pi - arcsinh(a))
-            ok = math.pi / lam - 1e-9 <= cand.imag < 3.0 * math.pi / lam
-        else:
-            ok = abs(cand.imag - y_est) < math.pi / lam
-        if ok:
-            return _make_saddle(*found, k, SaddleKind.COMPLEX_PAIR)
-    raise ConvergenceFailure(
-        f"chain saddle {k} not found for lam={lam}, a={phase.a}")
+    if k == 1:
+        # closed lower edge: at lam = 1 the first saddle sits
+        # exactly on Im u = pi/lam (u = i pi - arcsinh(a))
+        def window(y):
+            return math.pi / lam - 1e-9 <= y < 3.0 * math.pi / lam
+    else:
+        def window(y):
+            return abs(y - y_est) < math.pi / lam
+    return _ladder_saddle(phase, complex(0.0, y_est),
+                          (0.0, 0.1, 0.2, 0.3, 0.5, -0.1, 0.8, 1.2), window,
+                          k, f"chain saddle {k} not found")
 
 
 class PathBranch(enum.Enum):
@@ -524,7 +492,6 @@ class PathBranch(enum.Enum):
 class Terminus(enum.Enum):
     INFINITY_PLUS_PI = "infinity_plus_pi"
     MINUS_INFINITY_STRIP = "minus_infinity_strip"
-    HITS_SADDLE = "hits_saddle"
 
 
 @dataclass(frozen=True)
@@ -532,7 +499,6 @@ class PathOutcome:
     terminus: Terminus
     samples: list[complex]
     strip_index: int | None = None  # odd multiple of pi/lam reached, if any
-    hit_index: int | None = None    # index of the saddle the path ran into
 
 
 def _descent_rays(h2: complex) -> tuple[complex, complex]:
@@ -552,7 +518,7 @@ def _pick_ray(saddle: Saddle, branch: PathBranch) -> complex:
 
 
 def _known_saddles(phase: Phase) -> list[Saddle]:
-    """Saddles a descent path might run into, for connection detection:
+    """Saddles a descent path passes close to, where its steps shrink:
     on the plus axis the real saddle and, for lam > 0 (as in contour),
     the first chain members."""
     if phase.sign is Sign.PLUS:
@@ -579,10 +545,8 @@ def trace_descent_path(phase: Phase, from_saddle: Saddle,
     saddles so close passages are resolved instead of hopped over.
 
     Terminates at Re u > 20 (the right-hand valley toward infinity with
-    Im u near pi), Re u < -20 (a left-hand strip valley at an odd multiple
-    of pi/lam; meaningful for the plus phase), or on running into another
-    saddle (|u - s| < 0.1 with |h'| < 1e-8), which signals a contour-change
-    boundary.
+    Im u near pi) or Re u < -20 (a left-hand strip valley at an odd
+    multiple of pi/lam; meaningful for the plus phase).
     """
     if from_saddle.kind is SaddleKind.REAL_DOUBLE:
         raise DomainError("descent tracing from a double saddle is not supported")
@@ -602,11 +566,6 @@ def trace_descent_path(phase: Phase, from_saddle: Saddle,
         _, g, h2 = phase.derivs(u, 2)
         ag = abs(g)
         near = min((abs(u - s.location) for s in others), default=math.inf)
-        for s in others:
-            if abs(u - s.location) < 0.1 and ag < 1e-8:
-                samples.append(u)
-                return PathOutcome(Terminus.HITS_SADDLE, samples,
-                                   hit_index=s.index)
         cap = 2e-4 if near < 0.5 else 0.1
         floor = 2e-4 if near < 0.5 else 1e-3
         step = min(cap, max(floor, 0.05 * ag / max(abs(h2), 1e-9)))
@@ -698,27 +657,29 @@ def stokes_boundary(lam: float, pair_index: int) -> float:
     -Im u_k <= -(pi/lam - 1e-9) for every member chain_member accepts):
     it changes sign at most once.  So bisecting the indices of an 80-point
     log grid on [0.02, 4] finds the cell a scan from 0.02 would, and
-    brentq refines it, returning an exact zero at a grid point as it is.
-    Raises NoBoundary when the level has one sign at both range ends.
+    newton_root refines it on that level and slope, both from one member
+    solve, returning an exact zero at a grid point as it is.  Raises
+    NoBoundary when the level has one sign at both range ends.
     """
     if pair_index < 1:
         raise DomainError("pair_index counts from 1")
 
     @functools.cache
-    def level(a: float) -> float:
-        phase = Phase(lam, a, Sign.PLUS)
-        return chain_member(phase, pair_index).phase_value.imag
+    def level(a: float) -> tuple:
+        sadl = chain_member(Phase(lam, a, Sign.PLUS), pair_index)
+        return sadl.phase_value.imag, -sadl.location.imag
 
     n_scan = 80
     grid = [_BOUNDARY_A_MIN * (_BOUNDARY_A_MAX / _BOUNDARY_A_MIN)
             ** (i / (n_scan - 1.0)) for i in range(n_scan)]
-    below = level(grid[0]) < 0.0
+    below = level(grid[0])[0] < 0.0
     lo, hi = 0, n_scan - 1
-    if (level(grid[hi]) < 0.0) == below:
+    if (level(grid[hi])[0] < 0.0) == below:
         raise NoBoundary(
             f"pair {pair_index} has no level sign change for lam={lam} "
             f"in [{_BOUNDARY_A_MIN}, {_BOUNDARY_A_MAX}]")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if (level(grid[mid]) < 0.0) == below else (lo, mid)
-    return brentq(level, grid[lo], grid[hi], xtol=1e-10)
+        lo, hi = ((mid, hi) if (level(grid[mid])[0] < 0.0) == below
+                  else (lo, mid))
+    return newton_root(level, grid[lo], grid[hi], xtol=1e-10)

@@ -42,8 +42,8 @@ from .reference import (
 from .saddles import (
     NoBoundary,
     ConvergenceFailure,
-    brentq,
     double_saddle_curve,
+    newton_root,
     stokes_boundary,
 )
 
@@ -247,16 +247,17 @@ def compute_fig2() -> TableReport:
     [0.02, 50], with its maximum pinned.
 
     The maximum is where d ln a*/dlam vanishes, which reduces to
-    1 + lam - 2 lam ln lam = 0: its one root on [1, 4] comes from brentq
-    with the tightest xtol, so the stop is rtol's (a few ulp).
+    1 + lam - 2 lam ln lam = 0: its one root on [1, 4] comes from
+    newton_root on that and its derivative -1 - 2 ln lam, run until a
+    step leaves lam unchanged.
     """
     lo, hi = 0.02, 50.0
     rows = []
     for i in range(241):
         lam = lo * (hi / lo) ** (i / 240.0)
         rows.append((lam, double_saddle_curve(lam)))
-    lam_max = brentq(lambda t: 1.0 + t - 2.0 * t * math.log(t), 1.0, 4.0,
-                     xtol=5e-324)
+    lam_max = newton_root(lambda t: (1.0 + t - 2.0 * t * math.log(t),
+                                     -1.0 - 2.0 * math.log(t)), 1.0, 4.0)
     a_max = double_saddle_curve(lam_max)
     cells = [
         CellCheck("curve max", "lam", lam_max, CURVE_MAX_LAM,

@@ -6,6 +6,7 @@ import cmath
 import math
 import random
 import sys
+import time
 
 import mpmath as mp
 import pytest
@@ -24,11 +25,11 @@ from wrightasym.saddles import (
     Regime,
     SaddleKind,
     Terminus,
-    brentq,
     chain_member,
     contour,
     double_saddle_curve,
     double_saddle_point,
+    newton_root,
     polish_saddle,
     solve_complex_pair,
     solve_real_saddle,
@@ -213,128 +214,93 @@ def test_polish_stops_within_16_ulp(monkeypatch, case):
         assert saddles._sup(step) <= 16 * mp.eps * saddles._sup(u)
 
 
-# -- Brent root finder ----------------------------------------------------
+# -- bracketed Newton root finder ----------------------------------------
 
-def _outcome(solve, f, a, b, **kw):
-    """A root as its exact bits, or an exception as its type and message."""
-    try:
-        return solve(f, a, b, **kw).hex()
-    except (ValueError, RuntimeError) as exc:
-        return type(exc).__name__, str(exc)
-
-
-def _same_as_scipy(monkeypatch, scipy_brentq, f, a, b, maxiter=100, **kw):
-    """Whether brentq, capped at maxiter steps, ends as scipy's does."""
-    monkeypatch.setattr(saddles, "_BRENT_MAXITER", maxiter)
-    return (_outcome(brentq, f, a, b, **kw)
-            == _outcome(scipy_brentq, f, a, b, maxiter=maxiter, **kw))
+def _mp_boundary(lam, k, a, u):
+    """The boundary a of chain pair k at 30 digits: Newton on the level
+    Im h(u_k(a)), slope -Im u_k, from the double a and u_k."""
+    with mp.workdps(30):
+        lam, a, u = mp.mpf(lam), mp.mpf(a), mp.mpc(u)
+        for _ in range(6):
+            u = mp.findroot(
+                lambda v: (mp.exp(v) - lam * mp.exp(-lam * v)) / 2 - a, u)
+            a += ((mp.exp(u) + mp.exp(-lam * u)) / 2 - a * u).imag / u.imag
+        return a
 
 
-def test_brentq_matches_scipy_on_the_package_brackets(monkeypatch):
-    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+def test_newton_root_meets_mpmath_on_the_package_brackets(monkeypatch):
     seen = []
 
-    def compare(f, a, b, **kw):
-        ours = _outcome(brentq, f, a, b, **kw)
-        assert ours == _outcome(scipy_brentq, f, a, b, **kw), (a, b, kw)
-        seen.append(kw.get("xtol"))
-        return brentq(f, a, b, **kw)
+    def record(fd, lo, hi, xtol=0.0):
+        seen.append(xtol)
+        return newton_root(fd, lo, hi, xtol)
 
-    monkeypatch.setattr(saddles, "brentq", compare)
-    monkeypatch.setattr(tables, "brentq", compare)
+    monkeypatch.setattr(saddles, "newton_root", record)
+    monkeypatch.setattr(tables, "newton_root", record)
+
+    def check(phase):
+        found = solve_real_saddle(phase)
+        for s in found if isinstance(found, tuple) else (found,):
+            u = s.location.real
+            with mp.workdps(30):
+                ref = mp.findroot(phase.dh, mp.mpf(u))
+                lam, a, p, q = phase.parts(ref)
+                h2 = phase.derivs(ref, 2)[2]
+                # the root as well as h' is known in doubles: its rounding
+                # error over h''
+                bound = sys.float_info.epsilon * (p + abs(lam * q) + a) / h2
+                assert abs(u - ref) <= abs(bound), (phase, u, ref)
+
     rng = random.Random(20)
     for _ in range(40):
         lam = rng.uniform(0.1, 8.0)
         curve = double_saddle_curve(lam)
         # two real saddles, well above and just above the curve
-        solve_real_saddle(Phase(lam, curve * rng.uniform(1.01, 3.0),
-                                Sign.MINUS))
-        solve_real_saddle(Phase(lam, curve * (1 + 10 ** rng.uniform(-5, -2)),
-                                Sign.MINUS))
-        solve_real_saddle(Phase(rng.uniform(-0.95, -0.01),
-                                rng.uniform(0.05, 4.0), Sign.MINUS))
-        solve_real_saddle(Phase(rng.uniform(-0.95, 8.0),
-                                rng.uniform(0.05, 4.0), Sign.PLUS))
+        check(Phase(lam, curve * rng.uniform(1.01, 3.0), Sign.MINUS))
+        check(Phase(lam, curve * (1 + 10 ** rng.uniform(-5, -2)),
+                    Sign.MINUS))
+        check(Phase(rng.uniform(-0.95, -0.01), rng.uniform(0.05, 4.0),
+                    Sign.MINUS))
+        check(Phase(rng.uniform(-0.95, 8.0), rng.uniform(0.05, 4.0),
+                    Sign.PLUS))
     for lam, pair in ((2.0, 1), (3.0, 1), (6.0, 2)):
-        stokes_boundary(lam, pair)
-    compute_fig2()
-    assert seen.count(1e-14) == 240 and seen.count(1e-10) == 3
-    assert seen.count(5e-324) == 1
+        a_flip = stokes_boundary(lam, pair)
+        u = chain_member(Phase(lam, a_flip, Sign.PLUS), pair).location
+        assert abs(a_flip - _mp_boundary(lam, pair, a_flip, u)) <= 1e-10
+    lam_max = compute_fig2().cells[0].computed
+    with mp.workdps(30):
+        ref = mp.findroot(lambda t: 1 + t - 2 * t * mp.log(t), lam_max)
+    assert abs(lam_max - ref) <= 2 * math.ulp(lam_max)
+    assert seen.count(0.0) == 241 and seen.count(1e-10) == 3
 
 
-def test_brentq_matches_scipy_on_random_smooth_functions(monkeypatch):
-    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
-    rng = random.Random(2021)
-    tolerances = ((2e-12, 4 * sys.float_info.epsilon), (1e-14, 8.9e-16),
-                  (1e-10, 1e-10), (5e-324, 8.9e-16), (1e-4, 8.9e-16),
-                  (0.05, 1e-6), (0.5, 1e-6))
-    for i in range(3000):
-        kind = i % 4
-        r = rng.uniform(-5.0, 5.0)
-        c = [rng.uniform(-3.0, 3.0) for _ in range(4)]
-        p = 10 ** rng.uniform(-0.7, 0.7)
-        if kind == 0:
-            def f(x, c=c):
-                return ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
-        elif kind == 1:
-            def f(x, r=r, c=c):
-                return math.tanh(c[0] * (x - r)) + 0.1 * c[1] * math.sin(x)
-        elif kind == 2:
-            def f(x, r=r, p=p):
-                return math.copysign(abs(x - r) ** p, x - r)
-        else:
-            def f(x, r=r, c=c):
-                return math.exp(c[0] * x) - math.exp(c[0] * r) + c[1] * 1e-3
-        lo = rng.uniform(-6.0, 6.0)
-        hi = lo + 10 ** rng.uniform(-3, 1.2)
-        xtol, rtol = tolerances[rng.randrange(len(tolerances))]
-        maxiter = 100 if rng.random() < 0.95 else rng.randrange(0, 6)
-        assert _same_as_scipy(monkeypatch, scipy_brentq, f, lo, hi,
-                              maxiter=maxiter, xtol=xtol, rtol=rtol), \
-            (i, lo, hi, xtol, rtol, maxiter)
+def test_newton_root_stops_where_a_step_leaves_x_unchanged():
+    root = newton_root(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0)
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
+    # an exact zero at an end is returned as it is
+    assert newton_root(lambda x: (-0.0 if x == 0.0 else x - 1.0, 1.0),
+                       0.0, 2.0) == 0.0
+    # a loose xtol stops early, but within it
+    root = newton_root(lambda x: (math.exp(x) - 3.0, math.exp(x)), 0.0, 2.0,
+                       xtol=1e-3)
+    assert abs(root - math.log(3.0)) <= 1e-3
 
 
-@pytest.mark.parametrize("f,a,b", [
-    (lambda x: x * x + 1.0, 0.0, 2.0),                        # same sign
-    (lambda x: x - 1.0, 2.0, 3.0),
-    (lambda x: math.nan if x > 1.0 else x - 1.5, 0.0, 2.0),  # NaN at b
-    (lambda x: math.nan, 0.0, 2.0),                           # NaN at a
-    (lambda x: math.nan if 0.9 < x < 1.1 else x - 1.0, 0.0, 3.0),
-    (lambda x: x * x - 2.0, 0.0, 2.0),
-    (lambda x: -0.0 if x == 0.0 else x - 1.0, 0.0, 2.0),     # f(a) = -0.0
-])
-def test_brentq_same_outcome_as_scipy(monkeypatch, f, a, b):
-    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
-    for maxiter in (0, 2, 100):
-        assert _same_as_scipy(monkeypatch, scipy_brentq, f, a, b,
-                              maxiter=maxiter, xtol=2e-12)
-
-
-@pytest.mark.parametrize("xtol", [2.0 ** -97, 2.0 ** -98])
-def test_brentq_has_scipys_iteration_cap(xtol):
-    # a step at 0 halves the bracket each step: 100 steps reach 2^-97,
-    # 2^-98 needs 101
-    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
-
-    def step(x):
-        return 1.0 if x > 0.0 else -1.0
-
-    assert (_outcome(brentq, step, -1.0, 3.0, xtol=xtol)
-            == _outcome(scipy_brentq, step, -1.0, 3.0, xtol=xtol))
-
-
-def test_brentq_errors(monkeypatch):
-    with pytest.raises(ValueError, match="must have different signs"):
-        brentq(lambda x: x * x + 1.0, 0.0, 2.0, xtol=2e-12)
-    with pytest.raises(ValueError, match=r"at x=2\.0 is NaN"):
-        brentq(lambda x: math.nan if x > 1.0 else x - 1.5, 0.0, 2.0,
-               xtol=2e-12)
-    assert brentq(lambda x: -0.0 if x == 0.0 else x - 1.0, 0.0, 2.0,
-                  xtol=2e-12) == 0.0
-    monkeypatch.setattr(saddles, "_BRENT_MAXITER", 2)
-    with pytest.raises(RuntimeError,
-                       match=r"^Failed to converge after 2 iterations\.$"):
-        brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=2e-12)
+def test_newton_root_errors():
+    with pytest.raises(ValueError, match="does not change sign"):
+        newton_root(lambda x: (x * x + 1.0, 2.0 * x), 0.0, 2.0)
+    for nan_at in (lambda x: x > 1.0, lambda x: True):  # at hi, at both
+        with pytest.raises(ValueError, match="does not change sign"):
+            newton_root(lambda x: (math.nan if nan_at(x) else x - 1.5, 1.0),
+                        0.0, 2.0)
+    # the secant point of [0, 3] is 1, where f is NaN
+    with pytest.raises(ValueError, match=r"NaN at x=1\.0"):
+        newton_root(lambda x: (math.nan if 0.9 < x < 1.1 else x - 1.0, 1.0),
+                    0.0, 3.0)
+    # a triple root: every Newton step lands inside and shrinks x by 2/3,
+    # so no step leaves x unchanged within the cap
+    with pytest.raises(ConvergenceFailure, match="after 100 steps"):
+        newton_root(lambda x: (x ** 3, 3.0 * x * x), -1.0, 2.0)
 
 
 # -- coalescence curve ----------------------------------------------------
@@ -501,7 +467,7 @@ def _boundary_or_error(search, lam, pair):
 
 def test_stokes_boundary_bisection_matches_the_linear_scan():
     # the level falls strictly in a, so bisection finds the scan's cell and
-    # brentq returns the same double: fig4's calls, then seeded ones
+    # newton_root returns the same double: fig4's calls, then seeded ones
     calls = [(lam / 2, pair) for pair in (1, 2) for lam in range(2, 17)]
     rng = random.Random(32)
     calls += [(rng.uniform(1.0, 8.0), rng.choice((1, 2))) for _ in range(30)]
@@ -517,7 +483,7 @@ def test_stokes_boundary_ignores_a_spurious_scan_root():
     # the scan took the jump for a root, but the level is negative at both
     # ends of the range, so there is no boundary
     lam = 2.541376546933124
-    assert linear_scan.stokes_boundary(lam, 3) == 0.05265294772417102
+    assert linear_scan.stokes_boundary(lam, 3) == 0.05265294964652534
     with pytest.raises(NoBoundary):
         stokes_boundary(lam, 3)
 
@@ -545,9 +511,9 @@ def test_fig4_and_the_boundary_guard_solve_few_chain_members(monkeypatch):
 
     monkeypatch.setattr(saddles, "chain_member", counted)
     assert tables.compute_fig4().passed
-    # every (lam, a, pair) once: brentq's end levels are the bisection's,
-    # and the pinned cell is the sweep's row
-    assert calls == 305
+    # every (lam, a, pair) once: newton_root's end levels and slopes are
+    # the bisection's, and the pinned cell is the sweep's row
+    assert calls == 277
     # the guard reads the level's slope off the member it has: one solve
     a_flip = stokes_boundary(2.0, 1)
     calls = 0
@@ -581,6 +547,28 @@ def test_trace_plus_real_with_contributory_pair():
     out = trace_descent_path(ph, s, PathBranch.UPPER_RIGHT)
     assert out.terminus is Terminus.MINUS_INFINITY_STRIP
     assert out.strip_index == 1
+
+
+def test_trace_at_a_stokes_boundary_ends_in_a_valley():
+    # 1e-9 either side of the first pair's boundary at lam = 2 every path
+    # from the real saddle and members 1-2 still ends in one of the two
+    # valleys; the real saddle's path is the one that switches, from pair
+    # 1's strip (pair on the contour) to +infinity (pair off it)
+    a_flip = stokes_boundary(2.0, 1)
+    t0 = time.perf_counter()
+    for a, real_end in ((a_flip * (1 - 1e-9), Terminus.MINUS_INFINITY_STRIP),
+                        (a_flip * (1 + 1e-9), Terminus.INFINITY_PLUS_PI)):
+        ph = Phase(2.0, a, Sign.PLUS)
+        real = solve_real_saddle(ph)
+        assert trace_descent_path(ph, real, PathBranch.UPPER_RIGHT
+                                  ).terminus is real_end
+        for k in (1, 2):
+            member = chain_member(ph, k)
+            for branch in PathBranch:
+                out = trace_descent_path(ph, member, branch)
+                assert out.terminus in (Terminus.MINUS_INFINITY_STRIP,
+                                        Terminus.INFINITY_PLUS_PI)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_trace_descent_is_monotone_decreasing():

@@ -22,19 +22,18 @@ and, with `--include-subdominant`, at (6, 0.2, 40, plus); and `wright
 saddles` (minus) at lam = 2 on the curve a*, 1e-9 either side of it
 (inside the 1e-6 band where the minus contour is the double saddle) and
 at a*(1 -+ 2e-6) (just outside it), with `--trace` at (1, 1.2) and
-(1.5, 0.5), and (plus) at (6, 0.2) with `--chain 4`.  Every command takes
-`--out`, so each command line runs once more with `--out` and the bytes
-of the file it writes are one more result attribute (so `saddles --trace
---out` writes the traced paths).  Both trees take their inputs from this
-checkout's perfbench/, which is only read.
+(1.5, 0.5), and (plus) at (6, 0.2) with `--chain 4` and at (2, 0.2)
+with `--trace`.  Every command takes `--out`, so each command line runs
+once more with `--out` and the bytes of the file it writes are one more
+result attribute (so `saddles --trace --out` writes the traced paths).
+Both trees take their inputs from this checkout's perfbench/, which is
+only read.
 
 Each result is dumped as the repr of every public, non-callable attribute,
 with mpmath numbers printed to enough digits to tell any two apart; an
 exception as its type and message; a CLI run as its exit code, its
 output (stdout and stderr in one) and its `--out` file (None where it
-wrote none).  The CLI runs in-process: a tree whose `main` is a click
-group (before the CLI moved to argparse) through click's CliRunner,
-imported only then; any other tree as `main(argv)` with both streams
+wrote none).  The CLI runs in-process, as `main(argv)` with both streams
 captured.  Differences are counted in three classes, and the first of
 each is reported with both sides:
 
@@ -160,16 +159,14 @@ def _cli_argvs() -> list[list[str]]:
                       "--sign", "minus", "--trace"])
     argvs.append(["saddles", "--lambda", "6.0", "--a", "0.2",
                   "--sign", "plus", "--chain", "4"])
+    argvs.append(["saddles", "--lambda", "2.0", "--a", "0.2",
+                  "--sign", "plus", "--trace"])
     return [argv + fmt for argv in argvs for fmt in ([], ["--json"])]
 
 
 def _invoke(main, argv: list[str]) -> tuple[int, str]:
-    """Exit code and output (stdout and stderr in one, as CliRunner
-    gives them) of one `wright` command line."""
-    if hasattr(main, "make_context"):
-        from click.testing import CliRunner
-        res = CliRunner().invoke(main, argv)
-        return res.exit_code, res.output
+    """Exit code and output (stdout and stderr in one) of one `wright`
+    command line."""
     buf = io.StringIO()
     code = 0
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
@@ -177,7 +174,7 @@ def _invoke(main, argv: list[str]) -> tuple[int, str]:
             main(argv)
         except SystemExit as e:
             code = e.code or 0
-        except Exception:  # CliRunner's exit code for an uncaught error
+        except Exception:  # an uncaught error, as the shell would see it
             code = 1
     return code, buf.getvalue()
 
