@@ -53,7 +53,7 @@ _EXIT_CODES = {
     WrongRegime: EXIT_REGIME, NoRealSaddle: EXIT_REGIME,
     OnStokesBoundary: EXIT_REGIME, DegenerateSaddle: EXIT_REGIME,
     NoBoundary: EXIT_REGIME,
-    DomainError: EXIT_DOMAIN,
+    DomainError: EXIT_DOMAIN, OverflowError: EXIT_DOMAIN,
     ConvergenceFailure: 1, NoConvergence: 1, StepFailure: 1,
 }
 

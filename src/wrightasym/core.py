@@ -29,6 +29,18 @@ class Sign(enum.Enum):
     PLUS = "plus"
 
 
+def check_lam_a(lam: float, a: float) -> None:
+    """Raise DomainError unless lam > -1 and a > 0, both finite: the
+    domain of the scaled arguments and of the saddle layer's phase."""
+    for name, v in (("lam", lam), ("a", a)):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite")
+    if lam <= -1.0:
+        raise DomainError(f"lam must exceed -1, got {lam}")
+    if a <= 0.0:
+        raise DomainError(f"a must be positive, got {a}")
+
+
 @dataclass(frozen=True)
 class WrightParams:
     """Parameters (lam, mu) of the unscaled Wright function.
@@ -59,13 +71,9 @@ class ScaledArgs:
     sign: Sign
 
     def __post_init__(self) -> None:
-        for name in ("lam", "a", "x"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-        if self.lam <= -1.0:
-            raise DomainError(f"lam must exceed -1, got {self.lam}")
-        if self.a <= 0.0:
-            raise DomainError(f"a must be positive, got {self.a}")
+        check_lam_a(self.lam, self.a)
+        if not math.isfinite(self.x):
+            raise DomainError("x must be finite")
         if self.x <= 0.0:
             raise DomainError(f"x must be positive, got {self.x}")
 

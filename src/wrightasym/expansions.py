@@ -87,12 +87,17 @@ class TruncationPolicy:
     mode: TruncationMode
     k: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.mode is TruncationMode.OPTIMAL:
+            if self.k is not None:
+                raise DomainError("optimal truncation takes no order")
+        elif self.k is None or self.k < 0:
+            raise DomainError("truncation order must be nonnegative")
+        elif self.k > _MAX_ORDER:
+            raise DomainError(f"truncation order must be at most {_MAX_ORDER}")
+
     @classmethod
     def fixed(cls, k: int) -> "TruncationPolicy":
-        if k < 0:
-            raise DomainError("truncation order must be nonnegative")
-        if k > _MAX_ORDER:
-            raise DomainError(f"truncation order must be at most {_MAX_ORDER}")
         return cls(TruncationMode.FIXED, k)
 
     @classmethod

@@ -16,7 +16,9 @@ descent-path tracer, `contour` (the contributory saddles of either phase),
 and the parameter-plane boundaries where the saddle configuration
 changes.  Every real root comes from `newton_root`: Newton's method on
 a derivative the caller has at hand (h'' beside h'), kept inside a
-sign-change bracket.
+sign-change bracket.  Every complex saddle, and every polish, comes from
+`_newton`: Newton's method on h' = 0 in the arithmetic of its start,
+complex doubles from a seed ladder or mpmath from a located saddle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .core import DomainError, Sign
+from .core import DomainError, Sign, check_lam_a
 
 
 class NoRealSaddle(ValueError):
@@ -63,10 +65,7 @@ class Phase:
     sign: Sign
 
     def __post_init__(self) -> None:
-        if self.lam <= -1.0:
-            raise DomainError(f"lam must exceed -1, got {self.lam}")
-        if self.a <= 0.0:
-            raise DomainError(f"a must be positive, got {self.a}")
+        check_lam_a(self.lam, self.a)
         object.__setattr__(self, "_half",
                            -0.5 if self.sign is Sign.MINUS else 0.5)
 
@@ -156,7 +155,8 @@ _RESIDUAL_TOL = 1e-12
 # simple-saddle series degenerate, so contour takes the double saddle
 _NEAR_CURVE_REL = 1e-6
 _POLISH_STEPS = 6
-# a step this many ulp or shorter ends an mp Newton polish
+# a step this many ulp or shorter ends an mp Newton polish: there u can
+# cycle in its last bits (by 4e-52 to 2e-51 at 50 digits at (1.5, 0.5, -))
 _POLISH_ULPS = 16
 _MAX_PAIRS = 64
 _MAX_DESCENT_STEPS = 500000
@@ -180,23 +180,20 @@ def _make_saddle(u, derivs: list, index: int, kind: SaddleKind) -> Saddle:
 
 
 def _sup(v):
-    """max(|Re v|, |Im v|) for an mpc, |v| otherwise."""
-    return max(abs(v.real), abs(v.imag)) if type(v) is mp.mpc else abs(v)
+    """max(|Re v|, |Im v|), in v's own arithmetic (|v| for a real v)."""
+    return max(abs(v.real), abs(v.imag))
 
 
-def _newton_polish(phase: Phase, u):
-    """Up to _POLISH_STEPS Newton steps on h' = 0 from an mpf or mpc u;
-    returns u, [h, h', h''] there and the Phase.parts(u) they came from.
-    The iteration ends where the next step would move u by at most
-    _POLISH_ULPS ulp: there u can cycle in its last bits (by 4e-52 to
-    2e-51 at 50 digits at (1.5, 0.5, -)), so every later step would only
-    cost an evaluation."""
-    # sizes in the larger of |Re| and |Im| (no square root); u moves by
-    # far less than itself, so the tolerance is set once
-    tol = _POLISH_ULPS * mp.eps * _sup(u)
+def _newton(phase: Phase, u, steps: int, tol):
+    """Up to `steps` Newton steps on h' = 0 from u, in u's own arithmetic
+    (complex doubles, or an mpf or mpc); returns u, [h, h', h''] there and
+    the Phase.parts(u) they came from.  The iteration ends where h'' = 0
+    or where the next step would move u by at most tol in the larger of
+    |Re| and |Im| (no square root), so that a u cycling in its last bits
+    costs no further evaluation."""
     parts = phase.parts(u)
     d = phase.derivs(u, 2, parts)
-    for _ in range(_POLISH_STEPS):
+    for _ in range(steps):
         if not d[2]:
             break
         step = d[1] / d[2]
@@ -324,13 +321,9 @@ def solve_real_saddle(phase: Phase):
 
     if phase.sign is Sign.PLUS:
         # monotone increasing from -a (at -inf on the lam>0 side) to +inf
-        u = 0.0
-        lo, hi = u, u
-        while f(lo) > 0.0:
-            lo -= 1.0
-        while f(hi) < 0.0:
-            hi += 1.0
-        return simple(newton_root(fd, lo, hi))
+        bracket = (_bracket(f, 0.0, 1) if f(0.0) <= 0.0
+                   else _bracket(lambda u: -f(u), 0.0, -1))
+        return simple(newton_root(fd, *bracket))
 
     # minus phase
     if lam <= 0.0:
@@ -373,40 +366,26 @@ def polish_saddle(phase: Phase, location: complex):
             f"location {location} is not a stationary point of this phase "
             f"(|h'| = {abs(grad):.2e})")
     u = mp.mpc(location) if location.imag != 0 else mp.mpf(location.real)
-    u, (h0, _, h2), pq = _newton_polish(phase, u)
+    # u moves by far less than itself, so the tolerance is set once
+    u, (h0, _, h2), pq = _newton(phase, u, _POLISH_STEPS,
+                                 _POLISH_ULPS * mp.eps * _sup(u))
     return u, h0, h2, pq
-
-
-def _complex_newton(phase: Phase, seed: complex) -> tuple | None:
-    """Up to 120 Newton steps on h' = 0 from seed: (u, [h, h', h''] at
-    u), or None."""
-    u = seed
-    try:
-        for _ in range(120):
-            _, d, dd = phase.derivs(u, 2)
-            if dd == 0:
-                return None
-            du = d / dd
-            u = u - du
-            if abs(du) < 1e-15 * max(1.0, abs(u)):
-                break
-        derivs = phase.derivs(u, 2)
-        if abs(derivs[1]) < 1e-13 * max(1.0, abs(derivs[2])):
-            return u, derivs
-    except (OverflowError, ZeroDivisionError):
-        return None
-    return None
 
 
 def _ladder_saddle(phase: Phase, base: complex, shifts: tuple, window,
                    index: int, what: str) -> Saddle:
-    """The first root _complex_newton reaches from base + shift, shift by
-    shift in order, with Im u > 0 and window(Im u); ConvergenceFailure,
-    saying what was not found, when none does."""
+    """The first root that up to 120 steps of _newton reach from base +
+    shift, shift by shift in order, with Im u > 0, window(Im u) and a
+    residual _make_saddle accepts; ConvergenceFailure, saying what was
+    not found, when none does."""
     for shift in shifts:
-        found = _complex_newton(phase, base + shift)
-        if found is not None and found[0].imag > 0 and window(found[0].imag):
-            return _make_saddle(*found, index, SaddleKind.COMPLEX_PAIR)
+        seed = base + shift
+        try:
+            u, d, _ = _newton(phase, seed, 120, 1e-15 * max(1.0, abs(seed)))
+            if u.imag > 0 and window(u.imag):
+                return _make_saddle(u, d, index, SaddleKind.COMPLEX_PAIR)
+        except (OverflowError, ConvergenceFailure):
+            pass
     raise ConvergenceFailure(f"{what} for lam={phase.lam}, a={phase.a}")
 
 

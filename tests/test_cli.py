@@ -394,6 +394,18 @@ def test_saddles_reports_double_in_the_near_curve_band(runner):
         assert res.output.splitlines()[0] == f"regime: {regime}"
 
 
+def test_saddles_trace_skips_the_double_saddle(runner):
+    from wrightasym.saddles import double_saddle_curve
+    res = _run(runner, "saddles", "--lambda", "2.0", "--a",
+               repr(double_saddle_curve(2.0)), "--sign", "minus", "--trace",
+               "--json")
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert payload["regime"] == "double"
+    assert [s["kind"] for s in payload["saddles"]] == ["real_double"]
+    assert payload["traces"] == []
+
+
 def test_saddles_on_stokes_boundary_exits_4(runner):
     a_flip = stokes_boundary(2.0, 1)
     res = _run(runner, "saddles", "--lambda", "2", "--a", repr(a_flip),
@@ -542,6 +554,34 @@ def test_out_naming_a_directory_exits_2_and_writes_nothing(runner, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("--lambda", "nan", "--a", "1", "--sign", "minus"), "lam"),
+    (("--lambda", "1", "--a", "nan", "--sign", "plus"), "a"),
+    (("--lambda", "inf", "--a", "1", "--sign", "plus"), "lam"),
+    (("--lambda", "1", "--a", "inf", "--sign", "minus"), "a")])
+def test_saddles_refuses_a_nonfinite_parameter(runner, argv, name):
+    res = _run(runner, "saddles", *argv)
+    assert res.exit_code == 2
+    assert res.output == f"error: {name} must be finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--lambda", "1e308", "--a", "1", "--sign", "minus",
+     "--x", "40"),
+    ("eval", "--lambda", "1e308", "--a", "1", "--sign", "minus",
+     "--x", "40"),
+    ("expand", "--lambda", "1", "--a", "1e308", "--sign", "plus",
+     "--x", "40"),
+    ("saddles", "--lambda", "1", "--a", "1e308", "--sign", "plus")])
+def test_a_finite_input_out_of_the_double_range_exits_2(runner, argv):
+    # the package overflows a double on the way; the command says so in
+    # one error line instead of a traceback
+    res = _run(runner, *argv)
+    assert res.exit_code == 2
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("lam", ["-0.5", "-5e-1", "-.5", "-5E-1"])
 def test_a_negative_value_in_exponent_notation_is_a_value(runner, lam):
     res = _run(runner, "eval", "--lambda", lam, "--a", "1", "--x", "40",
@@ -640,6 +680,7 @@ _COMMANDS = {
     (DegenerateSaddle("degenerate"), 4),
     (NoBoundary("no boundary"), 4),
     (DomainError("out of domain"), 2),
+    (OverflowError("math range error"), 2),
     (ConvergenceFailure("not located"), 1),
     (NoConvergence("not settled"), 1),
     (StepFailure("stalled"), 1),

@@ -17,7 +17,7 @@ import wrightasym.coeffs as coeffs
 import wrightasym.expansions as expansions
 import wrightasym.saddles as saddles
 import wrightasym.tables as tables
-from wrightasym.core import ScaledArgs, Sign
+from wrightasym.core import DomainError, ScaledArgs, Sign
 from wrightasym.expansions import (
     TruncationMode,
     TruncationPolicy,
@@ -61,6 +61,19 @@ def test_truncation_policy_constructors():
         TruncationPolicy.fixed(41)
     o = TruncationPolicy.optimal()
     assert o.mode is TruncationMode.OPTIMAL
+
+
+@pytest.mark.parametrize("mode,k,match", [
+    (TruncationMode.FIXED, 41, "at most 40"),
+    (TruncationMode.FIXED, 50, "at most 40"),
+    (TruncationMode.FIXED, -1, "nonnegative"),
+    (TruncationMode.FIXED, None, "nonnegative"),
+    (TruncationMode.OPTIMAL, 3, "takes no order")])
+def test_truncation_policy_constructor_checks_its_arguments(mode, k, match):
+    # the checks sit in the constructor, so no policy reaches a route
+    # unchecked, whichever way it was built
+    with pytest.raises(DomainError, match=match):
+        TruncationPolicy(mode, k)
 
 
 # -- route guards ---------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import linear_scan
 from wrightasym import saddles, tables
-from wrightasym.core import Sign
+from wrightasym.core import DomainError, Sign
 from wrightasym.saddles import (
     ConvergenceFailure,
     NoBoundary,
@@ -92,6 +92,19 @@ def test_phase_derivs_follow_the_argument_arithmetic(sign):
             assert all(type(d) is type(u) for d in got)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * max(1, abs(w))
+
+
+@pytest.mark.parametrize("lam,a,match", [
+    (math.nan, 1.0, "lam must be finite"),
+    (math.inf, 1.0, "lam must be finite"),
+    (1.0, math.nan, "a must be finite"),
+    (1.0, math.inf, "a must be finite"),
+    (-1.0, 1.0, "lam must exceed -1"),
+    (1.0, 0.0, "a must be positive")])
+def test_phase_takes_the_domain_of_the_scaled_arguments(lam, a, match):
+    for sign in Sign:
+        with pytest.raises(DomainError, match=match):
+            Phase(lam, a, sign)
 
 
 # -- real saddles ---------------------------------------------------------
@@ -341,6 +354,15 @@ def test_double_saddle_point_sits_on_curve():
         assert abs(ph.dh(s.location.real)) < 1e-10
         assert abs(ph.derivs(s.location.real, 2)[2]) < 1e-10
         assert abs(s.location.real - 2.0 * math.log(lam) / (1 + lam)) < 1e-12
+
+
+def test_solve_real_saddle_on_the_curve_returns_the_double_point_twice():
+    lam = 2.0
+    pair = solve_real_saddle(Phase(lam, double_saddle_curve(lam), Sign.MINUS))
+    assert len(pair) == 2 and pair[0] is pair[1]
+    assert pair[0] == double_saddle_point(lam)
+    assert pair[0].kind is SaddleKind.REAL_DOUBLE
+    assert pair[0].second_derivative == 0
 
 
 def test_classification_flips_across_curve():

@@ -21,8 +21,9 @@ at the T1-T5 points, at one point within 1e-6 of the coalescence curve
 and, with `--include-subdominant`, at (6, 0.2, 40, plus); and `wright
 saddles` (minus) at lam = 2 on the curve a*, 1e-9 either side of it
 (inside the 1e-6 band where the minus contour is the double saddle) and
-at a*(1 -+ 2e-6) (just outside it), with `--trace` at (1, 1.2) and
-(1.5, 0.5), and (plus) at (6, 0.2) with `--chain 4` and at (2, 0.2)
+at a*(1 -+ 2e-6) (just outside it), with `--trace` at (1, 1.2),
+(1.5, 0.5) and on the curve a* (where the double saddle is not traced),
+and (plus) at (6, 0.2) with `--chain 4` and at (2, 0.2)
 with `--trace`.  Every command takes `--out`, so each command line runs
 once more with `--out` and the bytes of the file it writes are one more
 result attribute (so `saddles --trace --out` writes the traced paths).
@@ -154,7 +155,7 @@ def _cli_argvs() -> list[list[str]]:
               curve * (1.0 - 2e-6), curve * (1.0 + 2e-6)):
         argvs.append(["saddles", "--lambda", "2.0", "--a", repr(a),
                       "--sign", "minus"])
-    for lam, a in (("1.0", "1.2"), ("1.5", "0.5")):
+    for lam, a in (("1.0", "1.2"), ("1.5", "0.5"), ("2.0", repr(curve))):
         argvs.append(["saddles", "--lambda", lam, "--a", a,
                       "--sign", "minus", "--trace"])
     argvs.append(["saddles", "--lambda", "6.0", "--a", "0.2",
